@@ -26,13 +26,13 @@ Three extra datapoints ride along: the probe-phase overhead (median
 plus its min..max noise band — the band's lower edge, not the median,
 is what gets compared against the 5 % budget, because the median
 routinely dips negative inside noise), the ``batch-campaign`` number —
-the batch SoA backend (``repro.network.batch``) advancing a whole
+the batch backend (``repro.network.batch``) advancing a whole
 detection-threshold ladder on one shared trajectory versus per-cell
 event runs, gated at ``BATCH_TARGET_SPEEDUP`` after an in-bench
 bit-identical digest check of every cell — and the
 ``batch-campaign-mixed`` number: the same backend folding a mixed
-mechanism x threshold grid (every shareable detector family at once,
-vectorized movement phase) versus per-cell event runs, gated at
+mechanism x threshold grid (every shareable detector family at once)
+versus per-cell event runs, gated at
 ``MIXED_BATCH_TARGET_SPEEDUP`` under the same digest check.
 
 Regression check: when a baseline is available (``--baseline`` or the
@@ -385,7 +385,7 @@ def benchmark_probe_overhead(quick: bool) -> Dict[str, Any]:
     }
 
 
-def benchmark_batch_campaign(quick: bool) -> Optional[Dict[str, Any]]:
+def benchmark_batch_campaign(quick: bool) -> Dict[str, Any]:
     """Batch backend vs per-cell event runs on a campaign threshold grid.
 
     The grid is the saturated 8x8 regime swept over the paper's
@@ -396,12 +396,12 @@ def benchmark_batch_campaign(quick: bool) -> Optional[Dict[str, Any]]:
     reported, every batch cell's behavioural stats are asserted
     bit-identical to its event run — the digest gate that lets the
     backend exist — so a reported speedup is by construction a speedup
-    on *equal* results.  Returns ``None`` when numpy is unavailable.
+    on *equal* results.
     """
-    from repro.network.batch import HAVE_NUMPY, run_batch
+    import dataclasses
 
-    if not HAVE_NUMPY:
-        return None
+    from repro.network.batch import BatchSimulator
+
     spec = dict(CONFIGS["saturated-ndm-8x8"])
     thresholds = BATCH_THRESHOLDS_QUICK if quick else BATCH_THRESHOLDS
     cell_configs = []
@@ -417,8 +417,12 @@ def benchmark_batch_campaign(quick: bool) -> Optional[Dict[str, Any]]:
     event_seconds = time.perf_counter() - start
 
     batch_config = build_config(spec, "batch", quick)
+    cells = [
+        dataclasses.replace(batch_config.detector, threshold=threshold)
+        for threshold in thresholds
+    ]
     start = time.perf_counter()
-    batch_stats = run_batch(batch_config, list(thresholds))
+    batch_stats = BatchSimulator(batch_config, cells).run()
     batch_seconds = time.perf_counter() - start
 
     for threshold, event_run, batch_run in zip(
@@ -444,25 +448,21 @@ def benchmark_batch_campaign(quick: bool) -> Optional[Dict[str, Any]]:
     }
 
 
-def benchmark_mixed_campaign(quick: bool) -> Optional[Dict[str, Any]]:
+def benchmark_mixed_campaign(quick: bool) -> Dict[str, Any]:
     """Cross-detector trajectory sharing on the mixed campaign grid.
 
     The same saturated regime, swept over :data:`MIXED_GRID` — every
     batch-shareable mechanism family times its threshold slice.  The
     event baseline runs one simulation per cell; the batch backend
-    folds all 40 cells onto *one* shared trajectory (with the
-    vectorized movement phase when numpy is present, which it is here).
+    folds all 40 cells onto *one* shared trajectory.
     As with the threshold-only benchmark, every folded cell is asserted
     bit-identical to its event run before the ratio is reported.
-    Returns ``None`` when numpy is unavailable.
     """
     import dataclasses
 
-    from repro.network.batch import HAVE_NUMPY, run_batch_cells
+    from repro.network.batch import BatchSimulator
     from repro.network.config import DetectorConfig
 
-    if not HAVE_NUMPY:
-        return None
     spec = dict(CONFIGS["saturated-ndm-8x8"])
     cells = [
         DetectorConfig(mechanism=mechanism, threshold=threshold)
@@ -482,7 +482,7 @@ def benchmark_mixed_campaign(quick: bool) -> Optional[Dict[str, Any]]:
 
     batch_config = build_config(spec, "batch", quick)
     start = time.perf_counter()
-    batch_stats = run_batch_cells(batch_config, cells)
+    batch_stats = BatchSimulator(batch_config, cells).run()
     batch_seconds = time.perf_counter() - start
 
     for cell, event_run, batch_run in zip(cells, event_stats, batch_stats):
@@ -674,52 +674,44 @@ def main(argv: List[str]) -> int:
     print("benchmarking batch campaign backend (threshold grid) ...")
     batch_campaign = benchmark_batch_campaign(args.quick)
     report["batch_campaign"] = batch_campaign
-    if batch_campaign is None:
-        print("  numpy unavailable; batch campaign benchmark skipped")
-    else:
-        print(
-            f"  {batch_campaign['cells']} cells: event "
-            f"{batch_campaign['event_seconds']}s vs batch "
-            f"{batch_campaign['batch_seconds']}s -> "
-            f"{batch_campaign['speedup']}x (cell digests identical)"
-        )
+    print(
+        f"  {batch_campaign['cells']} cells: event "
+        f"{batch_campaign['event_seconds']}s vs batch "
+        f"{batch_campaign['batch_seconds']}s -> "
+        f"{batch_campaign['speedup']}x (cell digests identical)"
+    )
 
     print("benchmarking mixed campaign grid (cross-detector sharing) ...")
     mixed_campaign = benchmark_mixed_campaign(args.quick)
     report["mixed_campaign"] = mixed_campaign
-    if mixed_campaign is None:
-        print("  numpy unavailable; mixed campaign benchmark skipped")
-    else:
-        print(
-            f"  {mixed_campaign['cells']} cells over "
-            f"{len(mixed_campaign['mechanisms'])} mechanisms: event "
-            f"{mixed_campaign['event_seconds']}s vs batch "
-            f"{mixed_campaign['batch_seconds']}s -> "
-            f"{mixed_campaign['speedup']}x (cell digests identical)"
-        )
+    print(
+        f"  {mixed_campaign['cells']} cells over "
+        f"{len(mixed_campaign['mechanisms'])} mechanisms: event "
+        f"{mixed_campaign['event_seconds']}s vs batch "
+        f"{mixed_campaign['batch_seconds']}s -> "
+        f"{mixed_campaign['speedup']}x (cell digests identical)"
+    )
 
     path = out_dir / "BENCH_engines.json"
     path.write_text(json.dumps(report, indent=2, sort_keys=True))
     print(f"wrote {path}")
 
     headline = headline_numbers(report)
-    if batch_campaign is not None:
-        # Own shape on purpose: no "scan"/"event" keys, so the
-        # per-engine baseline loop skips it.
-        headline["batch-campaign"] = {
-            "cells": batch_campaign["cells"],
-            "event_seconds": batch_campaign["event_seconds"],
-            "batch_seconds": batch_campaign["batch_seconds"],
-            "speedup": batch_campaign["speedup"],
-        }
-    if mixed_campaign is not None:
-        headline["batch-campaign-mixed"] = {
-            "cells": mixed_campaign["cells"],
-            "mechanisms": len(mixed_campaign["mechanisms"]),
-            "event_seconds": mixed_campaign["event_seconds"],
-            "batch_seconds": mixed_campaign["batch_seconds"],
-            "speedup": mixed_campaign["speedup"],
-        }
+    # Own shape on purpose: no "scan"/"event" keys, so the
+    # per-engine baseline loop skips it.
+    headline["batch-campaign"] = {
+        "cells": batch_campaign["cells"],
+        "event_seconds": batch_campaign["event_seconds"],
+        "batch_seconds": batch_campaign["batch_seconds"],
+        "speedup": batch_campaign["speedup"],
+    }
+    headline["batch-campaign-mixed"] = {
+        "cells": mixed_campaign["cells"],
+        "mechanisms": len(mixed_campaign["mechanisms"]),
+        "event_seconds": mixed_campaign["event_seconds"],
+        "batch_seconds": mixed_campaign["batch_seconds"],
+        "speedup": mixed_campaign["speedup"],
+    }
     trajectory_path = REPO_ROOT / "BENCH_kernel.json"
     baseline_path = args.baseline or trajectory_path
     baseline = load_baseline(baseline_path, args.quick)
@@ -783,30 +775,26 @@ def main(argv: List[str]) -> int:
             file=sys.stderr,
         )
         failed = True
-    if batch_campaign is not None:
-        if batch_campaign["speedup"] < BATCH_TARGET_SPEEDUP:
-            print(
-                f"WARNING: batch campaign speedup "
-                f"{batch_campaign['speedup']}x below the "
-                f"{BATCH_TARGET_SPEEDUP}x gate",
-                file=sys.stderr,
-            )
-            failed = True
-        elif (
-            not args.quick
-            and batch_campaign["speedup"] < BATCH_TARGET_SPEEDUP_FULL
-        ):
-            print(
-                f"WARNING: batch campaign speedup "
-                f"{batch_campaign['speedup']}x below the "
-                f"{BATCH_TARGET_SPEEDUP_FULL}x full-grid target "
-                "(non-gating; see EXPERIMENTS.md)",
-                file=sys.stderr,
-            )
-    if (
-        mixed_campaign is not None
-        and mixed_campaign["speedup"] < MIXED_BATCH_TARGET_SPEEDUP
+    if batch_campaign["speedup"] < BATCH_TARGET_SPEEDUP:
+        print(
+            f"WARNING: batch campaign speedup "
+            f"{batch_campaign['speedup']}x below the "
+            f"{BATCH_TARGET_SPEEDUP}x gate",
+            file=sys.stderr,
+        )
+        failed = True
+    elif (
+        not args.quick
+        and batch_campaign["speedup"] < BATCH_TARGET_SPEEDUP_FULL
     ):
+        print(
+            f"WARNING: batch campaign speedup "
+            f"{batch_campaign['speedup']}x below the "
+            f"{BATCH_TARGET_SPEEDUP_FULL}x full-grid target "
+            "(non-gating; see EXPERIMENTS.md)",
+            file=sys.stderr,
+        )
+    if mixed_campaign["speedup"] < MIXED_BATCH_TARGET_SPEEDUP:
         print(
             f"WARNING: mixed campaign speedup "
             f"{mixed_campaign['speedup']}x below the "

@@ -88,18 +88,12 @@ def _execute_batch_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     The cells — mixed mechanisms and thresholds — share a single
     trajectory (see ``repro.network.batch``); the returned stats list
-    aligns with ``payload["keys"]``.  Legacy payloads carrying only
-    ``thresholds`` (pre-mixed-group checkpoints) are still accepted.
+    aligns with ``payload["keys"]``.
     """
     start = time.perf_counter()
     config = SimulationConfig.from_dict(payload["config"])
-    if "detectors" in payload:
-        cells = [
-            DetectorConfig(**cell) for cell in payload["detectors"]
-        ]
-        stats_list = batch_backend.run_batch_cells(config, cells)
-    else:
-        stats_list = batch_backend.run_batch(config, payload["thresholds"])
+    cells = [DetectorConfig(**cell) for cell in payload["detectors"]]
+    stats_list = batch_backend.BatchSimulator(config, cells).run()
     return {
         "keys": payload["keys"],
         "stats": [s.to_dict(include_events=False) for s in stats_list],
@@ -228,7 +222,7 @@ def execute_jobs(
         pending.append(job)
 
     # Layer 3: simulate the rest.  Eligible "batch"-engine cells that
-    # differ only in detection threshold share one trajectory per group
+    # differ only in their detector cell share one trajectory per group
     # (see repro.network.batch); everything else runs per cell.
     groups, singles = _plan_batch_jobs(pending)
     if num_workers == 1:

@@ -103,9 +103,9 @@ def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
         help="simulation engine: 'event' parks blocked worms between "
              "wakeup events (default), 'scan' re-scans every cycle "
              "(reference; byte-identical results), 'batch' additionally "
-             "lets campaigns share one run across eligible threshold "
-             "cells (NDM simple promotion, recovery 'none'; requires "
-             "numpy, byte-identical results)",
+             "lets campaigns share one run across eligible detector "
+             "cells (any pure-observer mechanism, recovery 'none'; "
+             "byte-identical results)",
     )
 
 

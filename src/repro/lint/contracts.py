@@ -2,9 +2,9 @@
 
 The *effect domain* — the behavioural attribute names of Message /
 VirtualChannel / PhysicalChannel / Router that the three engines must
-agree on — is declared next to :class:`~repro.network.kernel.CycleKernel`
-(``EFFECT_GROUPS`` / ``PHASE_EFFECTS``), because that file owns the phase
-sequencing the contracts describe.  This module re-exports those tables
+agree on — is declared in :mod:`repro.network.kernel`
+(``EFFECT_GROUPS`` / ``PHASE_EFFECTS``), next to the phase order the
+contracts describe.  This module re-exports those tables
 and adds the pieces that belong to the lint layer:
 
 * per-hook contracts for the :class:`~repro.core.detector.DeadlockDetector`

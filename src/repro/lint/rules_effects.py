@@ -3,8 +3,8 @@
 These rules consume ``module.effect_index`` — the engine-built
 :class:`~repro.lint.effects.EffectIndex` — and check transitive effect
 summaries against the contracts declared in
-:mod:`repro.lint.contracts` (whose phase tables live next to
-``CycleKernel`` in ``repro/network/kernel.py``).
+:mod:`repro.lint.contracts` (whose phase tables live in
+``repro/network/kernel.py``).
 
 Reporting convention: when the offending write lives in the module being
 linted, the finding lands on the write's own line; when it is only
@@ -113,7 +113,7 @@ class PhaseContractRule(_EffectRule):
     )
     hint = (
         "move the write to a phase/hook whose contract covers it, extend "
-        "PHASE_EFFECTS next to CycleKernel (with justification) if the "
+        "PHASE_EFFECTS in network/kernel.py (with justification) if the "
         "contract itself is wrong, or line-waive with a rationale comment"
     )
     scopes = ("repro.network", "repro.core", "repro.faults")

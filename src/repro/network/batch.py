@@ -41,44 +41,26 @@ statistics into K per-cell
 :class:`~repro.metrics.stats.SimulationStats` that are bit-identical to
 K independent ``engine="event"`` runs (asserted by
 ``tests/network/test_batch_engine.py`` over the equivalence corpus and
-gated again inside ``benchmarks/perf_report.py``).  When numpy is
-present the shared trajectory's movement phase is additionally swapped
-for the vectorized SoA implementation (``repro.network.vecmove``),
-digest-asserted identical to the scalar phase.
+gated again inside ``benchmarks/perf_report.py``).
 
-Cell state is integer structure-of-arrays: the canonical cell order
-(family order, then ascending threshold, then probe caps — giving each
-family a contiguous bit range), the per-cell detection counters and the
-channel-state snapshot (:func:`soa_snapshot`) are numpy
-``int64``/``uint8`` arrays with a **fixed reduction order**, so results
-are independent of ``PYTHONHASHSEED`` and host.  The trajectory itself
-stays in the scalar object model: bit-exactness with the reference
-engines is the contract, and the per-wake reductions are O(feasible
-channels), far below numpy's per-call overhead.
-
-DET004 (no numpy in kernel packages) is waived *only on the import
-line* below: the rule protects the trajectory hot paths from
-host-dependent float fast paths, and the effect analyzer proves the
-stronger property directly — EFF003 verifies the observers' transitive
+Cell state is plain integers: per-message and per-channel bitmasks over
+the canonical cell order (family order, then ascending threshold, then
+probe caps — giving each family a contiguous bit range) and per-cell
+counter lists, reduced in that **fixed order**, so results are
+independent of ``PYTHONHASHSEED`` and host.  Nothing here needs an
+array library: the trajectory is the simulator's own, and the per-wake
+reductions are O(feasible channels).  The effect analyzer holds the
+observers to the sharing contract — EFF003 verifies their transitive
 writes to shared network state are limited to G/P flags and the wake
-surface, so the numpy use is integer-SoA/telemetry-only by
-construction.  The import is also optional — without numpy the campaign
-executor simply falls back to per-cell runs (``HAVE_NUMPY``), which
-keeps the no-numpy tier-1 environment fully functional.
+surface.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from bisect import bisect_left
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
-
-try:
-    import numpy as np  # repro-lint: disable=DET004 - integer SoA/telemetry only; EFF003 enforces this
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None  # type: ignore[assignment]
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.detector import DeadlockDetector
 from repro.core.ndm import NewDetectionMechanism
@@ -98,8 +80,9 @@ from repro.network.router import Router
 from repro.network.simulator import Simulator
 from repro.network.types import DetectionEvent, GPState, MessageStatus
 
-#: Whether the vectorized batch backend is available on this host.
-HAVE_NUMPY = np is not None
+#: Constant: the fold needs no numpy.  The name stays because the frozen
+#: benchmark (benchmarks/spine) reads it.
+HAVE_NUMPY = True
 
 #: Cap on cells folded onto one shared trajectory.  The pending-cell
 #: bitmasks are arbitrary-precision ints, so this is not a correctness
@@ -277,7 +260,7 @@ class BatchObserver(NewDetectionMechanism):
     # EFF003 anchor: this observer rides one trajectory shared by every
     # cell, so its writes to shared network objects must stay
     # cell-independent (G/P flags + wake surface only); everything
-    # per-cell lives in the observer's own SoA masks.
+    # per-cell lives in the observer's own bitmasks and counter lists.
     shares_trajectory = True
 
     # Narrowed per *instance* in ``__init__``: only groups holding a
@@ -287,8 +270,6 @@ class BatchObserver(NewDetectionMechanism):
     has_probe_phase = True
 
     def __init__(self, cells: Sequence[DetectorConfig]) -> None:
-        if np is None:  # pragma: no cover - executor gates on HAVE_NUMPY
-            raise RuntimeError("the batch backend requires numpy")
         # Imported here to avoid a module-level cycle (see batch_eligible).
         from repro.core.registry import batch_shareable
 
@@ -366,15 +347,26 @@ class BatchObserver(NewDetectionMechanism):
         self.has_probe_phase = bool(self._probe_units)
         #: message id -> bitmask of cells that have not yet detected it.
         self._pending: Dict[int, int] = {}
-        # Per-cell counters, SoA over the ranks.  Plain int lists, not
-        # numpy: hits bump one or two ranks at a time, where a python
-        # index beats fancy-index dispatch by an order of magnitude.
+        # Per-cell counters, one plain int list per field over the ranks.
         self._detections = [0] * k
         self._detections_measured = [0] * k
         self._true = [0] * k
         self._false = [0] * k
         self._unclassified = [0] * k
         self._events: List[List[DetectionEvent]] = [[] for _ in range(k)]
+        # Per-cell ground-truth snapshot for on-detection classification:
+        # a solo run takes its snapshot at *its* first detection of a
+        # cycle, so cells first detecting at different instants of one
+        # cycle must not share one (see :meth:`_record`).
+        self._truth_cycle = [-1] * k
+        self._truth: List[Set[Message]] = [set()] * k
+        # The oracle's input changes between two detections of a cycle
+        # only when a header is granted a lane or first blocks; the
+        # epoch counts those, so one snapshot serves every cell that
+        # first detects before the next change.
+        self._truth_epoch = 0
+        self._snapshot_key = (-1, -1)
+        self._snapshot: Set[Message] = set()
         #: channel index -> K-bit per-cell G/P mask (bits within the ndm
         #: family range; bit r set == G in cell r); sized in
         #: :meth:`attach`, all-P like the reference.
@@ -392,18 +384,9 @@ class BatchObserver(NewDetectionMechanism):
         ladder = [int(ordered[r][1]) for r in ranks]
         return base, ladder, ((1 << len(ranks)) - 1) << base
 
-    @property
-    def thresholds(self) -> List[int]:
-        """Cell thresholds in rank order (telemetry, soa snapshots)."""
-        return [int(cell.threshold) for cell in self.cells]
-
     def rank_of_cell(self, detector: DetectorConfig) -> int:
         """Canonical rank of a cell (raises if absent from the group)."""
         return self._rank_by_key[detector_cell_key(detector)]
-
-    def rank_of(self, threshold: int) -> int:
-        """Rank of a threshold in a single-mechanism group (legacy API)."""
-        return self.thresholds.index(int(threshold))
 
     def attach(self, sim: "Simulator") -> None:  # type: ignore[override]
         self._gp_mask = [0] * len(sim.channels)
@@ -486,6 +469,7 @@ class BatchObserver(NewDetectionMechanism):
     def on_message_routed(self, message: Message, cycle: int) -> None:
         """Routing success resets the input flag to P in every cell
         (the reference calls this hook even for marked messages)."""
+        self._truth_epoch += 1
         if not self._ndm_mask:
             return
         input_pc = message.input_pc
@@ -519,6 +503,8 @@ class BatchObserver(NewDetectionMechanism):
         input_pc = message.input_pc
         if input_pc is None:  # pragma: no cover - headers always hold a VC
             return False
+        if first_attempt:
+            self._truth_epoch += 1
         pending = self._pending.get(message.id, self._full_mask)
         hit = 0
         # Sentinel -1: not yet computed (None means no feasible output,
@@ -717,21 +703,21 @@ class BatchObserver(NewDetectionMechanism):
 
     # ------------------------------------------------------------------
     def _record(self, message: Message, cycle: int, hit: int) -> None:
-        """Append one detection event per hit cell (ascending ranks)."""
+        """Append one detection event per hit cell (ascending ranks).
+
+        On-detection classification reproduces each solo run's per-cycle
+        oracle cache: a periodic sweep earlier this cycle primes one
+        snapshot for every cell; otherwise a cell's snapshot is the
+        network at its own first detection of the cycle, shared with
+        the cells first detecting in the same ``_truth_epoch``.
+        """
         sim = self.sim
-        truly: Optional[bool] = None
-        if sim.config.ground_truth_on_detection:
-            truly = message in sim._truth_at(cycle)
+        classify = sim.config.ground_truth_on_detection
+        swept = classify and sim._truth_cache_cycle == cycle
         node = message.header_router()
         if node is None:  # pragma: no cover - blocked headers sit in-network
             node = message.inject_node
         measuring = sim.measuring
-        if truly is None:
-            classified = self._unclassified
-        elif truly:
-            classified = self._true
-        else:
-            classified = self._false
         mask = hit
         while mask:
             low = mask & -mask
@@ -740,7 +726,24 @@ class BatchObserver(NewDetectionMechanism):
             self._detections[rank] += 1
             if measuring:
                 self._detections_measured[rank] += 1
-            classified[rank] += 1
+            truly: Optional[bool] = None
+            if swept:
+                truly = message in sim._truth_cache
+            elif classify:
+                if self._truth_cycle[rank] != cycle:
+                    key = (cycle, self._truth_epoch)
+                    if self._snapshot_key != key:
+                        self._snapshot = sim._truth_snapshot()
+                        self._snapshot_key = key
+                    self._truth[rank] = self._snapshot
+                    self._truth_cycle[rank] = cycle
+                truly = message in self._truth[rank]
+            if truly is None:
+                self._unclassified[rank] += 1
+            elif truly:
+                self._true[rank] += 1
+            else:
+                self._false[rank] += 1
             self._events[rank].append(
                 DetectionEvent(
                     cycle=cycle,
@@ -760,16 +763,16 @@ class BatchObserver(NewDetectionMechanism):
         additionally get their transport counters (zero on the shared
         stats: the per-cell units never flush).
         """
-        detections = int(self._detections[rank])
-        detections_measured = int(self._detections_measured[rank])
+        detections = self._detections[rank]
+        detections_measured = self._detections_measured[rank]
         changes: Dict[str, Any] = dict(
             detections=detections,
             detections_measured=detections_measured,
             messages_detected=detections,
             messages_detected_measured=detections_measured,
-            true_detections=int(self._true[rank]),
-            false_detections=int(self._false[rank]),
-            unclassified_detections=int(self._unclassified[rank]),
+            true_detections=self._true[rank],
+            false_detections=self._false[rank],
+            unclassified_detections=self._unclassified[rank],
             detection_events=list(self._events[rank]),
             phase_time=dict(shared.phase_time),
             engine_counters=dict(shared.engine_counters),
@@ -798,71 +801,38 @@ class BatchObserver(NewDetectionMechanism):
         return f"batch[{cells}]"
 
 
-#: Retired name from the ndm-only backend (PR 7); kept as an alias so
-#: external scripts pinning the old symbol keep importing.
-BatchNDMObserver = BatchObserver
-
-
 class BatchSimulator:
     """One shared trajectory serving many detector cells.
 
     Args:
-        config: any cell's config (its detector cell rides along unless
-            superseded); must satisfy :func:`batch_eligible`.
-        thresholds: legacy sweep form — the cells are ``config.detector``
-            at each threshold, any order, duplicates allowed.
-        cells: explicit per-cell detector configs (mixed mechanisms);
-            exactly one of ``thresholds``/``cells`` must be given.
-        vectorize: swap in the vectorized SoA movement phase
-            (:mod:`repro.network.vecmove`) for the shared run; the
-            scalar phase is kept when False or when numpy is absent.
-            Digest-asserted identical either way.
+        config: any cell's config (its own detector cell is superseded
+            by ``cells``); must satisfy :func:`batch_eligible`.
+        cells: per-cell detector configs — mixed mechanisms, any order,
+            duplicates allowed.
 
     Results align with the given cell sequence (duplicates share the
     folded per-cell stats object).
     """
 
+    #: Constant: there is one movement phase.  The name stays because the
+    #: frozen benchmark (benchmarks/spine) reads it.
+    vectorized = False
+
     def __init__(
-        self,
-        config: SimulationConfig,
-        thresholds: Optional[Sequence[int]] = None,
-        *,
-        cells: Optional[Sequence[DetectorConfig]] = None,
-        vectorize: bool = True,
+        self, config: SimulationConfig, cells: Sequence[DetectorConfig]
     ) -> None:
-        if np is None:
-            raise RuntimeError(
-                "the batch backend requires numpy (HAVE_NUMPY is False); "
-                "run the cells individually instead"
-            )
-        if (thresholds is None) == (cells is None):
-            raise ValueError("pass exactly one of thresholds= or cells=")
         if not batch_eligible(config):
             raise ValueError(
                 "config is not batch-shareable: needs a batch_shareable "
                 "detector mechanism, recovery='none' and no fault schedule"
             )
-        if cells is None:
-            assert thresholds is not None
-            cell_list = [
-                dataclasses.replace(config.detector, threshold=int(t))
-                for t in thresholds
-            ]
-        else:
-            cell_list = list(cells)
-        self.cells: List[DetectorConfig] = cell_list
-        self.thresholds = [int(cell.threshold) for cell in cell_list]
-        self.observer = BatchObserver(cell_list)
+        self.cells: List[DetectorConfig] = list(cells)
+        self.observer = BatchObserver(self.cells)
         run_config = config.replace(engine="batch")
         # The injected observer supersedes the registry detector; anchor
         # the config's cosmetic cell at the canonical first rank.
         run_config.detector.threshold = self.observer.cells[0].threshold
         self.sim = Simulator(run_config, detector=self.observer)
-        self.vectorized = False
-        if vectorize:
-            from repro.network.vecmove import install_vectorized_movement
-
-            self.vectorized = install_vectorized_movement(self.sim)
 
     def run(self) -> List[SimulationStats]:
         """Advance the shared trajectory; return stats aligned with the
@@ -876,80 +846,6 @@ class BatchSimulator:
         return [folded[observer.rank_of_cell(cell)] for cell in self.cells]
 
 
-def run_batch(
-    config: SimulationConfig, thresholds: Sequence[int]
-) -> List[SimulationStats]:
-    """Convenience wrapper: one shared run over a threshold sweep."""
-    return BatchSimulator(config, thresholds).run()
-
-
-def run_batch_cells(
-    config: SimulationConfig, cells: Sequence[DetectorConfig]
-) -> List[SimulationStats]:
-    """Convenience wrapper: one shared run over explicit detector cells."""
-    return BatchSimulator(config, cells=cells).run()
-
-
-# ----------------------------------------------------------------------
-# SoA channel-state snapshot (determinism digests, telemetry)
-# ----------------------------------------------------------------------
-
-def soa_snapshot(
-    sim: Simulator, cycle: int, thresholds: Sequence[int] = ()
-) -> Dict[str, Any]:
-    """Channel state as integer structure-of-arrays (channel-index order).
-
-    Returns numpy arrays — occupancy counts, free/usable lane masks,
-    inactivity counters, G/P flags, and per-threshold I/DT flags packed
-    to bits — in a fixed order independent of ``PYTHONHASHSEED``, so
-    :func:`soa_digest` is a stable fingerprint of simulated state.
-    """
-    if np is None:
-        raise RuntimeError("soa_snapshot requires numpy")
-    channels = sim.channels
-    n = len(channels)
-    occupied = np.empty(n, dtype=np.int64)
-    free_mask = np.empty(n, dtype=np.int64)
-    usable_mask = np.empty(n, dtype=np.int64)
-    inactivity = np.empty(n, dtype=np.int64)
-    gp = np.empty(n, dtype=np.uint8)
-    for i, pc in enumerate(channels):
-        occupied[i] = pc.occupied_count
-        free_mask[i] = pc.free_mask
-        usable_mask[i] = pc.usable_mask
-        inactivity[i] = pc.inactivity(cycle)
-        gp[i] = 1 if pc.gp is _G else 0
-    ladder = np.asarray(sorted({int(t) for t in thresholds}), dtype=np.int64)
-    snapshot: Dict[str, Any] = {
-        "occupied": occupied,
-        "free_mask": free_mask,
-        "usable_mask": usable_mask,
-        "inactivity": inactivity,
-        "gp": gp,
-        "thresholds": ladder,
-    }
-    if ladder.size:
-        # flags[r, c] == channel c's counter exceeds ladder[r]; packed to
-        # bits row-major, the paper's I/DT flag matrix in SoA form.
-        flags = inactivity[np.newaxis, :] > ladder[:, np.newaxis]
-        snapshot["dt_flags"] = np.packbits(flags, axis=1)
-    return snapshot
-
-
-def soa_digest(snapshot: Dict[str, Any]) -> str:
-    """SHA-256 over a snapshot's arrays in fixed key order."""
-    if np is None:  # pragma: no cover - callers hold a snapshot already
-        raise RuntimeError("soa_digest requires numpy")
-    digest = hashlib.sha256()
-    for key in sorted(snapshot):
-        array = np.ascontiguousarray(snapshot[key])
-        digest.update(key.encode("utf-8"))
-        digest.update(str(array.dtype).encode("utf-8"))
-        digest.update(str(array.shape).encode("utf-8"))
-        digest.update(array.tobytes())
-    return digest.hexdigest()
-
-
 def plan_batches(
     configs: Sequence[SimulationConfig],
 ) -> Tuple[List[List[int]], List[int]]:
@@ -958,18 +854,18 @@ def plan_batches(
     Returns ``(groups, singles)`` of indices into ``configs``: each
     group holds >= 2 eligible configs equal modulo their detector cell
     (chunked to :data:`MAX_CELLS` *distinct* cells); everything else —
-    unshareable configs, lone group members, numpy-less hosts — lands in
-    ``singles``.  Order within groups and singles follows the input, so
+    unshareable configs, lone group members — lands in ``singles``.
+    Order within groups and singles follows the input, so
     planning is deterministic — and because fold results are
     bit-identical to per-cell runs regardless of which cells share a
     trajectory, any partition (e.g. a ``--resume`` regrouping after a
     partial run) produces identical per-cell outcomes.
     """
     singles: List[int] = []
-    if not HAVE_NUMPY:
-        return [], list(range(len(configs)))
     by_key: Dict[str, List[int]] = {}
     for i, config in enumerate(configs):
+        # Folding stays opt-in by engine name: the frozen benchmark
+        # (benchmarks/spine) expects non-"batch" cells to run solo.
         if config.engine == "batch" and batch_eligible(config):
             by_key.setdefault(batch_group_key(config), []).append(i)
         else:

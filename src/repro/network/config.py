@@ -129,8 +129,9 @@ class SimulationConfig:
     #: G/P promotions, detection deadlines — instead of re-scanning them
     #: every cycle; ``"scan"`` is the reference per-cycle scan; ``"batch"``
     #: runs each simulation exactly like "event" and additionally lets the
-    #: campaign executor group many cells that differ only in detection
-    #: threshold into one shared run (``repro.network.batch``).  All
+    #: campaign executor group many cells that differ only in their
+    #: detector cell (mechanism, threshold, probe caps) into one shared
+    #: run (``repro.network.batch``).  All
     #: engines produce bit-identical runs (asserted by
     #: ``tests/network/test_engine_equivalence.py`` and
     #: ``tests/network/test_batch_engine.py``); "event"/"batch" are much
@@ -199,6 +200,7 @@ class SimulationConfig:
             raise ValueError("probe_max_hops must be >= 1")
         if self.detector.probe_max_outstanding < 1:
             raise ValueError("probe_max_outstanding must be >= 1")
+        # "batch" stays a name: the frozen benchmark (benchmarks/spine) asks for it.
         if self.engine not in ("event", "scan", "batch"):
             raise ValueError(
                 f"unknown engine {self.engine!r}; choose 'event', 'scan' "

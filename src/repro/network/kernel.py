@@ -1,34 +1,22 @@
-"""Cycle kernels: the narrow interface behind the simulator's phase loop.
+"""The cycle contract: phase order and per-phase effect tables.
 
-A *kernel* owns the per-cycle phase sequencing — checks, probes, routing,
-movement, injection, generation — that :meth:`Simulator.step` used to
-inline.  The simulator builds the network, the detector and the message
-lists; the kernel decides how one cycle of that state is advanced.  This
-is the seam the engines plug into:
+One cycle is the fixed phase sequence checks, probes, routing, movement,
+injection, generation, run by :meth:`Simulator.step` (and its profiled
+twin) for every ``config.engine`` value.  The engines do not differ in
+sequencing: ``"scan"`` leaves the simulator's park flags off and
+re-scans every message every cycle (the reference), ``"event"`` parks
+blocked headers and frozen worms until a provable wakeup event, and
+``"batch"`` is ``"event"`` plus the campaign executor's permission to
+fold the cell onto a shared trajectory (:mod:`repro.network.batch`).
 
-* ``"scan"`` — the reference kernel: the phase methods re-scan every
-  message every cycle (the simulator's park flags stay off).
-* ``"event"`` — same phase sequence, with parking enabled: blocked
-  headers and frozen worms are skipped until a provable wakeup event.
-* ``"batch"`` — per-run identical to ``"event"``; the batch win comes
-  from :mod:`repro.network.batch`, which shares one kernel advance
-  across many threshold cells of a campaign grid.
-
-All three kernels sequence the *same* phase methods in the same order,
-so runs are bit-identical across engines by construction; the engines
-differ only in which work they can prove skippable.  Keeping the
-sequencing here (rather than in ``step()``) gives batch/vectorized
-backends a single override point without touching the simulator's state
-machine.
+What lives here is the declared contract over that sequence, read by
+the phase-effect analyzer (``repro lint``): the behavioural effect
+domain and which part of it each phase may write.
 """
 
 from __future__ import annotations
 
-from time import perf_counter
-from typing import TYPE_CHECKING, Dict, FrozenSet, Tuple, Type
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.network.simulator import Simulator
+from typing import Dict, FrozenSet, Tuple
 
 
 # ----------------------------------------------------------------------
@@ -138,7 +126,7 @@ def _effects(*groups: str) -> FrozenSet[str]:
 
 
 #: Simulator phase-method name -> phase name, in canonical order (the
-#: order :meth:`ScanKernel.advance` sequences them).
+#: order :meth:`Simulator.step` runs them).
 PHASE_METHODS: Dict[str, str] = {
     "_checks_phase": "checks",
     "_probes_phase": "probes",
@@ -163,7 +151,7 @@ PHASE_SEQUENCE: Tuple[str, ...] = (
 #: full recovery path (worm teardown touches nearly everything), so
 #: their contract is the whole domain minus fault state; the later
 #: phases are meaningfully narrower.  Fault state is writable by *no*
-#: phase: the injector mutates it in ``step()`` before the kernel runs.
+#: phase: the injector mutates it in ``step()`` before the phases run.
 PHASE_EFFECTS: Dict[str, FrozenSet[str]] = {
     "checks": _effects(
         "park", "gp", "occupancy", "counters", "worm",
@@ -183,105 +171,3 @@ PHASE_EFFECTS: Dict[str, FrozenSet[str]] = {
     "injection": _effects("park", "occupancy", "worm", "lifecycle"),
     "generation": _effects("lifecycle"),
 }
-
-
-class CycleKernel:
-    """Advance one simulator by one cycle (phase sequencing only).
-
-    Kernels are stateless: all simulation state lives on the simulator,
-    so one kernel instance may drive any number of runs.
-    """
-
-    #: Engine name this kernel implements (matches ``config.engine``).
-    name = "abstract"
-
-    def advance(self, sim: "Simulator", cycle: int) -> None:
-        """Run every phase of ``cycle`` in the model's canonical order."""
-        raise NotImplementedError
-
-
-class ScanKernel(CycleKernel):
-    """The reference phase sequence (also reused by event and batch).
-
-    The phase *methods* belong to the simulator — they read and mutate
-    its state — and whether they park or re-scan is decided by the
-    simulator's engine flags, not here.  This class is purely the
-    canonical ordering plus the opt-in per-phase wall-clock profiling.
-    """
-
-    name = "scan"
-
-    def advance(self, sim: "Simulator", cycle: int) -> None:
-        if sim._profile:
-            self._advance_profiled(sim, cycle)
-            return
-        sim._checks_phase(cycle)
-        if sim._probe_phase_on:
-            sim._probes_phase(cycle)
-        sim._routing_phase(cycle)
-        # Dispatched through the seam: the batch backend may have swapped
-        # in the vectorized SoA movement phase (repro.network.vecmove).
-        sim._movement_impl(cycle)
-        sim._injection_phase(cycle)
-        if sim.generation_enabled:
-            sim._generation_phase(cycle)
-
-    def _advance_profiled(self, sim: "Simulator", cycle: int) -> None:
-        t0 = perf_counter()
-        sim._checks_phase(cycle)
-        t1 = perf_counter()
-        if sim._probe_phase_on:
-            sim._probes_phase(cycle)
-        t1b = perf_counter()
-        sim._routing_phase(cycle)
-        t2 = perf_counter()
-        sim._movement_impl(cycle)
-        t3 = perf_counter()
-        sim._injection_phase(cycle)
-        t4 = perf_counter()
-        if sim.generation_enabled:
-            sim._generation_phase(cycle)
-        t5 = perf_counter()
-        pt = sim._phase_time
-        pt["checks"] += t1 - t0
-        pt["probes"] += t1b - t1
-        pt["routing"] += t2 - t1b
-        pt["movement"] += t3 - t2
-        pt["injection"] += t4 - t3
-        pt["generation"] += t5 - t4
-
-
-class EventKernel(ScanKernel):
-    """Event-driven engine: same sequence, parking enabled by the sim."""
-
-    name = "event"
-
-
-class BatchKernel(EventKernel):
-    """Batch engine's per-run kernel: event semantics for one config.
-
-    A standalone ``engine="batch"`` run is bit-identical to ``"event"``
-    (asserted by ``tests/network/test_batch_engine.py``); the actual
-    batching — one shared advance serving many threshold cells — lives
-    in :class:`repro.network.batch.BatchSimulator`, which drives this
-    kernel once per group instead of once per cell.
-    """
-
-    name = "batch"
-
-
-KERNELS: Dict[str, Type[CycleKernel]] = {
-    ScanKernel.name: ScanKernel,
-    EventKernel.name: EventKernel,
-    BatchKernel.name: BatchKernel,
-}
-
-
-def make_kernel(engine: str) -> CycleKernel:
-    """Kernel instance for a ``config.engine`` value."""
-    try:
-        return KERNELS[engine]()
-    except KeyError:
-        raise ValueError(
-            f"unknown engine {engine!r}; choose one of {tuple(KERNELS)}"
-        ) from None

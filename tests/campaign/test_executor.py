@@ -7,7 +7,6 @@ from repro.campaign.checkpoint import CampaignCheckpoint
 from repro.campaign.executor import execute_jobs
 from repro.campaign.jobs import cell_to_dict, enumerate_table_jobs
 from repro.experiments.runner import run_cell
-from repro.network.batch import HAVE_NUMPY
 from tests.campaign.conftest import tiny_base, tiny_spec
 
 
@@ -199,7 +198,7 @@ class TestStoredEntryValidation:
 
 
 class TestBatchGrouping:
-    """engine="batch" cells equal modulo threshold share one trajectory."""
+    """engine="batch" cells equal modulo detector cell share one trajectory."""
 
     def test_batch_cells_equal_event_cells(self):
         import repro.campaign.executor as executor_module
@@ -223,14 +222,9 @@ class TestBatchGrouping:
             executor_module._execute_batch_payload = original
         plain = execute_jobs(event_jobs, num_workers=1)
 
-        if HAVE_NUMPY:
-            # One shared run per load level (the two thresholds fold).
-            assert len(grouped) == 2
-            assert all(len(keys) == 2 for keys in grouped)
-        else:
-            # Numpy-less hosts fall back to per-cell runs; the results
-            # below must still be event-identical.
-            assert grouped == []
+        # One shared run per load level (the two thresholds fold).
+        assert len(grouped) == 2
+        assert all(len(keys) == 2 for keys in grouped)
         for b_job, e_job in zip(batch_jobs, event_jobs):
             assert batched[b_job.key].cell == plain[e_job.key].cell
 
@@ -250,25 +244,6 @@ class TestBatchGrouping:
         for key in first:
             assert second[key].source == "cache"
             assert second[key].cell == first[key].cell
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="batch backend needs numpy")
-    def test_legacy_threshold_payload_still_accepted(self):
-        """Pre-mixed-group payloads (thresholds, no per-cell detector
-        dicts) still execute and produce the same per-cell stats."""
-        import repro.campaign.executor as executor_module
-
-        groups, _ = executor_module._plan_batch_jobs(
-            tiny_jobs(base=batch_base())
-        )
-        payload = executor_module._batch_payload(groups[0])
-        legacy = {
-            "keys": payload["keys"],
-            "config": payload["config"],
-            "thresholds": [d["threshold"] for d in payload["detectors"]],
-        }
-        assert executor_module._execute_batch_payload(legacy)["stats"] == (
-            executor_module._execute_batch_payload(payload)["stats"]
-        )
 
     def test_resume_mid_group_entries_byte_identical(self, tmp_path):
         """Grouping is a pure optimization: a ``--resume`` after a

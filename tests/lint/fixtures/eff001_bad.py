@@ -2,8 +2,8 @@
 
 The generation phase may only touch message lifecycle state, and the
 injection phase adds park/occupancy/worm — neither may reach routing
-bookkeeping or detection counters (see PHASE_EFFECTS next to
-CycleKernel).  The second violation is indirect: the phase stays clean
+bookkeeping or detection counters (see PHASE_EFFECTS in
+repro/network/kernel.py).  The second violation is indirect: the phase stays clean
 syntactically but calls a helper that performs the write, which the
 call-graph propagation must surface at the helper's line.
 """

@@ -10,3 +10,7 @@ def stamp() -> float:
 def above() -> float:
     # repro-lint: disable=DET001,DET003
     return time.time()
+
+
+def with_rationale() -> float:
+    return time.time()  # repro-lint: disable=DET001 - rationale after the code list

@@ -1,7 +1,7 @@
-"""Digest-equivalence gate for the batch SoA campaign backend.
+"""Digest-equivalence gate for the batch campaign backend.
 
-The batch backend (``repro.network.batch``) folds every detection
-threshold of a campaign grid onto one shared trajectory.  Its right to
+The batch backend (``repro.network.batch``) folds every detector cell
+of a campaign grid onto one shared trajectory.  Its right to
 exist is *bit-identical* per-cell results: each folded cell's
 ``to_dict(include_perf=False)`` — detection events included — must equal
 an independent ``engine="event"`` run of that cell.  These tests enforce
@@ -12,58 +12,61 @@ rules, the fixed reduction order (PYTHONHASHSEED independence) and the
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-np = pytest.importorskip("numpy")
-
-import dataclasses  # noqa: E402
-
-from hypothesis import HealthCheck, given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-import repro.network.batch as batch_module  # noqa: E402
-from repro.core.registry import batch_shareable_names  # noqa: E402
-from repro.network.batch import (  # noqa: E402
+import repro.network.batch as batch_module
+from repro.core.registry import batch_shareable_names
+from repro.network.batch import (
     BatchObserver,
     BatchSimulator,
     batch_eligible,
     batch_group_key,
     detector_cell_key,
     plan_batches,
-    run_batch,
-    run_batch_cells,
-    soa_digest,
-    soa_snapshot,
 )
-from repro.network.config import DetectorConfig, SimulationConfig  # noqa: E402
-from repro.network.simulator import Simulator  # noqa: E402
-from tests.network.test_engine_equivalence import CASES, _config  # noqa: E402
+from repro.network.config import DetectorConfig, SimulationConfig
+from repro.network.simulator import Simulator
+from tests.network.test_engine_equivalence import CASES, _config
 
 #: The campaign threshold ladder used throughout (non-powers included).
 LADDER = [4, 8, 13, 16, 32]
 
 
-def _event_cells(config: SimulationConfig, thresholds):
-    cells = []
-    for t in thresholds:
-        cell = config.replace(engine="event")
-        cell.detector.threshold = t
-        cells.append(Simulator(cell).run())
-    return cells
+def _ladder_cells(config: SimulationConfig, thresholds):
+    """``config``'s own detector cell at each threshold."""
+    return [
+        dataclasses.replace(config.detector, threshold=t) for t in thresholds
+    ]
+
+
+def _fold(config: SimulationConfig, cells):
+    return BatchSimulator(config.replace(engine="batch"), cells).run()
+
+
+def _event_reference(config: SimulationConfig, cell: DetectorConfig):
+    ref = config.replace(engine="event")
+    ref.detector = dataclasses.replace(cell)
+    return Simulator(ref).run()
+
+
+def assert_fold_matches_event(config: SimulationConfig, cells) -> None:
+    for cell, b in zip(cells, _fold(config, cells)):
+        e = _event_reference(config, cell)
+        assert b.to_dict(include_perf=False) == e.to_dict(
+            include_perf=False
+        ), f"{cell.mechanism}:{cell.threshold}"
 
 
 def assert_batch_matches_event(config: SimulationConfig, thresholds) -> None:
-    batch = run_batch(config.replace(engine="batch"), thresholds)
-    event = _event_cells(config, thresholds)
-    for t, b, e in zip(thresholds, batch, event):
-        assert b.to_dict(include_perf=False) == e.to_dict(
-            include_perf=False
-        ), f"threshold {t}"
+    assert_fold_matches_event(config, _ladder_cells(config, thresholds))
 
 
 # ----------------------------------------------------------------------
@@ -103,11 +106,11 @@ def test_batch_cells_bit_identical_saturated_torus():
 
 def test_duplicate_and_unsorted_thresholds_align_with_input():
     config = _config(mechanism="ndm", threshold=16, recovery="none")
-    thresholds = [16, 4, 16, 8]
-    batch = run_batch(config.replace(engine="batch"), thresholds)
-    event = _event_cells(config, thresholds)
+    cells = _ladder_cells(config, [16, 4, 16, 8])
+    batch = _fold(config, cells)
     assert [b.to_dict(include_perf=False) for b in batch] == [
-        e.to_dict(include_perf=False) for e in event
+        _event_reference(config, cell).to_dict(include_perf=False)
+        for cell in cells
     ]
     # The two th=16 cells are the same folded object's stats.
     assert batch[0].to_dict() == batch[2].to_dict()
@@ -197,7 +200,7 @@ class TestEligibility:
         config = _config(mechanism="ndm", threshold=16,
                          recovery="progressive")
         with pytest.raises(ValueError, match="not batch-shareable"):
-            BatchSimulator(config, [8, 16])
+            BatchSimulator(config, _ladder_cells(config, [8, 16]))
 
     def test_group_key_ignores_the_detector_cell_only(self):
         a, b = _eligible_config(threshold=8), _eligible_config(threshold=32)
@@ -303,23 +306,14 @@ MIXED_CELLS = [
 ]
 
 
-def _event_reference(config: SimulationConfig, cell: DetectorConfig):
-    ref = config.replace(engine="event")
-    ref.detector = dataclasses.replace(cell)
-    return Simulator(ref).run()
-
-
 class TestMixedGroups:
-    @pytest.mark.parametrize("vectorize", [True, False])
-    def test_mixed_cells_bit_identical(self, vectorize):
+    def test_mixed_cells_bit_identical(self):
         """The tentpole gate: one shared trajectory serving every
         mechanism family reproduces each cell's event run byte for
-        byte — with both the vectorized and the scalar movement phase.
+        byte.
         """
-        config = _mixed_config().replace(engine="batch")
-        bs = BatchSimulator(config, cells=MIXED_CELLS, vectorize=vectorize)
-        assert bs.vectorized == vectorize  # numpy is present here
-        batch = bs.run()
+        config = _mixed_config()
+        batch = _fold(config, MIXED_CELLS)
         detections = 0
         for cell, b in zip(MIXED_CELLS, batch):
             e = _event_reference(config, cell)
@@ -331,13 +325,13 @@ class TestMixedGroups:
         assert detections > 0
 
     def test_run_batch_cells_aligns_with_input_order(self):
-        config = _mixed_config().replace(engine="batch")
+        config = _mixed_config()
         cells = [
             _cell(mechanism="timeout", threshold=24),
             _cell(mechanism="ndm", threshold=8),
             _cell(mechanism="timeout", threshold=24),  # duplicate
         ]
-        batch = run_batch_cells(config, cells)
+        batch = _fold(config, cells)
         assert [b.to_dict(include_perf=False) for b in batch] == [
             _event_reference(config, c).to_dict(include_perf=False)
             for c in cells
@@ -347,13 +341,13 @@ class TestMixedGroups:
     def test_probe_counters_fold_per_cell(self):
         """Probe transports are per cell: each folded cell reports its
         own launch/hop counters, and non-probe cells report zero."""
-        config = _mixed_config().replace(engine="batch")
+        config = _mixed_config()
         cells = [
             _cell(mechanism="probe", threshold=16),
             _cell(mechanism="probe", threshold=16, probe_max_hops=8),
             _cell(mechanism="ndm", threshold=8),
         ]
-        batch = run_batch_cells(config, cells)
+        batch = _fold(config, cells)
         for cell, b in zip(cells, batch):
             e = _event_reference(config, cell)
             assert b.probe_launches == e.probe_launches
@@ -362,12 +356,12 @@ class TestMixedGroups:
         assert batch[2].probe_launches == 0
 
     def test_detection_events_carry_cell_mechanism(self):
-        config = _mixed_config().replace(engine="batch")
+        config = _mixed_config()
         cells = [
             _cell(mechanism="timeout", threshold=24),
             _cell(mechanism="pdm", threshold=8),
         ]
-        for cell, b in zip(cells, run_batch_cells(config, cells)):
+        for cell, b in zip(cells, _fold(config, cells)):
             assert b.detection_events, cell.mechanism
             assert {e.mechanism for e in b.detection_events} == {
                 cell.mechanism
@@ -463,85 +457,113 @@ def test_random_mixed_groups_fold_bit_identical(cells, seed, rate):
     config = _mixed_config(seed=seed, injection_rate=rate)
     config.warmup_cycles = 50
     config.measure_cycles = 250
-    batch_config = config.replace(engine="batch")
-    cell_configs = [_cell(**kw) for kw in cells]
-    batch = run_batch_cells(batch_config, cell_configs)
-    for cell, b in zip(cell_configs, batch):
-        e = _event_reference(config, cell)
-        assert b.to_dict(include_perf=False) == e.to_dict(include_perf=False)
+    assert_fold_matches_event(config, [_cell(**kw) for kw in cells])
 
 
 # ----------------------------------------------------------------------
-# Vectorized movement phase (repro.network.vecmove)
+# On-detection ground truth: each cell classifies like its solo run
 # ----------------------------------------------------------------------
 
-class TestVectorizedMovement:
-    def test_installed_by_default_and_digest_identical(self):
-        config = _mixed_config().replace(engine="batch")
-        fast = BatchSimulator(config, [4, 8, 16])
-        slow = BatchSimulator(config, [4, 8, 16], vectorize=False)
-        assert fast.vectorized and not slow.vectorized
-        assert [s.to_dict(include_perf=False) for s in fast.run()] == [
-            s.to_dict(include_perf=False) for s in slow.run()
-        ]
-
-    def test_saturated_regime_digest_identical(self):
-        """Heavy parking exercises the all-parked fast path and the
-        keep-mask delivery compaction."""
-        config = _config(
-            radix=8, mechanism="ndm", threshold=16, injection_rate=1.0,
-            recovery="none", warmup_cycles=100, measure_cycles=300,
-        ).replace(engine="batch")
-        cells = [
-            _cell(mechanism="ndm", threshold=8),
-            _cell(mechanism="timeout", threshold=32),
-        ]
-        fast = BatchSimulator(config, cells=cells).run()
-        slow = BatchSimulator(config, cells=cells, vectorize=False).run()
-        assert [s.to_dict(include_perf=False) for s in fast] == [
-            s.to_dict(include_perf=False) for s in slow
-        ]
-
-    def test_install_helper_reports_availability(self):
-        from repro.network.vecmove import (
-            HAVE_VECMOVE,
-            install_vectorized_movement,
-        )
-
-        assert HAVE_VECMOVE  # numpy was importorskip'd above
-        config = _mixed_config().replace(engine="batch")
-        bs = BatchSimulator(config, [8], vectorize=False)
-        assert bs.sim._movement_impl.__func__ is type(
-            bs.sim
-        )._movement_phase
-        assert install_vectorized_movement(bs.sim)
-        assert bs.sim._movement_impl.__func__ is not type(
-            bs.sim
-        )._movement_phase
+@pytest.mark.parametrize(
+    "cells",
+    [
+        # The stall cell detects in the checks phase, the ndm cell
+        # mid-routing: classifying ndm against the earlier snapshot turns
+        # its solo 1 true / 136 false into 0 / 137.
+        [_cell(mechanism="ndm", threshold=2),
+         _cell(mechanism="injection-stall", threshold=128)],
+        # Both detect inside the routing phase, at different instants.
+        [_cell(mechanism="pdm", threshold=2),
+         _cell(mechanism="timeout", threshold=128)],
+    ],
+    ids=["checks-then-routing", "routing-then-routing"],
+)
+def test_on_detection_truth_matches_solo_run(cells):
+    """``Simulator._truth_at`` caches the deadlocked set per cycle, taken
+    at the run's first detection of that cycle; on a shared trajectory
+    another cell's earlier detection must not stand in for it."""
+    config = SimulationConfig(
+        radix=8, dimensions=2, vcs_per_channel=1,
+        warmup_cycles=0, measure_cycles=1000, seed=803,
+        recovery="none", ground_truth_interval=0,
+        ground_truth_on_detection=True,
+    )
+    config.traffic.injection_rate = 0.6
+    assert_fold_matches_event(config, cells)
 
 
 # ----------------------------------------------------------------------
-# Fixed reduction order / SoA snapshot determinism
+# Host independence: hash seed, and no array library to depend on
 # ----------------------------------------------------------------------
 
-def _batch_digest_under_hashseed(hashseed: str) -> str:
-    """Per-cell stats + SoA snapshot digest in a fixed-hash subprocess."""
-    script = """
-import hashlib, json
-from repro.network.batch import BatchSimulator, soa_digest, soa_snapshot
+_LADDER_SCRIPT = """
+import dataclasses
+from repro.network.batch import BatchSimulator
 from tests.network.test_engine_equivalence import _config
 
 config = _config(
     mechanism="ndm", threshold=16, recovery="none", injection_rate=0.6
 ).replace(engine="batch")
-bs = BatchSimulator(config, [4, 8, 13, 16, 32])
-cells = bs.run()
-payload = [c.to_dict(include_events=False, include_perf=False) for c in cells]
-digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode())
-snapshot = soa_snapshot(bs.sim, bs.sim.cycle, thresholds=bs.thresholds)
-digest.update(soa_digest(snapshot).encode())
-print(digest.hexdigest())
+cells = [
+    dataclasses.replace(config.detector, threshold=t)
+    for t in (4, 8, 13, 16, 32)
+]
+folded = BatchSimulator(config, cells).run()
 """
+
+_MIXED_SCRIPT = """
+from repro.network.batch import BatchSimulator
+from repro.network.config import DetectorConfig
+from tests.network.test_engine_equivalence import _config
+
+config = _config(
+    mechanism="ndm", threshold=16, recovery="none",
+    vcs_per_channel=1, injection_rate=0.8,
+).replace(engine="batch")
+cells = [
+    DetectorConfig(mechanism="timeout", threshold=24),
+    DetectorConfig(mechanism="ndm", threshold=8),
+    DetectorConfig(mechanism="pdm", threshold=8),
+    DetectorConfig(mechanism="probe", threshold=16),
+    DetectorConfig(mechanism="source-age", threshold=50),
+    DetectorConfig(mechanism="injection-stall", threshold=40),
+]
+folded = BatchSimulator(config, cells).run()
+"""
+
+_PRINT_DIGEST = """
+import hashlib, json
+payload = [c.to_dict(include_perf=False) for c in folded]
+print(hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest())
+"""
+
+_NO_NUMPY_SCRIPT = """
+import sys
+sys.modules["numpy"] = None  # any ``import numpy`` now raises ImportError
+
+from repro.network.batch import BatchSimulator, plan_batches
+from repro.network.simulator import Simulator
+from tests.network.test_engine_equivalence import _config
+
+configs = []
+for threshold in (4, 8, 16):
+    config = _config(
+        mechanism="ndm", threshold=threshold, recovery="none"
+    ).replace(engine="batch")
+    configs.append(config)
+groups, singles = plan_batches(configs)
+assert (groups, singles) == ([[0, 1, 2]], []), (groups, singles)
+folded = BatchSimulator(configs[0], [c.detector for c in configs]).run()
+for config, cell in zip(configs, folded):
+    solo = Simulator(config.replace(engine="event")).run()
+    assert cell.to_dict(include_perf=False) == solo.to_dict(include_perf=False)
+assert "numpy" not in {name for name, mod in sys.modules.items() if mod}
+print("ok")
+"""
+
+
+def _run_script(script: str, hashseed: str = "0") -> str:
+    """Run ``script`` in a fresh interpreter with a fixed hash seed."""
     repo_root = Path(__file__).resolve().parents[2]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -562,89 +584,23 @@ print(digest.hexdigest())
 
 
 def test_batch_results_identical_across_hash_seeds():
-    """Cell folding and SoA reductions run in ladder/channel-index
-    order, never in hash order: two interpreters with different hash
-    randomization must produce byte-identical cells and snapshots."""
-    assert _batch_digest_under_hashseed("0") == _batch_digest_under_hashseed(
-        "4242"
-    )
-
-
-def _mixed_digest_under_hashseed(hashseed: str) -> str:
-    """Mixed-mechanism per-cell stats digest in a fixed-hash subprocess."""
-    script = """
-import hashlib, json
-from repro.network.batch import run_batch_cells
-from repro.network.config import DetectorConfig
-from tests.network.test_engine_equivalence import _config
-
-config = _config(
-    mechanism="ndm", threshold=16, recovery="none",
-    vcs_per_channel=1, injection_rate=0.8,
-).replace(engine="batch")
-cells = [
-    DetectorConfig(mechanism="timeout", threshold=24),
-    DetectorConfig(mechanism="ndm", threshold=8),
-    DetectorConfig(mechanism="pdm", threshold=8),
-    DetectorConfig(mechanism="probe", threshold=16),
-    DetectorConfig(mechanism="source-age", threshold=50),
-    DetectorConfig(mechanism="injection-stall", threshold=40),
-]
-folded = run_batch_cells(config, cells)
-payload = [c.to_dict(include_events=False, include_perf=False) for c in folded]
-print(hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest())
-"""
-    repo_root = Path(__file__).resolve().parents[2]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(
-            None,
-            [str(repo_root / "src"), str(repo_root), env.get("PYTHONPATH")],
-        )
-    )
-    env["PYTHONHASHSEED"] = hashseed
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        check=True,
-        env=env,
-    )
-    return result.stdout.strip()
+    """Cell folding runs in ladder/channel-index order, never in hash
+    order: two interpreters with different hash randomization must
+    produce byte-identical per-cell behavioural dicts."""
+    script = _LADDER_SCRIPT + _PRINT_DIGEST
+    assert _run_script(script, "0") == _run_script(script, "4242")
 
 
 def test_mixed_groups_identical_across_hash_seeds():
     """The cross-mechanism fold adds dict-keyed state (pending masks,
     probe units, family tables); the canonical cell order keeps every
     reduction hash-independent."""
-    assert _mixed_digest_under_hashseed("0") == _mixed_digest_under_hashseed(
-        "4242"
-    )
+    script = _MIXED_SCRIPT + _PRINT_DIGEST
+    assert _run_script(script, "0") == _run_script(script, "4242")
 
 
-class TestSoASnapshot:
-    def _sim(self):
-        config = _config(mechanism="ndm", threshold=16, recovery="none")
-        sim = Simulator(config.replace(engine="batch"))
-        sim.run()
-        return sim
-
-    def test_arrays_and_digest(self):
-        sim = self._sim()
-        snapshot = soa_snapshot(sim, sim.cycle, thresholds=[4, 16])
-        n = len(sim.channels)
-        for key in ("occupied", "free_mask", "usable_mask", "inactivity"):
-            assert snapshot[key].shape == (n,)
-            assert snapshot[key].dtype == np.int64
-        assert snapshot["gp"].shape == (n,)
-        assert snapshot["dt_flags"].shape[0] == 2  # one row per threshold
-        # Deterministic: same state, same digest; different cycle differs.
-        again = soa_snapshot(sim, sim.cycle, thresholds=[4, 16])
-        assert soa_digest(snapshot) == soa_digest(again)
-        later = soa_snapshot(sim, sim.cycle + 100, thresholds=[4, 16])
-        assert soa_digest(snapshot) != soa_digest(later)
-
-    def test_no_thresholds_no_flag_matrix(self):
-        sim = self._sim()
-        snapshot = soa_snapshot(sim, sim.cycle)
-        assert "dt_flags" not in snapshot
+def test_fold_works_without_numpy():
+    """With numpy unimportable ``plan_batches`` still forms groups and a
+    folded cell still equals its solo run: folding must not depend on
+    what happens to be installed on a campaign worker."""
+    assert _run_script(_NO_NUMPY_SCRIPT) == "ok"
