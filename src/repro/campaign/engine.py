@@ -7,7 +7,7 @@ canonical cell order — so the rendered table (and its JSON dump) is
 byte-identical to a sequential run of the same spec and seed.
 
 ``run_campaign`` strings several tables into one campaign sharing a
-cache and a manifest, which is what ``repro-experiments all`` uses.
+cache and a manifest.
 """
 
 from __future__ import annotations

@@ -10,10 +10,11 @@ through three layers, cheapest first:
    (:class:`~repro.campaign.cache.ResultCache`);
 3. **run** — a live simulation, either in-process (``num_workers=1``,
    the deterministic serial fallback used by tests) or fanned out over a
-   ``ProcessPoolExecutor``.  Cache-miss cells whose configs ask for
-   ``engine="batch"`` and are equal modulo their detector cell —
-   mechanism, threshold, probe caps — are grouped into one
-   shared-trajectory run each (see ``repro.network.batch``) — the
+   ``ProcessPoolExecutor``.  Cache-miss cells that are
+   ``batch_eligible`` (no recovery, no faults, a pure-observer
+   detector, not the ``"scan"`` reference) and equal modulo their
+   detector cell — mechanism, threshold, probe caps — are grouped into
+   one shared-trajectory run each (see ``repro.network.batch``) — the
    results stay bit-identical to per-cell runs while the grid costs one
    simulation per group.  Grouping is a pure optimization: fold results
    do not depend on the partition, so ``--resume`` re-grouping after a
@@ -60,7 +61,8 @@ class JobOutcome:
     worker: str
     #: ``"run"``, ``"cache"`` or ``"resume"``.
     source: str
-    #: Simulation engine the cell ran under ("" for pre-engine records).
+    #: How the cell ran: ``"batch"`` on a shared trajectory, else its
+    #: config's engine ("" for pre-engine records).
     engine: str = ""
     #: Wall seconds per simulator phase (empty for pre-engine records).
     phase_time: Dict[str, float] = field(default_factory=dict)
@@ -221,8 +223,8 @@ def execute_jobs(
                 continue
         pending.append(job)
 
-    # Layer 3: simulate the rest.  Eligible "batch"-engine cells that
-    # differ only in their detector cell share one trajectory per group
+    # Layer 3: simulate the rest.  Eligible cells that differ only in
+    # their detector cell share one trajectory per group
     # (see repro.network.batch); everything else runs per cell.
     groups, singles = _plan_batch_jobs(pending)
     if num_workers == 1:

@@ -75,8 +75,8 @@ def _progress_printer(prefix: str) -> _ProgressPrinter:
     return _ProgressPrinter(prefix)
 
 
-def _campaign_options(args: argparse.Namespace):
-    """Resolve (jobs, cache, checkpoint, resume) from campaign flags."""
+def _campaign_options(args: argparse.Namespace) -> dict:
+    """``regenerate_table``'s campaign keywords, from the campaign flags."""
     jobs = args.jobs if args.jobs is not None else default_num_workers()
     cache_dir = args.cache_dir
     if cache_dir is None and args.resume:
@@ -87,7 +87,8 @@ def _campaign_options(args: argparse.Namespace):
         checkpoint = CampaignCheckpoint(
             Path(cache_dir) / MANIFEST_NAME, fresh=not args.resume
         )
-    return jobs, cache, checkpoint, args.resume
+    return dict(jobs=jobs, cache=cache, checkpoint=checkpoint,
+                resume=args.resume)
 
 
 def _positive_int(text: str) -> int:
@@ -95,18 +96,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
-
-
-def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine", choices=("event", "scan", "batch"), default="event",
-        help="simulation engine: 'event' parks blocked worms between "
-             "wakeup events (default), 'scan' re-scans every cycle "
-             "(reference; byte-identical results), 'batch' additionally "
-             "lets campaigns share one run across eligible detector "
-             "cells (any pure-observer mechanism, recovery 'none'; "
-             "byte-identical results)",
-    )
 
 
 def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
@@ -132,23 +121,26 @@ def cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_table(args: argparse.Namespace) -> int:
-    jobs, cache, checkpoint, resume = _campaign_options(args)
-    progress = _progress_printer(f"table {args.table_id}")
+def _regenerate(args: argparse.Namespace, table_id: int, campaign: dict):
+    """Regenerate one table under the campaign flags, with a stderr
+    progress line that is terminated even when the run aborts."""
+    progress = _progress_printer(f"table {table_id}")
     try:
-        result = regenerate_table(
-            args.table_id,
+        return regenerate_table(
+            table_id,
             full=args.full or None,
             seed=args.seed,
             progress=progress,
-            jobs=jobs,
-            cache=cache,
-            checkpoint=checkpoint,
-            resume=resume,
-            engine=args.engine,
+            **campaign,
         )
     finally:
         progress.close()
+
+
+def cmd_table(args: argparse.Namespace) -> int:
+    campaign = _campaign_options(args)
+    cache = campaign["cache"]
+    result = _regenerate(args, args.table_id, campaign)
     print(render_table(result))
     if cache is not None:
         print(f"\ncache: {cache.hits} hits, {cache.misses} misses "
@@ -160,23 +152,10 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_all(args: argparse.Namespace) -> int:
-    jobs, cache, checkpoint, resume = _campaign_options(args)
+    campaign = _campaign_options(args)
+    cache = campaign["cache"]
     for tid in sorted(TABLE_SPECS):
-        progress = _progress_printer(f"table {tid}")
-        try:
-            result = regenerate_table(
-                tid,
-                full=args.full or None,
-                seed=args.seed,
-                progress=progress,
-                jobs=jobs,
-                cache=cache,
-                checkpoint=checkpoint,
-                resume=resume,
-                engine=args.engine,
-            )
-        finally:
-            progress.close()
+        result = _regenerate(args, tid, campaign)
         print(render_table(result))
         print()
         if args.out:
@@ -188,22 +167,7 @@ def cmd_all(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    jobs, cache, checkpoint, resume = _campaign_options(args)
-    progress = _progress_printer(f"table {args.table_id}")
-    try:
-        result = regenerate_table(
-            args.table_id,
-            full=args.full or None,
-            seed=args.seed,
-            progress=progress,
-            jobs=jobs,
-            cache=cache,
-            checkpoint=checkpoint,
-            resume=resume,
-            engine=args.engine,
-        )
-    finally:
-        progress.close()
+    result = _regenerate(args, args.table_id, _campaign_options(args))
     print(render_comparison(result))
     return 0
 
@@ -235,7 +199,6 @@ def cmd_latency(args: argparse.Namespace) -> int:
     spec = table_spec(2, full=args.full or None)  # NDM, uniform
     config = base_config(args.full or None)
     config.seed = args.seed
-    config.engine = args.engine
     config.routing = args.routing
     if args.routing == "duato-adaptive":
         config.detector.mechanism = "none"
@@ -287,7 +250,6 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 def cmd_saturation(args: argparse.Namespace) -> int:
     config = base_config(args.full or None)
-    config.engine = args.engine
     config.warmup_cycles = 500
     config.measure_cycles = 2000
     config.traffic.pattern = args.pattern
@@ -326,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="paper-scale grid (512 nodes, all thresholds)")
         p.add_argument("--seed", type=int, default=7)
         _add_campaign_flags(p)
-        _add_engine_flag(p)
         if name == "table":
             p.add_argument("--out", default=None,
                            help=f"write txt+json under this directory "
@@ -337,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full", action="store_true")
     p.add_argument("--seed", type=int, default=7)
     _add_campaign_flags(p)
-    _add_engine_flag(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_all)
 
@@ -355,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", choices=pattern_names(), default="uniform")
     p.add_argument("--size", default="s")
     p.add_argument("--full", action="store_true")
-    _add_engine_flag(p)
     p.set_defaults(func=cmd_saturation)
 
     p = sub.add_parser(
@@ -367,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=6)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--full", action="store_true")
-    _add_engine_flag(p)
     p.set_defaults(func=cmd_latency)
 
     p = sub.add_parser(

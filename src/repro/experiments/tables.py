@@ -44,21 +44,16 @@ def regenerate_table(
     cache=None,
     checkpoint=None,
     resume: bool = False,
-    engine: Optional[str] = None,
 ) -> TableResult:
     """Run every cell of one paper table and return the result grid.
 
     ``jobs``/``cache``/``checkpoint``/``resume`` are forwarded to the
     campaign engine (see :func:`repro.experiments.runner.run_table`);
     the defaults reproduce the sequential single-process behaviour.
-    ``engine`` selects the simulation engine for every cell (``None``
-    keeps the config default).
     """
     spec = table_spec(table_id, full)
     base = base_config(full)
     base.seed = seed
-    if engine is not None:
-        base.engine = engine
     return run_table(
         spec,
         base,

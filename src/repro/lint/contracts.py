@@ -1,7 +1,7 @@
 """Declared effect contracts for cycle phases and detector hooks.
 
 The *effect domain* — the behavioural attribute names of Message /
-VirtualChannel / PhysicalChannel / Router that the three engines must
+VirtualChannel / PhysicalChannel / Router that both engines must
 agree on — is declared in :mod:`repro.network.kernel`
 (``EFFECT_GROUPS`` / ``PHASE_EFFECTS``), next to the phase order the
 contracts describe.  This module re-exports those tables

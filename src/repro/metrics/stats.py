@@ -120,7 +120,8 @@ class SimulationStats:
     # legitimately differ between the event-driven and reference engines
     # (and across hosts), so equivalence checks compare
     # ``to_dict(include_perf=False)``.
-    #: Engine that produced the run (its ``config.engine`` value).
+    #: Engine that produced the run (its ``config.engine`` value;
+    #: ``"batch"`` for a cell folded off a shared trajectory).
     engine: str = ""
     #: Wall-clock seconds per simulation phase (routing, movement, ...).
     phase_time: Dict[str, float] = field(default_factory=dict)

@@ -41,7 +41,8 @@ statistics into K per-cell
 :class:`~repro.metrics.stats.SimulationStats` that are bit-identical to
 K independent ``engine="event"`` runs (asserted by
 ``tests/network/test_batch_engine.py`` over the equivalence corpus and
-gated again inside ``benchmarks/perf_report.py``).
+checked on every run of the ``detgrid-norecovery`` workload of
+``benchmarks/spine``).
 
 Cell state is plain integers: per-message and per-channel bitmasks over
 the canonical cell order (family order, then ascending threshold, then
@@ -132,22 +133,23 @@ def _cell_sort_key(key: Tuple[Any, ...]) -> Tuple[Any, ...]:
 def batch_eligible(config: SimulationConfig) -> bool:
     """True when ``config``'s cell may join a shared trajectory.
 
-    Requires every source of detection feedback to be absent: a
-    mechanism declaring ``batch_shareable`` (every pure observer —
-    ndm with simple promotion, pdm, the three timeouts, probe), no
-    recovery, and a fault-free schedule (fault edges wake parked state
+    Requires every source of detection feedback to be absent: no
+    recovery, a fault-free schedule (fault edges wake parked state
     conservatively, which is sound but makes per-cell telemetry — and
-    conformance accounting — threshold-coupled).
+    conformance accounting — threshold-coupled) and a mechanism
+    declaring ``batch_shareable`` (every pure observer — ndm with simple
+    promotion, pdm, the three timeouts, probe).  ``engine="scan"`` is
+    the reference the fold is checked against and is never folded.
+    The single-compare tests come first: a paper-table cell (recovery
+    on) costs one string compare.
     """
+    if config.recovery != "none" or config.engine == "scan" or config.faults:
+        return False
     # Imported here: repro.core.registry imports network.config, and a
     # module-level import back into repro.network would be cyclic.
     from repro.core.registry import batch_shareable
 
-    return (
-        batch_shareable(config.detector)
-        and config.recovery == "none"
-        and not config.faults
-    )
+    return batch_shareable(config.detector)
 
 
 def batch_group_key(config: SimulationConfig) -> str:
@@ -824,7 +826,8 @@ class BatchSimulator:
         if not batch_eligible(config):
             raise ValueError(
                 "config is not batch-shareable: needs a batch_shareable "
-                "detector mechanism, recovery='none' and no fault schedule"
+                "detector mechanism, recovery='none', no fault schedule "
+                "and an engine other than the 'scan' reference"
             )
         self.cells: List[DetectorConfig] = list(cells)
         self.observer = BatchObserver(self.cells)
@@ -852,9 +855,11 @@ def plan_batches(
     """Group config indices into shareable batches (plus leftovers).
 
     Returns ``(groups, singles)`` of indices into ``configs``: each
-    group holds >= 2 eligible configs equal modulo their detector cell
-    (chunked to :data:`MAX_CELLS` *distinct* cells); everything else —
-    unshareable configs, lone group members — lands in ``singles``.
+    group holds >= 2 configs that are :func:`batch_eligible` and equal
+    modulo their detector cell (chunked to :data:`MAX_CELLS` *distinct*
+    cells); everything else — unshareable configs, lone group members —
+    lands in ``singles``.  The choice is read off the cells; no caller
+    asks for it.
     Order within groups and singles follows the input, so
     planning is deterministic — and because fold results are
     bit-identical to per-cell runs regardless of which cells share a
@@ -864,9 +869,7 @@ def plan_batches(
     singles: List[int] = []
     by_key: Dict[str, List[int]] = {}
     for i, config in enumerate(configs):
-        # Folding stays opt-in by engine name: the frozen benchmark
-        # (benchmarks/spine) expects non-"batch" cells to run solo.
-        if config.engine == "batch" and batch_eligible(config):
+        if batch_eligible(config):
             by_key.setdefault(batch_group_key(config), []).append(i)
         else:
             singles.append(i)

@@ -127,15 +127,13 @@ class SimulationConfig:
     #: ``"event"`` (default) parks fully blocked messages and frozen worms
     #: between wakeup events — VC releases, inactivity-counter resumes,
     #: G/P promotions, detection deadlines — instead of re-scanning them
-    #: every cycle; ``"scan"`` is the reference per-cycle scan; ``"batch"``
-    #: runs each simulation exactly like "event" and additionally lets the
-    #: campaign executor group many cells that differ only in their
-    #: detector cell (mechanism, threshold, probe caps) into one shared
-    #: run (``repro.network.batch``).  All
-    #: engines produce bit-identical runs (asserted by
-    #: ``tests/network/test_engine_equivalence.py`` and
-    #: ``tests/network/test_batch_engine.py``); "event"/"batch" are much
-    #: faster at and beyond saturation.
+    #: every cycle; ``"scan"`` is the reference per-cycle scan that the
+    #: equivalence tests, ``repro faults conformance`` and ``repro verify``
+    #: run beside it.  Both produce bit-identical runs (asserted by
+    #: ``tests/network/test_engine_equivalence.py``); "event" is much
+    #: faster at and beyond saturation.  Not a campaign knob: whether
+    #: cells share a trajectory is read off the cells
+    #: (``repro.network.batch.batch_eligible``).
     engine: str = "event"
     #: Record wall-clock time per simulation phase (``stats.phase_time``)
     #: via two ``perf_counter`` calls per phase per cycle.  Off by default:
@@ -200,11 +198,10 @@ class SimulationConfig:
             raise ValueError("probe_max_hops must be >= 1")
         if self.detector.probe_max_outstanding < 1:
             raise ValueError("probe_max_outstanding must be >= 1")
-        # "batch" stays a name: the frozen benchmark (benchmarks/spine) asks for it.
+        # "batch" stays a spelling of "event": benchmarks/spine asks for it.
         if self.engine not in ("event", "scan", "batch"):
             raise ValueError(
-                f"unknown engine {self.engine!r}; choose 'event', 'scan' "
-                "or 'batch'"
+                f"unknown engine {self.engine!r}; choose 'event' or 'scan'"
             )
         if self.recovery not in (
             "progressive",

@@ -4,10 +4,8 @@ One cycle is the fixed phase sequence checks, probes, routing, movement,
 injection, generation, run by :meth:`Simulator.step` (and its profiled
 twin) for every ``config.engine`` value.  The engines do not differ in
 sequencing: ``"scan"`` leaves the simulator's park flags off and
-re-scans every message every cycle (the reference), ``"event"`` parks
-blocked headers and frozen worms until a provable wakeup event, and
-``"batch"`` is ``"event"`` plus the campaign executor's permission to
-fold the cell onto a shared trajectory (:mod:`repro.network.batch`).
+re-scans every message every cycle (the reference) while ``"event"``
+parks blocked headers and frozen worms until a provable wakeup event.
 
 What lives here is the declared contract over that sequence, read by
 the phase-effect analyzer (``repro lint``): the behavioural effect
@@ -22,7 +20,7 @@ from typing import Dict, FrozenSet, Tuple
 # ----------------------------------------------------------------------
 # Phase effect contracts (read by repro.lint.contracts / rule EFF001)
 # ----------------------------------------------------------------------
-# The effect *domain* is the behavioural state shared by the three
+# The effect *domain* is the behavioural state shared by both
 # engines: every attribute of Message / VirtualChannel / PhysicalChannel
 # / Router that feeds the trajectory or the behavioural digest.  The
 # groups below partition it; each phase declares which groups it may

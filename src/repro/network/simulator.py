@@ -23,12 +23,13 @@ routing retried every cycle for blocked headers, one flit per cycle per
 physical channel (virtual channels time-multiplexed), channel inactivity
 measured from the last flit transmission.
 
-Three engine names select how this one phase sequence is executed
-(``SimulationConfig.engine``; the phase-effect contract the analyzer
-checks it against is declared in :mod:`repro.network.kernel`):
+``SimulationConfig.engine`` names how this one phase sequence is
+executed (the phase-effect contract the analyzer checks it against is
+declared in :mod:`repro.network.kernel`):
 
-* ``"scan"`` — the reference: every blocked header re-attempts routing
-  and every worm is visited by the movement scan, each cycle.
+* ``"scan"`` — the reference that tests, the conformance harness and
+  the verifier run beside the default: every blocked header re-attempts
+  routing and every worm is visited by the movement scan, each cycle.
 * ``"event"`` (default) — the event-driven fast path: a blocked header
   whose failed attempt cannot change outcome is *parked* and skipped by
   the scans until a provable wakeup event — a lane freeing or an
@@ -37,11 +38,8 @@ checks it against is declared in :mod:`repro.network.kernel`):
   (re-derived lazily when a flit crossing a feasible channel pushes it
   out); worms with no structurally movable flit likewise park until
   routing grants their header a channel.
-* ``"batch"`` — per-run identical to ``"event"``; additionally eligible
-  for :class:`repro.network.batch.BatchSimulator`, which advances many
-  detector cells of a campaign grid over one shared trajectory.
 
-All engines keep the same message lists in the same (rotating) order
+Both keep the same message lists in the same (rotating) order
 and consume the same RNG stream — failed routing attempts draw nothing —
 so runs are *bit-identical*: same stats, same traces, same detection
 cycles (asserted by ``tests/network/test_engine_equivalence.py``).  The
@@ -154,9 +152,7 @@ class Simulator:
         # docs/performance.md), so step() skips them unless profiling.
         self._profile = config.profile_phases
         # Event engine state.  Parking is only sound when the detector has
-        # no per-attempt side effects on blocked messages.  Per run,
-        # "batch" behaves exactly like "event" — the batch win is the
-        # shared trajectory in repro.network.batch.
+        # no per-attempt side effects on blocked messages.
         self._park_enabled = config.engine != "scan"
         self._detector_can_sleep = self.detector.can_sleep_blocked
         # Probe-family detectors get a dedicated out-of-band phase between

@@ -6,7 +6,8 @@ from repro.campaign.cache import ResultCache
 from repro.campaign.checkpoint import CampaignCheckpoint
 from repro.campaign.executor import execute_jobs
 from repro.campaign.jobs import cell_to_dict, enumerate_table_jobs
-from repro.experiments.runner import run_cell
+from repro.experiments.runner import cell_from_stats, run_cell
+from repro.network.simulator import Simulator
 from tests.campaign.conftest import tiny_base, tiny_spec
 
 
@@ -20,7 +21,6 @@ def tiny_jobs(spec=None, base=None):
 def batch_base():
     """Tiny-grid base that makes every cell batch-shareable."""
     base = tiny_base()
-    base.engine = "batch"
     base.recovery = "none"
     return base
 
@@ -198,15 +198,15 @@ class TestStoredEntryValidation:
 
 
 class TestBatchGrouping:
-    """engine="batch" cells equal modulo detector cell share one trajectory."""
+    """Eligible cells equal modulo detector cell share one trajectory."""
 
     def test_batch_cells_equal_event_cells(self):
+        """A default-engine ``recovery="none"`` campaign folds without
+        being asked to, and every folded cell equals its solo run."""
         import repro.campaign.executor as executor_module
 
-        batch_jobs = tiny_jobs(base=batch_base())
-        event_base = batch_base()
-        event_base.engine = "event"
-        event_jobs = tiny_jobs(base=event_base)
+        jobs = tiny_jobs(base=batch_base())
+        assert {job.config.engine for job in jobs} == {"event"}
 
         grouped = []
         original = executor_module._execute_batch_payload
@@ -217,16 +217,17 @@ class TestBatchGrouping:
 
         executor_module._execute_batch_payload = spy
         try:
-            batched = execute_jobs(batch_jobs, num_workers=1)
+            batched = execute_jobs(jobs, num_workers=1)
         finally:
             executor_module._execute_batch_payload = original
-        plain = execute_jobs(event_jobs, num_workers=1)
 
         # One shared run per load level (the two thresholds fold).
         assert len(grouped) == 2
         assert all(len(keys) == 2 for keys in grouped)
-        for b_job, e_job in zip(batch_jobs, event_jobs):
-            assert batched[b_job.key].cell == plain[e_job.key].cell
+        for job in jobs:
+            solo = cell_from_stats(Simulator(job.config).run(), job.rate)
+            assert batched[job.key].cell == solo, job.key
+            assert batched[job.key].engine == "batch"
 
     def test_batch_pool_matches_serial(self):
         jobs = tiny_jobs(base=batch_base())

@@ -71,6 +71,19 @@ class TestCLI:
         with pytest.raises(SystemExit):
             cli.main([])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["table", "2"], ["compare", "2"], ["all"], ["saturation"],
+         ["latency"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_engine_flag_is_gone(self, argv, patched):
+        """The engine is not a user option: argparse rejects the flag."""
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv + ["--engine", "event"])
+        assert excinfo.value.code == 2
+        assert patched == []
+
 
 class TestSaveResult:
     def test_save_writes_txt_and_json(self, tmp_path):

@@ -6,8 +6,9 @@ exist is *bit-identical* per-cell results: each folded cell's
 ``to_dict(include_perf=False)`` — detection events included — must equal
 an independent ``engine="event"`` run of that cell.  These tests enforce
 that over the engine-equivalence corpus, plus the planner's grouping
-rules, the fixed reduction order (PYTHONHASHSEED independence) and the
-``engine="batch"`` single-run path.
+rules (the fold is chosen from the cells, never asked for), the fixed
+reduction order (PYTHONHASHSEED independence) and ``"batch"`` as an
+accepted spelling of ``"event"``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def _ladder_cells(config: SimulationConfig, thresholds):
 
 
 def _fold(config: SimulationConfig, cells):
-    return BatchSimulator(config.replace(engine="batch"), cells).run()
+    return BatchSimulator(config, cells).run()
 
 
 def _event_reference(config: SimulationConfig, cell: DetectorConfig):
@@ -122,13 +123,13 @@ def test_single_cell_batch_matches_event():
 
 
 # ----------------------------------------------------------------------
-# engine="batch" as a plain per-run engine
+# engine="batch" as a spelling of "event" (the frozen benchmark uses it)
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_batch_engine_single_run_matches_event(case):
     """A lone ``engine="batch"`` run is the event engine, for *any*
-    detector — the batch kernel only changes campaign-level grouping."""
+    detector."""
     config = _config(**CASES[case])
     stats_event = Simulator(config.replace(engine="event")).run()
     stats_batch = Simulator(config.replace(engine="batch")).run()
@@ -150,7 +151,7 @@ def test_engine_accepts_batch():
 def _eligible_config(threshold=16, **overrides):
     params = dict(mechanism="ndm", threshold=threshold, recovery="none")
     params.update(overrides)
-    return _config(**params).replace(engine="batch")
+    return _config(**params)
 
 
 class TestEligibility:
@@ -164,9 +165,7 @@ class TestEligibility:
     def test_every_pure_observer_mechanism_eligible(self, mechanism):
         """Trajectory sharing now folds across mechanisms, not just
         thresholds: every pure-observer detector is shareable."""
-        config = _config(
-            mechanism=mechanism, threshold=16, recovery="none"
-        ).replace(engine="batch")
+        config = _config(mechanism=mechanism, threshold=16, recovery="none")
         assert batch_eligible(config)
 
     def test_registry_names_pure_observers(self):
@@ -237,14 +236,40 @@ class TestPlanBatches:
         assert groups == [[0, 1, 2]]
         assert singles == [3]
 
-    def test_non_batch_engine_stays_single(self):
+    @pytest.mark.parametrize(
+        "overrides, expected",
+        [
+            (dict(), ([[0, 1]], [])),
+            (dict(engine="batch"), ([[0, 1]], [])),
+            (dict(engine="scan"), ([], [0, 1])),
+            (dict(recovery="progressive"), ([], [0, 1])),
+            (dict(faults=[dict(kind="link", cycle=10, node=0, port=0)]),
+             ([], [0, 1])),
+            (dict(selective_promotion=True), ([], [0, 1])),
+        ],
+        ids=["default", "batch-spelling", "scan-reference", "recovery-on",
+             "faulted", "selective-promotion"],
+    )
+    def test_fold_is_chosen_from_the_cells(self, overrides, expected):
+        """Two threshold siblings fold exactly when nothing observable
+        forbids it; no engine name has to ask for it, and the ``"scan"``
+        reference is never folded."""
         configs = [
-            _eligible_config(threshold=4).replace(engine="event"),
-            _eligible_config(threshold=8).replace(engine="event"),
+            _eligible_config(threshold=t, **overrides) for t in (4, 8)
+        ]
+        assert plan_batches(configs) == expected
+
+    def test_event_and_batch_spellings_both_fold(self):
+        """Spellings of one grid need not share a group (the engine
+        name is part of the group key), but each folds."""
+        configs = [
+            _eligible_config(threshold=t, engine=engine)
+            for engine in ("event", "batch")
+            for t in (4, 8)
         ]
         groups, singles = plan_batches(configs)
-        assert groups == []
-        assert singles == [0, 1]
+        assert sorted(groups) == [[0, 1], [2, 3]]
+        assert singles == []
 
     def test_lone_member_stays_single(self):
         groups, singles = plan_batches([_eligible_config()])
@@ -503,7 +528,7 @@ from tests.network.test_engine_equivalence import _config
 
 config = _config(
     mechanism="ndm", threshold=16, recovery="none", injection_rate=0.6
-).replace(engine="batch")
+)
 cells = [
     dataclasses.replace(config.detector, threshold=t)
     for t in (4, 8, 13, 16, 32)
@@ -519,7 +544,7 @@ from tests.network.test_engine_equivalence import _config
 config = _config(
     mechanism="ndm", threshold=16, recovery="none",
     vcs_per_channel=1, injection_rate=0.8,
-).replace(engine="batch")
+)
 cells = [
     DetectorConfig(mechanism="timeout", threshold=24),
     DetectorConfig(mechanism="ndm", threshold=8),
@@ -549,7 +574,7 @@ configs = []
 for threshold in (4, 8, 16):
     config = _config(
         mechanism="ndm", threshold=threshold, recovery="none"
-    ).replace(engine="batch")
+    )
     configs.append(config)
 groups, singles = plan_batches(configs)
 assert (groups, singles) == ([[0, 1, 2]], []), (groups, singles)

@@ -1,6 +1,7 @@
 """The public API surface: imports, __all__ hygiene, version."""
 
 import importlib
+import inspect
 
 import pytest
 
@@ -25,6 +26,13 @@ class TestTopLevel:
         config.measure_cycles = 200
         stats = repro.Simulator(config).run()
         assert "throughput" in stats.summary()
+
+    def test_regenerate_table_takes_no_engine(self):
+        """Tables run on the default engine; the fold is chosen from the
+        cells, so there is nothing for a caller to select."""
+        from repro.experiments.tables import regenerate_table
+
+        assert "engine" not in inspect.signature(regenerate_table).parameters
 
 
 SUBPACKAGES = [
