@@ -25,26 +25,24 @@ from __future__ import annotations
 
 from typing import Iterable, List, Set
 
-from repro.network.message import Message
+from repro.network.message import Message, usable_lanes
 from repro.network.types import MessageStatus
 
 
-def find_deadlocked(
-    messages: Iterable[Message], honor_faults: bool = False
-) -> Set[Message]:
+def find_deadlocked(messages: Iterable[Message]) -> Set[Message]:
     """Return the set of truly deadlocked messages among ``messages``.
 
     Only messages whose header is blocked at a router (failed at least one
     routing attempt, no output granted) can participate; everything else is
     treated as able to advance.
 
-    With ``honor_faults`` (fault-schedule runs), virtual channels whose
-    lane is currently unusable — link down or lane stuck, i.e. the bit is
-    clear in ``PhysicalChannel.usable_mask`` — are skipped entirely: a
-    free lane on a dead link is not an escape, and a message holding one
-    cannot hand it over.  The verdict is therefore "deadlocked under the
-    *current* fault state"; a later heal may dissolve the set, which the
-    conformance harness accounts for by re-sweeping each cycle.
+    A candidate's alternatives are its recorded ``feasible_vcs`` minus the
+    lanes currently unusable — link down or lane stuck, i.e. the bit is
+    clear in ``PhysicalChannel.usable_mask``: a free lane on a dead link
+    is not an escape, and a message holding one cannot hand it over.  The
+    verdict is therefore "deadlocked under the *current* fault state"; a
+    later heal may dissolve the set, which the conformance harness
+    accounts for by re-sweeping each cycle.
     """
     # The blocked test is inlined (attribute reads instead of a method
     # call per message): this oracle runs on every detection event, so
@@ -75,42 +73,21 @@ def find_deadlocked(
         for m in candidates:
             if m not in deadlocked:
                 continue
-            lanes = m.feasible_vcs
-            if lanes is None:
-                escaped = False
-                for pc in m.feasible_pcs:
-                    usable = pc.usable_mask if honor_faults else -1
-                    for vc in pc.vcs:
-                        if not (usable >> vc.index) & 1:
-                            continue  # faulted lane: neither escape nor wait
-                        occupant = vc.occupant
-                        if occupant is None or occupant not in deadlocked:
-                            escaped = True
-                            break
-                    if escaped:
-                        break
-            else:
-                escaped = False
-                for vc in lanes:
-                    if (
-                        honor_faults
-                        and not (vc.pc.usable_mask >> vc.index) & 1
-                    ):
-                        continue
-                    occupant = vc.occupant
-                    if occupant is None or occupant not in deadlocked:
-                        escaped = True
-                        break
-            if escaped:
-                deadlocked.discard(m)
-                changed = True
+            # ``usable_lanes`` inlined (see the note on constant factors).
+            for vc in m.feasible_vcs:
+                if (vc.pc.usable_mask >> vc.index) & 1 and (
+                    vc.occupant is None or vc.occupant not in deadlocked
+                ):
+                    deadlocked.discard(m)
+                    changed = True
+                    break
     return deadlocked
 
 
 def waiting_chain(message: Message, limit: int = 32) -> List[Message]:
     """Follow one holder chain from ``message`` (diagnostic helper).
 
-    Picks, at each step, the first occupied feasible VC's holder.  Useful
+    Picks, at each step, the first occupied usable lane's holder.  Useful
     in tests and examples to show who a blocked message is waiting on.
     Stops at ``limit`` hops, at a non-blocked message, or when a cycle
     closes (the repeated message is included once more as the closing
@@ -120,14 +97,14 @@ def waiting_chain(message: Message, limit: int = 32) -> List[Message]:
     seen = {message.id}
     current = message
     for _ in range(limit):
-        holder = None
-        for pc in current.feasible_pcs:
-            for vc in pc.vcs:
-                if vc.occupant is not None:
-                    holder = vc.occupant
-                    break
-            if holder is not None:
-                break
+        holder = next(
+            (
+                vc.occupant
+                for vc in usable_lanes(current.feasible_vcs)
+                if vc.occupant is not None
+            ),
+            None,
+        )
         if holder is None:
             break
         chain.append(holder)

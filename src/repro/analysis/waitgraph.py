@@ -3,8 +3,8 @@
 The fixpoint in :mod:`repro.analysis.deadlock` answers *whether* messages
 are deadlocked; this module builds the explicit structure — who waits on
 whom, through which channels — for diagnosis, examples and the dependency
-ablations.  The graph is returned both as plain adjacency dictionaries and,
-when available, as a ``networkx`` digraph for cycle enumeration.
+ablations.  The graph is plain adjacency dictionaries; cycle enumeration
+runs over them directly.
 
 Semantics (OR-wait model): there is an edge ``m -> holder`` for every
 occupied virtual channel ``m``'s blocked header may use.  A set of blocked
@@ -17,14 +17,10 @@ sufficient evidence and therefore reported as *candidates*.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set
 
-from repro.network.message import Message
-
-try:  # networkx is optional; cycle enumeration degrades gracefully
-    import networkx as _nx
-except ImportError:  # pragma: no cover - networkx is installed in CI
-    _nx = None  # type: ignore[assignment]
+from repro.analysis.deadlock import find_deadlocked
+from repro.network.message import Message, usable_lanes
 
 
 @dataclass
@@ -60,52 +56,61 @@ class WaitGraph:
     # ------------------------------------------------------------------
     # Cycle analysis
     # ------------------------------------------------------------------
-    def to_networkx(self) -> Any:
-        """The graph as a ``networkx.DiGraph`` (nodes are message ids)."""
-        if _nx is None:  # pragma: no cover - networkx is installed in CI
-            raise RuntimeError("networkx is not available")
-        graph = _nx.DiGraph()
-        graph.add_nodes_from(self.messages)
-        for waiter_id, edges in self.edges.items():
-            for edge in edges:
-                if edge.holder.id in self.messages:
-                    graph.add_edge(waiter_id, edge.holder.id)
-        return graph
-
     def candidate_cycles(self, limit: int = 64) -> List[List[int]]:
-        """Simple cycles among blocked messages (message-id lists).
+        """Elementary cycles among blocked messages (message-id lists).
 
+        Each cycle is listed once, starting at its smallest id; cycles
+        come in ascending order and the search stops after ``limit``.
         Cycles are necessary for deadlock but, under OR-waiting, not
         sufficient; compare with the fixpoint's verdict.
         """
-        graph = self.to_networkx()
+        succ: Dict[int, List[int]] = {
+            waiter: sorted(self.holders_of(m) & self.messages.keys())
+            for waiter, m in self.messages.items()
+        }
+        pred: Dict[int, List[int]] = {waiter: [] for waiter in succ}
+        for waiter, holders in succ.items():
+            for holder in holders:
+                pred[holder].append(waiter)
         cycles: List[List[int]] = []
-        for cycle in _nx.simple_cycles(graph):
-            cycles.append(cycle)
-            if len(cycles) >= limit:
-                break
+        for start in sorted(succ):
+            # A cycle whose smallest id is ``start`` visits only larger ids
+            # that can get back to it; blocked trees are never walked.
+            back = {start}
+            frontier = [start]
+            while frontier:
+                for waiter in pred[frontier.pop()]:
+                    if waiter > start and waiter not in back:
+                        back.add(waiter)
+                        frontier.append(waiter)
+            path = [start]
+            branches = [iter(succ[start])]
+            while branches:
+                for holder in branches[-1]:
+                    if holder == start:
+                        cycles.append(list(path))
+                        if len(cycles) >= limit:
+                            return cycles
+                    elif holder in back and holder not in path:
+                        path.append(holder)
+                        branches.append(iter(succ[holder]))
+                        break
+                else:
+                    branches.pop()
+                    path.pop()
         return cycles
 
-    def knot_members(self, honor_faults: bool = False) -> Set[int]:
+    def knot_members(self) -> Set[int]:
         """Message ids with no escape path (matches the fixpoint oracle)."""
-        from repro.analysis.deadlock import find_deadlocked
-
-        return {
-            m.id
-            for m in find_deadlocked(
-                self.messages.values(), honor_faults=honor_faults
-            )
-        }
+        return {m.id for m in find_deadlocked(self.messages.values())}
 
 
-def build_wait_graph(
-    messages: Iterable[Message], honor_faults: bool = False
-) -> WaitGraph:
+def build_wait_graph(messages: Iterable[Message]) -> WaitGraph:
     """Snapshot the wait-for structure over the blocked messages.
 
-    With ``honor_faults`` (fault-schedule runs), lanes that are currently
-    unusable — link down or lane stuck — contribute neither wait edges nor
-    free alternatives, matching the fault-aware oracle's escape semantics.
+    A blocked message's alternatives are its usable allowed lanes (see
+    :func:`repro.network.message.usable_lanes`): an occupied one is a wait
+    edge, a free one an escape — the relation the oracle reduces.
     """
     graph = WaitGraph()
     blocked = [m for m in messages if m.is_blocked() and m.spans]
@@ -114,22 +119,18 @@ def build_wait_graph(
     for m in blocked:
         edges: List[WaitEdge] = []
         free = 0
-        for pc in m.feasible_pcs:
-            usable = pc.usable_mask if honor_faults else -1
-            for vc in pc.vcs:
-                if not (usable >> vc.index) & 1:
-                    continue  # faulted lane: not an alternative at all
-                if vc.occupant is None:
-                    free += 1
-                else:
-                    edges.append(
-                        WaitEdge(
-                            waiter=m,
-                            holder=vc.occupant,
-                            channel_index=pc.index,
-                            vc_index=vc.index,
-                        )
+        for vc in usable_lanes(m.feasible_vcs):
+            if vc.occupant is None:
+                free += 1
+            else:
+                edges.append(
+                    WaitEdge(
+                        waiter=m,
+                        holder=vc.occupant,
+                        channel_index=vc.pc.index,
+                        vc_index=vc.index,
                     )
+                )
         graph.edges[m.id] = edges
         graph.free_alternatives[m.id] = free
     return graph

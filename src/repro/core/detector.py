@@ -107,6 +107,30 @@ class DeadlockDetector:
         """
         return None
 
+    def all_outputs_inactive(self, message: Message, cycle: int) -> bool:
+        """Whether every feasible output of ``message`` has been inactive
+        for more than ``threshold`` cycles (the counter mechanisms'
+        shared detection condition)."""
+        threshold = self.threshold
+        for pc in message.feasible_pcs:
+            if pc.inactivity(cycle) <= threshold:
+                return False
+        return True
+
+    def all_inactive_deadline(self, message: Message, cycle: int) -> Optional[int]:
+        """Earliest cycle :meth:`all_outputs_inactive` can first hold: the
+        latest per-channel crossing, or ``None`` if some channel is frozen
+        at or below the threshold (it resumes only on a wakeup event)."""
+        threshold = self.threshold
+        deadline = cycle + 1
+        for pc in message.feasible_pcs:
+            d = pc.inactivity_deadline(threshold)
+            if d is None:
+                return None
+            if d > deadline:
+                deadline = d
+        return deadline
+
     def probe_phase(self, cycle: int) -> List[Message]:
         """Advance out-of-band probes one hop; return elected victims.
 

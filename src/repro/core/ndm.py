@@ -122,11 +122,7 @@ class NewDetectionMechanism(DeadlockDetector):
             return False
         if input_pc.gp is not _G:
             return False
-        t2 = self.threshold
-        for pc in message.feasible_pcs:
-            if pc.inactivity(cycle) <= t2:  # some DT flag still clear
-                return False
-        return True
+        return self.all_outputs_inactive(message, cycle)  # every DT flag set
 
     def _first_attempt(
         self, message: Message, input_pc: PhysicalChannel, cycle: int
@@ -162,15 +158,7 @@ class NewDetectionMechanism(DeadlockDetector):
         input_pc = message.input_pc
         if input_pc is None or input_pc.gp is not _G:
             return None
-        t2 = self.threshold
-        deadline = cycle + 1
-        for pc in message.feasible_pcs:
-            d = pc.inactivity_deadline(t2)
-            if d is None:
-                return None
-            if d > deadline:
-                deadline = d
-        return deadline
+        return self.all_inactive_deadline(message, cycle)
 
     # ------------------------------------------------------------------
     # G/P resets and promotions

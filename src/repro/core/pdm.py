@@ -38,20 +38,8 @@ class PreviousDetectionMechanism(DeadlockDetector):
     ) -> bool:
         # The mechanism is stateless across attempts: every time a blocked
         # message is re-routed it checks the IF flag of each alternative.
-        threshold = self.threshold
-        for pc in message.feasible_pcs:
-            if pc.inactivity(cycle) <= threshold:
-                return False
-        return True
+        return self.all_outputs_inactive(message, cycle)
 
     def blocked_deadline(self, message: Message, cycle: int) -> Optional[int]:
         """All-IF detection first holds at the latest per-channel crossing."""
-        threshold = self.threshold
-        deadline = cycle + 1
-        for pc in message.feasible_pcs:
-            d = pc.inactivity_deadline(threshold)
-            if d is None:
-                return None
-            if d > deadline:
-                deadline = d
-        return deadline
+        return self.all_inactive_deadline(message, cycle)

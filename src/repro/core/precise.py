@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.core.detector import DeadlockDetector
-from repro.network.message import Message
+from repro.network.message import Message, usable_lanes
 from repro.network.router import Router
 
 
@@ -58,24 +58,19 @@ class PreciseNDM(DeadlockDetector):
         witnessed = witness[message.id]
         if witnessed is None:
             return False
-        t2 = self.threshold
         # The witnessed root's progress resets the hardware counter; a
         # granted-but-not-yet-moved holder has not transmitted a flit, so
         # detection needs a full quiet t2 *after* the witness as well.
-        if cycle - witnessed <= t2:
+        if cycle - witnessed <= self.threshold:
             return False
-        for pc in message.feasible_pcs:
-            if pc.inactivity(cycle) <= t2:
-                return False
-        return True
+        return self.all_outputs_inactive(message, cycle)
 
     @staticmethod
     def _sees_advancing_holder(message: Message) -> bool:
-        for pc in message.feasible_pcs:
-            for vc in pc.vcs:
-                occupant = vc.occupant
-                if occupant is not None and not occupant.is_blocked():
-                    return True
+        for vc in usable_lanes(message.feasible_vcs):
+            occupant = vc.occupant
+            if occupant is not None and not occupant.is_blocked():
+                return True
         return False
 
     def on_message_routed(self, message: Message, cycle: int) -> None:

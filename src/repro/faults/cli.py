@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+from pathlib import Path
 from typing import List, Optional
 
 from repro.faults.conformance import (
@@ -184,6 +185,7 @@ def run(args: argparse.Namespace) -> int:
     )
     print(render_report(report))
     if args.out:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
         print(f"report written to {args.out}")

@@ -2,8 +2,8 @@
 
 For every (fault schedule, detector, engine) combination the harness runs
 one simulation, sweeping the fault-aware wait-graph oracle
-(:func:`repro.analysis.deadlock.find_deadlocked` with ``honor_faults``)
-after every cycle, and grades the detector's events against it:
+(:func:`repro.analysis.deadlock.find_deadlocked`) after every cycle, and
+grades the detector's events against it:
 
 * **true positive** — a detection event raised while the simulator's
   in-situ oracle classified the message as truly deadlocked
@@ -168,7 +168,7 @@ def graded_run(config: SimulationConfig) -> Tuple[SimulationStats, str]:
             elif event.truly_deadlocked is False:
                 stats.oracle_false_positive_events += 1
         # Advance the stretch map to this cycle's end-of-cycle truth.
-        current = find_deadlocked(sim.active_messages, honor_faults=True)
+        current = find_deadlocked(sim.active_messages)
         ids: set = set()
         for m in sorted(current, key=lambda m: m.id):
             ids.add(m.id)
@@ -179,7 +179,7 @@ def graded_run(config: SimulationConfig) -> Tuple[SimulationStats, str]:
 
     sim.run(on_cycle=on_cycle)
     # False negatives: still truly deadlocked at the end, never marked.
-    final = find_deadlocked(sim.active_messages, honor_faults=True)
+    final = find_deadlocked(sim.active_messages)
     stats.oracle_missed_messages = sum(
         1 for m in final if m.times_detected == 0
     )

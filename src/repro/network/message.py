@@ -10,7 +10,7 @@ objects.  ``spans[0]`` is the tail-most channel (closest to the source),
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.network.channel import PhysicalChannel, VirtualChannel
 from repro.network.types import MessageId, MessageStatus, NodeId, PortKind
@@ -38,6 +38,9 @@ class Message:
         blocked_since: cycle of the first failed attempt at this router.
         feasible_pcs: output physical channels the header may use at the
             current router, cached on the first failed attempt.
+        feasible_vcs: the lanes of those channels the routing function
+            allows this header, flattened in routing order at the same
+            instant; readers filter them through :func:`usable_lanes`.
         recoveries: completed progressive recoveries for this message.
         retries: regressive aborts (kill-and-reinject) for this message.
     """
@@ -102,9 +105,7 @@ class Message:
         self.first_attempt_done = False
         self.blocked_since: Optional[int] = None
         self.feasible_pcs: Tuple[PhysicalChannel, ...] = ()
-        # Cached allowed lanes when the routing function partitions VCs
-        # into classes (None means "every lane of every feasible PC").
-        self.feasible_vcs: Optional[Tuple[VirtualChannel, ...]] = None
+        self.feasible_vcs: Tuple[VirtualChannel, ...] = ()
         self.last_source_flit_cycle: Optional[int] = None
         self.marked_deadlocked = False
         self.recoveries = 0
@@ -180,7 +181,7 @@ class Message:
         self.first_attempt_done = False
         self.blocked_since = None
         self.feasible_pcs = ()
-        self.feasible_vcs = None
+        self.feasible_vcs = ()
         # A granted output channel is both a routing and a movement wakeup.
         self.route_asleep = False
         self.move_asleep = False
@@ -218,6 +219,19 @@ class Message:
             f"Message(id={self.id}, {self.source}->{self.dest}, "
             f"len={self.length}, status={self.status.value})"
         )
+
+
+def usable_lanes(lanes: Iterable[VirtualChannel]) -> Iterator[VirtualChannel]:
+    """Those of a header's allowed ``lanes`` that are not faulted.
+
+    Over ``Message.feasible_vcs`` this is the wait relation: a usable lane
+    is an escape while free and a wait edge to its occupant otherwise; a
+    lane on a down link or a stuck lane is neither.  ``usable_mask`` is
+    all-ones on a healthy channel, so one filter serves every run.
+    """
+    for vc in lanes:
+        if (vc.pc.usable_mask >> vc.index) & 1:
+            yield vc
 
 
 def describe_path(message: Message) -> Sequence[str]:

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.network.message import Message
+from repro.network.message import Message, usable_lanes
 from repro.network.types import MessageStatus
 
 #: 64-bit rolling digest parameters (FNV-1a prime, golden-ratio salt).
@@ -77,33 +77,18 @@ def wait_edges(m: Message) -> Tuple[bool, List[Tuple[int, int, Message]]]:
     """Escape test plus ordered wait edges of the blocked message ``m``.
 
     Returns ``(has_escape, edges)`` where ``edges`` is the ordered list
-    of ``(channel_index, lane_index, holder)`` over ``m``'s feasible
-    lanes.  A free usable lane is an escape: the caller should drop the
+    of ``(channel_index, lane_index, holder)`` over ``m``'s usable
+    lanes — the relation :func:`repro.analysis.deadlock.find_deadlocked`
+    reduces.  A free usable lane is an escape: the caller should drop the
     probe (the message can advance), so ``edges`` is not meaningful when
-    ``has_escape`` is True.  Fault-unusable lanes are skipped entirely —
-    neither escape nor wait — mirroring the fault-aware oracle in
-    :func:`repro.analysis.deadlock.find_deadlocked`.
+    ``has_escape`` is True.
     """
     edges: List[Tuple[int, int, Message]] = []
-    lanes = m.feasible_vcs
-    if lanes is None:
-        for pc in m.feasible_pcs:
-            usable = pc.usable_mask
-            for vc in pc.vcs:
-                if not (usable >> vc.index) & 1:
-                    continue
-                occupant = vc.occupant
-                if occupant is None:
-                    return True, edges
-                edges.append((pc.index, vc.index, occupant))
-    else:
-        for vc in lanes:
-            if not (vc.pc.usable_mask >> vc.index) & 1:
-                continue
-            occupant = vc.occupant
-            if occupant is None:
-                return True, edges
-            edges.append((vc.pc.index, vc.index, occupant))
+    for vc in usable_lanes(m.feasible_vcs):
+        occupant = vc.occupant
+        if occupant is None:
+            return True, edges
+        edges.append((vc.pc.index, vc.index, occupant))
     return False, edges
 
 

@@ -73,7 +73,7 @@ from repro.metrics.stats import SimulationStats
 from repro.network.channel import PhysicalChannel, VirtualChannel
 from repro.network.config import SimulationConfig
 from repro.network.kernel import PHASE_SEQUENCE
-from repro.network.message import Message
+from repro.network.message import Message, usable_lanes
 from repro.network.rotating import RotatingList
 from repro.network.router import Router
 from repro.network.routing import make_routing_function
@@ -118,8 +118,8 @@ class Simulator:
 
         # Fault injection (see repro.faults): compiled once, applied at
         # the top of every cycle.  ``_faults_on`` gates the (cheap) fault
-        # tests on the movement path and the fault-aware oracle, so
-        # healthy runs keep their exact pre-fault hot path.
+        # tests on the movement path, so healthy runs keep their exact
+        # pre-fault hot path.
         self._faults_on = bool(config.faults)
         self._fault_injector: Optional[FaultInjector] = None
         if config.faults:
@@ -572,8 +572,9 @@ class Simulator:
 
         free: Sequence[VirtualChannel]
         if self._vc_class_routing:
-            allowed = m.feasible_vcs
-            if allowed is None:
+            if m.first_attempt_done:
+                allowed = m.feasible_vcs
+            else:
                 allowed = tuple(
                     vc
                     for pc in candidates
@@ -581,17 +582,8 @@ class Simulator:
                         self.topology, pc, node, m.dest
                     )
                 )
-            if self._faults_on:
-                free = [
-                    vc
-                    for vc in allowed
-                    if vc.occupant is None
-                    and (vc.pc.usable_mask >> vc.index) & 1
-                ]
-            else:
-                free = [vc for vc in allowed if vc.occupant is None]
+            free = [vc for vc in usable_lanes(allowed) if vc.occupant is None]
         else:
-            allowed = None
             # The free lanes of each candidate come from the incremental
             # per-channel mask (kept lane-index-ordered via the mask ->
             # lanes table), so no rescan of ``pc.vcs`` per attempt.  The
@@ -637,6 +629,13 @@ class Simulator:
             m.first_attempt_done = True
             m.blocked_since = cycle
             m.feasible_pcs = candidates
+            # The wait relation, recorded once per block: every reader
+            # iterates this tuple instead of re-deriving it per query.
+            if not self._vc_class_routing:
+                lanes: List[VirtualChannel] = []
+                for pc in candidates:
+                    lanes += pc.vcs
+                allowed = tuple(lanes)
             m.feasible_vcs = allowed
             if self.tracer is not None:
                 self.tracer.record(("block", cycle, m.id, node))
@@ -1115,11 +1114,7 @@ class Simulator:
 
     def _truth_snapshot(self) -> Set[Message]:
         """Deadlocked-message set of the network as it is right now."""
-        # Under fault schedules the oracle must not count faulted lanes
-        # as escapes (a free lane on a dead link frees no one).
-        return find_deadlocked(
-            self.active_messages, honor_faults=self._faults_on
-        )
+        return find_deadlocked(self.active_messages)
 
     def _truth_sweep(self, cycle: int) -> None:
         deadlocked = self._truth_at(cycle)
@@ -1210,23 +1205,9 @@ class Simulator:
                 raise AssertionError(
                     f"message {m.id}: route_asleep but not in any waiter set"
                 )
-            # usable_mask is all-ones on healthy channels, so the filter
-            # is exact for both fault and no-fault runs.
-            if m.feasible_vcs is not None:
-                free = [
-                    vc
-                    for vc in m.feasible_vcs
-                    if vc.occupant is None
-                    and (vc.pc.usable_mask >> vc.index) & 1
-                ]
-            else:
-                free = [
-                    vc
-                    for pc in m.feasible_pcs
-                    for vc in pc.vcs
-                    if vc.occupant is None
-                    and (pc.usable_mask >> vc.index) & 1
-                ]
+            free = [
+                vc for vc in usable_lanes(m.feasible_vcs) if vc.occupant is None
+            ]
             if free:
                 raise AssertionError(
                     f"message {m.id}: route_asleep with free allowed VC {free[0]}"

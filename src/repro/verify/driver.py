@@ -72,7 +72,6 @@ class Instance:
         self.sim._next_message_id = len(specs)
         #: Spec indices not yet enqueued at their source.
         self.pending: List[int] = list(range(len(specs)))
-        self._faults_on = bool(case.scenario.faults)
 
     # ------------------------------------------------------------------
     # Cycle driving
@@ -126,16 +125,12 @@ class Instance:
 
     def oracle_deadlocked(self) -> FrozenSet[int]:
         """Message ids in the fault-aware OR-wait knot right now."""
-        knot = find_deadlocked(
-            self.sim.active_messages.to_list(), honor_faults=self._faults_on
-        )
+        knot = find_deadlocked(self.sim.active_messages.to_list())
         return frozenset(m.id for m in knot)
 
     def undetected_deadlocked(self) -> FrozenSet[int]:
         """Oracle-deadlocked message ids no mechanism has marked yet."""
-        knot = find_deadlocked(
-            self.sim.active_messages.to_list(), honor_faults=self._faults_on
-        )
+        knot = find_deadlocked(self.sim.active_messages.to_list())
         return frozenset(m.id for m in knot if not m.marked_deadlocked)
 
     def check_structure(self) -> None:

@@ -117,11 +117,7 @@ def _encode_message(
         m.first_attempt_done,
         blocked,
         tuple(pc.index for pc in m.feasible_pcs),
-        (
-            tuple((vc.pc.index, vc.index) for vc in m.feasible_vcs)
-            if m.feasible_vcs is not None
-            else None
-        ),
+        tuple((vc.pc.index, vc.index) for vc in m.feasible_vcs),
         inject_age,
         stall_age,
         m.marked_deadlocked,

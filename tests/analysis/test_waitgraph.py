@@ -1,11 +1,34 @@
 """Tests for the channel wait-for graph."""
 
+from repro.analysis.deadlock import find_deadlocked, waiting_chain
 from repro.analysis.waitgraph import (
     build_wait_graph,
     describe_deadlock,
     tree_depth_histogram,
 )
 from repro.figures.scenarios import build_figure2, build_figure3
+from repro.network.config import SimulationConfig
+from repro.network.simulator import Simulator
+
+
+def loaded_torus(rate: float, cycles: int, **overrides) -> Simulator:
+    """A 4x4 torus, two lanes per channel, ``cycles`` cycles at ``rate``."""
+    config = SimulationConfig(
+        radix=4,
+        dimensions=2,
+        vcs_per_channel=2,
+        warmup_cycles=0,
+        measure_cycles=10,
+        ground_truth_interval=0,
+        recovery="none",
+        **overrides,
+    )
+    config.traffic.injection_rate = rate
+    config.detector.mechanism = "none"
+    sim = Simulator(config)
+    for _ in range(cycles):
+        sim.step()
+    return sim
 
 
 class TestBuildWaitGraph:
@@ -69,12 +92,13 @@ class TestCycleAnalysis:
         expected = {m.id for n, m in scenario.messages.items() if n != "A"}
         assert graph.knot_members() == expected
 
-    def test_networkx_graph_shape(self):
+    def test_graph_shape(self):
         scenario = build_figure3("none")
         scenario.run(10)
-        graph = build_wait_graph(scenario.sim.active_messages).to_networkx()
-        assert graph.number_of_nodes() == 4
-        assert graph.number_of_edges() == 4
+        graph = build_wait_graph(scenario.sim.active_messages)
+        assert graph.blocked_count() == 4
+        assert sum(graph.out_degree(m) for m in graph.messages.values()) == 4
+        assert all(len(graph.holders_of(m)) == 1 for m in graph.messages.values())
 
 
 class TestDiagnostics:
@@ -86,6 +110,39 @@ class TestDiagnostics:
         lines = describe_deadlock(graph, names)
         assert len(lines) == 4
         assert any("B" in line and "waits on" in line for line in lines)
+
+    def test_describe_deadlock_on_a_faulted_network(self):
+        """Four links down: headers with no usable lane left are the knot."""
+        sim = loaded_torus(
+            0.25,
+            300,
+            seed=5,
+            faults=[
+                {"kind": "link-down", "start": 20, "end": 400, "channel": ch}
+                for ch in (0, 5, 11, 17)
+            ],
+        )
+        knot = find_deadlocked(sim.active_messages)
+        assert knot
+        lines = describe_deadlock(build_wait_graph(sim.active_messages))
+        assert len(lines) == len(knot)
+        for m, line in zip(sorted(knot, key=lambda m: m.id), lines):
+            assert line.startswith(f"message {m.id} ")
+
+    def test_waiting_chain_follows_allowed_lanes_under_duato(self):
+        """The chain's next hop holds a lane the header may actually take."""
+        sim = loaded_torus(1.5, 300, seed=3, routing="duato-adaptive")
+        blocked = [m for m in sim.active_messages if m.is_blocked() and m.spans]
+        assert blocked
+        restricted = 0
+        for m in blocked:
+            lanes = m.feasible_vcs
+            restricted += len(lanes) < sum(len(pc.vcs) for pc in m.feasible_pcs)
+            holders = [vc.occupant for vc in lanes if vc.occupant is not None]
+            chain = waiting_chain(m)
+            assert chain[0] is m
+            assert chain[1:2] == holders[:1]
+        assert restricted  # some header really is denied an escape lane
 
     def test_tree_depth_histogram_chain(self):
         scenario = build_figure2("none")

@@ -149,6 +149,6 @@ class TestDeadEndSelfDetection:
         config.detector.probe_max_outstanding = 64
         sim = Simulator(config)
         sim.run()
-        final = find_deadlocked(sim.active_messages, honor_faults=True)
+        final = find_deadlocked(sim.active_messages)
         for m in final:
             assert m.times_detected > 0

@@ -1,7 +1,10 @@
 """The public API surface: imports, __all__ hygiene, version."""
 
+import ast
 import importlib
 import inspect
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +36,29 @@ class TestTopLevel:
         from repro.experiments.tables import regenerate_table
 
         assert "engine" not in inspect.signature(regenerate_table).parameters
+
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 10), reason="sys.stdlib_module_names is 3.10+"
+    )
+    def test_src_imports_only_the_standard_library(self):
+        """``dependencies = []`` holds for every import, guarded or not."""
+        foreign = set()
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                foreign.update(
+                    (path.name, name)
+                    for name in names
+                    if name.split(".")[0] not in sys.stdlib_module_names
+                    and name.split(".")[0] != "repro"
+                )
+        assert not foreign
 
 
 SUBPACKAGES = [
