@@ -1,7 +1,8 @@
-"""Shared infrastructure for the benchmark suite.
+"""Shared infrastructure for the paper-shape suite.
 
 Each paper table is regenerated once per pytest session (cached) and the
-rendered table is printed and written under ``results/``.  Benchmarks run
+rendered table is printed and written under ``results/``.  Nothing here
+is timed — the benchmark is ``benchmarks/spine``.  The suite runs
 on the quick 64-node grid by default; set ``REPRO_FULL=1`` for the
 paper-scale 512-node grid with the full threshold/load matrix (slow).
 """
@@ -28,14 +29,10 @@ def table_result(table_id: int, seed: int = 7):
     return result
 
 
-def run_once(benchmark, func):
-    """Run an expensive benchmark body exactly once under pytest-benchmark."""
-    return benchmark.pedantic(func, rounds=1, iterations=1, warmup_rounds=0)
-
-
 @pytest.fixture
-def once(benchmark):
-    return lambda func: run_once(benchmark, func)
+def once():
+    """Run an expensive test body (exactly once: it is just called)."""
+    return lambda func: func()
 
 
 # ----------------------------------------------------------------------

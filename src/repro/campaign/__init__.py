@@ -3,10 +3,11 @@
 The campaign package turns the embarrassingly parallel work of
 regenerating the paper's tables into scheduled *jobs*:
 
-* :mod:`repro.campaign.jobs` — grid enumeration, per-cell seed
-  derivation and content hashing of resolved configs;
-* :mod:`repro.campaign.executor` — serial or process-pool execution
-  with per-cell telemetry;
+* :mod:`repro.campaign.jobs` — grid enumeration, content hashing of
+  resolved configs and the stored record of a resolved cell;
+* :mod:`repro.campaign.executor` — serial or process-pool execution of
+  units of work (a solo cell, or a group sharing one trajectory), one
+  record per cell;
 * :mod:`repro.campaign.cache` — content-addressed on-disk result store;
 * :mod:`repro.campaign.checkpoint` — incremental manifest for resume
   and the ``campaign summary`` report;
@@ -36,7 +37,6 @@ from repro.campaign.jobs import (
     cell_from_dict,
     cell_to_dict,
     config_hash,
-    derive_cell_seed,
     enumerate_table_jobs,
     job_key,
 )
@@ -53,7 +53,6 @@ __all__ = [
     "config_hash",
     "default_cache_dir",
     "default_num_workers",
-    "derive_cell_seed",
     "enumerate_table_jobs",
     "execute_jobs",
     "job_key",

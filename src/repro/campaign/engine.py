@@ -32,19 +32,16 @@ def run_table_campaign(
     checkpoint: Optional[CampaignCheckpoint] = None,
     resume: bool = False,
     progress: Optional[ProgressFn] = None,
-    seed_policy: str = "shared",
 ) -> TableResult:
     """Run one table as a campaign and reassemble its result grid.
 
-    With the defaults (serial, no cache, no checkpoint, shared seed)
-    this computes exactly what the sequential runner computes, cell for
-    cell; every keyword argument turns on one orthogonal engine feature.
+    With the defaults (serial, no cache, no checkpoint) this computes
+    exactly what the sequential runner computes, cell for cell; every
+    keyword argument turns on one orthogonal engine feature.
     """
     if saturation is None:
         saturation = saturation_rate(base, spec)
-    rates, jobs = enumerate_table_jobs(
-        spec, base, saturation, seed_policy=seed_policy
-    )
+    rates, jobs = enumerate_table_jobs(spec, base, saturation)
     if checkpoint is not None:
         checkpoint.start(spec.table_id, total=len(jobs))
     outcomes = execute_jobs(

@@ -10,22 +10,30 @@ through three layers, cheapest first:
    (:class:`~repro.campaign.cache.ResultCache`);
 3. **run** — a live simulation, either in-process (``num_workers=1``,
    the deterministic serial fallback used by tests) or fanned out over a
-   ``ProcessPoolExecutor``.  Cache-miss cells that are
-   ``batch_eligible`` (no recovery, no faults, a pure-observer
-   detector, not the ``"scan"`` reference) and equal modulo their
-   detector cell — mechanism, threshold, probe caps — are grouped into
-   one shared-trajectory run each (see ``repro.network.batch``) — the
-   results stay bit-identical to per-cell runs while the grid costs one
-   simulation per group.  Grouping is a pure optimization: fold results
-   do not depend on the partition, so ``--resume`` re-grouping after a
-   partial run reproduces the same per-cell records byte for byte.
+   ``ProcessPoolExecutor``.
 
-Cells run out of order under the pool, but results are keyed, so callers
-reassemble tables in canonical order and the output is bit-identical to
-the sequential path.  Workers ship lean ``SimulationStats`` dicts back
-(:meth:`~repro.metrics.stats.SimulationStats.to_dict` without the event
-log) and the parent derives the ``CellResult``, so both paths share one
-serialization round-trip.
+All three hand back the same thing: one *record* per cell
+(:func:`~repro.campaign.jobs.cell_record` — key, cell, wall time,
+worker, engine, phase times), which is what a cache file holds and what
+a manifest line holds next to its config hash and source.
+:meth:`JobOutcome.from_record` is the one parser of that record.
+
+Live work is scheduled in *units* — lists of jobs that share one run.
+Cache-miss cells that are ``batch_eligible`` (no recovery, no faults, a
+pure-observer detector, not the ``"scan"`` reference) and equal modulo
+their detector cell — mechanism, threshold, probe caps — form one unit
+per group and advance on one shared trajectory (see
+``repro.network.batch``); every other cell is a unit of one.  Grouping
+is a pure optimization: fold results are bit-identical to per-cell runs
+and do not depend on the partition, so ``--resume`` re-grouping after a
+partial run reproduces the same per-cell records byte for byte.
+
+Cells run out of order under the pool, but records are keyed, so
+callers reassemble tables in canonical order and the output is
+bit-identical to the sequential path.  The worker derives each
+``CellResult`` where the run's statistics already are and ships only
+the record, so nothing but nine numbers and the telemetry crosses the
+process boundary.
 """
 
 from __future__ import annotations
@@ -33,15 +41,14 @@ from __future__ import annotations
 import os
 import time
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.campaign.cache import ResultCache
 from repro.campaign.checkpoint import CampaignCheckpoint
-from repro.campaign.jobs import CellJob, cell_from_dict, cell_to_dict
+from repro.campaign.jobs import CellJob, cell_from_dict, cell_record, unit_payload
 from repro.experiments.runner import CellResult, cell_from_stats
-from repro.metrics.stats import SimulationStats
 from repro.network import batch as batch_backend
 from repro.network.config import DetectorConfig, SimulationConfig
 from repro.network.simulator import Simulator
@@ -55,7 +62,8 @@ class JobOutcome:
 
     job: CellJob
     cell: CellResult
-    #: Wall-clock seconds the simulation took (0 when served from disk).
+    #: Wall-clock seconds the simulation took (as stored, when served
+    #: from disk).
     wall_time: float
     #: ``"serial"``, ``"pid<n>"``, ``"cache"`` or ``"manifest"``.
     worker: str
@@ -67,67 +75,83 @@ class JobOutcome:
     #: Wall seconds per simulator phase (empty for pre-engine records).
     phase_time: Dict[str, float] = field(default_factory=dict)
 
+    @classmethod
+    def from_record(
+        cls,
+        job: CellJob,
+        record: Dict[str, Any],
+        source: str,
+        worker: Optional[str] = None,
+    ) -> Optional["JobOutcome"]:
+        """Parse a cell record, or ``None`` (with a warning) if malformed.
 
-def _execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker entry point: run one cell from its plain-dict payload.
+        ``worker`` relabels a record served from disk (``"cache"`` /
+        ``"manifest"``); a live record names its own.
+        """
+        try:
+            return cls(
+                job=job,
+                cell=cell_from_dict(record["cell"]),
+                wall_time=float(record.get("wall_time", 0.0)),
+                worker=worker or str(record["worker"]),
+                source=source,
+                engine=str(record.get("engine", "")),
+                phase_time=dict(record.get("phase_time", {})),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            warnings.warn(
+                f"ignoring malformed {source} entry for {job.key} "
+                f"({type(exc).__name__}: {exc}); the cell will be re-resolved",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            return None
 
-    Top-level (picklable) and dict-in/dict-out so the same function
-    backs the serial fallback and the process pool.
+    def record(self) -> Dict[str, Any]:
+        """The stored form of this outcome (see ``cell_record``)."""
+        return cell_record(
+            self.job.key,
+            self.cell,
+            self.wall_time,
+            self.worker,
+            self.engine,
+            self.phase_time,
+        )
+
+
+def _run_unit(
+    payload: Dict[str, Any], worker: Optional[str] = None
+) -> List[Dict[str, Any]]:
+    """Worker entry point: run one unit, return one record per cell.
+
+    Top-level (picklable) and dict-in/dicts-out, so the same function
+    backs the serial loop and the process pool.  One key runs its own
+    ``Simulator``; several share a single trajectory (see
+    ``repro.network.batch``), whose wall time is attributed evenly
+    across the cells — the shared run is one indivisible advance, and an
+    even split keeps campaign-level wall-time sums meaningful.
     """
     start = time.perf_counter()
     config = SimulationConfig.from_dict(payload["config"])
-    stats = Simulator(config).run()
-    return {
-        "key": payload["key"],
-        "stats": stats.to_dict(include_events=False),
-        "wall_time": time.perf_counter() - start,
-        "worker": f"pid{os.getpid()}",
-    }
-
-
-def _execute_batch_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker entry point for one batch group (many cells, one run).
-
-    The cells — mixed mechanisms and thresholds — share a single
-    trajectory (see ``repro.network.batch``); the returned stats list
-    aligns with ``payload["keys"]``.
-    """
-    start = time.perf_counter()
-    config = SimulationConfig.from_dict(payload["config"])
-    cells = [DetectorConfig(**cell) for cell in payload["detectors"]]
-    stats_list = batch_backend.BatchSimulator(config, cells).run()
-    return {
-        "keys": payload["keys"],
-        "stats": [s.to_dict(include_events=False) for s in stats_list],
-        "wall_time": time.perf_counter() - start,
-        "worker": f"pid{os.getpid()}",
-    }
-
-
-def _batch_payload(jobs: Sequence[CellJob]) -> Dict[str, Any]:
-    """Pickle-light dict form of one batch group."""
-    return {
-        "keys": [job.key for job in jobs],
-        # Full per-cell detector configs: groups fold across mechanisms
-        # and probe caps, not just thresholds.
-        "detectors": [asdict(job.config.detector) for job in jobs],
-        # Any member's config works: the group is equal modulo its
-        # detector cell (batch_group_key masks exactly those fields).
-        "config": jobs[0].config.to_dict(),
-    }
-
-
-def _plan_batch_jobs(
-    pending: Sequence[CellJob],
-) -> Tuple[List[List[CellJob]], List[CellJob]]:
-    """Split cache-miss jobs into shareable batch groups and singles."""
-    groups, singles = batch_backend.plan_batches(
-        [job.config for job in pending]
-    )
-    return (
-        [[pending[i] for i in group] for group in groups],
-        [pending[i] for i in singles],
-    )
+    keys = payload["keys"]
+    if len(keys) == 1:
+        stats_list = [Simulator(config).run()]
+    else:
+        cells = [DetectorConfig(**cell) for cell in payload["detectors"]]
+        stats_list = batch_backend.BatchSimulator(config, cells).run()
+    per_cell = (time.perf_counter() - start) / len(keys)
+    who = worker or f"pid{os.getpid()}"
+    return [
+        cell_record(
+            key,
+            cell_from_stats(stats, rate),
+            per_cell,
+            who,
+            stats.engine,
+            stats.phase_time,
+        )
+        for key, rate, stats in zip(keys, payload["rates"], stats_list)
+    ]
 
 
 def default_num_workers() -> int:
@@ -161,42 +185,28 @@ def execute_jobs(
     if num_workers < 1:
         raise ValueError(f"num_workers must be >= 1, got {num_workers}")
     total = len(jobs)
-    done = 0
     outcomes: Dict[str, JobOutcome] = {}
     completed = checkpoint.completed() if (resume and checkpoint) else {}
 
-    def tick() -> None:
+    def finish(outcome: Optional[JobOutcome]) -> bool:
+        """Adopt a parsed outcome and store it; ``False`` if it is ``None``."""
+        if outcome is None:
+            return False
+        job = outcome.job
+        outcomes[job.key] = outcome
+        # A resumed cell is already in the manifest; re-recording would
+        # double-count it.
+        if outcome.source != "resume":
+            record = outcome.record()
+            if outcome.source == "run" and cache is not None:
+                cache.put(job.config_hash, record)
+            if checkpoint is not None:
+                checkpoint.record_cell(
+                    config_hash=job.config_hash, source=outcome.source, **record
+                )
         if progress is not None:
-            progress(done, total)
-
-    def finish(outcome: JobOutcome, record: bool = True) -> None:
-        nonlocal done
-        outcomes[outcome.job.key] = outcome
-        if outcome.source == "run" and cache is not None:
-            cache.put(
-                outcome.job.config_hash,
-                {
-                    "key": outcome.job.key,
-                    "cell": cell_to_dict(outcome.cell),
-                    "wall_time": outcome.wall_time,
-                    "worker": outcome.worker,
-                    "engine": outcome.engine,
-                    "phase_time": outcome.phase_time,
-                },
-            )
-        if record and checkpoint is not None:
-            checkpoint.record_cell(
-                key=outcome.job.key,
-                config_hash=outcome.job.config_hash,
-                cell=cell_to_dict(outcome.cell),
-                wall_time=outcome.wall_time,
-                worker=outcome.worker,
-                source=outcome.source,
-                engine=outcome.engine,
-                phase_time=outcome.phase_time,
-            )
-        done += 1
-        tick()
+            progress(len(outcomes), total)
+        return True
 
     # Layer 1 + 2: serve what the manifest and the cache already know.
     # Stored entries are validated, not trusted: a torn or wrong-shape
@@ -204,145 +214,43 @@ def execute_jobs(
     # layer with a warning instead of poisoning the whole campaign.
     pending: List[CellJob] = []
     for job in jobs:
-        record = completed.get(job.config_hash)
-        if record is not None:
-            outcome = _outcome_from_stored(
-                job, record, worker="manifest", source="resume"
-            )
-            if outcome is not None:
-                # Already in the manifest; re-recording would double-count.
-                finish(outcome, record=False)
-                continue
-        payload = cache.get(job.config_hash) if cache is not None else None
-        if payload is not None:
-            outcome = _outcome_from_stored(
-                job, payload, worker="cache", source="cache"
-            )
-            if outcome is not None:
-                finish(outcome)
-                continue
+        stored = completed.get(job.config_hash)
+        if stored is not None and finish(
+            JobOutcome.from_record(job, stored, "resume", worker="manifest")
+        ):
+            continue
+        stored = cache.get(job.config_hash) if cache is not None else None
+        if stored is not None and finish(
+            JobOutcome.from_record(job, stored, "cache", worker="cache")
+        ):
+            continue
         pending.append(job)
 
-    # Layer 3: simulate the rest.  Eligible cells that differ only in
-    # their detector cell share one trajectory per group
-    # (see repro.network.batch); everything else runs per cell.
-    groups, singles = _plan_batch_jobs(pending)
+    # Layer 3: simulate the rest, unit by unit — the cells nothing can
+    # share with as units of one, then the shared-trajectory groups.
+    groups, singles = batch_backend.plan_batches(
+        [job.config for job in pending]
+    )
+    units = [[pending[i]] for i in singles]
+    units += [[pending[i] for i in group] for group in groups]
+
+    def finish_unit(unit: List[CellJob], records: List[Dict[str, Any]]) -> None:
+        for job, record in zip(unit, records):
+            if not finish(JobOutcome.from_record(job, record, "run")):
+                raise RuntimeError(f"worker returned no usable record for {job.key}")
+
     if num_workers == 1:
-        for job in singles:
-            result = _execute_payload(job.payload())
-            finish(_outcome_from_result(job, result, worker="serial"))
-        for group in groups:
-            result = _execute_batch_payload(_batch_payload(group))
-            for outcome in _outcomes_from_batch(group, result, worker="serial"):
-                finish(outcome)
-    elif pending:
-        _run_pool(singles, groups, num_workers, finish)
+        for unit in units:
+            finish_unit(unit, _run_unit(unit_payload(unit), "serial"))
+    elif units:
+        # Units finish out of order; each is one pool task.
+        pool = ProcessPoolExecutor(max_workers=min(num_workers, len(units)))
+        try:
+            futures = {
+                pool.submit(_run_unit, unit_payload(unit)): unit for unit in units
+            }
+            for future in as_completed(futures):
+                finish_unit(futures[future], future.result())
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
     return outcomes
-
-
-def _outcome_from_stored(
-    job: CellJob, payload: Dict[str, Any], worker: str, source: str
-) -> Optional[JobOutcome]:
-    """Rebuild a stored (manifest/cache) entry, or ``None`` if malformed."""
-    try:
-        cell = cell_from_dict(payload["cell"])
-        wall_time = float(payload.get("wall_time", 0.0))
-        engine = str(payload.get("engine", ""))
-        phase_time = dict(payload.get("phase_time", {}))
-    except (KeyError, TypeError, ValueError) as exc:
-        warnings.warn(
-            f"ignoring malformed {source} entry for {job.key} "
-            f"({type(exc).__name__}: {exc}); the cell will be re-resolved",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return None
-    return JobOutcome(
-        job=job,
-        cell=cell,
-        wall_time=wall_time,
-        worker=worker,
-        source=source,
-        engine=engine,
-        phase_time=phase_time,
-    )
-
-
-def _outcome_from_result(
-    job: CellJob, result: Dict[str, Any], worker: Optional[str] = None
-) -> JobOutcome:
-    """Rebuild stats shipped by a worker and derive the cell result."""
-    stats = SimulationStats.from_dict(result["stats"])
-    return JobOutcome(
-        job=job,
-        cell=cell_from_stats(stats, job.rate),
-        wall_time=result["wall_time"],
-        worker=worker if worker is not None else result["worker"],
-        source="run",
-        engine=stats.engine,
-        phase_time=dict(stats.phase_time),
-    )
-
-
-def _outcomes_from_batch(
-    jobs: Sequence[CellJob],
-    result: Dict[str, Any],
-    worker: Optional[str] = None,
-) -> Iterator[JobOutcome]:
-    """Split one batch-group result into per-cell outcomes.
-
-    The group's wall time is attributed evenly across its cells — the
-    shared trajectory is one indivisible advance, and an even split
-    keeps campaign-level wall-time sums meaningful.
-    """
-    per_cell = result["wall_time"] / max(len(jobs), 1)
-    who = worker if worker is not None else result["worker"]
-    for job, stats_dict in zip(jobs, result["stats"]):
-        stats = SimulationStats.from_dict(stats_dict)
-        yield JobOutcome(
-            job=job,
-            cell=cell_from_stats(stats, job.rate),
-            wall_time=per_cell,
-            worker=who,
-            source="run",
-            engine=stats.engine,
-            phase_time=dict(stats.phase_time),
-        )
-
-
-def _run_pool(
-    singles: Sequence[CellJob],
-    groups: Sequence[Sequence[CellJob]],
-    num_workers: int,
-    finish: Callable[[JobOutcome], None],
-) -> None:
-    """Fan pending work out over a process pool, finishing out-of-order.
-
-    Batch groups are single pool tasks (one shared run each); their
-    per-cell outcomes are finished together when the group completes.
-    """
-    width = min(num_workers, len(singles) + len(groups))
-    executor = ProcessPoolExecutor(max_workers=width)
-    try:
-        futures: Dict[Any, Optional[CellJob]] = {
-            executor.submit(_execute_payload, job.payload()): job
-            for job in singles
-        }
-        group_futures: Dict[Any, Sequence[CellJob]] = {
-            executor.submit(_execute_batch_payload, _batch_payload(group)): group
-            for group in groups
-        }
-        futures.update({future: None for future in group_futures})
-        not_done = set(futures)
-        while not_done:
-            finished, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-            for future in finished:
-                job = futures[future]
-                if job is not None:
-                    finish(_outcome_from_result(job, future.result()))
-                else:
-                    group = group_futures[future]
-                    for outcome in _outcomes_from_batch(group, future.result()):
-                        finish(outcome)
-    finally:
-        executor.shutdown(wait=False, cancel_futures=True)

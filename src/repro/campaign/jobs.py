@@ -17,14 +17,11 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.experiments.runner import CellResult, build_cell_config
 from repro.experiments.spec import TableSpec
 from repro.network.config import SimulationConfig
-
-#: Per-cell seed derivation policies (see :func:`enumerate_table_jobs`).
-SEED_POLICIES = ("shared", "per-cell")
 
 
 def canonical_config_json(config: SimulationConfig) -> str:
@@ -43,20 +40,6 @@ def config_hash(config: SimulationConfig) -> str:
     """
     text = canonical_config_json(config)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def derive_cell_seed(
-    base_seed: int, table_id: int, threshold: int, load_index: int, size: str
-) -> int:
-    """Deterministic per-cell seed, decorrelated across the grid.
-
-    Uses SHA-256 over the cell coordinates (not :func:`hash`, which is
-    process-randomized), so the same cell always gets the same seed on
-    any machine or worker process.
-    """
-    material = f"{base_seed}|{table_id}|{threshold}|{load_index}|{size}"
-    digest = hashlib.sha256(material.encode("utf-8")).digest()
-    return int.from_bytes(digest[:4], "big")
 
 
 def job_key(table_id: int, threshold: int, load_index: int, size: str) -> str:
@@ -81,45 +64,44 @@ class CellJob:
     #: Content hash of ``config`` (cache / manifest key).
     config_hash: str
 
-    def payload(self) -> Dict[str, Any]:
-        """Pickle-light dict form shipped to worker processes."""
-        return {
-            "key": self.key,
-            "rate": self.rate,
-            "config": self.config.to_dict(),
-        }
+
+def unit_payload(jobs: Sequence[CellJob]) -> Dict[str, Any]:
+    """Pickle-light dict form of one unit of work (jobs sharing one run).
+
+    A unit of one is a solo cell.  A larger unit is equal modulo its
+    detector cell (``batch_group_key`` masks exactly those fields), so
+    any member's config describes the shared run and the per-cell
+    detector configs say what to fold — groups span mechanisms and
+    probe caps, not just thresholds.
+    """
+    return {
+        "keys": [job.key for job in jobs],
+        "rates": [job.rate for job in jobs],
+        "detectors": [dataclasses.asdict(job.config.detector) for job in jobs],
+        "config": jobs[0].config.to_dict(),
+    }
 
 
 def enumerate_table_jobs(
     spec: TableSpec,
     base: SimulationConfig,
     saturation: float,
-    seed_policy: str = "shared",
 ) -> Tuple[Tuple[float, ...], List[CellJob]]:
     """Expand one table spec into its (rates, jobs) in canonical order.
+
+    Every cell runs on ``base.seed``, exactly as the sequential runner
+    does; vary the seed by passing a different ``base``.
 
     Args:
         spec: the table's grid definition.
         base: base simulation config (topology, windows, seed).
         saturation: saturation rate (flits/cycle/node) scaling the loads.
-        seed_policy: ``"shared"`` runs every cell on ``base.seed`` —
-            bit-identical to the sequential runner; ``"per-cell"``
-            derives a decorrelated seed per cell via
-            :func:`derive_cell_seed` (useful for variance studies).
     """
-    if seed_policy not in SEED_POLICIES:
-        raise ValueError(
-            f"unknown seed policy {seed_policy!r}; choose one of {SEED_POLICIES}"
-        )
     rates = tuple(round(f * saturation, 4) for f in spec.load_fractions)
     jobs: List[CellJob] = []
     for threshold, load_index, size in spec.cell_coords():
         rate = rates[load_index]
         config = build_cell_config(base, spec, threshold, size, rate)
-        if seed_policy == "per-cell":
-            config.seed = derive_cell_seed(
-                base.seed, spec.table_id, threshold, load_index, size
-            )
         jobs.append(
             CellJob(
                 key=job_key(spec.table_id, threshold, load_index, size),
@@ -136,8 +118,31 @@ def enumerate_table_jobs(
 
 
 # ----------------------------------------------------------------------
-# CellResult serialization (cache / manifest payloads)
+# Cell records (cache / manifest payloads)
 # ----------------------------------------------------------------------
+
+def cell_record(
+    key: str,
+    cell: CellResult,
+    wall_time: float,
+    worker: str,
+    engine: str,
+    phase_time: Dict[str, float],
+) -> Dict[str, Any]:
+    """The stored form of one resolved cell.
+
+    A worker returns it, a cache file holds it, and a manifest line
+    holds it next to ``kind`` / ``config_hash`` / ``source``.
+    """
+    return {
+        "key": key,
+        "cell": cell_to_dict(cell),
+        "wall_time": wall_time,
+        "worker": worker,
+        "engine": engine,
+        "phase_time": phase_time,
+    }
+
 
 def cell_to_dict(cell: CellResult) -> Dict[str, Any]:
     """JSON-serializable form of one cell result."""

@@ -30,7 +30,6 @@ from repro.network.kernel import (  # noqa: F401 - re-exported contract tables
     EFFECT_GROUPS,
     PHASE_EFFECTS,
     PHASE_METHODS,
-    PHASE_SEQUENCE,
 )
 
 #: Every behavioural attribute name the analyzer tracks.  Attribute

@@ -11,7 +11,7 @@ tests pick it up from the registry.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.lint.findings import Finding
 from repro.lint.module import ClassSummary, ModuleInfo, dotted_name
@@ -91,7 +91,7 @@ _RANDOM_OK = {"Random", "SystemRandom"}
 @register_rule
 class GlobalRandomRule(Rule):
     code = "DET002"
-    summary = "no module-level random / numpy.random use outside injected RNGs"
+    summary = "no module-level random use outside injected RNGs"
     hint = (
         "thread a seeded random.Random instance through the call chain "
         "instead of the module-level API"
@@ -99,49 +99,17 @@ class GlobalRandomRule(Rule):
     scopes = ("repro",)
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        seen: Set[Tuple[int, int]] = set()
         for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
+            if isinstance(node, ast.ImportFrom) and node.module == "random":
                 for alias in node.names:
-                    if alias.name.split(".")[0] == "numpy" and (
-                        alias.name == "numpy.random"
-                        or alias.name.startswith("numpy.random.")
-                    ):
+                    if alias.name not in _RANDOM_OK:
                         yield self.finding(
                             module,
                             node.lineno,
                             node.col_offset,
-                            f"import of {alias.name} (global RNG state)",
+                            "import of module-level random."
+                            f"{alias.name} (global RNG state)",
                         )
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                if node.module == "random":
-                    for alias in node.names:
-                        if alias.name not in _RANDOM_OK:
-                            yield self.finding(
-                                module,
-                                node.lineno,
-                                node.col_offset,
-                                "import of module-level random."
-                                f"{alias.name} (global RNG state)",
-                            )
-                elif node.module == "numpy.random" or node.module.startswith(
-                    "numpy.random."
-                ):
-                    yield self.finding(
-                        module,
-                        node.lineno,
-                        node.col_offset,
-                        f"import from {node.module} (global RNG state)",
-                    )
-                elif node.module == "numpy":
-                    for alias in node.names:
-                        if alias.name == "random":
-                            yield self.finding(
-                                module,
-                                node.lineno,
-                                node.col_offset,
-                                "import of numpy.random (global RNG state)",
-                            )
             elif isinstance(node, ast.Call):
                 name = dotted_name(node.func)
                 if name is None or "." not in name:
@@ -152,32 +120,12 @@ class GlobalRandomRule(Rule):
                     and resolved.count(".") == 1
                     and resolved.split(".")[1] not in _RANDOM_OK
                 ):
-                    key = (node.lineno, node.col_offset)
-                    if key not in seen:
-                        seen.add(key)
-                        yield self.finding(
-                            module,
-                            node.lineno,
-                            node.col_offset,
-                            f"module-level {name}() call uses the global RNG",
-                        )
-            elif isinstance(node, ast.Attribute):
-                name = dotted_name(node)
-                if name is None:
-                    continue
-                resolved = _resolve(module, name)
-                if resolved == "numpy.random" or resolved.startswith(
-                    "numpy.random."
-                ):
-                    key = (node.lineno, node.col_offset)
-                    if key not in seen:
-                        seen.add(key)
-                        yield self.finding(
-                            module,
-                            node.lineno,
-                            node.col_offset,
-                            f"use of {name} (global numpy RNG state)",
-                        )
+                    yield self.finding(
+                        module,
+                        node.lineno,
+                        node.col_offset,
+                        f"module-level {name}() call uses the global RNG",
+                    )
 
 
 # ----------------------------------------------------------------------
@@ -249,42 +197,6 @@ class SetIterationRule(Rule):
                         expr.col_offset,
                         "iteration over .keys() of a non-int-keyed dict; "
                         "iterate the dict directly or sort",
-                    )
-
-
-# ----------------------------------------------------------------------
-# DET004 — numpy in flit-level simulation packages
-# ----------------------------------------------------------------------
-@register_rule
-class NumpyImportRule(Rule):
-    code = "DET004"
-    summary = "no numpy imports under repro.network / repro.core / repro.traffic"
-    hint = (
-        "the flit-level simulator is pure-python by design (see PR 2's "
-        "cache-poisoning bug); keep numpy in analysis/figures layers"
-    )
-    scopes = ("repro.network", "repro.core", "repro.traffic")
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name.split(".")[0] == "numpy":
-                        yield self.finding(
-                            module,
-                            node.lineno,
-                            node.col_offset,
-                            f"numpy import ({alias.name}) in a "
-                            "simulation-kernel package",
-                        )
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                if node.module.split(".")[0] == "numpy":
-                    yield self.finding(
-                        module,
-                        node.lineno,
-                        node.col_offset,
-                        f"numpy import (from {node.module}) in a "
-                        "simulation-kernel package",
                     )
 
 

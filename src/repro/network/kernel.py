@@ -1,11 +1,13 @@
 """The cycle contract: phase order and per-phase effect tables.
 
 One cycle is the fixed phase sequence checks, probes, routing, movement,
-injection, generation, run by :meth:`Simulator.step` (and its profiled
-twin) for every ``config.engine`` value.  The engines do not differ in
-sequencing: ``"scan"`` leaves the simulator's park flags off and
-re-scans every message every cycle (the reference) while ``"event"``
-parks blocked headers and frozen worms until a provable wakeup event.
+injection, generation: :meth:`Simulator.step` loops over
+``PHASE_METHODS`` below (clocking each phase when
+``config.profile_phases`` is set) for every ``config.engine`` value.
+The engines do not differ in sequencing: ``"scan"`` leaves the
+simulator's park flags off and re-scans every message every cycle (the
+reference) while ``"event"`` parks blocked headers and frozen worms
+until a provable wakeup event.
 
 What lives here is the declared contract over that sequence, read by
 the phase-effect analyzer (``repro lint``): the behavioural effect
@@ -14,7 +16,7 @@ domain and which part of it each phase may write.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Tuple
+from typing import Dict, FrozenSet
 
 
 # ----------------------------------------------------------------------
@@ -123,8 +125,8 @@ def _effects(*groups: str) -> FrozenSet[str]:
     return out
 
 
-#: Simulator phase-method name -> phase name, in canonical order (the
-#: order :meth:`Simulator.step` runs them).
+#: Simulator phase-method name -> phase name, in canonical order.  This
+#: table *is* the cycle: :meth:`Simulator.step` executes it.
 PHASE_METHODS: Dict[str, str] = {
     "_checks_phase": "checks",
     "_probes_phase": "probes",
@@ -133,16 +135,6 @@ PHASE_METHODS: Dict[str, str] = {
     "_injection_phase": "injection",
     "_generation_phase": "generation",
 }
-
-#: The canonical phase order (documentation + table-driven tests).
-PHASE_SEQUENCE: Tuple[str, ...] = (
-    "checks",
-    "probes",
-    "routing",
-    "movement",
-    "injection",
-    "generation",
-)
 
 #: Phase name -> attributes the phase (transitively) may write.  The
 #: checks/probes/routing phases can reach detection and therefore the

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional
 
 from repro.network.channel import PhysicalChannel, VirtualChannel
 from repro.network.topology import Direction
-from repro.network.types import NodeId, PortKind
+from repro.network.types import NodeId
 
 
 class Router:
@@ -118,8 +118,3 @@ class Router:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return self.describe()
-
-
-def kind_of(pc: PhysicalChannel) -> PortKind:
-    """Convenience accessor kept for symmetry with older call sites."""
-    return pc.kind

@@ -72,7 +72,7 @@ from repro.faults.spec import FaultSpec
 from repro.metrics.stats import SimulationStats
 from repro.network.channel import PhysicalChannel, VirtualChannel
 from repro.network.config import SimulationConfig
-from repro.network.kernel import PHASE_SEQUENCE
+from repro.network.kernel import PHASE_METHODS
 from repro.network.message import Message, usable_lanes
 from repro.network.rotating import RotatingList
 from repro.network.router import Router
@@ -144,21 +144,27 @@ class Simulator:
             engine=config.engine,
         )
         self._phase_time = self.stats.phase_time
-        for name in PHASE_SEQUENCE:
+        for name in PHASE_METHODS.values():
             self._phase_time[name] = 0.0
 
-        # Per-phase wall-clock timing is opt-in: the ten perf_counter
-        # calls per cycle are measurable on the hot path (see
+        # Per-phase wall-clock timing is opt-in: the perf_counter calls
+        # per cycle are measurable on the hot path (see
         # docs/performance.md), so step() skips them unless profiling.
         self._profile = config.profile_phases
         # Event engine state.  Parking is only sound when the detector has
         # no per-attempt side effects on blocked messages.
         self._park_enabled = config.engine != "scan"
         self._detector_can_sleep = self.detector.can_sleep_blocked
-        # Probe-family detectors get a dedicated out-of-band phase between
-        # checks and routing; for every other detector the gate stays
-        # False and step() never pays for the extra call.
-        self._probe_phase_on = self.detector.has_probe_phase
+        #: The cycle, as step() executes it: (phase name, bound method)
+        #: in the canonical order of ``PHASE_METHODS``.  Probe-family
+        #: detectors get a dedicated out-of-band phase between checks and
+        #: routing; for every other detector the entry is left out and
+        #: step() never pays for the extra call.
+        self._phases: List[Tuple[str, Callable[[int], None]]] = [
+            (name, getattr(self, method))
+            for method, name in PHASE_METHODS.items()
+            if name != "probes" or self.detector.has_probe_phase
+        ]
         #: (deadline_cycle, seq, message) heap of sleeping headers whose
         #: detector predicate can first become true at deadline_cycle.
         self._route_deadlines: List[Tuple[int, int, Message]] = []
@@ -330,42 +336,17 @@ class Simulator:
             injector.apply(cycle)
 
         if self._profile:
-            self._phases_profiled(cycle)
+            phase_time = self._phase_time
+            start = perf_counter()
+            for name, phase in self._phases:
+                phase(cycle)
+                end = perf_counter()
+                phase_time[name] += end - start
+                start = end
         else:
-            self._checks_phase(cycle)
-            if self._probe_phase_on:
-                self._probes_phase(cycle)
-            self._routing_phase(cycle)
-            self._movement_phase(cycle)
-            self._injection_phase(cycle)
-            if self.generation_enabled:
-                self._generation_phase(cycle)
+            for _, phase in self._phases:
+                phase(cycle)
         self.cycle = cycle + 1
-
-    def _phases_profiled(self, cycle: int) -> None:
-        """The phase sequence of :meth:`step` with per-phase wall clocks."""
-        t0 = perf_counter()
-        self._checks_phase(cycle)
-        t1 = perf_counter()
-        if self._probe_phase_on:
-            self._probes_phase(cycle)
-        t1b = perf_counter()
-        self._routing_phase(cycle)
-        t2 = perf_counter()
-        self._movement_phase(cycle)
-        t3 = perf_counter()
-        self._injection_phase(cycle)
-        t4 = perf_counter()
-        if self.generation_enabled:
-            self._generation_phase(cycle)
-        t5 = perf_counter()
-        pt = self._phase_time
-        pt["checks"] += t1 - t0
-        pt["probes"] += t1b - t1
-        pt["routing"] += t2 - t1b
-        pt["movement"] += t3 - t2
-        pt["injection"] += t4 - t3
-        pt["generation"] += t5 - t4
 
     # ------------------------------------------------------------------
     # Phases 1-2: ground truth, recovery-lane completions, source checks
@@ -963,7 +944,7 @@ class Simulator:
     # ------------------------------------------------------------------
     def _generation_phase(self, cycle: int) -> None:
         p = self.workload.generation_probability
-        if p <= 0.0:
+        if p <= 0.0 or not self.generation_enabled:
             return
         # Per-node Bernoulli draws from the single seeded ``random.Random``
         # stream, drawn in node order *before* any destination/length

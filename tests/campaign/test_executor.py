@@ -1,11 +1,14 @@
 """Tests for the campaign executor: serial/pool determinism, cache, resume."""
 
+import json
+
 import pytest
 
+import repro.campaign.executor as executor_module
 from repro.campaign.cache import ResultCache
 from repro.campaign.checkpoint import CampaignCheckpoint
-from repro.campaign.executor import execute_jobs
-from repro.campaign.jobs import cell_to_dict, enumerate_table_jobs
+from repro.campaign.executor import JobOutcome, execute_jobs
+from repro.campaign.jobs import cell_to_dict, enumerate_table_jobs, unit_payload
 from repro.experiments.runner import cell_from_stats, run_cell
 from repro.network.simulator import Simulator
 from tests.campaign.conftest import tiny_base, tiny_spec
@@ -23,6 +26,20 @@ def batch_base():
     base = tiny_base()
     base.recovery = "none"
     return base
+
+
+def spy_on_units(monkeypatch):
+    """Patch the one worker entry; returns the live list of the key
+    lists it is called with (one per unit, in execution order)."""
+    units = []
+    original = executor_module._run_unit
+
+    def spy(payload, worker=None):
+        units.append(list(payload["keys"]))
+        return original(payload, worker)
+
+    monkeypatch.setattr(executor_module, "_run_unit", spy)
+    return units
 
 
 class TestDeterminism:
@@ -111,28 +128,17 @@ class TestCacheIntegration:
 
 
 class TestResume:
-    def test_finished_cells_not_rerun(self, tmp_path):
+    def test_finished_cells_not_rerun(self, tmp_path, monkeypatch):
         jobs = tiny_jobs()
         ck = CampaignCheckpoint(tmp_path / "m.jsonl")
         # Simulate an interrupted campaign: only the first cell finished.
         first = execute_jobs(jobs[:1], num_workers=1, checkpoint=ck)
 
-        executed = []
-        import repro.campaign.executor as executor_module
-        original = executor_module._execute_payload
+        executed = spy_on_units(monkeypatch)
+        resumed = execute_jobs(jobs, num_workers=1, checkpoint=ck,
+                               resume=True)
 
-        def spy(payload):
-            executed.append(payload["key"])
-            return original(payload)
-
-        executor_module._execute_payload = spy
-        try:
-            resumed = execute_jobs(jobs, num_workers=1, checkpoint=ck,
-                                   resume=True)
-        finally:
-            executor_module._execute_payload = original
-
-        assert executed == [j.key for j in jobs[1:]]
+        assert executed == [[j.key] for j in jobs[1:]]
         assert resumed[jobs[0].key].source == "resume"
         assert resumed[jobs[0].key].cell == first[jobs[0].key].cell
 
@@ -200,30 +206,18 @@ class TestStoredEntryValidation:
 class TestBatchGrouping:
     """Eligible cells equal modulo detector cell share one trajectory."""
 
-    def test_batch_cells_equal_event_cells(self):
+    def test_batch_cells_equal_event_cells(self, monkeypatch):
         """A default-engine ``recovery="none"`` campaign folds without
         being asked to, and every folded cell equals its solo run."""
-        import repro.campaign.executor as executor_module
-
         jobs = tiny_jobs(base=batch_base())
         assert {job.config.engine for job in jobs} == {"event"}
 
-        grouped = []
-        original = executor_module._execute_batch_payload
-
-        def spy(payload):
-            grouped.append(sorted(payload["keys"]))
-            return original(payload)
-
-        executor_module._execute_batch_payload = spy
-        try:
-            batched = execute_jobs(jobs, num_workers=1)
-        finally:
-            executor_module._execute_batch_payload = original
+        units = spy_on_units(monkeypatch)
+        batched = execute_jobs(jobs, num_workers=1)
 
         # One shared run per load level (the two thresholds fold).
-        assert len(grouped) == 2
-        assert all(len(keys) == 2 for keys in grouped)
+        assert len(units) == 2
+        assert all(len(keys) == 2 for keys in units)
         for job in jobs:
             solo = cell_from_stats(Simulator(job.config).run(), job.rate)
             assert batched[job.key].cell == solo, job.key
@@ -246,15 +240,13 @@ class TestBatchGrouping:
             assert second[key].source == "cache"
             assert second[key].cell == first[key].cell
 
-    def test_resume_mid_group_entries_byte_identical(self, tmp_path):
+    def test_resume_mid_group_entries_byte_identical(
+        self, tmp_path, monkeypatch
+    ):
         """Grouping is a pure optimization: a ``--resume`` after a
         partial run re-groups the leftover cells (here a group loses a
         member and degrades to a single), and the stored records must
         stay byte-identical to an uninterrupted campaign's."""
-        import json
-
-        import repro.campaign.executor as executor_module
-
         jobs = tiny_jobs(base=batch_base())
 
         def cell_bytes(cache):
@@ -277,22 +269,176 @@ class TestBatchGrouping:
         execute_jobs(jobs[:1], num_workers=1, cache=part_cache,
                      checkpoint=ck)
 
-        grouped = []
-        original = executor_module._execute_batch_payload
-
-        def spy(payload):
-            grouped.append(sorted(payload["keys"]))
-            return original(payload)
-
-        executor_module._execute_batch_payload = spy
-        try:
-            resumed = execute_jobs(jobs, num_workers=1, cache=part_cache,
-                                   checkpoint=ck, resume=True)
-        finally:
-            executor_module._execute_batch_payload = original
+        units = spy_on_units(monkeypatch)
+        resumed = execute_jobs(jobs, num_workers=1, cache=part_cache,
+                               checkpoint=ck, resume=True)
 
         # The interrupted group really was re-planned: its surviving
-        # member must not be in any batched group this time.
-        assert jobs[0].key not in {k for keys in grouped for k in keys}
+        # member ran in no unit this time, and its partner ran alone.
+        assert jobs[0].key not in {k for keys in units for k in keys}
+        assert sorted(len(keys) for keys in units) == [1, 2]
         assert resumed[jobs[0].key].source == "resume"
         assert cell_bytes(part_cache) == cell_bytes(full_cache)
+
+
+#: A cache file and a manifest line exactly as the commit before the
+#: one-record refactor wrote them (``<HASH>`` stands for the job's
+#: config hash, which names the cache file and keys the manifest line).
+PARENT_CACHE_ENTRY = (
+    '{"cell": {"detections": 0, "false_detections": 0, '
+    '"had_true_deadlock": false, "injected": 192, "injection_rate": 0.5, '
+    '"messages_detected": 0, "percentage": 0.0, "throughput": 0.4825, '
+    '"true_detections": 0}, "engine": "event", "key": "table2/th8/load0/s", '
+    '"phase_time": {"checks": 0.0, "generation": 0.0, "injection": 0.0, '
+    '"movement": 0.0, "probes": 0.0, "routing": 0.0}, '
+    '"wall_time": 0.020920826002111426, "worker": "serial"}'
+)
+PARENT_MANIFEST_LINE = (
+    '{"cell": {"detections": 0, "false_detections": 0, '
+    '"had_true_deadlock": false, "injected": 192, "injection_rate": 0.5, '
+    '"messages_detected": 0, "percentage": 0.0, "throughput": 0.4825, '
+    '"true_detections": 0}, "config_hash": "<HASH>", "engine": "event", '
+    '"key": "table2/th8/load0/s", "kind": "cell", '
+    '"phase_time": {"checks": 0.0, "generation": 0.0, "injection": 0.0, '
+    '"movement": 0.0, "probes": 0.0, "routing": 0.0}, "source": "run", '
+    '"wall_time": 0.020920826002111426, "worker": "serial"}\n'
+)
+
+
+def mixed_jobs():
+    """Recovery-on cells (units of one) plus a foldable grid."""
+    return tiny_jobs() + tiny_jobs(tiny_spec(table_id=3), batch_base())
+
+
+class TestOneRecord:
+    """A worker's record is the cache entry is the manifest line."""
+
+    @pytest.mark.parametrize("base", [tiny_base, batch_base])
+    def test_worker_record_is_what_both_stores_hold(
+        self, base, tmp_path, monkeypatch
+    ):
+        jobs = tiny_jobs(base=base())
+        returned = {}
+        original = executor_module._run_unit
+
+        def spy(payload, worker=None):
+            records = original(payload, worker)
+            returned.update({record["key"]: record for record in records})
+            return records
+
+        monkeypatch.setattr(executor_module, "_run_unit", spy)
+        cache = ResultCache(tmp_path / "cache")
+        ck = CampaignCheckpoint(tmp_path / "m.jsonl")
+        outcomes = execute_jobs(jobs, num_workers=1, cache=cache, checkpoint=ck)
+
+        folded = base is batch_base
+        assert {o.engine for o in outcomes.values()} == (
+            {"batch"} if folded else {"event"}
+        )
+        lines = {r["key"]: r for r in ck.records() if r["kind"] == "cell"}
+        for job in jobs:
+            record = returned[job.key]
+            assert set(record) == {
+                "key", "cell", "wall_time", "worker", "engine", "phase_time"
+            }
+            on_disk = json.loads(cache.path_for(job.config_hash).read_text())
+            assert on_disk == record
+            line = dict(lines[job.key])
+            assert line.pop("kind") == "cell"
+            assert line.pop("config_hash") == job.config_hash
+            assert line.pop("source") == "run"
+            assert line == record
+            assert outcomes[job.key].record() == record
+
+    def test_run_cache_and_resume_agree(self, tmp_path):
+        job = tiny_jobs()[0]
+        cache = ResultCache(tmp_path / "cache")
+        ck = CampaignCheckpoint(tmp_path / "m.jsonl")
+        ran = execute_jobs([job], num_workers=1, cache=cache)[job.key]
+        hit = execute_jobs([job], num_workers=1, cache=cache,
+                           checkpoint=ck)[job.key]
+        resumed = execute_jobs([job], num_workers=1, checkpoint=ck,
+                               resume=True)[job.key]
+        assert [o.source for o in (ran, hit, resumed)] == [
+            "run", "cache", "resume"
+        ]
+        assert [o.worker for o in (ran, hit, resumed)] == [
+            "serial", "cache", "manifest"
+        ]
+        for other in (hit, resumed):
+            assert other.cell == ran.cell
+            assert other.engine == ran.engine == "event"
+            assert other.phase_time == ran.phase_time
+            assert other.wall_time == ran.wall_time
+
+    def test_parent_commit_cache_entry_is_a_hit(self, tmp_path, monkeypatch):
+        job = tiny_jobs()[0]
+        cache = ResultCache(tmp_path)
+        path = cache.path_for(job.config_hash)
+        path.parent.mkdir(parents=True)
+        path.write_text(PARENT_CACHE_ENTRY)
+        units = spy_on_units(monkeypatch)
+        outcome = execute_jobs([job], num_workers=1, cache=cache)[job.key]
+        assert units == []
+        assert (cache.hits, cache.misses) == (1, 0)
+        assert outcome.source == "cache"
+        assert outcome.engine == "event"
+        assert outcome.wall_time == 0.020920826002111426
+        assert outcome.cell == run_cell(
+            tiny_base(), tiny_spec(), job.threshold, job.size, job.rate
+        )
+
+    def test_parent_commit_manifest_line_resumes(self, tmp_path, monkeypatch):
+        job = tiny_jobs()[0]
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(
+            PARENT_MANIFEST_LINE.replace("<HASH>", job.config_hash)
+        )
+        units = spy_on_units(monkeypatch)
+        outcome = execute_jobs(
+            [job], num_workers=1, checkpoint=CampaignCheckpoint(manifest),
+            resume=True,
+        )[job.key]
+        assert units == []
+        assert outcome.source == "resume"
+        assert outcome.worker == "manifest"
+        assert set(outcome.phase_time) == {
+            "checks", "probes", "routing", "movement", "injection",
+            "generation",
+        }
+        # Served, not re-recorded.
+        assert manifest.read_text().count("\n") == 1
+
+    def test_record_without_cell_downgrades(self, tmp_path):
+        job = tiny_jobs()[0]
+        stored = json.loads(PARENT_CACHE_ENTRY)
+        del stored["cell"]
+        with pytest.warns(RuntimeWarning, match="malformed cache entry"):
+            assert JobOutcome.from_record(job, stored, "cache", "cache") is None
+        cache = ResultCache(tmp_path)
+        cache.put(job.config_hash, stored)
+        with pytest.warns(RuntimeWarning, match="malformed cache entry"):
+            outcome = execute_jobs([job], num_workers=1, cache=cache)[job.key]
+        assert outcome.source == "run"
+
+    @pytest.mark.parametrize("num_workers", [1, 2])
+    def test_no_stats_round_trip(self, num_workers, monkeypatch):
+        """Nothing serializes a ``SimulationStats``: the worker derives
+        the cell where the stats are and ships the record."""
+        from repro.metrics.stats import SimulationStats
+
+        def boom(*args, **kwargs):
+            raise AssertionError("SimulationStats was serialized")
+
+        monkeypatch.setattr(SimulationStats, "to_dict", boom)
+        monkeypatch.setattr(SimulationStats, "from_dict", boom)
+        jobs = mixed_jobs()
+        # (The spy is a closure, which a pool cannot pickle; forked
+        # workers inherit the patched SimulationStats regardless.)
+        units = spy_on_units(monkeypatch) if num_workers == 1 else None
+        outcomes = execute_jobs(jobs, num_workers=num_workers)
+        assert len(outcomes) == len(jobs)
+        assert {o.engine for o in outcomes.values()} == {"event", "batch"}
+        if units is not None:
+            # Units of one first, then the groups — one entry point.
+            assert [len(keys) for keys in units] == [1, 1, 1, 1, 2, 2]

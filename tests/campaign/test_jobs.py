@@ -1,15 +1,13 @@
-"""Tests for campaign job enumeration, hashing and seed derivation."""
-
-import pytest
+"""Tests for campaign job enumeration, hashing and the unit payload."""
 
 from repro.campaign.jobs import (
     CellJob,
     cell_from_dict,
     cell_to_dict,
     config_hash,
-    derive_cell_seed,
     enumerate_table_jobs,
     job_key,
+    unit_payload,
 )
 from repro.experiments.runner import CellResult, build_cell_config
 from tests.campaign.conftest import tiny_base, tiny_spec
@@ -42,27 +40,6 @@ class TestConfigHash:
         int(digest, 16)  # must be valid hex
 
 
-class TestDeriveCellSeed:
-    def test_deterministic(self):
-        assert derive_cell_seed(7, 2, 8, 0, "s") == derive_cell_seed(
-            7, 2, 8, 0, "s"
-        )
-
-    def test_decorrelated_across_cells(self):
-        seeds = {
-            derive_cell_seed(7, 2, th, li, size)
-            for th in (2, 8, 32)
-            for li in (0, 1)
-            for size in ("s", "l")
-        }
-        assert len(seeds) == 12  # no collisions on a small grid
-
-    def test_depends_on_base_seed(self):
-        assert derive_cell_seed(1, 2, 8, 0, "s") != derive_cell_seed(
-            2, 2, 8, 0, "s"
-        )
-
-
 class TestEnumerateTableJobs:
     def test_canonical_order_and_count(self, spec, base):
         rates, jobs = enumerate_table_jobs(spec, base, saturation=1.0)
@@ -81,29 +58,26 @@ class TestEnumerateTableJobs:
         assert job.config.detector.threshold == 8
         assert job.config_hash == config_hash(job.config)
 
-    def test_shared_seed_policy_keeps_base_seed(self, spec, base):
-        _, jobs = enumerate_table_jobs(spec, base, 1.0, seed_policy="shared")
+    def test_every_cell_runs_on_base_seed(self, spec, base):
+        _, jobs = enumerate_table_jobs(spec, base, 1.0)
         assert {j.config.seed for j in jobs} == {base.seed}
 
-    def test_per_cell_seed_policy_decorrelates(self, spec, base):
-        _, jobs = enumerate_table_jobs(spec, base, 1.0, seed_policy="per-cell")
-        seeds = {j.config.seed for j in jobs}
-        assert len(seeds) == len(jobs)
-        # and deterministically so
-        _, again = enumerate_table_jobs(spec, base, 1.0, seed_policy="per-cell")
-        assert [j.config.seed for j in jobs] == [j.config.seed for j in again]
-
-    def test_unknown_seed_policy_rejected(self, spec, base):
-        with pytest.raises(ValueError, match="seed policy"):
-            enumerate_table_jobs(spec, base, 1.0, seed_policy="chaos")
-
-    def test_payload_round_trips_config(self, spec, base):
-        from repro.network.config import SimulationConfig
+    def test_unit_payload_round_trips_config(self, spec, base):
+        from repro.network.config import DetectorConfig, SimulationConfig
 
         _, jobs = enumerate_table_jobs(spec, base, 1.0)
-        payload = jobs[0].payload()
-        rebuilt = SimulationConfig.from_dict(payload["config"])
+        solo = unit_payload(jobs[:1])
+        assert solo["keys"] == [jobs[0].key]
+        assert solo["rates"] == [jobs[0].rate]
+        rebuilt = SimulationConfig.from_dict(solo["config"])
         assert config_hash(rebuilt) == jobs[0].config_hash
+
+        # A larger unit carries every member's own detector cell.
+        pair = unit_payload(jobs[:2])
+        assert pair["keys"] == [j.key for j in jobs[:2]]
+        assert [DetectorConfig(**d) for d in pair["detectors"]] == [
+            j.config.detector for j in jobs[:2]
+        ]
 
 
 class TestCellSerialization:

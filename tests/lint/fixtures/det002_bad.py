@@ -1,8 +1,6 @@
 """Offending fixture: module-level RNG state."""
 
 import random
-
-import numpy
 from random import randrange  # expect: DET002
 
 
@@ -12,10 +10,6 @@ def draw() -> float:
 
 def shuffle(items: list) -> None:
     random.shuffle(items)  # expect: DET002
-
-
-def noisy() -> object:
-    return numpy.random.rand(4)  # expect: DET002
 
 
 def pick() -> int:

@@ -76,7 +76,6 @@ def test_rule_catalog_complete_and_documented():
         "DET001",
         "DET002",
         "DET003",
-        "DET004",
         "EFF001",
         "EFF002",
         "EFF003",

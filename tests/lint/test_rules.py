@@ -33,7 +33,6 @@ BAD_CASES = [
     ("det001_bad.py", "repro.network.det001_bad"),
     ("det002_bad.py", "repro.analysis.det002_bad"),
     ("det003_bad.py", "repro.network.det003_bad"),
-    ("det004_bad.py", "repro.traffic.det004_bad"),
     ("eff001_bad.py", "repro.network.eff001_bad"),
     ("eff002_bad.py", "repro.network.eff002_bad"),
     ("eff003_bad.py", "repro.network.eff003_bad"),
@@ -48,7 +47,6 @@ CLEAN_CASES = [
     ("det001_clean.py", "repro.network.det001_clean"),
     ("det002_clean.py", "repro.analysis.det002_clean"),
     ("det003_clean.py", "repro.network.det003_clean"),
-    ("det004_clean.py", "repro.traffic.det004_clean"),
     ("eff001_clean.py", "repro.network.eff001_clean"),
     ("eff002_clean.py", "repro.network.eff002_clean"),
     ("eff003_clean.py", "repro.network.eff003_clean"),
@@ -80,8 +78,8 @@ def test_clean_fixture_produces_no_findings(fixture, module_name):
 
 def test_scoped_rules_skip_out_of_scope_modules():
     # The same offending sources are silent outside their rule's scope.
-    numpy_fixture = FIXTURES / "det004_bad.py"
-    result = lint_file(numpy_fixture, module_name="repro.analysis.det004_bad")
+    order_fixture = FIXTURES / "det003_bad.py"
+    result = lint_file(order_fixture, module_name="repro.figures.det003_bad")
     assert result.findings == [], format_text(result.findings)
     clock_fixture = FIXTURES / "det001_bad.py"
     result = lint_file(clock_fixture, module_name="repro.figures.det001_bad")
