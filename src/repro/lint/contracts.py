@@ -65,9 +65,8 @@ class RoleContract:
 #: DeadlockDetector hook name -> contract.  The routing-side hooks may
 #: maintain G/P flags and wake the waiters those flags park; the query
 #: hooks (``blocked_deadline`` / ``probe_phase`` / ``periodic_check``)
-#: must not write behavioural state at all — PROTO003 additionally
-#: forbids wall-clock/RNG there so cached deadlines stay valid lower
-#: bounds.
+#: must not write behavioural state at all (their purity beyond the
+#: domain is held dynamically: scan == event on a corpus that blocks).
 HOOK_CONTRACTS: Dict[str, RoleContract] = {
     "attach": RoleContract("attach", _groups("gp", "counters")),
     "on_blocked_attempt": RoleContract(
@@ -133,16 +132,6 @@ def role_contract(role: str, method: Optional[str]) -> Optional[RoleContract]:
 #: Attributes whose write means "a parked message is being woken":
 #: clearing a sleep flag is the event engine's wake primitive.
 WAKE_WRITE_ATTRS: FrozenSet[str] = frozenset({"route_asleep", "move_asleep"})
-
-#: Attributes writable by an observer sharing the batch trajectory
-#: (EFF003): per-cell detector state is private (outside the domain),
-#: and the only shared state it may maintain is the channel G/P flag
-#: plus the wake surface that promotions must drive.
-SHARED_TRAJECTORY_ALLOWED: FrozenSet[str] = _groups("gp", "park")
-
-#: Marker class attribute anchoring EFF003 (set on BatchObserver and
-#: its per-cell probe units).
-SHARES_TRAJECTORY_ATTR = "shares_trajectory"
 
 
 def classify_wake_obligation(

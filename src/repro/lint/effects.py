@@ -5,17 +5,16 @@ function and method in the linted tree it builds an
 :class:`EffectSummary`: which *domain* attributes (see
 :mod:`repro.lint.contracts`) the function writes directly, whether it
 performs an event-engine wake (clearing ``route_asleep`` /
-``move_asleep``), which of its writes carry an EFF002 wake obligation,
-and any wall-clock / RNG call sites.  A fixed-point pass then propagates
-summaries over the resolved call graph, producing the *transitive*
-write/wake sets the rules check against declared contracts.
+``move_asleep``), and which of its writes carry an EFF002 wake
+obligation.  A fixed-point pass then propagates summaries over the
+resolved call graph, producing the *transitive* write/wake sets the
+rules check against declared contracts.
 
 Resolution is deliberately conservative in one specific way: a call the
 engine cannot resolve — ``super()``, an untyped receiver, an external
-library — contributes **no effects** but sets the summary's ``unknown``
-flag (the lattice top).  Rules therefore report only *definite*
-violations: a write the analyzer can prove happens, with no wake it can
-prove reachable.  This keeps the rule family free of false positives on
+library — contributes **no effects**.  Rules therefore report only
+*definite* violations: a write the analyzer can prove happens, with no
+wake it can prove reachable.  This keeps the rule family free of false positives on
 idiomatic code at the cost of missing effects hidden behind dynamic
 dispatch; the runtime invariant checks remain the backstop for those.
 
@@ -61,71 +60,6 @@ MUTATOR_METHODS = frozenset(
         "rotate",
         "sort",
         "reverse",
-    }
-)
-
-#: Wall-clock reads (PROTO003 scope: *includes* perf_counter, which the
-#: repo-wide DET001 rule allows for telemetry — detector deadline/probe
-#: hooks may not even read monotonic time).
-WALL_CLOCK_CALLS = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.process_time",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.date.today",
-    }
-)
-
-#: Names whose calls are knowably effect-free for our purposes.
-_PURE_BUILTINS = frozenset(
-    {
-        "len",
-        "min",
-        "max",
-        "abs",
-        "sum",
-        "sorted",
-        "range",
-        "enumerate",
-        "zip",
-        "reversed",
-        "isinstance",
-        "issubclass",
-        "repr",
-        "str",
-        "int",
-        "float",
-        "bool",
-        "tuple",
-        "list",
-        "dict",
-        "set",
-        "frozenset",
-        "id",
-        "hash",
-        "iter",
-        "next",
-        "getattr",
-        "hasattr",
-        "print",
-        "format",
-        "divmod",
-        "round",
-        "any",
-        "all",
-        "ValueError",
-        "RuntimeError",
-        "TypeError",
-        "KeyError",
-        "AssertionError",
-        "NotImplementedError",
-        "StopIteration",
     }
 )
 
@@ -179,27 +113,19 @@ class EffectSummary:
     class_name: Optional[str]
     lineno: int
     col: int
-    #: Every direct attribute write, domain or not (PROTO003 reads all;
-    #: the EFF rules filter to the domain).
+    #: Every direct attribute write; the rules filter to the domain.
     writes: List[WriteSite] = field(default_factory=list)
     #: Direct event-engine wake (``route_asleep``/``move_asleep`` = False).
     wakes: bool = False
-    wallclock: List[Tuple[int, int, str]] = field(default_factory=list)
-    rng: List[Tuple[int, int, str]] = field(default_factory=list)
     #: Resolved callee qualnames (call-graph edges).
     calls: List[str] = field(default_factory=list)
     #: Role-contract applications: (contract, call line, call col).
     role_calls: List[Tuple[contracts.RoleContract, int, int]] = field(
         default_factory=list
     )
-    #: Count of calls the engine could not resolve (lattice top).
-    unknown_calls: int = 0
     # ---- filled by the fixed-point pass -----------------------------
     trans_writes: Dict[str, Origin] = field(default_factory=dict)
     trans_wake: bool = False
-    trans_unknown: bool = False
-    trans_wallclock: Optional[Origin] = None
-    trans_rng: Optional[Origin] = None
 
     def domain_write_sites(self) -> List[WriteSite]:
         return [w for w in self.writes if w.attr in contracts.DOMAIN]
@@ -477,17 +403,6 @@ class EffectIndex:
                     ),
                 )
             summary.trans_wake = summary.wakes
-            summary.trans_unknown = summary.unknown_calls > 0
-            if summary.wallclock:
-                line, col, _what = summary.wallclock[0]
-                summary.trans_wallclock = (
-                    summary.module_name, summary.qualname, line, col,
-                )
-            if summary.rng:
-                line, col, _what = summary.rng[0]
-                summary.trans_rng = (
-                    summary.module_name, summary.qualname, line, col,
-                )
             for contract, line, col in summary.role_calls:
                 if contract.wakes:
                     summary.trans_wake = True
@@ -510,21 +425,6 @@ class EffectIndex:
                             changed = True
                     if callee.trans_wake and not summary.trans_wake:
                         summary.trans_wake = True
-                        changed = True
-                    if callee.trans_unknown and not summary.trans_unknown:
-                        summary.trans_unknown = True
-                        changed = True
-                    if (
-                        callee.trans_wallclock is not None
-                        and summary.trans_wallclock is None
-                    ):
-                        summary.trans_wallclock = callee.trans_wallclock
-                        changed = True
-                    if (
-                        callee.trans_rng is not None
-                        and summary.trans_rng is None
-                    ):
-                        summary.trans_rng = callee.trans_rng
                         changed = True
 
     # ------------------------------------------------------------------
@@ -796,38 +696,15 @@ class _Extractor:
 
     def _handle_call(self, node: ast.Call) -> None:
         func = node.func
-        summary = self.summary
-        dotted = dotted_name(func)
-        if dotted is not None:
-            resolved = self._resolve_import(dotted)
-            if resolved in WALL_CLOCK_CALLS:
-                summary.wallclock.append(
-                    (node.lineno, node.col_offset, resolved)
-                )
-                return
-            if self._is_rng(dotted, resolved):
-                summary.rng.append((node.lineno, node.col_offset, dotted))
-                return
         if isinstance(func, ast.Name):
             self._handle_name_call(node, func.id)
-            return
-        if isinstance(func, ast.Attribute):
+        elif isinstance(func, ast.Attribute):
             self._handle_attr_call(node, func)
-            return
-        summary.unknown_calls += 1
 
     def _resolve_import(self, dotted: str) -> str:
         head, _, rest = dotted.partition(".")
         resolved = self.record.module.imports.get(head, head)
         return resolved + ("." + rest if rest else "")
-
-    @staticmethod
-    def _is_rng(dotted: str, resolved: str) -> bool:
-        parts = dotted.split(".")
-        if "rng" in parts[:-1] or parts[0] == "rng":
-            return True
-        resolved_parts = resolved.split(".")
-        return resolved_parts[0] == "random" and len(resolved_parts) > 1
 
     def _handle_name_call(self, node: ast.Call, name: str) -> None:
         env = self.env
@@ -862,10 +739,6 @@ class _Extractor:
         imported = self.record.module.imports.get(name)
         if imported is not None and imported in self.index.functions:
             summary.calls.append(imported)
-            return
-        if name in _PURE_BUILTINS:
-            return
-        summary.unknown_calls += 1
 
     def _handle_attr_call(self, node: ast.Call, func: ast.Attribute) -> None:
         summary = self.summary
@@ -888,8 +761,6 @@ class _Extractor:
                 summary.role_calls.append(
                     (contract, node.lineno, node.col_offset)
                 )
-                return
-            summary.unknown_calls += 1
             return
         receiver_t = _typ(self.index, self.record, self.env, receiver)[0]
         if receiver_t is not None:
@@ -903,16 +774,6 @@ class _Extractor:
             qualified = self._resolve_import(dotted)
             if qualified in self.index.functions:
                 summary.calls.append(qualified)
-                return
-            head = dotted.split(".")[0]
-            if (
-                head in self.record.module.imports
-                and self.record.module.imports[head].split(".")[0]
-                not in ("repro",)
-            ):
-                # External library call: not our state.
-                return
-        summary.unknown_calls += 1
 
     # -- dispatch ------------------------------------------------------
     def visit_node(self, node: ast.AST) -> None:

@@ -64,7 +64,7 @@ def _run_rules(
     for module in modules:
         for cls in module.classes:
             index[cls.qualname] = cls
-    # Cross-file effect summaries for the EFF/PROTO003 rule family.
+    # Cross-file effect summaries for the EFF rule family.
     effect_index = build_effect_index(modules)
     findings: List[Finding] = []
     for module in modules:

@@ -104,9 +104,6 @@ class ClassSummary:
         #: Class-level attribute assignments name -> constant value (or
         #: ``...`` sentinel for non-constant right-hand sides).
         self.class_attrs: Dict[str, object] = {}
-        #: Annotated class-level fields (dataclass field candidates),
-        #: in declaration order.
-        self.annotated_fields: List[str] = []
         for stmt in node.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self.methods.add(stmt.name)
@@ -119,10 +116,6 @@ class ClassSummary:
                             else ...
                         )
                         self.class_attrs[target.id] = value
-            elif isinstance(stmt, ast.AnnAssign) and isinstance(
-                stmt.target, ast.Name
-            ):
-                self.annotated_fields.append(stmt.target.id)
 
 
 class ModuleInfo:

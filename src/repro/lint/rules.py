@@ -11,7 +11,7 @@ tests pick it up from the registry.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional
 
 from repro.lint.findings import Finding
 from repro.lint.module import ClassSummary, ModuleInfo, dotted_name
@@ -206,6 +206,33 @@ class SetIterationRule(Rule):
 _DETECTOR_ROOT = "repro.core.detector.DeadlockDetector"
 
 
+def detector_chain(
+    cls: ClassSummary, index: Dict[str, ClassSummary]
+) -> Optional[List[ClassSummary]]:
+    """Ancestry up to (excluding) DeadlockDetector, or None."""
+    chain: List[ClassSummary] = [cls]
+    current = cls
+    seen = {cls.qualname}
+    while True:
+        next_cls: Optional[ClassSummary] = None
+        for base in current.bases:
+            if base == _DETECTOR_ROOT or base.endswith(".DeadlockDetector"):
+                return chain
+            # Bare names are same-module bases (imports are already
+            # qualified by ClassSummary).
+            resolved = index.get(base) or index.get(
+                f"{current.module}.{base}"
+            )
+            if resolved is not None and resolved.qualname not in seen:
+                next_cls = resolved
+                break
+        if next_cls is None:
+            return None
+        chain.append(next_cls)
+        seen.add(next_cls.qualname)
+        current = next_cls
+
+
 @register_rule
 class DetectorContractRule(Rule):
     code = "PROTO001"
@@ -222,38 +249,10 @@ class DetectorContractRule(Rule):
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
         index: Dict[str, ClassSummary] = getattr(module, "class_index", {})
         for cls in module.classes:
-            chain = self._detector_chain(cls, index)
+            chain = detector_chain(cls, index)
             if chain is None:
                 continue
             yield from self._check_class(module, cls, chain)
-
-    def _detector_chain(
-        self, cls: ClassSummary, index: Dict[str, ClassSummary]
-    ) -> Optional[List[ClassSummary]]:
-        """Ancestry up to (excluding) DeadlockDetector, or None."""
-        chain: List[ClassSummary] = [cls]
-        current = cls
-        seen = {cls.qualname}
-        while True:
-            next_cls: Optional[ClassSummary] = None
-            for base in current.bases:
-                if base == _DETECTOR_ROOT or base.endswith(
-                    ".DeadlockDetector"
-                ):
-                    return chain
-                # Bare names are same-module bases (imports are already
-                # qualified by ClassSummary).
-                resolved = index.get(base) or index.get(
-                    f"{current.module}.{base}"
-                )
-                if resolved is not None and resolved.qualname not in seen:
-                    next_cls = resolved
-                    break
-            if next_cls is None:
-                return None
-            chain.append(next_cls)
-            seen.add(next_cls.qualname)
-            current = next_cls
 
     @staticmethod
     def _effective_attr(chain: List[ClassSummary], name: str) -> object:
@@ -328,88 +327,3 @@ class DetectorContractRule(Rule):
                 f"concrete detector {cls.name} does not define a name",
             )
 
-
-# ----------------------------------------------------------------------
-# PROTO002 — SimulationStats serialization consistency
-# ----------------------------------------------------------------------
-@register_rule
-class StatsFieldsRule(Rule):
-    code = "PROTO002"
-    summary = "stats fields must stay consistent with to_dict/from_dict/PERF_FIELDS"
-    hint = (
-        "declare the field as an annotated dataclass field; to_dict/"
-        "from_dict key strings and PERF_FIELDS entries must all name "
-        "declared fields"
-    )
-    scopes = ()  # any class declaring PERF_FIELDS
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        for cls in module.classes:
-            if "PERF_FIELDS" not in cls.class_attrs:
-                continue
-            fields = set(cls.annotated_fields)
-            yield from self._check_perf_fields(module, cls, fields)
-            yield from self._check_serializers(module, cls, fields)
-
-    def _check_perf_fields(
-        self, module: ModuleInfo, cls: ClassSummary, fields: Set[str]
-    ) -> Iterator[Finding]:
-        for stmt in cls.node.body:
-            if not (
-                isinstance(stmt, ast.Assign)
-                and any(
-                    isinstance(t, ast.Name) and t.id == "PERF_FIELDS"
-                    for t in stmt.targets
-                )
-            ):
-                continue
-            if not isinstance(stmt.value, (ast.Tuple, ast.List)):
-                continue
-            for elt in stmt.value.elts:
-                if (
-                    isinstance(elt, ast.Constant)
-                    and isinstance(elt.value, str)
-                    and elt.value not in fields
-                ):
-                    yield self.finding(
-                        module,
-                        elt.lineno,
-                        elt.col_offset,
-                        f'PERF_FIELDS entry "{elt.value}" is not a '
-                        f"declared field of {cls.name}",
-                    )
-
-    def _check_serializers(
-        self, module: ModuleInfo, cls: ClassSummary, fields: Set[str]
-    ) -> Iterator[Finding]:
-        for stmt in cls.node.body:
-            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if stmt.name not in ("to_dict", "from_dict"):
-                continue
-            for node in ast.walk(stmt):
-                key: Optional[ast.Constant] = None
-                if isinstance(node, ast.Subscript) and isinstance(
-                    node.slice, ast.Constant
-                ):
-                    key = node.slice
-                elif (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("pop", "get", "setdefault")
-                    and node.args
-                    and isinstance(node.args[0], ast.Constant)
-                ):
-                    key = node.args[0]
-                if (
-                    key is not None
-                    and isinstance(key.value, str)
-                    and key.value not in fields
-                ):
-                    yield self.finding(
-                        module,
-                        key.lineno,
-                        key.col_offset,
-                        f'{stmt.name} references "{key.value}", which is '
-                        f"not a declared field of {cls.name}",
-                    )

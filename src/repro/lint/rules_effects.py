@@ -1,4 +1,4 @@
-"""Effect rules (EFF001-EFF004, PROTO003) over the dataflow summaries.
+"""Effect rules (EFF001, EFF002, EFF004) over the dataflow summaries.
 
 These rules consume ``module.effect_index`` — the engine-built
 :class:`~repro.lint.effects.EffectIndex` — and check transitive effect
@@ -17,7 +17,7 @@ finding is definite — unresolved calls contribute no effects (see
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set
 
 from repro.lint import contracts
 from repro.lint.effects import (
@@ -28,8 +28,7 @@ from repro.lint.effects import (
 from repro.lint.findings import Finding
 from repro.lint.module import ClassSummary, ModuleInfo, dotted_name
 from repro.lint.registry import Rule, register_rule
-
-_DETECTOR_ROOT = "repro.core.detector.DeadlockDetector"
+from repro.lint.rules import detector_chain
 
 
 def _effect_index(module: ModuleInfo) -> Optional[EffectIndex]:
@@ -46,33 +45,65 @@ def _class_index(module: ModuleInfo) -> Dict[str, ClassSummary]:
     return {}
 
 
-def _detector_chain(
-    cls: ClassSummary, index: Dict[str, ClassSummary]
-) -> Optional[List[ClassSummary]]:
-    """Ancestry up to (excluding) DeadlockDetector, or None."""
-    chain: List[ClassSummary] = [cls]
-    current = cls
-    seen = {cls.qualname}
-    while True:
-        next_cls: Optional[ClassSummary] = None
-        for base in current.bases:
-            if base == _DETECTOR_ROOT or base.endswith(".DeadlockDetector"):
-                return chain
-            resolved = index.get(base) or index.get(
-                f"{current.module}.{base}"
-            )
-            if resolved is not None and resolved.qualname not in seen:
-                next_cls = resolved
-                break
-        if next_cls is None:
-            return None
-        chain.append(next_cls)
-        seen.add(next_cls.qualname)
-        current = next_cls
+@register_rule
+class PhaseContractRule(Rule):
+    code = "EFF001"
+    summary = (
+        "cycle phases and detector hooks must write only state their "
+        "declared effect contract allows"
+    )
+    hint = (
+        "move the write to a phase/hook whose contract covers it, extend "
+        "PHASE_EFFECTS in network/kernel.py (with justification) if the "
+        "contract itself is wrong, or line-waive with a rationale comment"
+    )
+    scopes = ("repro.network", "repro.core", "repro.faults")
 
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
+        effect_index = _effect_index(module)
+        if effect_index is None:
+            return
+        class_index = _class_index(module)
+        for cls in module.classes:
+            for method in sorted(
+                cls.methods & set(contracts.PHASE_METHODS)
+            ):
+                phase = contracts.PHASE_METHODS[method]
+                yield from self._check_anchor(
+                    module,
+                    effect_index,
+                    cls,
+                    method,
+                    contracts.PHASE_EFFECTS[phase],
+                    f"phase '{phase}' ({cls.name}.{method})",
+                )
+            if detector_chain(cls, class_index) is not None:
+                for method in sorted(
+                    cls.methods & set(contracts.HOOK_CONTRACTS)
+                ):
+                    yield from self._check_anchor(
+                        module,
+                        effect_index,
+                        cls,
+                        method,
+                        contracts.HOOK_CONTRACTS[method].writes,
+                        f"detector hook {cls.name}.{method}",
+                    )
 
-class _EffectRule(Rule):
-    """Shared origin-aware reporting for the effect rules."""
+    def _check_anchor(
+        self,
+        module: ModuleInfo,
+        effect_index: EffectIndex,
+        cls: ClassSummary,
+        method: str,
+        allowed: FrozenSet[str],
+        what: str,
+    ) -> Iterator[Finding]:
+        summary = effect_index.summary(f"{cls.qualname}.{method}")
+        if summary is None:
+            return
+        for attr in sorted(set(summary.trans_writes) - allowed):
+            yield self._contract_finding(module, summary, attr, what)
 
     def _contract_finding(
         self,
@@ -105,68 +136,7 @@ class _EffectRule(Rule):
 
 
 @register_rule
-class PhaseContractRule(_EffectRule):
-    code = "EFF001"
-    summary = (
-        "cycle phases and detector hooks must write only state their "
-        "declared effect contract allows"
-    )
-    hint = (
-        "move the write to a phase/hook whose contract covers it, extend "
-        "PHASE_EFFECTS in network/kernel.py (with justification) if the "
-        "contract itself is wrong, or line-waive with a rationale comment"
-    )
-    scopes = ("repro.network", "repro.core", "repro.faults")
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        effect_index = _effect_index(module)
-        if effect_index is None:
-            return
-        class_index = _class_index(module)
-        for cls in module.classes:
-            for method in sorted(
-                cls.methods & set(contracts.PHASE_METHODS)
-            ):
-                phase = contracts.PHASE_METHODS[method]
-                yield from self._check_anchor(
-                    module,
-                    effect_index,
-                    cls,
-                    method,
-                    contracts.PHASE_EFFECTS[phase],
-                    f"phase '{phase}' ({cls.name}.{method})",
-                )
-            if _detector_chain(cls, class_index) is not None:
-                for method in sorted(
-                    cls.methods & set(contracts.HOOK_CONTRACTS)
-                ):
-                    yield from self._check_anchor(
-                        module,
-                        effect_index,
-                        cls,
-                        method,
-                        contracts.HOOK_CONTRACTS[method].writes,
-                        f"detector hook {cls.name}.{method}",
-                    )
-
-    def _check_anchor(
-        self,
-        module: ModuleInfo,
-        effect_index: EffectIndex,
-        cls: ClassSummary,
-        method: str,
-        allowed: FrozenSet[str],
-        what: str,
-    ) -> Iterator[Finding]:
-        summary = effect_index.summary(f"{cls.qualname}.{method}")
-        if summary is None:
-            return
-        for attr in sorted(set(summary.trans_writes) - allowed):
-            yield self._contract_finding(module, summary, attr, what)
-
-
-@register_rule
-class WakeCoverageRule(_EffectRule):
+class WakeCoverageRule(Rule):
     code = "EFF002"
     summary = (
         "a write that can unblock a parked waiter must reach an "
@@ -201,76 +171,6 @@ class WakeCoverageRule(_EffectRule):
                     "unblock a parked waiter, but no event-engine wake "
                     f"is reachable from {label}",
                 )
-
-
-@register_rule
-class SharedTrajectoryRule(_EffectRule):
-    code = "EFF003"
-    summary = (
-        "shared-trajectory batch observers may write only G/P flags and "
-        "the wake surface on shared network objects"
-    )
-    hint = (
-        "keep per-cell results in observer-local SoA state (masks, "
-        "counters, event lists); the shared trajectory must be "
-        "threshold-independent"
-    )
-    scopes = ("repro.network", "repro.core")
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        effect_index = _effect_index(module)
-        if effect_index is None:
-            return
-        class_index = _class_index(module)
-        for cls in module.classes:
-            if not self._shares_trajectory(cls, class_index):
-                continue
-            reported: Set[Tuple[str, int, int]] = set()
-            prefix = cls.qualname + "."
-            for qualname in sorted(effect_index.summaries):
-                if not qualname.startswith(prefix):
-                    continue
-                summary = effect_index.summaries[qualname]
-                offending = (
-                    set(summary.trans_writes)
-                    - contracts.SHARED_TRAJECTORY_ALLOWED
-                )
-                for attr in sorted(offending):
-                    origin = summary.trans_writes[attr]
-                    key = (attr, origin[2], origin[3])
-                    if key in reported:
-                        continue
-                    reported.add(key)
-                    yield self._contract_finding(
-                        module,
-                        summary,
-                        attr,
-                        f"shared-trajectory observer {cls.name}",
-                    )
-
-    @staticmethod
-    def _shares_trajectory(
-        cls: ClassSummary, index: Dict[str, ClassSummary]
-    ) -> bool:
-        current: Optional[ClassSummary] = cls
-        seen: Set[str] = set()
-        while current is not None and current.qualname not in seen:
-            seen.add(current.qualname)
-            marker = current.class_attrs.get(
-                contracts.SHARES_TRAJECTORY_ATTR
-            )
-            if marker is not None:
-                return marker is True
-            next_cls: Optional[ClassSummary] = None
-            for base in current.bases:
-                resolved = index.get(base) or index.get(
-                    f"{current.module}.{base}"
-                )
-                if resolved is not None and resolved.qualname not in seen:
-                    next_cls = resolved
-                    break
-            current = next_cls
-        return False
 
 
 _MATH_SANITIZERS = frozenset({"floor", "ceil", "trunc", "isqrt", "gcd", "comb"})
@@ -388,93 +288,3 @@ class FloatFlowRule(Rule):
                         f"'{node.target.attr}'",
                     )
 
-
-@register_rule
-class DeadlinePurityRule(Rule):
-    code = "PROTO003"
-    summary = (
-        "blocked_deadline/probe_phase must not mutate detector state "
-        "behind the caches, read wall-clock, or draw randomness"
-    )
-    hint = (
-        "compute deadlines purely from channel counters (the cached "
-        "value must stay a valid lower bound); move state updates into "
-        "the routing hooks and randomness into seeded draws elsewhere"
-    )
-    scopes = ()  # detectors may live anywhere
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        effect_index = _effect_index(module)
-        if effect_index is None:
-            return
-        class_index = _class_index(module)
-        for cls in module.classes:
-            if _detector_chain(cls, class_index) is None:
-                continue
-            if "blocked_deadline" in cls.methods:
-                summary = effect_index.summary(
-                    f"{cls.qualname}.blocked_deadline"
-                )
-                if summary is not None:
-                    # Domain-attribute writes are EFF001's (the hook
-                    # contract is empty); PROTO003 adds the rest of the
-                    # purity surface: private-state mutation and time/
-                    # randomness sources.
-                    for site in summary.writes:
-                        if site.attr in contracts.DOMAIN:
-                            continue
-                        yield self.finding(
-                            module,
-                            site.line,
-                            site.col,
-                            f"{cls.name}.blocked_deadline mutates "
-                            f"'{site.attr}'; cached deadlines must stay "
-                            "valid lower bounds",
-                        )
-                    yield from self._clock_and_rng(
-                        module, cls, summary, "blocked_deadline"
-                    )
-            if "probe_phase" in cls.methods:
-                summary = effect_index.summary(
-                    f"{cls.qualname}.probe_phase"
-                )
-                if summary is not None:
-                    yield from self._clock_and_rng(
-                        module, cls, summary, "probe_phase"
-                    )
-
-    def _clock_and_rng(
-        self,
-        module: ModuleInfo,
-        cls: ClassSummary,
-        summary: EffectSummary,
-        hook: str,
-    ) -> Iterator[Finding]:
-        for origin, verb in (
-            (summary.trans_wallclock, "reads wall-clock time"),
-            (summary.trans_rng, "draws randomness"),
-        ):
-            if origin is None:
-                continue
-            origin_module, origin_qual, line, col = origin
-            if origin_module == module.module_name:
-                suffix = (
-                    ""
-                    if origin_qual == summary.qualname
-                    else f" (reached via {origin_qual})"
-                )
-                yield self.finding(
-                    module,
-                    line,
-                    col,
-                    f"{cls.name}.{hook} {verb}{suffix}; detection "
-                    "scheduling must be cycle-deterministic",
-                )
-            else:
-                yield self.finding(
-                    module,
-                    summary.lineno,
-                    summary.col,
-                    f"{cls.name}.{hook} {verb} via {origin_qual}; "
-                    "detection scheduling must be cycle-deterministic",
-                )

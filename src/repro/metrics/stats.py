@@ -144,10 +144,9 @@ class SimulationStats:
         Set ``include_events=False`` to drop the (potentially large)
         per-detection event log; all derived metrics except
         :meth:`false_detection_percentage` work on the reloaded stats.
-        The campaign executor uses this lean form to ship results across
-        process boundaries.  ``include_perf=False`` additionally drops
-        the engine telemetry, leaving exactly the simulated behaviour —
-        the form compared by the engine-equivalence tests.
+        ``include_perf=False`` additionally drops the engine telemetry,
+        leaving exactly the simulated behaviour — the form compared by
+        the engine-equivalence tests.
         """
         payload = dataclasses.asdict(self)
         if not include_events:

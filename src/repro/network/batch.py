@@ -50,10 +50,7 @@ probe caps — giving each family a contiguous bit range) and per-cell
 counter lists, reduced in that **fixed order**, so results are
 independent of ``PYTHONHASHSEED`` and host.  Nothing here needs an
 array library: the trajectory is the simulator's own, and the per-wake
-reductions are O(feasible channels).  The effect analyzer holds the
-observers to the sharing contract — EFF003 verifies their transitive
-writes to shared network state are limited to G/P flags and the wake
-surface.
+reductions are O(feasible channels).
 """
 
 from __future__ import annotations
@@ -204,12 +201,6 @@ class _BatchProbeCell(ProbeDetection):
     ``BatchObserver.fold_cell`` writes them into the cell's stats.
     """
 
-    # EFF003 anchor: rides the shared trajectory like its owner, so its
-    # transitive writes to shared network state must stay within the
-    # G/P + wake surface (in fact it writes neither — probes are fully
-    # out-of-band).
-    shares_trajectory = True
-
     def __init__(
         self, owner: "BatchObserver", rank: int, cell: DetectorConfig
     ) -> None:
@@ -258,12 +249,6 @@ class BatchObserver(NewDetectionMechanism):
     # Recorded detection events carry the *cell's* mechanism name (see
     # ``_record``); this name only labels the composite itself.
     name = "batch"
-
-    # EFF003 anchor: this observer rides one trajectory shared by every
-    # cell, so its writes to shared network objects must stay
-    # cell-independent (G/P flags + wake surface only); everything
-    # per-cell lives in the observer's own bitmasks and counter lists.
-    shares_trajectory = True
 
     # Narrowed per *instance* in ``__init__``: only groups holding a
     # periodic (source-age / injection-stall) or probe cell pay those

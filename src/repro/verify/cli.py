@@ -52,13 +52,12 @@ EXPECTED_REFUTED = frozenset(
 
 
 def sweep(
-    slow: bool = False,
     max_states: int = 200_000,
     max_cycles: int = 10_000,
     selftest: bool = True,
 ) -> List[Verdict]:
     """Run the full grid (plus the refutation self-test) and collect verdicts."""
-    cases: List[VerifyCase] = list(all_cases(slow))
+    cases: List[VerifyCase] = list(all_cases())
     if selftest:
         cases.append(refutation_selftest_case())
     return [
@@ -119,7 +118,6 @@ def write_verdicts(verdicts: List[Verdict], path: Path) -> None:
 def run(args: argparse.Namespace) -> int:
     started = time.monotonic()
     verdicts = sweep(
-        slow=args.slow,
         max_states=args.max_states,
         max_cycles=args.max_cycles,
         selftest=not args.no_selftest,
@@ -159,7 +157,7 @@ def run(args: argparse.Namespace) -> int:
 
 
 def run_list(args: argparse.Namespace) -> int:
-    cases = list(all_cases(args.slow)) + [refutation_selftest_case()]
+    cases = list(all_cases()) + [refutation_selftest_case()]
     for case in cases:
         expected = (
             "refuted" if case.label() in EXPECTED_REFUTED else "proved"
@@ -203,11 +201,6 @@ def build_parser(
         ),
     )
     runp.add_argument(
-        "--slow",
-        action="store_true",
-        help="include the 4-node configurations (minutes, not seconds)",
-    )
-    runp.add_argument(
         "--max-states",
         type=int,
         default=200_000,
@@ -241,11 +234,6 @@ def build_parser(
     listp = sub.add_parser(
         "list",
         help="print the verification grid and expected verdicts",
-    )
-    listp.add_argument(
-        "--slow",
-        action="store_true",
-        help="include the 4-node configurations",
     )
     listp.set_defaults(func=run_list)
 

@@ -182,9 +182,6 @@ class Instance:
     # ------------------------------------------------------------------
     # Convenience
     # ------------------------------------------------------------------
-    def active_ids(self) -> Tuple[int, ...]:
-        return tuple(m.id for m in self.sim.active_messages)
-
     def all_delivered(self) -> bool:
         return (
             not self.pending

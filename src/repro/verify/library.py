@@ -19,14 +19,14 @@ paper's claims:
   the paper's Figures 3/4 onto an exhaustively checkable 2-node config:
   a transient mid-transfer stall forces the I-flag set/reset path, so
   every promotion in the state space crosses the audited rule sites;
-* ``ring4-cross`` (slow) is the true routing-deadlock scenario: opposite
+* ``ring4-cross`` is the true routing-deadlock scenario: opposite
   nodes on a 4-ring, both directions minimal, so the adversary can close
   a cyclic hold-wait chain with no faults at all.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.verify.scenario import (
     PERMANENT,
@@ -197,7 +197,7 @@ def ring2_promotion() -> VerifyScenario:
 
 
 def ring4_cross() -> VerifyScenario:
-    """True routing deadlock: opposite pairs on a 4-ring (slow sweep).
+    """True routing deadlock: opposite pairs on a 4-ring.
 
     Every source/destination pair is at distance exactly ``k/2 = 2``, so
     fully-adaptive minimal routing allows *both* directions at injection
@@ -216,9 +216,9 @@ def ring4_cross() -> VerifyScenario:
     )
 
 
-def scenarios(slow: bool = False) -> Tuple[VerifyScenario, ...]:
-    """The sweep grid; ``slow`` appends the 4-node configurations."""
-    grid = [
+def scenarios() -> Tuple[VerifyScenario, ...]:
+    """The sweep grid."""
+    return (
         ring2_basic(),
         ring2_pair(),
         ring3_basic(),
@@ -228,10 +228,8 @@ def scenarios(slow: bool = False) -> Tuple[VerifyScenario, ...]:
         ring2_vcstuck(),
         ring2_counterlag(),
         ring2_promotion(),
-    ]
-    if slow:
-        grid.append(ring4_cross())
-    return tuple(grid)
+        ring4_cross(),
+    )
 
 
 def cases_for(scenario: VerifyScenario) -> Tuple[VerifyCase, ...]:
@@ -258,10 +256,8 @@ def cases_for(scenario: VerifyScenario) -> Tuple[VerifyCase, ...]:
     )
 
 
-def all_cases(slow: bool = False) -> Tuple[VerifyCase, ...]:
-    return tuple(
-        case for sc in scenarios(slow) for case in cases_for(sc)
-    )
+def all_cases() -> Tuple[VerifyCase, ...]:
+    return tuple(case for sc in scenarios() for case in cases_for(sc))
 
 
 def refutation_selftest_case() -> VerifyCase:
@@ -272,10 +268,3 @@ def refutation_selftest_case() -> VerifyCase:
     """
     return VerifyCase(scenario=ring2_linkdown(), mechanism="none")
 
-
-def find_case(label: str, slow: bool = True) -> Optional[VerifyCase]:
-    """Look a case up by its :meth:`VerifyCase.label` (CLI replay)."""
-    for case in all_cases(slow) + (refutation_selftest_case(),):
-        if case.label() == label:
-            return case
-    return None

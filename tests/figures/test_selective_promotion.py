@@ -3,7 +3,7 @@
 The paper's simple rule promotes *every* P flag at a router when an
 output channel's I flag resets; the selective variant (an ablation, see
 ``DetectorConfig.selective_promotion``) promotes only the inputs whose
-blocked header actually requested that output.  These tests pin two
+blocked header actually requested that output.  These tests pin three
 claims:
 
 * on the paper's figure scenarios the selective variant reaches the same
@@ -11,7 +11,11 @@ claims:
   for selectivity to spare);
 * on runs where no header ever blocks, the two variants are bit-identical
   — promotion only ever acts on registered waiters, and waiters only
-  exist after a block (property-based).
+  exist after a block (property-based);
+* on a wedging run without recovery, where marking does not feed back
+  into the trajectory, selectivity only ever *removes* G promotions:
+  every message the selective variant marks the simple one marks too,
+  and no later.
 """
 
 from hypothesis import HealthCheck, assume, given, settings
@@ -111,3 +115,39 @@ class TestNoContentionEquivalence:
         assert stats_simple.to_dict(include_perf=False) == (
             stats_selective.to_dict(include_perf=False)
         )
+
+
+# ----------------------------------------------------------------------
+# Selective detections are a subset of simple ones (shared trajectory)
+# ----------------------------------------------------------------------
+def first_detections(selective: bool):
+    """Message id -> marking cycle on a saturated 8x8 torus, 2 VCs.
+
+    ``recovery="none"``: both variants then ride the same trajectory, so
+    their detections compare message by message (with recovery on, each
+    variant steers its own run and one seed says nothing).
+    """
+    config = SimulationConfig(
+        radix=8,
+        dimensions=2,
+        vcs_per_channel=2,
+        warmup_cycles=0,
+        measure_cycles=1500,
+        seed=7,
+        recovery="none",
+        ground_truth_interval=0,
+    )
+    config.traffic.injection_rate = 1.2
+    config.detector.mechanism = "ndm"
+    config.detector.threshold = 16
+    config.detector.selective_promotion = selective
+    events = Simulator(config).run().detection_events
+    return {event.message_id: event.cycle for event in events}
+
+
+def test_selective_detections_subset_of_simple_and_no_earlier():
+    simple = first_detections(selective=False)
+    selective = first_detections(selective=True)
+    assert 0 < len(selective) < len(simple)
+    assert set(selective) <= set(simple)
+    assert all(selective[m] >= simple[m] for m in selective)

@@ -1,4 +1,4 @@
-"""Offending: phase methods writing outside their declared contract.
+"""Offending: phase methods and detector hooks writing outside their contract.
 
 The generation phase may only touch message lifecycle state, and the
 injection phase adds park/occupancy/worm — neither may reach routing
@@ -6,7 +6,15 @@ bookkeeping or detection counters (see PHASE_EFFECTS in
 repro/network/kernel.py).  The second violation is indirect: the phase stays clean
 syntactically but calls a helper that performs the write, which the
 call-graph propagation must surface at the helper's line.
+
+The same holds for detector hooks (HOOK_CONTRACTS in
+repro/lint/contracts.py): ``on_blocked_attempt`` may maintain G/P flags
+and the wake surface, so an observer that *records* a detection by
+marking the message or restarting a channel counter — through a helper —
+is reported on the helper's write lines.
 """
+
+from repro.core.detector import DeadlockDetector
 
 
 class LeakySimulator:
@@ -20,3 +28,17 @@ class LeakySimulator:
 
     def _bump(self, m):
         m.times_detected += 1  # expect: EFF001
+
+
+class LeakyObserver(DeadlockDetector):
+    name = "leaky-observer"
+    can_sleep_blocked = False
+
+    def on_blocked_attempt(self, sim, message, cycle):
+        message.input_pc.gp = "P"
+        self._record(message, cycle)
+        return False
+
+    def _record(self, message, cycle):
+        message.marked_deadlocked = True  # expect: EFF001
+        message.input_pc.last_flit_cycle = cycle  # expect: EFF001

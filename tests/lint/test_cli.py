@@ -11,30 +11,31 @@ from repro.lint.cli import main as lint_main
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, all_rules, get_rule, register_rule
 
-# PROTO002 applies repo-wide, so a bare temporary file trips it without
+# PROTO001 applies repo-wide, so a bare temporary file trips it without
 # needing a module-name override.
 CLI_BAD = '''\
-class Stats:
-    engine: str = "scan"
+from repro.core.detector import DeadlockDetector
 
-    PERF_FIELDS = ("engine", "missing")
 
-    def to_dict(self):
-        return {}
+class Sleepy(DeadlockDetector):
+    name = "sleepy"
+
+    def on_blocked_attempt(self, sim, message, cycle):
+        return False
 '''
 
 
 def test_cli_exit_one_and_json_output(tmp_path, capsys):
-    bad = tmp_path / "stats.py"
+    bad = tmp_path / "sleepy.py"
     bad.write_text(CLI_BAD)
     assert lint_main([str(bad), "--format=json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert len(payload) == 1
     finding = payload[0]
-    assert finding["code"] == "PROTO002"
+    assert finding["code"] == "PROTO001"
     assert finding["line"] == 4
     assert finding["path"] == str(bad)
-    assert "missing" in finding["message"]
+    assert "Sleepy" in finding["message"]
     assert finding["hint"]
 
 
@@ -47,11 +48,11 @@ def test_cli_exit_zero_on_clean_file(tmp_path, capsys):
 
 
 def test_cli_verbose_shows_autofix_hint(tmp_path, capsys):
-    bad = tmp_path / "stats.py"
+    bad = tmp_path / "sleepy.py"
     bad.write_text(CLI_BAD)
     assert lint_main([str(bad), "--verbose"]) == 1
     out = capsys.readouterr().out
-    assert "PROTO002" in out
+    assert "PROTO001" in out
     assert "hint:" in out
 
 
@@ -70,20 +71,15 @@ def test_umbrella_cli_routes_lint(tmp_path, capsys):
 
 
 def test_rule_catalog_complete_and_documented():
-    codes = [rule.code for rule in all_rules()]
-    assert codes == sorted(codes)
-    assert set(codes) == {
+    assert [rule.code for rule in all_rules()] == [
         "DET001",
         "DET002",
         "DET003",
         "EFF001",
         "EFF002",
-        "EFF003",
         "EFF004",
         "PROTO001",
-        "PROTO002",
-        "PROTO003",
-    }
+    ]
     for rule in all_rules():
         assert rule.summary
         assert rule.hint
@@ -93,19 +89,19 @@ def test_rule_catalog_complete_and_documented():
 def test_cli_json_round_trips_through_finding_schema(tmp_path, capsys):
     # The JSON format is a stable contract: every emitted object must
     # reconstruct a Finding exactly (no extra or missing fields).
-    bad = tmp_path / "stats.py"
+    bad = tmp_path / "sleepy.py"
     bad.write_text(CLI_BAD)
     assert lint_main([str(bad), "--format=json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     findings = [Finding(**item) for item in payload]
-    assert [f.code for f in findings] == ["PROTO002"]
+    assert [f.code for f in findings] == ["PROTO001"]
     assert json.loads(
         json.dumps([item for item in payload], sort_keys=True)
     ) == payload
 
 
 def test_cli_sarif_output(tmp_path, capsys):
-    bad = tmp_path / "stats.py"
+    bad = tmp_path / "sleepy.py"
     bad.write_text(CLI_BAD)
     assert lint_main([str(bad), "--format=sarif"]) == 1
     log = json.loads(capsys.readouterr().out)
@@ -118,7 +114,7 @@ def test_cli_sarif_output(tmp_path, capsys):
         r.code for r in all_rules()
     }
     (result,) = run["results"]
-    assert result["ruleId"] == "PROTO002"
+    assert result["ruleId"] == "PROTO001"
     assert result["level"] == "error"
     location = result["locations"][0]["physicalLocation"]
     assert location["artifactLocation"]["uri"] == str(bad)
@@ -138,7 +134,7 @@ def test_cli_changed_scopes_to_git_diff(tmp_path, capsys, monkeypatch):
     git("init")
     git("config", "user.email", "lint@test")
     git("config", "user.name", "lint test")
-    bad = tmp_path / "stats.py"
+    bad = tmp_path / "sleepy.py"
     bad.write_text(CLI_BAD)
     git("add", "-A")
     git("commit", "-m", "seed")
@@ -157,7 +153,7 @@ def test_cli_changed_scopes_to_git_diff(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_changed_falls_back_outside_git(tmp_path, capsys, monkeypatch):
-    bad = tmp_path / "stats.py"
+    bad = tmp_path / "sleepy.py"
     bad.write_text(CLI_BAD)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))

@@ -1,9 +1,9 @@
 """Unit tests for the effect engine (summary construction, propagation).
 
 These exercise the dataflow layer directly — aliasing, augmented
-assignment, self-method dispatch, cross-module propagation, unknown-call
-widening, obligation classification — plus the two repo-level gates the
-tentpole promises: zero EFF/PROTO003 findings on ``src/``, and the
+assignment, self-method dispatch, cross-module propagation, obligation
+classification — plus the two repo-level gates the
+tentpole promises: zero EFF findings on ``src/``, and the
 seeded-regression proof that stripping the PR 2 drain-fix wake loop from
 ``PhysicalChannel.note_released`` trips EFF002.
 """
@@ -134,25 +134,6 @@ def test_cross_module_propagation_records_the_origin():
     assert origin[2] == 2  # the write's own line in the helper module
 
 
-def test_unknown_calls_widen_without_inventing_effects():
-    index = index_of(
-        (
-            "class C:\n"
-            "    def go(self, helper):\n"
-            "        helper.mystery()\n"
-            "        self.status = 'x'\n",
-            "repro.network.mod",
-        )
-    )
-    go = index.summary("repro.network.mod.C.go")
-    assert go.unknown_calls == 1
-    assert go.trans_unknown
-    # The unresolved call contributes nothing: only the provable write
-    # survives, which is what keeps the rules false-positive-free.
-    assert set(go.trans_writes) == {"status"}
-    assert not go.trans_wake
-
-
 def test_mutator_method_on_attribute_receiver_is_a_write():
     index = index_of(
         (
@@ -164,25 +145,6 @@ def test_mutator_method_on_attribute_receiver_is_a_write():
     )
     (site,) = index.summary("repro.network.mod.C.clear").writes
     assert (site.attr, site.kind) == ("route_waiters", "mutcall")
-
-
-def test_rng_and_wallclock_sites_are_recorded():
-    index = index_of(
-        (
-            "import time\n"
-            "\n"
-            "class C:\n"
-            "    def jitter(self, sim):\n"
-            "        return sim.rng.random()\n"
-            "    def stamp(self):\n"
-            "        return time.monotonic()\n",
-            "repro.network.mod",
-        )
-    )
-    assert index.summary("repro.network.mod.C.jitter").trans_rng is not None
-    assert (
-        index.summary("repro.network.mod.C.stamp").trans_wallclock is not None
-    )
 
 
 def test_constructors_have_empty_summaries():
@@ -205,11 +167,7 @@ def test_constructors_have_empty_summaries():
 # ----------------------------------------------------------------------
 def test_src_tree_has_zero_effect_findings():
     result = run_lint([REPO_ROOT / "src" / "repro"])
-    effect_findings = [
-        f
-        for f in result.findings
-        if f.code.startswith("EFF") or f.code == "PROTO003"
-    ]
+    effect_findings = [f for f in result.findings if f.code.startswith("EFF")]
     assert effect_findings == [], format_text(effect_findings)
 
 

@@ -35,12 +35,9 @@ BAD_CASES = [
     ("det003_bad.py", "repro.network.det003_bad"),
     ("eff001_bad.py", "repro.network.eff001_bad"),
     ("eff002_bad.py", "repro.network.eff002_bad"),
-    ("eff003_bad.py", "repro.network.eff003_bad"),
     ("eff004_bad.py", "repro.network.eff004_bad"),
     ("proto001_bad.py", "repro.core.proto001_bad"),
     ("proto001_probe_bad.py", "repro.core.proto001_probe_bad"),
-    ("proto002_bad.py", "repro.metrics.proto002_bad"),
-    ("proto003_bad.py", "repro.core.proto003_bad"),
 ]
 
 CLEAN_CASES = [
@@ -49,12 +46,9 @@ CLEAN_CASES = [
     ("det003_clean.py", "repro.network.det003_clean"),
     ("eff001_clean.py", "repro.network.eff001_clean"),
     ("eff002_clean.py", "repro.network.eff002_clean"),
-    ("eff003_clean.py", "repro.network.eff003_clean"),
     ("eff004_clean.py", "repro.network.eff004_clean"),
     ("proto001_clean.py", "repro.core.proto001_clean"),
     ("proto001_probe_clean.py", "repro.core.proto001_probe_clean"),
-    ("proto002_clean.py", "repro.metrics.proto002_clean"),
-    ("proto003_clean.py", "repro.core.proto003_clean"),
 ]
 
 

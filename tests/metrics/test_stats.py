@@ -116,6 +116,13 @@ class TestSerialization:
         rebuilt = SimulationStats.from_dict(stats.to_dict())
         assert rebuilt == stats
 
+    def test_perf_fields_are_dataclass_fields(self):
+        # to_dict(include_perf=False) deletes them by name from asdict().
+        import dataclasses
+
+        declared = {f.name for f in dataclasses.fields(SimulationStats)}
+        assert set(SimulationStats.PERF_FIELDS) <= declared
+
     def test_round_trip_through_json(self):
         import json
 

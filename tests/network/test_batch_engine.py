@@ -98,6 +98,7 @@ def test_batch_cells_bit_identical_saturated_torus():
         mechanism="ndm",
         threshold=32,
         injection_rate=1.0,
+        injection_limit_fraction=0.4,  # the paper's default
         recovery="none",
         warmup_cycles=100,
         measure_cycles=400,

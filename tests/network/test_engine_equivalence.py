@@ -8,12 +8,19 @@ produce *byte-identical* simulated behaviour — every stats counter
 (``to_dict(include_perf=False)``; engine telemetry legitimately differs),
 every traced event in order (including detection cycles), and the same
 final message population.
+
+The corpus has to *bite*: a case on which no header ever blocks never
+calls ``blocked_deadline``, never parks and never detects, so it cannot
+tell a sound detector from an unsound one.  Every case therefore asserts
+its own activity after the run (:func:`assert_active`), and two seeded
+impure detectors at the bottom must fail :func:`assert_equivalent`.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.pdm import PreviousDetectionMechanism
 from repro.network.config import SimulationConfig
 from repro.network.simulator import Simulator
 from repro.network.tracing import Tracer
@@ -24,10 +31,14 @@ def _config(**overrides) -> SimulationConfig:
         radix=4,
         dimensions=2,
         warmup_cycles=100,
-        measure_cycles=600,
+        measure_cycles=300,
         seed=20,
+        # With the injection limitation on and 3 VCs, 16 nodes never
+        # block a header at any offered load; without it they wedge,
+        # detect and recover a hundred times or more in these 400 cycles.
+        injection_limit_fraction=None,
     )
-    config.traffic.injection_rate = 0.4  # beyond saturation for 16 nodes
+    config.traffic.injection_rate = 2.0
     for key, value in overrides.items():
         if key == "mechanism":
             config.detector.mechanism = value
@@ -44,16 +55,20 @@ def _config(**overrides) -> SimulationConfig:
     return config
 
 
-def _run(config: SimulationConfig, engine: str):
-    sim = Simulator(config.replace(engine=engine))
+def _run(config: SimulationConfig, engine: str, detector_class=None):
+    """One traced run; ``detector_class`` replaces the configured
+    mechanism's class (built at the configured threshold)."""
+    detector = detector_class and detector_class(config.detector.threshold)
+    sim = Simulator(config.replace(engine=engine), detector=detector)
     sim.tracer = Tracer(capacity=0)  # unbounded: every event, in order
     stats = sim.run()
     return sim, stats
 
 
-def assert_equivalent(config: SimulationConfig) -> None:
-    sim_scan, stats_scan = _run(config, "scan")
-    sim_event, stats_event = _run(config, "event")
+def assert_equivalent(config: SimulationConfig, detector_class=None):
+    """Scan == event on ``config``; returns the event run's stats."""
+    sim_scan, stats_scan = _run(config, "scan", detector_class)
+    sim_event, stats_event = _run(config, "event", detector_class)
     # Full behavioural stats, detection events included.
     assert stats_scan.to_dict(include_perf=False) == stats_event.to_dict(
         include_perf=False
@@ -68,6 +83,23 @@ def assert_equivalent(config: SimulationConfig) -> None:
         m.id for m in sim_event.pending_route
     ]
     sim_event.check_invariants()
+    return stats_event
+
+
+def assert_active(config: SimulationConfig, stats) -> None:
+    """The run did what its configuration promises: headers and worms
+    parked, the mechanism detected, and the recovery scheme acted."""
+    counters = stats.engine_counters
+    assert counters["route_parks"] > 0
+    assert counters["move_parks"] > 0
+    if config.detector.mechanism == "none":
+        assert stats.detections == 0
+    elif config.recovery == "none":
+        assert stats.recoveries == stats.aborts == 0 < stats.detections
+    elif config.recovery == "regressive":
+        assert stats.aborts > 0
+    else:
+        assert stats.recoveries > 0
 
 
 CASES = {
@@ -96,7 +128,8 @@ CASES = {
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_engines_bit_identical(case):
-    assert_equivalent(_config(**CASES[case]))
+    config = _config(**CASES[case])
+    assert_active(config, assert_equivalent(config))
 
 
 def test_engines_bit_identical_saturated_torus():
@@ -106,6 +139,7 @@ def test_engines_bit_identical_saturated_torus():
         mechanism="ndm",
         threshold=32,
         injection_rate=1.0,
+        injection_limit_fraction=0.4,  # the paper's default
         warmup_cycles=100,
         measure_cycles=400,
     )
@@ -125,6 +159,7 @@ def test_engines_bit_identical_saturated_16x16():
         threshold=32,
         vcs_per_channel=2,
         injection_rate=0.8,
+        injection_limit_fraction=0.4,  # the paper's default
         recovery="none",
         warmup_cycles=0,
         measure_cycles=200,
@@ -203,3 +238,39 @@ def test_engine_validated():
     config.engine = "warp"
     with pytest.raises(ValueError, match="engine"):
         config.validate()
+
+
+# ----------------------------------------------------------------------
+# Self-test of the guard: an impure ``blocked_deadline`` must be caught
+# ----------------------------------------------------------------------
+class _RngDeadline(PreviousDetectionMechanism):
+    """Draws from the simulator's RNG while computing a deadline: only
+    the event engine asks for deadlines, so its traffic stream shifts."""
+
+    def blocked_deadline(self, message, cycle):
+        self.sim.rng.random()
+        return super().blocked_deadline(message, cycle)
+
+
+class _CountingDeadline(PreviousDetectionMechanism):
+    """Mutates private state in ``blocked_deadline`` that the detection
+    predicate reads: detection stops after the first parked header."""
+
+    def __init__(self, threshold):
+        super().__init__(threshold)
+        self._deadlines = 0
+
+    def blocked_deadline(self, message, cycle):
+        self._deadlines += 1
+        return super().blocked_deadline(message, cycle)
+
+    def on_blocked_attempt(self, message, router, cycle, first_attempt):
+        return self._deadlines == 0 and super().on_blocked_attempt(
+            message, router, cycle, first_attempt
+        )
+
+
+@pytest.mark.parametrize("impure", [_RngDeadline, _CountingDeadline])
+def test_impure_blocked_deadline_breaks_equivalence(impure):
+    with pytest.raises(AssertionError):
+        assert_equivalent(_config(**CASES["pdm"]), impure)

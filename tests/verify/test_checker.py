@@ -170,10 +170,10 @@ def test_encoding_is_stable_across_instances() -> None:
 
 
 # ----------------------------------------------------------------------
-# The gating sweep: every fast cell matches its expected verdict
+# The gating sweep: every cell matches its expected verdict
 # ----------------------------------------------------------------------
-def test_fast_sweep_matches_expected_verdicts() -> None:
-    verdicts = sweep(slow=False)
+def test_sweep_matches_expected_verdicts() -> None:
+    verdicts = sweep()
     assert unexpected_outcomes(verdicts) == []
     labels = {v.case.label() for v in verdicts}
     # ISSUE acceptance: at least one 2-node and one 3-node configuration
@@ -195,6 +195,6 @@ def test_fast_sweep_matches_expected_verdicts() -> None:
 
 
 def test_grid_labels_are_unique() -> None:
-    cases = all_cases(slow=True)
+    cases = all_cases()
     labels = [case.label() for case in cases]
     assert len(labels) == len(set(labels))

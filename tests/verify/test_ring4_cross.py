@@ -1,4 +1,4 @@
-"""Slow tier: the 4-node true-routing-deadlock sweep (``pytest -m slow``).
+"""The 4-node true-routing-deadlock scenario.
 
 ``ring4-cross`` is the only scenario in the grid with a genuine,
 fault-free routing deadlock (opposite pairs on a 4-ring, both directions
@@ -9,14 +9,9 @@ without a recovery scheme (see docs/verification.md).
 
 from __future__ import annotations
 
-import pytest
-
 from repro.verify.checker import explore
-from repro.verify.cli import unexpected_outcomes
 from repro.verify.counterexample import check_counterexample
 from repro.verify.library import cases_for, ring4_cross
-
-pytestmark = pytest.mark.slow
 
 
 def test_ring4_cross_verdicts() -> None:
@@ -42,8 +37,3 @@ def test_ring4_cross_verdicts() -> None:
     assert probe.violation.loop is not None
     check_counterexample(probe.case, probe.violation)
 
-
-def test_full_slow_sweep_matches_expectations() -> None:
-    from repro.verify.cli import sweep
-
-    assert unexpected_outcomes(sweep(slow=True)) == []
