@@ -1,7 +1,9 @@
 """Shared infrastructure for the paper-shape suite.
 
 Each paper table is regenerated once per pytest session (cached) and the
-rendered table is printed and written under ``results/``.  Nothing here
+rendered table is printed and written under ``REPRO_RESULTS_DIR`` — a
+pytest temp directory when unset, never the committed ``results/``
+(those come from ``repro-experiments``).  Nothing here
 is timed — the benchmark is ``benchmarks/spine``.  The suite runs
 on the quick 64-node grid by default; set ``REPRO_FULL=1`` for the
 paper-scale 512-node grid with the full threshold/load matrix (slow).
@@ -10,19 +12,29 @@ paper-scale 512-node grid with the full threshold/load matrix (slow).
 from __future__ import annotations
 
 import functools
+import os
 import sys
 
 import pytest
 
 from repro.experiments.report import render_comparison, render_table
-from repro.experiments.tables import regenerate_table, save_result
+from repro.experiments.tables import default_out_dir, regenerate_table, save_result
+
+
+@pytest.fixture(scope="session", autouse=True)
+def results_dir(tmp_path_factory):
+    """Point ``default_out_dir()`` away from the working tree."""
+    with pytest.MonkeyPatch.context() as patch:
+        if "REPRO_RESULTS_DIR" not in os.environ:
+            patch.setenv("REPRO_RESULTS_DIR", str(tmp_path_factory.mktemp("results")))
+        yield
 
 
 @functools.lru_cache(maxsize=None)
 def table_result(table_id: int, seed: int = 7):
     """Regenerate one table (cached for the whole benchmark session)."""
     result = regenerate_table(table_id, seed=seed)
-    save_result(result, "results")
+    save_result(result, default_out_dir())
     text = render_table(result)
     print(f"\n{text}\n", file=sys.stderr)
     print(render_comparison(result), file=sys.stderr)

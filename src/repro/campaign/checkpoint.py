@@ -15,6 +15,7 @@ previous manifest — which :func:`summarize_manifest` turns into the
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,6 +35,7 @@ class CampaignCheckpoint:
         self.path = Path(path)
         if fresh and self.path.exists():
             self.path.unlink()
+        self._check_tail = not fresh  # first append: look for a torn tail
 
     # ------------------------------------------------------------------
     # Writing
@@ -73,8 +75,17 @@ class CampaignCheckpoint:
 
     def _append(self, record: Dict[str, Any]) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        line = json.dumps(record, sort_keys=True) + "\n"
+        if self._check_tail and self.path.exists():
+            # A crashed writer can leave a half-written last line: start on a
+            # fresh one, or this record is glued to the fragment and lost too.
+            with self.path.open("rb") as handle:
+                handle.seek(max(handle.seek(0, os.SEEK_END) - 1, 0))
+                if handle.read(1) not in (b"", b"\n"):
+                    line = "\n" + line
+        self._check_tail = False  # every later line is this writer's own
         with self.path.open("a") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+            handle.write(line)
             handle.flush()
 
     # ------------------------------------------------------------------

@@ -226,6 +226,10 @@ def execute_jobs(
             continue
         pending.append(job)
 
+    # A cell its simulator would reject fails here, before any neighbour runs.
+    for job in pending:
+        job.config.validate()
+
     # Layer 3: simulate the rest, unit by unit — the cells nothing can
     # share with as units of one, then the shared-trajectory groups.
     groups, singles = batch_backend.plan_batches(

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, List, Optional
 
-from repro.network.channel import VirtualChannel
+from repro.network.channel import NEVER, VirtualChannel
 from repro.network.message import Message
 from repro.network.router import Router
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.network.config import DetectorConfig
     from repro.network.simulator import Simulator
 
 
@@ -64,9 +65,9 @@ class DeadlockDetector:
     #: with zero feedback into routing or flit movement.  Mechanisms
     #: whose hooks maintain per-run shared state that marking would
     #: perturb (the selective-promotion waiter maps, the ndm-precise
-    #: witness) must leave this False.  The registry's
-    #: :func:`~repro.core.registry.batch_shareable` is the config-level
-    #: gate built on this flag.
+    #: witness) must leave this False; :meth:`folds` is the config-level
+    #: gate.  Outside the probe family the fold reads a shareable
+    #: mechanism's rule off :meth:`score` / :meth:`deadline` alone.
     batch_shareable = False
 
     def __init__(self, threshold: int) -> None:
@@ -75,9 +76,32 @@ class DeadlockDetector:
         self.threshold = threshold
         self.sim: "Simulator" = None  # type: ignore[assignment]
 
+    @classmethod
+    def from_config(cls, config: "DetectorConfig") -> "DeadlockDetector":
+        """Build from a config section; ``ValueError`` on rejected settings."""
+        return cls(config.threshold)
+
+    @classmethod
+    def folds(cls, config: "DetectorConfig") -> bool:
+        """Whether a cell with this config may share a batch trajectory."""
+        return cls.batch_shareable
+
     def attach(self, sim: "Simulator") -> None:
         """Wire the detector into a built simulator (called once)."""
         self.sim = sim
+
+    @staticmethod
+    def score(message: Message, cycle: int) -> int:
+        """The mechanism fires on ``message`` at threshold ``t`` iff
+        ``score > t`` (0 never fires).  The solo hooks compare it with the
+        detector's one threshold; the batch fold counts ladder rungs under it."""
+        return 0
+
+    @staticmethod
+    def deadline(message: Message, cycle: int, threshold: int) -> Optional[int]:
+        """Earliest cycle ``score > threshold`` can first hold, assuming
+        no further network events (``None``: not without one)."""
+        return None
 
     # ------------------------------------------------------------------
     # Hooks (default: no-ops)
@@ -101,35 +125,12 @@ class DeadlockDetector:
         the message unless one of the simulator's wakeup events fires (a
         lane freeing or an inactivity counter resuming on a feasible
         channel, or a G/P promotion on the input channel).  ``None`` means
-        detection is impossible without such an event.  The default is
+        detection is impossible without such an event.  The default reads
+        :meth:`deadline` at the detector's own threshold, which is also
         correct for detectors whose ``on_blocked_attempt`` never returns
         True on subsequent attempts (none, source-age, injection-stall).
         """
-        return None
-
-    def all_outputs_inactive(self, message: Message, cycle: int) -> bool:
-        """Whether every feasible output of ``message`` has been inactive
-        for more than ``threshold`` cycles (the counter mechanisms'
-        shared detection condition)."""
-        threshold = self.threshold
-        for pc in message.feasible_pcs:
-            if pc.inactivity(cycle) <= threshold:
-                return False
-        return True
-
-    def all_inactive_deadline(self, message: Message, cycle: int) -> Optional[int]:
-        """Earliest cycle :meth:`all_outputs_inactive` can first hold: the
-        latest per-channel crossing, or ``None`` if some channel is frozen
-        at or below the threshold (it resumes only on a wakeup event)."""
-        threshold = self.threshold
-        deadline = cycle + 1
-        for pc in message.feasible_pcs:
-            d = pc.inactivity_deadline(threshold)
-            if d is None:
-                return None
-            if d > deadline:
-                deadline = d
-        return deadline
+        return self.deadline(message, cycle, self.threshold)
 
     def probe_phase(self, cycle: int) -> List[Message]:
         """Advance out-of-band probes one hop; return elected victims.
@@ -165,3 +166,32 @@ class DeadlockDetector:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return self.describe()
+
+
+class CounterDetector(DeadlockDetector):
+    """The counter mechanisms' shared rule (pdm's IF, ndm's I and DT):
+    every feasible output channel inactive for more than the threshold."""
+
+    @staticmethod
+    def score(message: Message, cycle: int) -> int:
+        """Smallest inactivity counter over the feasible outputs (with
+        none, the rule holds vacuously at every threshold)."""
+        score = -NEVER
+        for pc in message.feasible_pcs:
+            value = pc.inactivity(cycle)
+            if value < score:
+                score = value
+        return score
+
+    @staticmethod
+    def deadline(message: Message, cycle: int, threshold: int) -> Optional[int]:
+        """The latest per-channel crossing, or ``None`` if some channel is
+        frozen at or below the threshold (it resumes only on a wakeup)."""
+        deadline = cycle + 1
+        for pc in message.feasible_pcs:
+            d = pc.inactivity_deadline(threshold)
+            if d is None:
+                return None
+            if d > deadline:
+                deadline = d
+        return deadline

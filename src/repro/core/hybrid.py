@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.ndm import NewDetectionMechanism
+from repro.core.timeout import HeaderBlockedTimeout
 from repro.network.message import Message
 from repro.network.router import Router
 
@@ -34,9 +35,9 @@ class HybridDetection(NewDetectionMechanism):
     name = "hybrid"
 
     # Not folded onto shared trajectories (despite inheriting the ndm
-    # observer machinery): the two-rule composite would need its own
-    # family ladder in the batch observer, and the fallback backstop is
-    # rarely threshold-swept — run hybrid cells individually.
+    # observer machinery): a hybrid cell is two rules at two thresholds
+    # (ndm's at t2, the backstop at ``fallback_factor x t2``), and a fold
+    # rung is one score under one threshold.
     batch_shareable = False
 
     def __init__(
@@ -61,9 +62,9 @@ class HybridDetection(NewDetectionMechanism):
     ) -> bool:
         if super().on_blocked_attempt(message, router, cycle, first_attempt):
             return True
-        if first_attempt or message.blocked_since is None:
+        if first_attempt:
             return False
-        if cycle - message.blocked_since > self.fallback_threshold:
+        if HeaderBlockedTimeout.score(message, cycle) > self.fallback_threshold:
             self.fallback_detections += 1
             return True
         return False
@@ -71,10 +72,10 @@ class HybridDetection(NewDetectionMechanism):
     def blocked_deadline(self, message: Message, cycle: int) -> Optional[int]:
         """NDM deadline capped by the (exact) fallback timeout."""
         ndm = super().blocked_deadline(message, cycle)
-        if message.blocked_since is None:
-            return ndm
-        fallback = message.blocked_since + self.fallback_threshold + 1
-        if ndm is None or fallback < ndm:
+        fallback = HeaderBlockedTimeout.deadline(
+            message, cycle, self.fallback_threshold
+        )
+        if ndm is None or (fallback is not None and fallback < ndm):
             return fallback
         return ndm
 

@@ -38,22 +38,33 @@ Protocol, exactly as described in the paper:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional
 
-from repro.core.detector import DeadlockDetector
+from repro.core.detector import CounterDetector
 from repro.network.channel import PhysicalChannel, VirtualChannel
 from repro.network.message import Message
 from repro.network.router import Router
 from repro.network.types import GPState, PortKind
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.network.config import DetectorConfig
     from repro.network.simulator import Simulator
 
 _G = GPState.GENERATE
 _P = GPState.PROPAGATE
 
 
-class NewDetectionMechanism(DeadlockDetector):
+def wake_header_waiters(input_pc: PhysicalChannel) -> None:
+    """Wake the headers parked on ``input_pc`` (its flag turned G)."""
+    if input_pc.header_waiters:
+        box = input_pc.wake_box
+        for m in input_pc.header_waiters:
+            if m.route_asleep:
+                m.route_asleep = False
+                box[0] -= 1
+
+
+class NewDetectionMechanism(CounterDetector):
     """The paper's contribution: tree-root tracking via G/P flags.
 
     Args:
@@ -66,8 +77,8 @@ class NewDetectionMechanism(DeadlockDetector):
     name = "ndm"
     #: Simple promotion is a pure observer (hooks touch only G/P flags and
     #: wake bookkeeping); the selective variant keeps per-run waiter maps
-    #: whose contents diverge once any cell marks, so the registry's
-    #: config-level gate excludes ``selective_promotion`` instances.
+    #: whose contents diverge once any cell marks, so :meth:`folds`
+    #: excludes ``selective_promotion`` cells.
     batch_shareable = True
 
     def __init__(
@@ -83,29 +94,48 @@ class NewDetectionMechanism(DeadlockDetector):
             )
         self.t1 = t1
         self.selective_promotion = selective_promotion
+        #: Output channel index -> the inputs its reactivation promotes
+        #: (armed by :meth:`attach`).  On the detector, not the channel:
+        #: channels that hold channels make ``copy.deepcopy`` recurse
+        #: through the whole network.
+        self._reset_targets: List[Iterable[PhysicalChannel]] = []
+
+    @classmethod
+    def from_config(cls, config: DetectorConfig) -> "NewDetectionMechanism":
+        """Forward the config's ``t1`` and promotion variant."""
+        return cls(
+            config.threshold,
+            t1=config.t1,
+            selective_promotion=config.selective_promotion,
+        )
+
+    @classmethod
+    def folds(cls, config: DetectorConfig) -> bool:
+        """Only the simple promotion variant is a pure observer."""
+        return cls.batch_shareable and not config.selective_promotion
 
     # ------------------------------------------------------------------
     def attach(self, sim: "Simulator") -> None:
         """Arm every router-output channel's I-flag reset hook."""
         super().attach(sim)
+        # The paper's simple variant promotes a fixed set — every input
+        # of the owning router, resolved once here because the hook fires
+        # on every flit that clears a set I flag; the selective variant
+        # promotes the channel's refcounted waiters.
+        router_inputs = [
+            tuple(r.input_pcs) + tuple(r.injection_pcs) for r in sim.routers
+        ]
+        self._reset_targets = [()] * len(sim.channels)
         for pc in sim.channels:
             pc.gp = _P
             if pc.kind is not PortKind.INJECTION:
                 # Output side of some router: arm the I-flag reset hook.
                 pc.i_threshold = self.t1
+                pc.on_i_reset = self._on_i_reset
                 if self.selective_promotion:
-                    pc.on_i_reset = self._on_i_reset
-                    pc.waiters = {}
+                    pc.waiters = self._reset_targets[pc.index] = {}
                 else:
-                    # The simple variant promotes a fixed set of inputs
-                    # (all of the owning router's); resolve that set once
-                    # here and close over it — the hook fires on every
-                    # flit that clears a set I flag, so the per-event
-                    # router lookup is worth removing.
-                    router = sim.routers[pc.src_node]
-                    pc.on_i_reset = self._simple_reset_hook(
-                        tuple(router.input_pcs) + tuple(router.injection_pcs)
-                    )
+                    self._reset_targets[pc.index] = router_inputs[pc.src_node]
 
     # ------------------------------------------------------------------
     # Routing-attempt protocol
@@ -122,28 +152,30 @@ class NewDetectionMechanism(DeadlockDetector):
             return False
         if input_pc.gp is not _G:
             return False
-        return self.all_outputs_inactive(message, cycle)  # every DT flag set
+        return self.score(message, cycle) > self.threshold  # every DT flag set
+
+    def first_attempt_generates(
+        self, message: Message, input_pc: PhysicalChannel, cycle: int
+    ) -> bool:
+        """The first-attempt rule: G iff the message is the input channel's
+        last arriver (no lane still free) and some requested output has its
+        I flag clear — a message advancing there may be the tree's root.
+        Otherwise every requested channel is held by an already-blocked
+        message and the current one is not waiting on the root."""
+        return (
+            input_pc.occupied_count >= len(input_pc.vcs)
+            and not self.score(message, cycle) > self.t1
+        )
 
     def _first_attempt(
         self, message: Message, input_pc: PhysicalChannel, cycle: int
     ) -> None:
         if self.selective_promotion:
             self._register_waiter(message, input_pc)
-        if input_pc.occupied_count < len(input_pc.vcs):
-            # Some lane of the input channel is still free: this message is
-            # not the last arriver and cannot yet produce deadlock.
+        if self.first_attempt_generates(message, input_pc, cycle):
+            self._promote(input_pc)
+        else:
             input_pc.gp = _P
-            return
-        t1 = self.t1
-        for pc in message.feasible_pcs:
-            if pc.inactivity(cycle) <= t1:
-                # A message is advancing across this output: it may be the
-                # root of the tree of blocked messages.
-                self._promote(input_pc)
-                return
-        # Every requested channel is held by an already-blocked message:
-        # the current message is not waiting on the root.
-        input_pc.gp = _P
 
     def blocked_deadline(self, message: Message, cycle: int) -> Optional[int]:
         """Earliest cycle the G + all-DT predicate can first hold.
@@ -158,7 +190,7 @@ class NewDetectionMechanism(DeadlockDetector):
         input_pc = message.input_pc
         if input_pc is None or input_pc.gp is not _G:
             return None
-        return self.all_inactive_deadline(message, cycle)
+        return self.deadline(message, cycle, self.threshold)
 
     # ------------------------------------------------------------------
     # G/P resets and promotions
@@ -183,45 +215,21 @@ class NewDetectionMechanism(DeadlockDetector):
     def _on_i_reset(self, pc: PhysicalChannel, cycle: int) -> None:
         """A stalled output channel advanced again: relabel tree roots.
 
-        Only armed for the selective variant; the simple variant uses the
-        precomputed closure from :meth:`_simple_reset_hook`.
-        """
-        if pc.waiters:
-            for input_pc in pc.waiters:
-                self._promote(input_pc)
-
-    def _simple_reset_hook(
-        self, targets: Tuple[PhysicalChannel, ...]
-    ) -> Callable[[PhysicalChannel, int], None]:
-        """Reset hook for the paper's simple promotion rule.
-
-        Changes all P flags in the router that owns the output channel to
-        G.  The target inputs are resolved at attach time and the
-        already-G check is inlined: the hook fires on every flit that
+        Changes the P flags of the inputs this output reactivates to G.
+        The already-G check is inlined: the hook fires on every flit that
         clears a set I flag, and most inputs are already G by then.
         """
-        promote = self._promote
-
-        def hook(pc: PhysicalChannel, cycle: int) -> None:
-            for input_pc in targets:
-                if input_pc.gp is not _G:
-                    promote(input_pc)
-
-        return hook
+        for input_pc in self._reset_targets[pc.index]:
+            if input_pc.gp is not _G:
+                self._promote(input_pc)
 
     @staticmethod
     def _promote(input_pc: PhysicalChannel) -> None:
         """Set an input channel's flag to G, waking parked headers on a
         P -> G transition (their detection predicate may now hold)."""
-        if input_pc.gp is _G:
-            return
-        input_pc.gp = _G
-        if input_pc.header_waiters:
-            box = input_pc.wake_box
-            for m in input_pc.header_waiters:
-                if m.route_asleep:
-                    m.route_asleep = False
-                    box[0] -= 1
+        if input_pc.gp is not _G:
+            input_pc.gp = _G
+            wake_header_waiters(input_pc)
 
     # ------------------------------------------------------------------
     # Selective-promotion bookkeeping

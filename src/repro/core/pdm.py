@@ -18,14 +18,12 @@ Drawbacks the paper demonstrates (and our benchmarks reproduce):
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.core.detector import DeadlockDetector
+from repro.core.detector import CounterDetector
 from repro.network.message import Message
 from repro.network.router import Router
 
 
-class PreviousDetectionMechanism(DeadlockDetector):
+class PreviousDetectionMechanism(CounterDetector):
     """Martínez, López, Duato & Pinkston (ICPP 1997) channel-activity flags."""
 
     name = "pdm"
@@ -38,8 +36,4 @@ class PreviousDetectionMechanism(DeadlockDetector):
     ) -> bool:
         # The mechanism is stateless across attempts: every time a blocked
         # message is re-routed it checks the IF flag of each alternative.
-        return self.all_outputs_inactive(message, cycle)
-
-    def blocked_deadline(self, message: Message, cycle: int) -> Optional[int]:
-        """All-IF detection first holds at the latest per-channel crossing."""
-        return self.all_inactive_deadline(message, cycle)
+        return self.score(message, cycle) > self.threshold

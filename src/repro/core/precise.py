@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.core.detector import DeadlockDetector
+from repro.core.detector import CounterDetector, DeadlockDetector
 from repro.network.message import Message, usable_lanes
 from repro.network.router import Router
 
@@ -63,7 +63,7 @@ class PreciseNDM(DeadlockDetector):
         # detection needs a full quiet t2 *after* the witness as well.
         if cycle - witnessed <= self.threshold:
             return False
-        return self.all_outputs_inactive(message, cycle)
+        return CounterDetector.score(message, cycle) > self.threshold
 
     @staticmethod
     def _sees_advancing_holder(message: Message) -> bool:

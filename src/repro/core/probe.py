@@ -25,13 +25,16 @@ simulator RNG, so scan/event behavioural digests stay bit-identical.
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.core.detector import DeadlockDetector
 from repro.network.message import Message
 from repro.network.probes import ProbeTransport
 from repro.network.router import Router
 from repro.network.types import MessageStatus
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.network.config import DetectorConfig
 
 
 class ProbeDetection(DeadlockDetector):
@@ -42,8 +45,8 @@ class ProbeDetection(DeadlockDetector):
     #: Probes live entirely out-of-band (dedicated phase, no RNG, no
     #: routing-state writes), so the transport provably never perturbs
     #: the physical trajectory; the only marking-dependent reads go
-    #: through the :meth:`_marked` seam, which the batch backend narrows
-    #: to one cell's pending bit.
+    #: through the transport's ``_marked`` seam, which the batch backend
+    #: narrows to one cell's pending bit.
     batch_shareable = True
 
     def __init__(
@@ -60,6 +63,15 @@ class ProbeDetection(DeadlockDetector):
         #: (``blocked_since`` unchanged) for the launch to happen.
         self._launch_heap: List[Tuple[int, int, Message, int]] = []
         self._launch_seq = 0
+
+    @classmethod
+    def from_config(cls, config: "DetectorConfig") -> "ProbeDetection":
+        """Forward the config's storm-guard caps."""
+        return cls(
+            config.threshold,
+            max_hops=config.probe_max_hops,
+            max_outstanding=config.probe_max_outstanding,
+        )
 
     # ------------------------------------------------------------------
     # Router-side hooks
@@ -105,7 +117,7 @@ class ProbeDetection(DeadlockDetector):
             _, _, message, episode = heapq.heappop(heap)
             if (
                 message.status is not in_network
-                or self._marked(message)
+                or transport._marked(message)
                 or message.blocked_since != episode
                 or not message.is_blocked()
             ):
@@ -119,15 +131,6 @@ class ProbeDetection(DeadlockDetector):
         self._flush_counters()
         return victims
 
-    def _marked(self, message: Message) -> bool:
-        """Is ``message`` already detected *from this detector's view*?
-
-        Seam for the batch backend: in a shared multi-cell run nothing is
-        globally marked, so the per-cell probe units override this (and
-        its transport twin) to consult the cell's pending bit instead.
-        """
-        return message.marked_deadlocked
-
     def _arm(self, message: Message, launch_cycle: int) -> None:
         blocked_since = message.blocked_since
         episode = blocked_since if blocked_since is not None else -1
@@ -138,18 +141,7 @@ class ProbeDetection(DeadlockDetector):
 
     def _flush_counters(self) -> None:
         """Mirror transport counters into the run's behavioural stats."""
-        stats = self.sim.stats
-        transport = self.transport
-        stats.probe_launches = transport.launches
-        stats.probe_hops = transport.hops
-        stats.probe_cycle_detections = transport.cycle_detections
-        stats.probe_deadend_detections = transport.deadend_detections
-        stats.probe_dropped_progress = transport.dropped_progress
-        stats.probe_dropped_dedupe = transport.dropped_dedupe
-        stats.probe_dropped_election = transport.dropped_election
-        stats.probe_dropped_hops = transport.dropped_hops
-        stats.probe_dropped_overflow = transport.dropped_overflow
-        stats.probe_peak_outstanding = transport.peak_outstanding
+        vars(self.sim.stats).update(self.transport.counters())
 
     def describe(self) -> str:
         return (

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Tuple, Type
 
 from repro.core.detector import DeadlockDetector
 from repro.core.ndm import NewDetectionMechanism
@@ -35,63 +35,30 @@ _DETECTOR_CLASSES = {
 }
 
 
+def detector_class(name: str) -> Type[DeadlockDetector]:
+    """The class declaring mechanism ``name`` (``ValueError`` if unknown)."""
+    try:
+        return _DETECTOR_CLASSES[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown detection mechanism {name!r}; choose from {detector_names()}"
+        ) from None
+
+
 def make_detector(config: DetectorConfig) -> DeadlockDetector:
     """Instantiate the mechanism named by ``config.mechanism``."""
-    name = config.mechanism
-    if name == NewDetectionMechanism.name:
-        return NewDetectionMechanism(
-            threshold=config.threshold,
-            t1=config.t1,
-            selective_promotion=config.selective_promotion,
-        )
-    if name == PreviousDetectionMechanism.name:
-        return PreviousDetectionMechanism(config.threshold)
-    if name == PreciseNDM.name:
-        return PreciseNDM(config.threshold)
-    if name == HybridDetection.name:
-        return HybridDetection(
-            threshold=config.threshold,
-            t1=config.t1,
-            selective_promotion=config.selective_promotion,
-        )
-    if name == ProbeDetection.name:
-        return ProbeDetection(
-            threshold=config.threshold,
-            max_hops=config.probe_max_hops,
-            max_outstanding=config.probe_max_outstanding,
-        )
-    if name == HeaderBlockedTimeout.name:
-        return HeaderBlockedTimeout(config.threshold)
-    if name == SourceAgeTimeout.name:
-        return SourceAgeTimeout(config.threshold)
-    if name == InjectionStallTimeout.name:
-        return InjectionStallTimeout(config.threshold)
-    if name == NoDetection.name:
-        return NoDetection()
-    raise ValueError(
-        f"unknown detection mechanism {name!r}; choose from {detector_names()}"
-    )
+    return detector_class(config.mechanism).from_config(config)
 
 
 def batch_shareable(config: DetectorConfig) -> bool:
-    """True when this detector cell may fold onto a shared batch run.
-
-    The batch backend folds many campaign cells — differing in threshold
-    *and* in detection mechanism — onto a single network trajectory,
-    which is sound only when detection has *zero* feedback into the
-    network.  Each mechanism class declares the observer property via its
-    ``batch_shareable`` attribute; the one config-level carve-out is
-    NDM's selective promotion, whose per-run waiter maps diverge once any
-    cell marks.  The campaign executor additionally requires
-    ``recovery == "none"`` and a fault-free schedule before grouping (see
-    ``repro.network.batch.plan_batches``).
+    """True when this detector cell may fold onto a shared batch run:
+    its class's ``folds`` (see ``DeadlockDetector.batch_shareable`` for
+    the observer contract behind it).  The campaign executor additionally
+    requires ``recovery == "none"`` and a fault-free schedule before
+    grouping (see ``repro.network.batch.plan_batches``).
     """
     cls = _DETECTOR_CLASSES.get(config.mechanism)
-    if cls is None or not cls.batch_shareable:
-        return False
-    if config.mechanism == NewDetectionMechanism.name and config.selective_promotion:
-        return False
-    return True
+    return cls is not None and cls.folds(config)
 
 
 def batch_shareable_names() -> Tuple[str, ...]:

@@ -34,18 +34,23 @@ class HeaderBlockedTimeout(DeadlockDetector):
     #: Pure function of the blocking instant — trivially shareable.
     batch_shareable = True
 
+    @staticmethod
+    def score(message: Message, cycle: int) -> int:
+        """Cycles the header has been continuously blocked."""
+        since = message.blocked_since
+        return 0 if since is None else cycle - since
+
+    @staticmethod
+    def deadline(message: Message, cycle: int, threshold: int) -> Optional[int]:
+        """The timeout depends only on the blocking instant — exact."""
+        since = message.blocked_since
+        return None if since is None else since + threshold + 1
+
     def on_blocked_attempt(
         self, message: Message, router: Router, cycle: int, first_attempt: bool
     ) -> bool:
-        if message.blocked_since is None:
-            return False
-        return cycle - message.blocked_since > self.threshold
-
-    def blocked_deadline(self, message: Message, cycle: int) -> Optional[int]:
-        """The timeout depends only on the blocking instant — exact."""
-        if message.blocked_since is None:
-            return None
-        return message.blocked_since + self.threshold + 1
+        """Fire once the header's blocked age is over the threshold."""
+        return self.score(message, cycle) > self.threshold
 
 
 class SourceAgeTimeout(DeadlockDetector):
@@ -61,46 +66,41 @@ class SourceAgeTimeout(DeadlockDetector):
     #: Pure function of the injection instant — trivially shareable.
     batch_shareable = True
 
+    @staticmethod
+    def score(message: Message, cycle: int) -> int:
+        """Cycles since the message was injected."""
+        since = message.inject_cycle
+        return 0 if since is None else cycle - since
+
     def periodic_check(
         self, active_messages: Iterable[Message], cycle: int
     ) -> List[Message]:
-        threshold = self.threshold
-        marked = []
-        for m in active_messages:
-            if (
-                m.status is MessageStatus.IN_NETWORK
-                and not m.marked_deadlocked
-                and m.inject_cycle is not None
-                and cycle - m.inject_cycle > threshold
-            ):
-                marked.append(m)
-        return marked
+        """The eligible messages whose score is over the threshold."""
+        score, threshold = self.score, self.threshold
+        in_network = MessageStatus.IN_NETWORK
+        return [
+            m
+            for m in active_messages
+            if m.status is in_network
+            and not m.marked_deadlocked
+            and score(m, cycle) > threshold
+        ]
 
 
-class InjectionStallTimeout(DeadlockDetector):
+class InjectionStallTimeout(SourceAgeTimeout):
     """Mark a message when source injection has stalled for > threshold.
 
-    Applies only while the message still has flits waiting at the source:
-    once the tail has left, the source can no longer observe the worm.
+    The same source-side sweep over a different instant.  Applies only
+    while the message still has flits waiting at the source: once the
+    tail has left, the source can no longer observe the worm.
     """
 
     name = "injection-stall"
-    needs_periodic_check = True
-    #: Pure function of source-queue instants — trivially shareable.
-    batch_shareable = True
 
-    def periodic_check(
-        self, active_messages: Iterable[Message], cycle: int
-    ) -> List[Message]:
-        threshold = self.threshold
-        marked = []
-        for m in active_messages:
-            if (
-                m.status is MessageStatus.IN_NETWORK
-                and not m.marked_deadlocked
-                and m.flits_at_source > 0
-                and m.last_source_flit_cycle is not None
-                and cycle - m.last_source_flit_cycle > threshold
-            ):
-                marked.append(m)
-        return marked
+    @staticmethod
+    def score(message: Message, cycle: int) -> int:
+        """Cycles since the source last injected a flit of the message."""
+        since = message.last_source_flit_cycle
+        if since is None or message.flits_at_source <= 0:
+            return 0
+        return cycle - since

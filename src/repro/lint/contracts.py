@@ -93,7 +93,8 @@ RECOVER_CONTRACT = RoleContract(
 )
 
 #: The ``on_i_reset`` callback re-promotes P flags to G and wakes the
-#: header waiters parked on them (repro.core.ndm._simple_reset_hook).
+#: header waiters parked on them (``NewDetectionMechanism._on_i_reset``,
+#: reached through a channel attribute the analyzer cannot resolve).
 ON_I_RESET_CONTRACT = RoleContract(
     "on_i_reset", _groups("gp", "park"), wakes=True
 )

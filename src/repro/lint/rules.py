@@ -238,7 +238,8 @@ class DetectorContractRule(Rule):
     code = "PROTO001"
     summary = "Detector subclasses must implement the full event-engine surface"
     hint = (
-        "override blocked_deadline() (or set can_sleep_blocked = False) "
+        "declare deadline() or override blocked_deadline() (or set "
+        "can_sleep_blocked = False) "
         "whenever on_blocked_attempt is overridden; set "
         "needs_periodic_check = True next to periodic_check; set "
         "has_probe_phase = True next to probe_phase (and vice versa); "
@@ -272,7 +273,10 @@ class DetectorContractRule(Rule):
     ) -> Iterator[Finding]:
         overrides_blocked = "on_blocked_attempt" in cls.methods
         if overrides_blocked:
-            has_deadline = self._defines(chain, "blocked_deadline")
+            # The base blocked_deadline reads the class's declared deadline.
+            has_deadline = self._defines(
+                chain, "blocked_deadline"
+            ) or self._defines(chain, "deadline")
             sleeps = self._effective_attr(chain, "can_sleep_blocked")
             if not has_deadline and sleeps is not False:
                 yield self.finding(
@@ -280,7 +284,7 @@ class DetectorContractRule(Rule):
                     cls.lineno,
                     cls.col,
                     f"{cls.name} overrides on_blocked_attempt but neither "
-                    "overrides blocked_deadline nor sets "
+                    "declares a deadline, overrides blocked_deadline nor sets "
                     "can_sleep_blocked = False; the event engine would "
                     "sleep through its detections",
                 )

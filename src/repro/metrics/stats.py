@@ -16,7 +16,44 @@ from repro.network.types import DetectionEvent
 
 
 @dataclass
-class SimulationStats:
+class DetectionTally:
+    """What one detector cell counts: a solo run's stats, or one rank of a
+    batch fold (``repro.network.batch``)."""
+
+    #: Detection events (a message can be re-detected after recovery).
+    detections: int = 0
+    detections_measured: int = 0
+    #: Distinct messages detected at least once (the tables' numerator).
+    messages_detected: int = 0
+    messages_detected_measured: int = 0
+    #: Detections confirmed by the ground-truth analyzer as true deadlock.
+    true_detections: int = 0
+    #: Detections the analyzer classified as false deadlock.
+    false_detections: int = 0
+    #: Detections raised while the analyzer was disabled.
+    unclassified_detections: int = 0
+    detection_events: List[DetectionEvent] = field(default_factory=list)
+
+    def record_detection(
+        self, event: DetectionEvent, measuring: bool, first: bool
+    ) -> None:
+        """Count one detection; ``first`` iff its message was never
+        detected before, ``measuring`` iff inside the measurement window."""
+        self.detection_events.append(event)
+        self.detections += 1
+        self.detections_measured += measuring
+        self.messages_detected += first
+        self.messages_detected_measured += first and measuring
+        if event.truly_deadlocked is None:
+            self.unclassified_detections += 1
+        elif event.truly_deadlocked:
+            self.true_detections += 1
+        else:
+            self.false_detections += 1
+
+
+@dataclass
+class SimulationStats(DetectionTally):
     """All counters recorded by one simulation run."""
 
     # --- run shape -----------------------------------------------------
@@ -36,19 +73,7 @@ class SimulationStats:
     flits_delivered_measured: int = 0
     source_queue_drops: int = 0
 
-    # --- deadlock handling ------------------------------------------------
-    #: Detection events (a message can be re-detected after recovery).
-    detections: int = 0
-    detections_measured: int = 0
-    #: Distinct messages detected at least once (the tables' numerator).
-    messages_detected: int = 0
-    messages_detected_measured: int = 0
-    #: Detections confirmed by the ground-truth analyzer as true deadlock.
-    true_detections: int = 0
-    #: Detections the analyzer classified as false deadlock.
-    false_detections: int = 0
-    #: Detections raised while the analyzer was disabled.
-    unclassified_detections: int = 0
+    # --- deadlock handling (detections: see DetectionTally) ---------------
     recoveries: int = 0
     recoveries_measured: int = 0
     aborts: int = 0
@@ -110,9 +135,6 @@ class SimulationStats:
     probe_dropped_overflow: int = 0
     #: Peak probes simultaneously in flight for any single initiator.
     probe_peak_outstanding: int = 0
-
-    # --- event log ----------------------------------------------------------
-    detection_events: List[DetectionEvent] = field(default_factory=list)
 
     # --- engine telemetry ---------------------------------------------------
     # Wall-clock and work counters of the simulation engine itself.  These
@@ -255,3 +277,10 @@ class SimulationStats:
             f"{self.truth_sweeps}",
         ]
         return "\n".join(lines)
+
+
+#: The probe-transport counters, by field name (``probe_<counter>`` mirrors
+#: ``ProbeTransport.<counter>``; see ``ProbeTransport.counters``).
+PROBE_FIELDS = tuple(
+    f.name for f in dataclasses.fields(SimulationStats) if f.name.startswith("probe_")
+)

@@ -31,11 +31,11 @@ keeps all marking-coupled state per cell:
   reads go through the ``_marked`` seam narrowed to the cell's bit.
 
 Detection predicates are evaluated per family over the shared state:
-the ndm/pdm ladders share one min-feasible-inactivity reduction per
-attempt (``hit = eligible & ((1 << count) - 1)`` with ``count`` from
-``bisect_left``), header timeouts come from the blocking instant, the
-periodic timeouts from injection/source instants, and probe victims
-from the per-cell transports.  :class:`BatchSimulator` advances the
+each mechanism class states its rule once as a monotone score (see
+``DeadlockDetector.score``), a solo detector compares it with its one
+threshold and ``BatchObserver._sweep`` counts the rungs of each
+:class:`_Family`'s threshold ladder under it (``bisect_left``); probe
+victims come from the per-cell transports.  :class:`BatchSimulator` advances the
 network **once** with that observer, then folds the shared run's
 statistics into K per-cell
 :class:`~repro.metrics.stats.SimulationStats` that are bit-identical to
@@ -58,18 +58,23 @@ from __future__ import annotations
 import dataclasses
 import json
 from bisect import bisect_left
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.detector import DeadlockDetector
-from repro.core.ndm import NewDetectionMechanism
-from repro.core.pdm import PreviousDetectionMechanism
+from repro.core.ndm import NewDetectionMechanism, wake_header_waiters
 from repro.core.probe import ProbeDetection
-from repro.core.timeout import (
-    HeaderBlockedTimeout,
-    InjectionStallTimeout,
-    SourceAgeTimeout,
-)
-from repro.metrics.stats import SimulationStats
+from repro.metrics.stats import DetectionTally, SimulationStats
 from repro.network.channel import PhysicalChannel, VirtualChannel
 from repro.network.config import DetectorConfig, SimulationConfig
 from repro.network.message import Message
@@ -91,19 +96,6 @@ MAX_CELLS = 64
 _G = GPState.GENERATE
 _P = GPState.PROPAGATE
 
-#: Canonical family order for cell ranks.  NDM first keeps the G/P
-#: masks' bit range anchored at the low bits; the order (and ascending
-#: thresholds within a family) is the fixed reduction order that makes
-#: fold results independent of input ordering and PYTHONHASHSEED.
-_FAMILY_ORDER = {
-    NewDetectionMechanism.name: 0,
-    PreviousDetectionMechanism.name: 1,
-    HeaderBlockedTimeout.name: 2,
-    SourceAgeTimeout.name: 3,
-    InjectionStallTimeout.name: 4,
-    ProbeDetection.name: 5,
-}
-
 
 def detector_cell_key(detector: DetectorConfig) -> Tuple[Any, ...]:
     """Hashable identity of one cell within a batch group.
@@ -121,10 +113,6 @@ def detector_cell_key(detector: DetectorConfig) -> Tuple[Any, ...]:
             int(detector.probe_max_outstanding),
         )
     return (detector.mechanism, int(detector.threshold))
-
-
-def _cell_sort_key(key: Tuple[Any, ...]) -> Tuple[Any, ...]:
-    return (_FAMILY_ORDER[key[0]],) + key[1:]
 
 
 def batch_eligible(config: SimulationConfig) -> bool:
@@ -168,6 +156,19 @@ def batch_group_key(config: SimulationConfig) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+class _Family(NamedTuple):
+    """One mechanism's threshold ladder on the shared run: a contiguous
+    rank range (``mask``, from bit ``base``) in ascending threshold order,
+    read through the class's own ``score`` / ``deadline`` — the very
+    definitions its solo runs call."""
+
+    mask: int
+    base: int
+    ladder: List[int]
+    score: Callable[[Message, int], int]
+    deadline: Callable[[Message, int, int], Optional[int]]
+
+
 class _CellProbeTransport(ProbeTransport):
     """Probe transport whose marked test is one cell's pending bit.
 
@@ -201,26 +202,11 @@ class _BatchProbeCell(ProbeDetection):
     ``BatchObserver.fold_cell`` writes them into the cell's stats.
     """
 
-    def __init__(
-        self, owner: "BatchObserver", rank: int, cell: DetectorConfig
-    ) -> None:
-        super().__init__(
-            cell.threshold,
-            max_hops=cell.probe_max_hops,
-            max_outstanding=cell.probe_max_outstanding,
-        )
+    def __init__(self, owner: "BatchObserver", rank: int, cell: DetectorConfig) -> None:
+        caps = (cell.probe_max_hops, cell.probe_max_outstanding)
+        super().__init__(cell.threshold, *caps)
         self.rank = rank
-        self._owner = owner
-        self.transport = _CellProbeTransport(
-            cell.probe_max_hops, cell.probe_max_outstanding, owner, rank
-        )
-
-    def arm_launch(self, message: Message, cycle: int) -> None:
-        """Episode first-attempt arming (the reference's hook body)."""
-        self._arm(message, cycle + self.threshold)
-
-    def _marked(self, message: Message) -> bool:
-        return self.transport._marked(message)
+        self.transport = _CellProbeTransport(*caps, owner, rank)
 
     def _flush_counters(self) -> None:
         """No-op: the owner folds transport counters per cell instead."""
@@ -258,7 +244,11 @@ class BatchObserver(NewDetectionMechanism):
 
     def __init__(self, cells: Sequence[DetectorConfig]) -> None:
         # Imported here to avoid a module-level cycle (see batch_eligible).
-        from repro.core.registry import batch_shareable
+        from repro.core.registry import (
+            batch_shareable,
+            batch_shareable_names,
+            detector_class,
+        )
 
         canonical: Dict[Tuple[Any, ...], DetectorConfig] = {}
         for cell in cells:
@@ -274,7 +264,13 @@ class BatchObserver(NewDetectionMechanism):
                 f"{len(canonical)} cells exceed MAX_CELLS={MAX_CELLS}; chunk "
                 "the group (the campaign executor does this automatically)"
             )
-        ordered = sorted(canonical, key=_cell_sort_key)
+        # Canonical rank order: family (registry order — ndm first keeps
+        # the G/P masks' bit range anchored at the low bits), ascending
+        # threshold, probe caps.  It is the fixed reduction order that
+        # makes fold results independent of input ordering and
+        # PYTHONHASHSEED.
+        family_order = {name: i for i, name in enumerate(batch_shareable_names())}
+        ordered = sorted(canonical, key=lambda key: (family_order[key[0]],) + key[1:])
         ndm_name = NewDetectionMechanism.name
         t1s = {
             int(canonical[key].t1) for key in ordered if key[0] == ndm_name
@@ -284,63 +280,61 @@ class BatchObserver(NewDetectionMechanism):
                 f"ndm cells disagree on t1 ({sorted(t1s)}); the shared G/P "
                 "dynamics are armed with a single t1"
             )
-        ndm_t1 = t1s.pop() if t1s else 1
-        min_threshold = min(key[1] for key in ordered)
-        # The composite reuses the NDM arming machinery; its own
-        # threshold field is cosmetic, anchored so the t1 < t2 ctor
-        # validation holds even for ndm-free groups.
-        if ordered[0][0] == ndm_name:
-            anchor = ordered[0][1]
+        # The composite reuses the NDM arming machinery with the group's
+        # one t1; its own threshold is cosmetic — the lowest ndm cell's,
+        # so the ctor's t1 < t2 check covers every ndm cell, and 2 (over
+        # the default t1) for an ndm-free group.
+        if t1s:
+            super().__init__(threshold=ordered[0][1], t1=t1s.pop())
         else:
-            anchor = max(ndm_t1 + 1, min_threshold)
-        super().__init__(threshold=anchor, t1=ndm_t1, selective_promotion=False)
+            super().__init__(threshold=2)
         #: Canonical cells, rank order (family, then ascending threshold).
         self.cells: List[DetectorConfig] = [canonical[key] for key in ordered]
         self._rank_by_key: Dict[Tuple[Any, ...], int] = {
             key: rank for rank, key in enumerate(ordered)
         }
-        self._cell_names: List[str] = [key[0] for key in ordered]
         k = len(ordered)
-        self._k = k
         self._full_mask = (1 << k) - 1
-        # Per-family contiguous bit ranges over the pending masks.
-        self._ndm_base, self._ndm_ladder, self._ndm_mask = self._family(
-            ndm_name, ordered
-        )
-        self._pdm_base, self._pdm_ladder, self._pdm_mask = self._family(
-            PreviousDetectionMechanism.name, ordered
-        )
-        (
-            self._timeout_base,
-            self._timeout_ladder,
-            self._timeout_mask,
-        ) = self._family(HeaderBlockedTimeout.name, ordered)
-        self._sa_base, self._sa_ladder, self._sa_mask = self._family(
-            SourceAgeTimeout.name, ordered
-        )
-        self._is_base, self._is_ladder, self._is_mask = self._family(
-            InjectionStallTimeout.name, ordered
-        )
-        #: Per-cell probe units (rank order), driven from the hooks below.
-        self._probe_units: List[_BatchProbeCell] = []
-        self._probe_unit_by_rank: Dict[int, _BatchProbeCell] = {}
-        for rank, key in enumerate(ordered):
-            if key[0] == ProbeDetection.name:
-                unit = _BatchProbeCell(self, rank, canonical[key])
-                self._probe_units.append(unit)
-                self._probe_unit_by_rank[rank] = unit
+        #: The ladders evaluated on routing attempts and those evaluated
+        #: in the checks phase — each a contiguous bit range of the
+        #: pending masks; the ndm ladder's range (0 without ndm cells)
+        #: is also the range of the G/P masks.
+        self._ndm_mask = 0
+        self._attempt_families: List[_Family] = []
+        self._periodic_families: List[_Family] = []
+        #: rank -> per-cell probe unit (rank order), driven from the hooks.
+        self._probe_units: Dict[int, _BatchProbeCell] = {}
+        for name in family_order:
+            cls = detector_class(name)
+            ranks = [r for r, key in enumerate(ordered) if key[0] == name]
+            if not ranks:
+                continue
+            if cls is ProbeDetection:
+                for rank in ranks:
+                    self._probe_units[rank] = _BatchProbeCell(
+                        self, rank, self.cells[rank]
+                    )
+                continue
+            family = _Family(
+                ((1 << len(ranks)) - 1) << ranks[0],
+                ranks[0],
+                [ordered[r][1] for r in ranks],
+                cls.score,
+                cls.deadline,
+            )
+            if cls.needs_periodic_check:
+                self._periodic_families.append(family)
+            else:
+                self._attempt_families.append(family)
+            if cls is NewDetectionMechanism:
+                self._ndm_mask = family.mask
         # Instance-level gates: the simulator caches these at build time.
-        self.needs_periodic_check = bool(self._sa_mask or self._is_mask)
+        self.needs_periodic_check = bool(self._periodic_families)
         self.has_probe_phase = bool(self._probe_units)
         #: message id -> bitmask of cells that have not yet detected it.
         self._pending: Dict[int, int] = {}
-        # Per-cell counters, one plain int list per field over the ranks.
-        self._detections = [0] * k
-        self._detections_measured = [0] * k
-        self._true = [0] * k
-        self._false = [0] * k
-        self._unclassified = [0] * k
-        self._events: List[List[DetectionEvent]] = [[] for _ in range(k)]
+        #: Per-cell detection counters and event log, rank order.
+        self._tally = [DetectionTally() for _ in range(k)]
         # Per-cell ground-truth snapshot for on-detection classification:
         # a solo run takes its snapshot at *its* first detection of a
         # cycle, so cells first detecting at different instants of one
@@ -359,18 +353,6 @@ class BatchObserver(NewDetectionMechanism):
         #: :meth:`attach`, all-P like the reference.
         self._gp_mask: List[int] = []
 
-    @staticmethod
-    def _family(
-        mechanism: str, ordered: List[Tuple[Any, ...]]
-    ) -> Tuple[int, List[int], int]:
-        """(base rank, ascending threshold ladder, global bit mask)."""
-        ranks = [r for r, key in enumerate(ordered) if key[0] == mechanism]
-        if not ranks:
-            return 0, [], 0
-        base = ranks[0]
-        ladder = [int(ordered[r][1]) for r in ranks]
-        return base, ladder, ((1 << len(ranks)) - 1) << base
-
     def rank_of_cell(self, detector: DetectorConfig) -> int:
         """Canonical rank of a cell (raises if absent from the group)."""
         return self._rank_by_key[detector_cell_key(detector)]
@@ -381,109 +363,67 @@ class BatchObserver(NewDetectionMechanism):
             super().attach(sim)  # arm the I-flag reset hooks, all-P flags
         else:
             DeadlockDetector.attach(self, sim)
-        for unit in self._probe_units:
+        for unit in self._probe_units.values():
             unit.attach(sim)
 
     # ------------------------------------------------------------------
     # Per-cell G/P flag maintenance (ndm family)
     # ------------------------------------------------------------------
-    def _first_attempt(
-        self, message: Message, input_pc: PhysicalChannel, cycle: int
+    def _first_attempt_cells(
+        self, message: Message, input_pc: PhysicalChannel, cycle: int, live: int
     ) -> None:
-        """First-attempt G/P rule, suppressed per cell like the reference.
+        """First-attempt G/P write, suppressed per cell like the reference.
 
         A reference run whose cell has already marked ``message`` skips
-        this call entirely, so the write lands only in the ndm cells
-        still pending on the message.  The branch taken (free lane /
-        advancing output / all blocked) depends only on shared
-        trajectory state and is therefore the same in every cell.  The
-        shared ``input_pc.gp`` keeps the never-marked dynamics so
-        channel-level hooks can cheaply skip all-G channels.
+        this call entirely, so the write lands only in ``live``, the ndm
+        cells still pending on the message.  The rule's outcome depends
+        only on shared trajectory state and is therefore the same in
+        every cell.  The shared ``input_pc.gp`` keeps the never-marked
+        dynamics so channel-level hooks can cheaply skip all-G channels.
         """
-        pending = self._pending.get(message.id, self._full_mask) & self._ndm_mask
-        idx = input_pc.index
-        if input_pc.occupied_count < len(input_pc.vcs):
+        if self.first_attempt_generates(message, input_pc, cycle):
+            # Promotion for the unsuppressed cells; the wake is a
+            # superset of each reference's (spurious wakes re-park).
+            self._gp_mask[input_pc.index] |= live
+            input_pc.gp = _G
+            wake_header_waiters(input_pc)
+        else:
+            self._gp_mask[input_pc.index] &= ~live
             input_pc.gp = _P
-            self._gp_mask[idx] &= ~pending
-            return
-        t1 = self.t1
-        for pc in message.feasible_pcs:
-            if pc.inactivity(cycle) <= t1:
-                # Promotion for the unsuppressed cells; the wake below is
-                # a superset of each reference's (spurious wakes re-park).
-                self._gp_mask[idx] |= pending
-                input_pc.gp = _G
-                self._wake_header_waiters(input_pc)
-                return
-        input_pc.gp = _P
-        self._gp_mask[idx] &= ~pending
 
     def _promote(self, input_pc: PhysicalChannel) -> None:  # type: ignore[override]
         """Channel-level promotion (I-flag reset hook): every cell to G."""
         self._gp_mask[input_pc.index] = self._ndm_mask
         input_pc.gp = _G
-        self._wake_header_waiters(input_pc)
+        wake_header_waiters(input_pc)
 
-    def _simple_reset_hook(
-        self, targets: Tuple[PhysicalChannel, ...]
-    ) -> Callable[[PhysicalChannel, int], None]:
-        """Reset hook that also fires when only a *cell's* flag is P.
-
-        The parent's hook short-circuits on the shared flag already
-        being G, which would skip channels where some cell still holds P
-        (suppressed writes diverge the two).
-        """
-        promote = self._promote
-        gp_mask = self._gp_mask
-        full = self._ndm_mask
-
-        def hook(pc: PhysicalChannel, cycle: int) -> None:
-            for input_pc in targets:
-                if input_pc.gp is not _G or gp_mask[input_pc.index] != full:
-                    promote(input_pc)
-
-        return hook
-
-    @staticmethod
-    def _wake_header_waiters(input_pc: PhysicalChannel) -> None:
-        if input_pc.header_waiters:
-            box = input_pc.wake_box
-            for m in input_pc.header_waiters:
-                if m.route_asleep:
-                    m.route_asleep = False
-                    box[0] -= 1
+    def _on_i_reset(self, pc: PhysicalChannel, cycle: int) -> None:
+        """As the parent's, but also fires when only a *cell's* flag is P:
+        the shared flag being G does not cover the cells whose suppressed
+        first-attempt writes diverged from it."""
+        gp_mask, full = self._gp_mask, self._ndm_mask
+        for input_pc in self._reset_targets[pc.index]:
+            if input_pc.gp is not _G or gp_mask[input_pc.index] != full:
+                self._promote(input_pc)
 
     def on_message_routed(self, message: Message, cycle: int) -> None:
         """Routing success resets the input flag to P in every cell
         (the reference calls this hook even for marked messages)."""
         self._truth_epoch += 1
-        if not self._ndm_mask:
-            return
         input_pc = message.input_pc
-        if input_pc is not None:
+        if self._ndm_mask and input_pc is not None:
             self._gp_mask[input_pc.index] = 0
             input_pc.gp = _P
 
     def on_vc_released(self, vc: VirtualChannel, cycle: int) -> None:
         """Lane release resets the flag to P in every cell."""
-        if not self._ndm_mask:
-            return
-        self._gp_mask[vc.pc.index] = 0
-        vc.pc.gp = _P
+        if self._ndm_mask:
+            self._gp_mask[vc.pc.index] = 0
+            vc.pc.gp = _P
 
     # ------------------------------------------------------------------
     # Routing-attempt families (ndm / pdm / header timeout / probe arm)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _min_feasible_inactivity(message: Message, cycle: int) -> Optional[int]:
-        """Shared reduction for the inactivity-ladder families."""
-        min_inact: Optional[int] = None
-        for pc in message.feasible_pcs:
-            value = pc.inactivity(cycle)
-            if min_inact is None or value < min_inact:
-                min_inact = value
-        return min_inact
-
     def on_blocked_attempt(
         self, message: Message, router: Router, cycle: int, first_attempt: bool
     ) -> bool:
@@ -493,142 +433,90 @@ class BatchObserver(NewDetectionMechanism):
         if first_attempt:
             self._truth_epoch += 1
         pending = self._pending.get(message.id, self._full_mask)
-        hit = 0
-        # Sentinel -1: not yet computed (None means no feasible output,
-        # in which case every inactivity-ladder predicate holds).
-        min_inact: Optional[int] = -1
-        if self._ndm_mask:
+        gate = self._full_mask
+        ndm_mask = self._ndm_mask
+        if ndm_mask:
+            # Unlike pdm and the timeout, the reference applies the G/P
+            # rule instead of detecting on *first* attempts, and only
+            # cells seeing G can detect on later ones.
+            gate ^= ndm_mask
             if first_attempt:
-                self._first_attempt(message, input_pc, cycle)
+                self._first_attempt_cells(
+                    message, input_pc, cycle, pending & ndm_mask
+                )
             else:
-                # Cells that can detect now: still pending *and* seeing G.
-                eligible = pending & self._gp_mask[input_pc.index]
-                if eligible:
-                    min_inact = self._min_feasible_inactivity(message, cycle)
-                    count = (
-                        len(self._ndm_ladder)
-                        if min_inact is None
-                        else bisect_left(self._ndm_ladder, min_inact)
-                    )
-                    hit |= eligible & (((1 << count) - 1) << self._ndm_base)
-        if self._pdm_mask:
-            # PDM is stateless across attempts and — unlike ndm — the
-            # reference evaluates it on *first* attempts too.
-            pdm_pending = pending & self._pdm_mask
-            if pdm_pending:
-                if min_inact == -1:
-                    min_inact = self._min_feasible_inactivity(message, cycle)
-                count = (
-                    len(self._pdm_ladder)
-                    if min_inact is None
-                    else bisect_left(self._pdm_ladder, min_inact)
-                )
-                hit |= pdm_pending & (((1 << count) - 1) << self._pdm_base)
-        if self._timeout_mask:
-            timeout_pending = pending & self._timeout_mask
-            if timeout_pending and message.blocked_since is not None:
-                count = bisect_left(
-                    self._timeout_ladder, cycle - message.blocked_since
-                )
-                hit |= timeout_pending & (
-                    ((1 << count) - 1) << self._timeout_base
-                )
+                gate |= self._gp_mask[input_pc.index]
+        self._sweep(self._attempt_families, (message,), cycle, gate)
         if first_attempt:
-            for unit in self._probe_units:
+            for unit in self._probe_units.values():
                 if pending >> unit.rank & 1:
-                    unit.arm_launch(message, cycle)
-        if hit:
-            self._pending[message.id] = pending & ~hit
-            self._record(message, cycle, hit)
+                    unit.on_blocked_attempt(message, router, cycle, True)
         return False  # never mark: the trajectory is shared
+
+    def _sweep(
+        self,
+        families: List[_Family],
+        messages: Iterable[Message],
+        cycle: int,
+        gate: int,
+    ) -> None:
+        """Record, for each in-network message, the pending cells of
+        ``gate`` whose rule fires on it now: per family, the rungs of the
+        ladder under the message's score (the one place the fold compares
+        a score with thresholds).  The loop body is the fold's hot spot
+        (the checks phase runs it per message per cycle), hence the
+        hoisted gate and the floor test: most scores are under every rung."""
+        gated = [
+            (f.mask & gate, f.base, f.ladder, f.ladder[0], f.score) for f in families
+        ]
+        pending_of, full = self._pending.get, self._full_mask
+        in_network = MessageStatus.IN_NETWORK
+        for m in messages:
+            if m.status is not in_network:
+                continue
+            pending = pending_of(m.id, full)
+            hit = 0
+            for mask, base, ladder, floor, score_of in gated:
+                live = pending & mask
+                if live:
+                    score = score_of(m, cycle)
+                    if score > floor:
+                        hit |= live & (((1 << bisect_left(ladder, score)) - 1) << base)
+            if hit:
+                self._pending[m.id] = pending & ~hit
+                self._record(m, cycle, hit)
 
     def blocked_deadline(self, message: Message, cycle: int) -> Optional[int]:
         """Composite deadline: the earliest any pending cell can detect.
 
-        None-aware minimum over the attempt-driven families.  For the
-        inactivity ladders (ndm eligible = pending *and* seeing G; pdm
-        just pending) the per-cell deadline is ``max(cycle+1, A+t+1)``
-        with ``A`` the latest occupied feasible channel's counter base —
-        unless some feasible channel is frozen at or below t, in which
-        case that cell cannot detect before a re-occupation (itself a
-        wakeup event).  Each family's deadline is monotone in t, so its
-        minimum is realized by the smallest pending threshold; cells
-        seeing P become eligible only through a promotion, which wakes
-        the parked header itself.  Header timeouts are exact arithmetic
-        on the blocking instant.  Periodic cells (source-age,
-        injection-stall) detect in the checks phase independent of
-        parking, and probe cells detect in the probe phase — their
-        reference cadence wakeups are behaviour-free failed attempts
-        (engine counters only), so both contribute None here.  Waking at
-        the composite, failing the attempt and re-parking walks the
-        chain until every cell's exact first-detection cycle has been
-        visited.
+        None-aware minimum over the attempt-driven families (ndm
+        eligible = pending *and* seeing G; the others just pending).
+        Each family's deadline is monotone in t, so its minimum is
+        realized by the smallest pending threshold; cells seeing P
+        become eligible only through a promotion, which wakes the parked
+        header itself.  Periodic cells (source-age, injection-stall)
+        detect in the checks phase independent of parking, and probe
+        cells detect in the probe phase — their reference cadence
+        wakeups are behaviour-free failed attempts (engine counters
+        only), so both contribute None here.  Waking at the composite,
+        failing the attempt and re-parking walks the chain until every
+        cell's exact first-detection cycle has been visited.
         """
         input_pc = message.input_pc
         if input_pc is None:
             return None
         pending = self._pending.get(message.id, self._full_mask)
-        if not pending:
-            return None  # every cell already detected: sleep like marked
         best: Optional[int] = None
-        if self._ndm_mask:
-            eligible = pending & self._gp_mask[input_pc.index]
-            if eligible:
-                t_low = self._ndm_ladder[
-                    (eligible & -eligible).bit_length() - 1 - self._ndm_base
-                ]
-                best = self._counter_family_deadline(message, cycle, t_low)
-        if self._pdm_mask:
-            pdm_pending = pending & self._pdm_mask
-            if pdm_pending:
-                t_low = self._pdm_ladder[
-                    (pdm_pending & -pdm_pending).bit_length()
-                    - 1
-                    - self._pdm_base
-                ]
-                d = self._counter_family_deadline(message, cycle, t_low)
+        for family in self._attempt_families:
+            live = pending & family.mask
+            if family.mask == self._ndm_mask:
+                live &= self._gp_mask[input_pc.index]
+            if live:
+                lowest = family.ladder[(live & -live).bit_length() - 1 - family.base]
+                d = family.deadline(message, cycle, lowest)
                 if d is not None and (best is None or d < best):
                     best = d
-        if self._timeout_mask:
-            timeout_pending = pending & self._timeout_mask
-            if timeout_pending and message.blocked_since is not None:
-                t_low = self._timeout_ladder[
-                    (timeout_pending & -timeout_pending).bit_length()
-                    - 1
-                    - self._timeout_base
-                ]
-                d = message.blocked_since + t_low + 1
-                if d <= cycle:
-                    d = cycle + 1
-                if best is None or d < best:
-                    best = d
         return best
-
-    @staticmethod
-    def _counter_family_deadline(
-        message: Message, cycle: int, t_low: int
-    ) -> Optional[int]:
-        """Earliest all-feasible-inactivity-above-t crossing for ``t_low``."""
-        base: Optional[int] = None  # A over occupied feasible channels
-        floor: Optional[int] = None  # F: min frozen inactivity
-        for pc in message.feasible_pcs:
-            if pc.occupied_count:
-                start = pc.last_flit_cycle
-                if pc.active_since > start:
-                    start = pc.active_since
-                start += pc.counter_lag
-                if base is None or start > base:
-                    base = start
-            else:
-                frozen = pc.inactivity(cycle)
-                if floor is None or frozen < floor:
-                    floor = frozen
-        if floor is not None and t_low >= floor:
-            return None  # cannot cross before a re-occupation (a wake)
-        if base is None:
-            return cycle + 1  # all feasible channels frozen above t_low
-        deadline = base + t_low + 1
-        return deadline if deadline > cycle else cycle + 1
 
     # ------------------------------------------------------------------
     # Periodic families (source-age / injection-stall)
@@ -637,35 +525,7 @@ class BatchObserver(NewDetectionMechanism):
         self, active_messages: Iterable[Message], cycle: int
     ) -> List[Message]:
         """Record source-side timeout hits per cell; mark nothing."""
-        sa_mask = self._sa_mask
-        is_mask = self._is_mask
-        in_network = MessageStatus.IN_NETWORK
-        for m in active_messages:
-            if m.status is not in_network:
-                continue
-            pending = self._pending.get(m.id, self._full_mask)
-            hit = 0
-            if sa_mask:
-                sa_pending = pending & sa_mask
-                if sa_pending and m.inject_cycle is not None:
-                    count = bisect_left(
-                        self._sa_ladder, cycle - m.inject_cycle
-                    )
-                    hit |= sa_pending & (((1 << count) - 1) << self._sa_base)
-            if is_mask:
-                is_pending = pending & is_mask
-                if (
-                    is_pending
-                    and m.flits_at_source > 0
-                    and m.last_source_flit_cycle is not None
-                ):
-                    count = bisect_left(
-                        self._is_ladder, cycle - m.last_source_flit_cycle
-                    )
-                    hit |= is_pending & (((1 << count) - 1) << self._is_base)
-            if hit:
-                self._pending[m.id] = pending & ~hit
-                self._record(m, cycle, hit)
+        self._sweep(self._periodic_families, active_messages, cycle, self._full_mask)
         return []
 
     # ------------------------------------------------------------------
@@ -674,7 +534,7 @@ class BatchObserver(NewDetectionMechanism):
     def probe_phase(self, cycle: int) -> List[Message]:
         """Advance every cell's probes; record victims per cell."""
         in_network = MessageStatus.IN_NETWORK
-        for unit in self._probe_units:
+        for unit in self._probe_units.values():
             for victim in unit.probe_phase(cycle):
                 # The reference applies the same screen before handling
                 # a probe victim; the pending bit is the per-cell
@@ -690,7 +550,7 @@ class BatchObserver(NewDetectionMechanism):
 
     # ------------------------------------------------------------------
     def _record(self, message: Message, cycle: int, hit: int) -> None:
-        """Append one detection event per hit cell (ascending ranks).
+        """Tally one detection event per hit cell (ascending ranks).
 
         On-detection classification reproduces each solo run's per-cycle
         oracle cache: a periodic sweep earlier this cycle primes one
@@ -704,15 +564,11 @@ class BatchObserver(NewDetectionMechanism):
         node = message.header_router()
         if node is None:  # pragma: no cover - blocked headers sit in-network
             node = message.inject_node
-        measuring = sim.measuring
         mask = hit
         while mask:
             low = mask & -mask
             rank = low.bit_length() - 1
             mask ^= low
-            self._detections[rank] += 1
-            if measuring:
-                self._detections_measured[rank] += 1
             truly: Optional[bool] = None
             if swept:
                 truly = message in sim._truth_cache
@@ -725,60 +581,36 @@ class BatchObserver(NewDetectionMechanism):
                     self._truth[rank] = self._snapshot
                     self._truth_cycle[rank] = cycle
                 truly = message in self._truth[rank]
-            if truly is None:
-                self._unclassified[rank] += 1
-            elif truly:
-                self._true[rank] += 1
-            else:
-                self._false[rank] += 1
-            self._events[rank].append(
+            # recovery="none": a cell detects a message at most once, so
+            # every detection is its message's first.
+            self._tally[rank].record_detection(
                 DetectionEvent(
                     cycle=cycle,
                     message_id=message.id,
                     node=node,
-                    mechanism=self._cell_names[rank],
+                    mechanism=self.cells[rank].mechanism,
                     truly_deadlocked=truly,
-                )
+                ),
+                sim.measuring,
+                True,
             )
 
     def fold_cell(self, shared: SimulationStats, rank: int) -> SimulationStats:
         """Per-cell stats for canonical rank ``rank`` from the shared run.
 
-        Only the detection family differs between cells; with
-        ``recovery="none"`` a message is detected at most once per cell,
-        so event counts equal distinct-message counts.  Probe cells
+        Only the detection tally differs between cells.  Probe cells
         additionally get their transport counters (zero on the shared
         stats: the per-cell units never flush).
         """
-        detections = self._detections[rank]
-        detections_measured = self._detections_measured[rank]
-        changes: Dict[str, Any] = dict(
-            detections=detections,
-            detections_measured=detections_measured,
-            messages_detected=detections,
-            messages_detected_measured=detections_measured,
-            true_detections=self._true[rank],
-            false_detections=self._false[rank],
-            unclassified_detections=self._unclassified[rank],
-            detection_events=list(self._events[rank]),
-            phase_time=dict(shared.phase_time),
-            engine_counters=dict(shared.engine_counters),
-        )
-        unit = self._probe_unit_by_rank.get(rank)
+        tally = self._tally[rank]
+        changes: Dict[str, Any] = {
+            f.name: getattr(tally, f.name) for f in dataclasses.fields(tally)
+        }
+        changes["phase_time"] = dict(shared.phase_time)
+        changes["engine_counters"] = dict(shared.engine_counters)
+        unit = self._probe_units.get(rank)
         if unit is not None:
-            transport = unit.transport
-            changes.update(
-                probe_launches=transport.launches,
-                probe_hops=transport.hops,
-                probe_cycle_detections=transport.cycle_detections,
-                probe_deadend_detections=transport.deadend_detections,
-                probe_dropped_progress=transport.dropped_progress,
-                probe_dropped_dedupe=transport.dropped_dedupe,
-                probe_dropped_election=transport.dropped_election,
-                probe_dropped_hops=transport.dropped_hops,
-                probe_dropped_overflow=transport.dropped_overflow,
-                probe_peak_outstanding=transport.peak_outstanding,
-            )
+            changes.update(unit.transport.counters())
         return dataclasses.replace(shared, **changes)
 
     def describe(self) -> str:

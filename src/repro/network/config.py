@@ -192,8 +192,11 @@ class SimulationConfig:
             raise ValueError("injection_rate must be >= 0")
         if self.warmup_cycles < 0 or self.measure_cycles < 1:
             raise ValueError("warmup_cycles >= 0 and measure_cycles >= 1 required")
-        if self.detector.threshold < 1:
-            raise ValueError("detector threshold must be >= 1")
+        # The mechanism's declaration rejects what its constructor would
+        # (imported here: repro.core imports this module).
+        from repro.core.registry import detector_class
+
+        detector_class(self.detector.mechanism).from_config(self.detector)
         if self.detector.probe_max_hops < 1:
             raise ValueError("probe_max_hops must be >= 1")
         if self.detector.probe_max_outstanding < 1:

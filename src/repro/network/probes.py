@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.metrics.stats import PROBE_FIELDS
 from repro.network.message import Message, usable_lanes
 from repro.network.types import MessageStatus
 
@@ -55,6 +56,9 @@ from repro.network.types import MessageStatus
 DIGEST_MASK = (1 << 64) - 1
 _DIGEST_PRIME = 0x100000001B3
 _DIGEST_SALT = 0x9E3779B97F4A7C15
+
+#: (stats field, transport attribute) of each behavioural counter.
+_COUNTERS = tuple((name, name[len("probe_"):]) for name in PROBE_FIELDS)
 
 
 def roll_digest(
@@ -180,16 +184,20 @@ class ProbeTransport:
         self.dropped_overflow = 0
         self.peak_outstanding = 0
 
+    def counters(self) -> Dict[str, int]:
+        """The behavioural counters under their ``SimulationStats`` names."""
+        return {field: getattr(self, attr) for field, attr in _COUNTERS}
+
     # ------------------------------------------------------------------
     # Session lifecycle
     # ------------------------------------------------------------------
     def _marked(self, message: Message) -> bool:
         """Is ``message`` already detected *from this transport's view*?
 
-        Seam mirroring :meth:`repro.core.probe.ProbeDetection._marked`:
-        the batch backend's per-cell transports override it to read the
-        cell's pending bit, since a shared multi-cell run never sets the
-        global ``marked_deadlocked`` flag.
+        Seam for the batch backend (the launch cadence in
+        ``repro.core.probe`` reads it too): its per-cell transports
+        override it to read the cell's pending bit, since a shared
+        multi-cell run never sets the global ``marked_deadlocked`` flag.
         """
         return message.marked_deadlocked
 

@@ -991,21 +991,7 @@ class Simulator:
             mechanism=self.detector.name,
             truly_deadlocked=truly,
         )
-        st = self.stats
-        st.detection_events.append(event)
-        st.detections += 1
-        if self.measuring:
-            st.detections_measured += 1
-        if truly is None:
-            st.unclassified_detections += 1
-        elif truly:
-            st.true_detections += 1
-        else:
-            st.false_detections += 1
-        if m.times_detected == 0:
-            st.messages_detected += 1
-            if self.measuring:
-                st.messages_detected_measured += 1
+        self.stats.record_detection(event, self.measuring, m.times_detected == 0)
         m.times_detected += 1
         m.marked_deadlocked = True
         if self.tracer is not None:

@@ -24,7 +24,7 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 from repro.analysis.deadlock import find_deadlocked
 from repro.core.detector import DeadlockDetector
 from repro.core.probe import ProbeDetection
-from repro.core.registry import make_detector
+from repro.core.registry import detector_class
 from repro.network.message import Message
 from repro.network.simulator import Simulator
 from repro.network.types import GPState, MessageStatus
@@ -52,15 +52,10 @@ class Instance:
         self.case = case
         self.engine = engine
         self.config = case.build_config(engine=engine)
-        self.detector: DeadlockDetector
+        cls = detector_class(case.mechanism)
         if case.mechanism == "ndm":
-            self.detector = RecordingNDM(
-                case.threshold,
-                t1=case.t1,
-                selective_promotion=case.selective_promotion,
-            )
-        else:
-            self.detector = make_detector(self.config.detector)
+            cls = RecordingNDM
+        self.detector: DeadlockDetector = cls.from_config(self.config.detector)
         self.sim = Simulator(self.config, detector=self.detector)
         self._rng = ScriptedRNG()
         self.sim.rng = self._rng

@@ -24,7 +24,7 @@ Checked rules (paper, Section 3):
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.ndm import NewDetectionMechanism
 from repro.network.channel import PhysicalChannel, VirtualChannel
@@ -137,21 +137,6 @@ class RecordingNDM(NewDetectionMechanism):
             super()._on_i_reset(pc, cycle)
         finally:
             self._ctx = None
-
-    def _simple_reset_hook(
-        self, targets: Tuple[PhysicalChannel, ...]
-    ) -> Callable[[PhysicalChannel, int], None]:
-        inner = super()._simple_reset_hook(targets)
-
-        def hook(pc: PhysicalChannel, cycle: int) -> None:
-            self._check_i_reset(pc, cycle)
-            self._ctx = "i-reset"
-            try:
-                inner(pc, cycle)
-            finally:
-                self._ctx = None
-
-        return hook
 
     def _check_i_reset(self, pc: PhysicalChannel, cycle: int) -> None:
         """An I-reset promotion requires the I flag to have been set."""

@@ -54,6 +54,11 @@ class TestCampaignCheckpoint:
             handle.write('{"kind": "cell", "config_hash": "tru')  # crash cut
         assert len(ck.records()) == 1
         assert set(ck.completed()) == {HASH_A}
+        # ... and the restarted writer's first record starts on a line of
+        # its own.
+        ck = CampaignCheckpoint(path)
+        record(ck, key="table2/th32/load0/s", config_hash=HASH_B)
+        assert set(ck.completed()) == {HASH_A, HASH_B}
 
     def test_fresh_truncates(self, tmp_path):
         path = tmp_path / "m.jsonl"

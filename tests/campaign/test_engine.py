@@ -1,10 +1,11 @@
 """Tests for the table-level campaign engine (reassembly + orchestration)."""
 
+import repro.campaign.executor as executor_module
 from repro.campaign.cache import ResultCache
 from repro.campaign.checkpoint import CampaignCheckpoint, summarize_manifest
 from repro.campaign.engine import run_campaign, run_table_campaign
 from repro.experiments.report import render_table, table_to_json
-from repro.experiments.runner import run_cell
+from repro.experiments.runner import run_cell, run_table
 from tests.campaign.conftest import tiny_base, tiny_spec
 
 
@@ -37,6 +38,34 @@ class TestRunTableCampaign:
         run_table_campaign(spec, tiny_base(), saturation=1.0, checkpoint=ck)
         summary = summarize_manifest(tmp_path / "m.jsonl")
         assert summary.campaigns_started == 1
+        assert summary.total_cells == spec.cell_count()
+
+    def test_resume_after_torn_manifest_tail(self, tmp_path, monkeypatch):
+        """A crash mid-append leaves a half-written last line; the resumed
+        campaign's first record must not be glued onto the fragment (and
+        skipped with it), and a second resume needs no simulation."""
+        path = tmp_path / "m.jsonl"
+        spec, base = tiny_spec(), tiny_base()
+        first = run_table(spec, base, 1.0, checkpoint=CampaignCheckpoint(path))
+        path.write_bytes(path.read_bytes()[:-30])
+
+        ran = []
+        run_unit = executor_module._run_unit
+        monkeypatch.setattr(
+            executor_module,
+            "_run_unit",
+            lambda payload, worker=None: ran.append(payload["keys"])
+            or run_unit(payload, worker),
+        )
+        for expect_runs in (1, 0):  # the torn cell re-runs once, then never
+            del ran[:]
+            again = run_table(
+                spec, base, 1.0, checkpoint=CampaignCheckpoint(path), resume=True
+            )
+            assert render_table(again) == render_table(first)
+            assert len(ran) == expect_runs
+        summary = summarize_manifest(path)
+        assert summary.campaigns_started == 3
         assert summary.total_cells == spec.cell_count()
 
 

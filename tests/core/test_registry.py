@@ -5,13 +5,20 @@ import pytest
 from repro.core.ndm import NewDetectionMechanism
 from repro.core.null import NoDetection
 from repro.core.pdm import PreviousDetectionMechanism
-from repro.core.registry import detector_names, make_detector
+from repro.core.registry import (
+    batch_shareable,
+    batch_shareable_names,
+    detector_names,
+    make_detector,
+)
 from repro.core.timeout import (
     HeaderBlockedTimeout,
     InjectionStallTimeout,
     SourceAgeTimeout,
 )
-from repro.network.config import DetectorConfig
+from repro.network.batch import BatchSimulator
+from repro.network.config import DetectorConfig, SimulationConfig
+from repro.network.simulator import Simulator
 
 
 class TestFactory:
@@ -48,8 +55,39 @@ class TestFactory:
             make_detector(DetectorConfig(mechanism="oracle"))
 
     def test_all_names_constructible(self):
+        """Every name builds from its default config section, reports its
+        own name, and passes ``validate()`` (which asks the same class)."""
         for name in detector_names():
-            make_detector(DetectorConfig(mechanism=name, threshold=8))
+            assert make_detector(DetectorConfig(mechanism=name)).name == name
+            SimulationConfig(detector=DetectorConfig(mechanism=name)).validate()
+
+    @pytest.mark.parametrize("name", batch_shareable_names())
+    def test_every_shareable_name_folds_a_ladder(self, name):
+        """The fold reads a mechanism off its declaration alone, so a
+        one-family ladder equals three solo runs for *every* shareable
+        name (a 16-node torus that blocks hard: single lane, beyond
+        saturation; every family detects at every rung here)."""
+        config = SimulationConfig(
+            radix=4,
+            dimensions=2,
+            vcs_per_channel=1,
+            injection_limit_fraction=None,
+            recovery="none",
+            warmup_cycles=0,
+            measure_cycles=400,
+            seed=3,
+        )
+        config.traffic.injection_rate = 1.0
+        cells = [DetectorConfig(mechanism=name, threshold=t) for t in (4, 16, 64)]
+        assert all(batch_shareable(cell) for cell in cells)
+        folded = BatchSimulator(config, cells).run()
+        for cell, stats in zip(cells, folded):
+            solo = Simulator(config.replace(detector=cell)).run()
+            assert stats.to_dict(include_perf=False) == solo.to_dict(
+                include_perf=False
+            ), cell.threshold
+        # Not vacuous: the ladder's rungs see different detection counts.
+        assert folded[0].detections > folded[2].detections > 0
 
     def test_zero_threshold_rejected(self):
         with pytest.raises(ValueError):

@@ -29,7 +29,12 @@ class TestHeaderBlockedTimeout:
         ok = scenario.run_until(lambda s: b.marked_deadlocked, limit=60)
         assert ok
         event = sim.stats.detection_events[0]
-        assert event.cycle - b.blocked_since >= 12
+        assert event.cycle - b.blocked_since == 13  # first cycle *over* 12
+        # The rule itself, at its boundary (the run above wakes the parked
+        # header at the deadline, so it cannot see an off-by-one score).
+        attempt = sim.detector.on_blocked_attempt
+        assert not attempt(b, None, b.blocked_since + 12, False)
+        assert attempt(b, None, b.blocked_since + 13, False)
 
     def test_falsely_marks_even_behind_advancing_message(self):
         """The crude timeout cannot tell congestion from deadlock."""
@@ -61,6 +66,8 @@ class TestSourceAgeTimeout:
         b = place_worm(sim, (3, 1), [(1, -1)], (4, 0), length=16)
         ok = scenario.run_until(lambda s: b.marked_deadlocked, limit=80)
         assert ok
+        event = next(e for e in sim.stats.detection_events if e.message_id == b.id)
+        assert event.cycle - b.inject_cycle == 31  # first cycle *over* 30
 
     def test_fast_messages_unmarked(self):
         scenario = fresh_scenario("source-age", threshold=100)
@@ -87,6 +94,8 @@ class TestInjectionStallTimeout:
         assert b.flits_at_source > 0
         ok = scenario.run_until(lambda s: b.marked_deadlocked, limit=100)
         assert ok
+        event = next(e for e in sim.stats.detection_events if e.message_id == b.id)
+        assert event.cycle - b.last_source_flit_cycle == 21  # first *over* 20
 
     def test_ignores_fully_injected_messages(self):
         scenario = fresh_scenario("injection-stall", threshold=10)

@@ -9,6 +9,7 @@ from repro.network.config import (
     paper_config,
     quick_config,
 )
+from repro.network.simulator import Simulator
 from repro.network.topology import KAryNCube, Mesh
 
 
@@ -92,6 +93,26 @@ class TestValidation:
         config.detector.threshold = 0
         with pytest.raises(ValueError):
             config.validate()
+
+    @pytest.mark.parametrize(
+        "detector,message",
+        [
+            ({"mechanism": "nope"}, "unknown detection mechanism 'nope'"),
+            ({"mechanism": "ndm", "threshold": 1}, "must be well below t2"),
+            ({"mechanism": "hybrid", "threshold": 1}, "must be well below t2"),
+        ],
+    )
+    def test_validate_rejects_what_the_simulator_would(self, detector, message):
+        """``validate()`` / ``from_dict()`` raise the constructor's own
+        error, so a bad campaign cell dies before any cell runs."""
+        config = SimulationConfig(detector=DetectorConfig(**detector))
+        with pytest.raises(ValueError, match=message) as at_build:
+            Simulator(config)
+        with pytest.raises(ValueError, match=message) as at_validate:
+            config.validate()
+        assert str(at_validate.value) == str(at_build.value)
+        with pytest.raises(ValueError, match=message):
+            SimulationConfig.from_dict(config.to_dict())
 
     @pytest.mark.parametrize(
         "recovery", ["progressive", "progressive-reinject", "regressive", "none"]

@@ -17,6 +17,7 @@ and diverges from the numpy-blocked subprocess) and passes with the fix.
 from __future__ import annotations
 
 import ast
+import copy
 import hashlib
 import inspect
 import json
@@ -25,8 +26,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import repro.network.simulator as simulator_module
-from repro.network.config import SimulationConfig
+from repro.network.config import DetectorConfig, SimulationConfig
 from repro.network.simulator import Simulator
 
 _CONFIG_KWARGS = dict(
@@ -147,3 +150,51 @@ def test_run_identical_across_hash_seeds():
     seeds must produce byte-identical stats.
     """
     assert _digest_under_hashseed("0") == _digest_under_hashseed("4242")
+
+
+@pytest.mark.parametrize(
+    "mechanism,selective",
+    [("ndm", False), ("ndm", True), ("hybrid", False)],
+)
+def test_copying_a_simulator_does_not_perturb_it(mechanism, selective):
+    """Stepping a deep copy must leave the original on its own trajectory.
+
+    The I-reset hook used to be a closure over live channels, so a copy's
+    hooks promoted the *original's* G/P flags.  Nothing is asserted about
+    the copy's own trajectory: that still depends on the iteration order
+    of ``Simulator._nodes_with_source`` (a set).
+    """
+
+    def build() -> Simulator:
+        config = SimulationConfig(
+            radix=4,
+            dimensions=2,
+            vcs_per_channel=1,
+            injection_limit_fraction=None,
+            warmup_cycles=0,
+            measure_cycles=600,
+            seed=1,
+        )
+        config.traffic.injection_rate = 1.0
+        config.detector = DetectorConfig(
+            mechanism=mechanism, threshold=16, selective_promotion=selective
+        )
+        return Simulator(config)
+
+    def behaviour(sim: Simulator) -> dict:
+        return sim.stats.to_dict(include_perf=False)
+
+    reference = build()
+    for _ in range(600):
+        reference.step()
+    assert reference.stats.detections > 0  # the hook has something to do
+
+    original = build()
+    for _ in range(300):
+        original.step()
+    clone = copy.deepcopy(original)
+    for _ in range(300):
+        clone.step()
+    for _ in range(300):
+        original.step()
+    assert behaviour(original) == behaviour(reference)
