@@ -21,6 +21,7 @@ of the new occupant clears a set I flag and re-labels the tree root.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.network.types import GPState, NodeId, PortKind
@@ -37,6 +38,16 @@ NEVER = -(1 << 60)
 #: (the table has 2**num_vcs entries per channel).  Wider channels fall
 #: back to scanning ``vcs`` — same result, without the table memory.
 MASK_TABLE_MAX_VCS = 8
+
+
+@lru_cache(maxsize=None)
+def _lanes_of_mask(num_vcs: int) -> Tuple[Tuple[int, ...], ...]:
+    """The lane indices each free mask selects, lowest first — one
+    template per channel width, so a build derives it once, not per channel."""
+    return tuple(
+        tuple(i for i in range(num_vcs) if mask >> i & 1)
+        for mask in range(1 << num_vcs)
+    )
 
 
 class VirtualChannel:
@@ -160,11 +171,10 @@ class PhysicalChannel:
         self.free_mask = (1 << num_vcs) - 1
         self.lanes_by_mask: Optional[List[Tuple[VirtualChannel, ...]]] = None
         if num_vcs <= MASK_TABLE_MAX_VCS:
+            vcs = self.vcs
             self.lanes_by_mask = [
-                tuple(
-                    vc for vc in self.vcs if mask & (1 << vc.index)
-                )
-                for mask in range(1 << num_vcs)
+                tuple([vcs[i] for i in lanes])
+                for lanes in _lanes_of_mask(num_vcs)
             ]
         self.occupied_count = 0
         self.last_flit_cycle = NEVER

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.network.topology import KAryNCube, Mesh, Topology
+from repro.network.topology import Topology, shared_topology
 
 
 @dataclass
@@ -161,13 +161,7 @@ class SimulationConfig:
 
     # ------------------------------------------------------------------
     def build_topology(self) -> Topology:
-        if self.topology == "torus":
-            return KAryNCube(self.radix, self.dimensions)
-        if self.topology == "mesh":
-            return Mesh(self.radix, self.dimensions)
-        raise ValueError(
-            f"unknown topology {self.topology!r}; choose 'torus' or 'mesh'"
-        )
+        return shared_topology(self.topology, self.radix, self.dimensions)
 
     def injection_limit(self, total_network_vcs: int) -> Optional[int]:
         """Busy-VC cap implied by ``injection_limit_fraction`` (or None)."""

@@ -10,7 +10,7 @@ message injection limitation mechanism of the paper's network model
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.network.channel import PhysicalChannel, VirtualChannel
 from repro.network.topology import Direction
@@ -26,6 +26,8 @@ class Router:
         input_pcs: incoming network channels (any direction order).
         injection_pcs: node-to-router ports through which new messages enter.
         ejection_pcs: router-to-node ports that consume delivered flits.
+        route_rows: the routing function as data, ``[dim][dest_coordinate]``
+            -> output channels toward it; ``ejection_row``: an arrival's.
         busy_network_vcs: currently occupied network-output virtual channels
             (the quantity the injection limitation thresholds against).
     """
@@ -37,6 +39,8 @@ class Router:
         "input_pcs",
         "injection_pcs",
         "ejection_pcs",
+        "route_rows",
+        "ejection_row",
         "busy_network_vcs",
     )
 
@@ -47,6 +51,8 @@ class Router:
         self.input_pcs: List[PhysicalChannel] = []
         self.injection_pcs: List[PhysicalChannel] = []
         self.ejection_pcs: List[PhysicalChannel] = []
+        self.route_rows: Tuple[Tuple[Tuple[PhysicalChannel, ...], ...], ...] = ()
+        self.ejection_row: Tuple[PhysicalChannel, ...] = ()
         self.busy_network_vcs = 0
 
     # ------------------------------------------------------------------
@@ -64,6 +70,20 @@ class Router:
 
     def add_ejection(self, pc: PhysicalChannel) -> None:
         self.ejection_pcs.append(pc)
+
+    def build_route_rows(
+        self,
+        dimension_rows: Sequence[Sequence[Sequence[Tuple[Direction, ...]]]],
+        coords: Sequence[int],
+    ) -> None:
+        """Map ``RoutingFunction.dimension_rows`` through this router's
+        channels (all wired by now); ``coords`` are this node's."""
+        outs = self.output_pcs
+        self.route_rows = tuple(
+            tuple(tuple([outs[d] for d in dirs]) for dirs in by_cur[c])
+            for by_cur, c in zip(dimension_rows, coords)
+        )
+        self.ejection_row = tuple(self.ejection_pcs)
 
     # ------------------------------------------------------------------
     # Allocation bookkeeping

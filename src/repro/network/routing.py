@@ -15,7 +15,7 @@ find a deadlock).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 from repro.network.topology import Direction, Topology
 from repro.network.types import NodeId
@@ -40,6 +40,10 @@ class RoutingFunction:
     #: detection monitoring applies.
     uses_vc_classes = False
 
+    #: Whether a hop joins the rows of :meth:`dimension_rows` over every
+    #: unfinished dimension (adaptive) or takes only the lowest one's.
+    lowest_dimension_only = False
+
     def candidates(
         self, topology: Topology, current: NodeId, dest: NodeId
     ) -> Tuple[Direction, ...]:
@@ -48,6 +52,26 @@ class RoutingFunction:
         Empty iff ``current == dest`` (the message must eject).
         """
         raise NotImplementedError
+
+    def dimension_rows(
+        self, topology: Topology
+    ) -> List[List[List[Tuple[Direction, ...]]]]:
+        """``rows[dim][cur][dst]``: :meth:`candidates` between two nodes that
+        differ only in coordinate ``dim`` — what a router holds.  Minimal
+        routing decides each dimension from that coordinate pair alone (ring
+        offset, mesh edge, radix-2 channel filter), so a hop's candidates are
+        these rows joined in ascending dimension order, order included."""
+        n = topology.dimensions
+        rows = []
+        for dim in range(n):
+            along = [
+                topology.node_at([c * (i == dim) for i in range(n)])
+                for c in range(topology.radix)
+            ]
+            rows.append(
+                [[self.candidates(topology, a, b) for b in along] for a in along]
+            )
+        return rows
 
     def allowed_vcs(
         self,
@@ -70,27 +94,14 @@ class TrueFullyAdaptive(RoutingFunction):
     name = "fully-adaptive"
     deadlock_prone = True
 
-    def __init__(self) -> None:
-        # (current, dest) -> direction tuple.  The map is pure in the
-        # topology, and a routing-function instance serves exactly one
-        # simulator (one topology), so the cache is sound; it caps out at
-        # num_nodes**2 entries and turns the per-hop minimal-direction
-        # computation into a dict hit on the routing hot path.
-        self._cache: Dict[Tuple[NodeId, NodeId], Tuple[Direction, ...]] = {}
-
     def candidates(
         self, topology: Topology, current: NodeId, dest: NodeId
     ) -> Tuple[Direction, ...]:
-        key = (current, dest)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
         dirs = topology.minimal_directions(current, dest)
         if len(dirs) > 1:
             # Radix-2 tori only materialize one channel per node pair;
             # drop directions with no physical channel behind them.
             dirs = tuple(d for d in dirs if topology.has_channel(current, d))
-        self._cache[key] = dirs
         return dirs
 
 
@@ -104,6 +115,7 @@ class DimensionOrder(RoutingFunction):
 
     name = "dimension-order"
     deadlock_prone = False
+    lowest_dimension_only = True
 
     def candidates(
         self, topology: Topology, current: NodeId, dest: NodeId
@@ -120,7 +132,7 @@ class DimensionOrder(RoutingFunction):
         return (in_dim[0],)
 
 
-class DuatoAdaptive(RoutingFunction):
+class DuatoAdaptive(TrueFullyAdaptive):
     """Adaptive routing with escape channels (deadlock *avoidance*).
 
     Duato's design [6, 7]: virtual channels are split into *adaptive*
@@ -149,15 +161,8 @@ class DuatoAdaptive(RoutingFunction):
     #: Lanes reserved for the escape sub-function (dateline classes 0/1).
     num_escape_vcs = 2
 
-    def candidates(
-        self, topology: Topology, current: NodeId, dest: NodeId
-    ) -> Tuple[Direction, ...]:
-        # Same physical-channel choices as true fully adaptive: the escape
-        # direction (dimension-order) is always one of the minimal ones.
-        dirs = topology.minimal_directions(current, dest)
-        if len(dirs) <= 1:
-            return dirs
-        return tuple(d for d in dirs if topology.has_channel(current, d))
+    # ``candidates`` is inherited: the same physical channels, of which the
+    # escape direction (dimension-order) is always one.
 
     def escape_direction(
         self, topology: Topology, current: NodeId, dest: NodeId

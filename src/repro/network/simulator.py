@@ -110,6 +110,8 @@ class Simulator:
         self.routing_fn = make_routing_function(config.routing)
         # Hoisted off the per-attempt hot path (constant per run).
         self._vc_class_routing = self.routing_fn.uses_vc_classes
+        self._lowest_dimension_only = self.routing_fn.lowest_dimension_only
+        self._coords_of = self.topology.coords
         self.workload = Workload(config.traffic, self.topology)
 
         self.routers: List[Router] = []
@@ -265,6 +267,9 @@ class Simulator:
                 index += 1
                 self.channels.append(pc)
                 self.routers[node].add_ejection(pc)
+        rows = self.routing_fn.dimension_rows(topo)
+        for router in self.routers:
+            router.build_route_rows(rows, topo.coords(router.node))
 
     # ------------------------------------------------------------------
     # Top-level control
@@ -546,10 +551,16 @@ class Simulator:
         if m.first_attempt_done:
             candidates = m.feasible_pcs
         elif m.dest == node:
-            candidates = tuple(router.ejection_pcs)
+            candidates = router.ejection_row
         else:
-            dirs = self.routing_fn.candidates(self.topology, node, m.dest)
-            candidates = tuple(router.output_pcs[d] for d in dirs)
+            # The router's own rows, ascending by dimension: the order
+            # ``routing_fn.candidates`` lists, so ``rng.choice`` draws alike.
+            candidates = ()
+            lowest_only = self._lowest_dimension_only
+            for row, c in zip(router.route_rows, self._coords_of(m.dest)):
+                candidates += row[c]
+                if lowest_only and candidates:
+                    break
 
         free: Sequence[VirtualChannel]
         if self._vc_class_routing:

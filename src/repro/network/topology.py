@@ -206,6 +206,18 @@ class Mesh(Topology):
         return tuple(dirs)
 
 
+@lru_cache(maxsize=16)
+def shared_topology(kind: str, radix: int, dimensions: int) -> Topology:
+    """One instance per shape (a topology holds no simulation state), so
+    validating a config is a lookup and simulators of one shape share one
+    coordinate table.  A bad shape raises every time: errors are not cached."""
+    if kind == "torus":
+        return KAryNCube(radix, dimensions)
+    if kind == "mesh":
+        return Mesh(radix, dimensions)
+    raise ValueError(f"unknown topology {kind!r}; choose 'torus' or 'mesh'")
+
+
 @lru_cache(maxsize=None)
 def _torus_minimal_offsets(offset: int, radix: int) -> Tuple[int, ...]:
     """Signs of minimal travel for a ring offset ``(dest - cur) mod radix``."""

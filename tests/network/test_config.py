@@ -42,6 +42,17 @@ class TestTopologyBuilding:
         with pytest.raises(ValueError, match="unknown topology"):
             SimulationConfig(topology="hypercube").build_topology()
 
+    def test_one_shared_instance_per_shape(self):
+        a = SimulationConfig(radix=4, dimensions=2)
+        assert a.build_topology() is a.replace(seed=9).build_topology()
+        assert a.build_topology() is not a.replace(radix=5).build_topology()
+        assert a.build_topology() is not a.replace(topology="mesh").build_topology()
+
+    def test_bad_shape_raises_every_time(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="radix"):
+                SimulationConfig(radix=1).validate()
+
 
 class TestInjectionLimit:
     def test_fraction_computes_floor(self):

@@ -24,6 +24,7 @@ from repro.core.pdm import PreviousDetectionMechanism
 from repro.network.config import SimulationConfig
 from repro.network.simulator import Simulator
 from repro.network.tracing import Tracer
+from tests.integration.test_golden import digest_of
 
 
 def _config(**overrides) -> SimulationConfig:
@@ -123,6 +124,27 @@ CASES = {
     "drain": dict(mechanism="ndm", threshold=16, drain_cycles=400),
     "long-messages": dict(mechanism="ndm", threshold=48, lengths="l"),
     "mesh": dict(mechanism="ndm", threshold=16, topology="mesh"),
+    # The two routing functions the paper's tables never run.
+    "dimension-order-mesh": dict(
+        mechanism="ndm", threshold=16, topology="mesh",
+        routing="dimension-order",
+    ),
+    "duato-torus": dict(mechanism="none", routing="duato-adaptive"),
+}
+
+#: case -> (delivered, sha256 of the traced event stream).  The engines
+#: agreeing with each other does not pin *what* they route: offering
+#: ``dimension-order`` every unfinished dimension passes every other test.
+#: After an intended model change, re-record from the assertion message.
+PINNED = {
+    "dimension-order-mesh": (
+        579,
+        "1e5c007a13c8fd29ce1804484e0f375fced335cb982beb6a1986d2819bc18482",
+    ),
+    "duato-torus": (
+        416,
+        "a4998918ef82ef49e795dbc159f31a4584dc040db222b47cff9e70f503bb5138",
+    ),
 }
 
 
@@ -130,6 +152,13 @@ CASES = {
 def test_engines_bit_identical(case):
     config = _config(**CASES[case])
     assert_active(config, assert_equivalent(config))
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_routing_function_run_is_pinned(case):
+    sim, stats = _run(_config(**CASES[case]), "event")
+    run = (stats.delivered, digest_of(sim))
+    assert run == PINNED[case], f"if intended, re-record {case!r} as {run!r}"
 
 
 def test_engines_bit_identical_saturated_torus():

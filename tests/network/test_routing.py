@@ -4,12 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.network.channel import PhysicalChannel
+from repro.network.config import SimulationConfig
+from repro.network.message import Message
 from repro.network.routing import (
     DimensionOrder,
     TrueFullyAdaptive,
     make_routing_function,
     routing_function_names,
 )
+from repro.network.simulator import Simulator
 from repro.network.topology import KAryNCube, Mesh
 
 
@@ -117,3 +121,91 @@ class TestDimensionOrder:
             hops += 1
             assert hops <= topo.distance(cur, dst)
         assert hops == topo.distance(cur, dst)
+
+
+# ----------------------------------------------------------------------
+# The routers' rows: what the simulator actually routes from
+# ----------------------------------------------------------------------
+SHAPES = {
+    "4ary-2cube": ("torus", 4, 2),
+    "8ary-2cube": ("torus", 8, 2),  # even radix: the half-ring (+1, -1) tie
+    "mesh-4x4": ("mesh", 4, 2),
+    "2ary-3cube": ("torus", 2, 3),  # one channel per node pair
+    "5ary-2cube": ("torus", 5, 2),
+}
+
+
+def _blocked_everywhere(shape, routing):
+    """A simulator on which no lane is grantable, so every first routing
+    attempt blocks and records the candidates it was offered."""
+    topology, radix, dimensions = SHAPES[shape]
+    config = SimulationConfig(
+        topology=topology,
+        radix=radix,
+        dimensions=dimensions,
+        routing=routing,
+        engine="scan",
+    )
+    config.detector.mechanism = "none"
+    sim = Simulator(config)
+    for pc in sim.channels:
+        pc.usable_mask = 0
+    return sim
+
+
+@pytest.mark.parametrize("routing", routing_function_names())
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_first_attempt_offers_exactly_what_candidates_says(shape, routing):
+    """Every (node, dest) pair, order included: ``rng.choice`` draws from
+    this tuple, so a reordering is a different run."""
+    sim = _blocked_everywhere(shape, routing)
+    rule = make_routing_function(routing)
+    nodes = range(sim.topology.num_nodes)
+    for node in nodes:
+        router = sim.routers[node]
+        for dest in nodes:
+            if dest == node:
+                expected = tuple(router.ejection_pcs)
+            else:
+                expected = tuple(
+                    router.output_pcs[d]
+                    for d in rule.candidates(sim.topology, node, dest)
+                )
+            m = Message(0, (dest + 1) % len(nodes), dest, 4, 0)
+            m.spans = [router.injection_pcs[0].vcs[0]]  # header waits at node
+            assert not sim._attempt_route(m, 0)
+            assert m.feasible_pcs == expected, (node, dest)
+
+
+def test_routing_state_does_not_grow_with_run_length():
+    """The routing function and the routers' rows are fixed at construction:
+    300 saturated cycles on the 8x8 torus add nothing to them."""
+    config = SimulationConfig(radix=8, dimensions=2, seed=3)
+    config.traffic.injection_rate = 1.0
+    sim = Simulator(config)
+
+    def sizes():
+        seen, stack, out = set(), [sim.routing_fn], []
+        for r in sim.routers:
+            stack += [r.route_rows, r.ejection_row]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, dict):
+                out.append(len(obj))
+                stack += list(obj.keys()) + list(obj.values())
+            elif isinstance(obj, (list, tuple, set, frozenset)):
+                out.append(len(obj))
+                stack += [x for x in obj if not isinstance(x, PhysicalChannel)]
+            elif hasattr(obj, "__dict__"):
+                stack.append(vars(obj))
+        return sorted(out)
+
+    before = sizes()
+    for _ in range(300):
+        sim.step()
+    assert any(m.is_blocked() for m in sim.pending_route)  # saturated
+    assert sizes() == before
+    assert not hasattr(sim.routing_fn, "_cache")
