@@ -102,7 +102,8 @@ class PhysicalChannel:
     virtual channel it belongs to; ``last_flit_cycle`` doubles as the
     transmit-side bandwidth guard.  ``last_drain_cycle`` is the receive-side
     guard: at most one flit per cycle leaves this channel's input buffers
-    through the downstream router's crossbar.
+    through the downstream router's crossbar (stamped only when
+    ``crossbar_input_limit``, its sole reader, is on).
 
     The channel also carries the state the detection hardware of the paper
     associates with it:
@@ -303,6 +304,9 @@ class PhysicalChannel:
         Resets the inactivity monitor; if that transition clears a set
         I flag, the ``on_i_reset`` hook fires *before* the reset so the
         detector observes the transition (the paper's root-relabeling rule).
+        The movement loop's inlined copy skips the test when
+        ``last_flit_cycle == cycle - 1``: inactivity is then at most 1 and
+        no channel is armed with ``i_threshold < 1``, so no I flag is set.
         """
         if (
             self.i_threshold is not None

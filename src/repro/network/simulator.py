@@ -645,6 +645,16 @@ class Simulator:
     # Phase 4: movement
     # ------------------------------------------------------------------
     def _movement_phase(self, cycle: int) -> None:
+        """Visit every awake worm once: header, body, source, tail, delivery.
+
+        A worm that ends its visit *frozen* — nothing moved, no output VC
+        is granted, and every stalled flit is stopped by a full downstream
+        buffer (or a full first span, for source flits) rather than by a
+        transient per-cycle bandwidth guard — cannot advance at any future
+        cycle until routing grants its header a channel, so the event
+        engine parks it (equivalent to :meth:`_worm_immovable`, which the
+        invariant checker uses as the independent specification).
+        """
         alist = self.active_messages
         if alist.tail:
             # Messages injected last cycle: splice at the conceptual end.
@@ -669,43 +679,168 @@ class Simulator:
             order += items[:start]
         else:
             order = items
-        survivors: Optional[List[Message]] = None
-        sappend: Optional[Callable[[Message], None]] = None
         park = self._park_enabled
-        n_visits = 0
         n_skips = 0
+        n_gone = 0  # recovered/removed since the last visit
+        delivered = False
         in_network = MessageStatus.IN_NETWORK
-        for pos, m in enumerate(order):
+        ejection = PortKind.EJECTION
+        input_limit = self._input_limit
+        # Fault guards are gated on one bool so healthy runs skip them.
+        # A fault-blocked flit is *not* structural blockage: ``frozen``
+        # stays False so the worm is never parked over a fault and simply
+        # retries until the window closes (fault edges also wake all
+        # parked state, so pre-existing parks cannot strand a worm).
+        faults = self._faults_on
+        prev_cycle = cycle - 1
+        release_vc = self._release_vc
+        for m in order:
             if m.status is not in_network:
                 m.in_active = False
-                if survivors is None:
-                    survivors = order[:pos]
-                    sappend = survivors.append
+                n_gone += 1
                 continue
             if m.move_asleep:
                 # Structurally frozen worm: stays at the same position in
                 # the visit order, woken by a routing grant.
                 n_skips += 1
-                if sappend is not None:
-                    sappend(m)
                 continue
-            n_visits += 1
-            frozen = self._advance_message(m, cycle)
-            if m.status is in_network:
-                if sappend is not None:
-                    sappend(m)
-                if park and frozen and m.spans:
-                    m.move_asleep = True
-                    self._move_parked += 1
-                    self._n_move_parks += 1
+            frozen = True
+            spans = m.spans
+            # -- header into its granted output VC ----------------------
+            avc = m.allocated_vc
+            if avc is not None:
+                frozen = False  # granted channel: advances now or next cycle
+                tpc = avc.pc
+                if faults and (
+                    not (tpc.usable_mask >> avc.index) & 1
+                    or (
+                        spans
+                        and (spans[-1].pc.stuck_mask >> spans[-1].index) & 1
+                    )
+                ):
+                    pass  # granted lane dark or header's buffer stuck: hold
+                elif tpc.last_flit_cycle != cycle and not (
+                    input_limit and spans and spans[-1].pc.last_drain_cycle == cycle
+                ):
+                    if spans:
+                        head = spans[-1]
+                        head.flits -= 1
+                        if input_limit:
+                            head.pc.last_drain_cycle = cycle
+                    else:
+                        m.flits_at_source -= 1
+                        m.last_source_flit_cycle = cycle
+                        if m.inject_cycle is None:
+                            m.inject_cycle = cycle
+                            if self.tracer is not None:
+                                self.tracer.record(
+                                    ("inject", cycle, m.id, m.inject_node)
+                                )
+                            if not m.ever_injected:
+                                m.ever_injected = True
+                                self.stats.injected += 1
+                                if self.measuring:
+                                    self.stats.injected_measured += 1
+                    tpc.record_flit(cycle)
+                    spans.append(avc)
+                    m.allocated_vc = None
+                    if tpc.kind is ejection:
+                        m.flits_delivered += 1
+                    else:
+                        avc.flits += 1
+                        # Header buffered at the next router: needs routing.
+                        self.pending_route.append(m)
+
+            # -- body flits, front (header side) to back (tail side) ----
+            # The structural test (full downstream buffer; an ejection
+            # lane never buffers, so it is never full) runs before the
+            # per-cycle bandwidth guards: all are pure reads, so the
+            # movement outcome is unchanged, and a pair stopped only by a
+            # transient guard is recognized as movable-later (not frozen).
+            if len(spans) > 1:
+                pairs = reversed(spans)
+                down = next(pairs)
+                for up in pairs:
+                    if up.flits and down.flits < down.capacity:
+                        frozen = False
+                        dpc = down.pc
+                        last = dpc.last_flit_cycle
+                        if faults and (
+                            not (dpc.usable_mask >> down.index) & 1
+                            or (up.pc.stuck_mask >> up.index) & 1
+                        ):
+                            pass  # link down or a stuck lane on the hop
+                        elif last != cycle and not (
+                            input_limit and up.pc.last_drain_cycle == cycle
+                        ):
+                            up.flits -= 1
+                            if input_limit:
+                                up.pc.last_drain_cycle = cycle
+                            # PhysicalChannel.record_flit, inlined: this
+                            # is the hottest flit-accounting site (every
+                            # body-flit hop).  A flit crossed last cycle
+                            # means inactivity <= 1 <= t1: no I flag set.
+                            if last != prev_cycle:
+                                t1 = dpc.i_threshold
+                                hook = dpc.on_i_reset
+                                if (
+                                    t1 is not None
+                                    and hook is not None
+                                    and dpc.occupied_count > 0
+                                ):
+                                    if dpc.active_since > last:
+                                        last = dpc.active_since
+                                    if cycle - last - dpc.counter_lag > t1:
+                                        hook(dpc, cycle)
+                            dpc.last_flit_cycle = cycle
+                            dpc.counter_lag = 0
+                            if dpc.kind is ejection:
+                                m.flits_delivered += 1
+                            else:
+                                down.flits += 1
+                    down = up
+
+            if m.flits_at_source:
+                # -- source flits into the injection VC -----------------
+                if spans:
+                    first = spans[0]
+                    if first.flits < first.capacity:
+                        frozen = False
+                        fpc = first.pc
+                        if faults and not (fpc.usable_mask >> first.index) & 1:
+                            pass  # injection span faulted: source flits hold
+                        elif fpc.last_flit_cycle != cycle:
+                            m.flits_at_source -= 1
+                            m.last_source_flit_cycle = cycle
+                            fpc.record_flit(cycle)
+                            first.flits += 1
             else:
-                m.in_active = False
-                if survivors is None:
-                    survivors = order[:pos]
-                    sappend = survivors.append
-        alist.items = order if survivors is None else survivors
+                # -- tail release, then delivery ------------------------
+                # Both need the source drained (``flits_delivered ==
+                # length`` implies it), which is false for every worm
+                # still injecting: one test skips both on that path.
+                while len(spans) > 1 and spans[0].flits == 0:
+                    release_vc(spans.pop(0), cycle)
+                    frozen = False
+                if m.flits_delivered == m.length:
+                    for vc in spans:
+                        release_vc(vc, cycle)
+                    spans.clear()
+                    self._finish_delivery(m, cycle)
+                    m.in_active = False
+                    delivered = True
+                    continue
+            if park and frozen and spans:
+                m.move_asleep = True
+                self._move_parked += 1
+                self._n_move_parks += 1
+        if n_gone or delivered:
+            # Only a worm's own visit ends its IN_NETWORK status here, so
+            # the survivors, in visit order, are those still in flight.
+            order = [m for m in order if m.status is in_network]
+        alist.items = order
         alist.rot = 0
-        self._n_move_visits += n_visits
+        self._n_move_visits += n - n_skips - n_gone
         self._n_move_skips += n_skips
 
     @staticmethod
@@ -730,159 +865,6 @@ class Simulator:
         if m.flits_at_source > 0 and spans[0].flits < spans[0].capacity:
             return False
         return True
-
-    def _advance_message(self, m: Message, cycle: int) -> bool:
-        """Advance one worm one cycle; return True if the worm is *frozen*.
-
-        Frozen means structurally immovable: nothing moved this cycle, no
-        output VC is granted, and every stalled flit is stopped by a full
-        downstream buffer (or a full first span, for source flits) rather
-        than by a transient per-cycle bandwidth guard — so no flit of this
-        worm can advance at any future cycle until routing grants the
-        header an output channel.  The event engine parks frozen worms
-        (equivalent to :meth:`_worm_immovable`, which the invariant
-        checker uses as the independent specification).
-        """
-        frozen = True
-        spans = m.spans
-        ejection = PortKind.EJECTION
-        input_limit = self._input_limit
-        # Fault guards are gated on one bool so healthy runs skip them.
-        # A fault-blocked flit is *not* structural blockage: ``frozen``
-        # stays False so the worm is never parked over a fault and simply
-        # retries until the window closes (fault edges also wake all
-        # parked state, so pre-existing parks cannot strand a worm).
-        faults = self._faults_on
-        # -- header into its granted output VC --------------------------
-        avc = m.allocated_vc
-        if avc is not None:
-            frozen = False  # granted channel: advances now or next cycle
-            tpc = avc.pc
-            if faults and (
-                not (tpc.usable_mask >> avc.index) & 1
-                or (
-                    spans
-                    and (spans[-1].pc.stuck_mask >> spans[-1].index) & 1
-                )
-            ):
-                pass  # granted lane dark or header's buffer stuck: hold
-            elif tpc.last_flit_cycle != cycle:
-                ok = True
-                if spans and input_limit:
-                    spc = spans[-1].pc
-                    if spc.last_drain_cycle == cycle:
-                        ok = False
-                if ok:
-                    if spans:
-                        head = spans[-1]
-                        head.flits -= 1
-                        head.pc.last_drain_cycle = cycle
-                    else:
-                        m.flits_at_source -= 1
-                        m.last_source_flit_cycle = cycle
-                        if m.inject_cycle is None:
-                            m.inject_cycle = cycle
-                            if self.tracer is not None:
-                                self.tracer.record(
-                                    ("inject", cycle, m.id, m.inject_node)
-                                )
-                            if not m.ever_injected:
-                                m.ever_injected = True
-                                self.stats.injected += 1
-                                if self.measuring:
-                                    self.stats.injected_measured += 1
-                    tpc.record_flit(cycle)
-                    if tpc.kind is ejection:
-                        m.flits_delivered += 1
-                        spans.append(avc)
-                        m.allocated_vc = None
-                    else:
-                        avc.flits += 1
-                        spans.append(avc)
-                        m.allocated_vc = None
-                        # Header buffered at the next router: needs routing.
-                        self.pending_route.append(m)
-
-        # -- body flits, front (header side) to back (tail side) --------
-        # The structural test (full downstream buffer) runs before the
-        # per-cycle bandwidth guards: all are pure reads, so the movement
-        # outcome is unchanged, and a pair stopped only by a transient
-        # guard is recognized as movable-later (not frozen).  The loop
-        # walks adjacent (up, down) pairs with a rolling ``down`` to
-        # avoid indexing each span twice.
-        n = len(spans)
-        if n > 1:
-            down = spans[n - 1]
-            for i in range(n - 2, -1, -1):
-                up = spans[i]
-                if up.flits:
-                    dpc = down.pc
-                    sink = dpc.kind is ejection
-                    if sink or down.flits < down.capacity:
-                        frozen = False
-                        if faults and (
-                            not (dpc.usable_mask >> down.index) & 1
-                            or (up.pc.stuck_mask >> up.index) & 1
-                        ):
-                            pass  # link down or a stuck lane on the hop
-                        elif dpc.last_flit_cycle != cycle:
-                            upc = up.pc
-                            if not input_limit or upc.last_drain_cycle != cycle:
-                                up.flits -= 1
-                                upc.last_drain_cycle = cycle
-                                # PhysicalChannel.record_flit, inlined:
-                                # this is the hottest flit-accounting
-                                # site (every body-flit hop), and the
-                                # call overhead is measurable.
-                                t1 = dpc.i_threshold
-                                hook = dpc.on_i_reset
-                                if (
-                                    t1 is not None
-                                    and hook is not None
-                                    and dpc.occupied_count > 0
-                                ):
-                                    start_ = dpc.last_flit_cycle
-                                    if dpc.active_since > start_:
-                                        start_ = dpc.active_since
-                                    if cycle - start_ - dpc.counter_lag > t1:
-                                        hook(dpc, cycle)
-                                dpc.last_flit_cycle = cycle
-                                dpc.counter_lag = 0
-                                if sink:
-                                    m.flits_delivered += 1
-                                else:
-                                    down.flits += 1
-                down = up
-
-        # -- source flits into the injection VC -------------------------
-        if m.flits_at_source > 0 and spans:
-            first = spans[0]
-            if first.flits < first.capacity:
-                frozen = False
-                fpc = first.pc
-                if faults and not (fpc.usable_mask >> first.index) & 1:
-                    pass  # injection span faulted: source flits hold
-                elif fpc.last_flit_cycle != cycle:
-                    m.flits_at_source -= 1
-                    m.last_source_flit_cycle = cycle
-                    fpc.record_flit(cycle)
-                    first.flits += 1
-
-        # -- tail release ------------------------------------------------
-        # Guard order: ``flits_at_source`` first — it is non-zero for
-        # every worm still injecting, which short-circuits the two
-        # list inspections on the common path.
-        while m.flits_at_source == 0 and len(spans) > 1 and spans[0].flits == 0:
-            self._release_vc(spans.pop(0), cycle)
-            frozen = False
-
-        # -- delivery ------------------------------------------------------
-        if m.flits_delivered == m.length:
-            for vc in spans:
-                self._release_vc(vc, cycle)
-            spans.clear()
-            self._finish_delivery(m, cycle)
-        return frozen
 
     def _finish_delivery(self, m: Message, cycle: int) -> None:
         m.status = MessageStatus.DELIVERED
@@ -1160,6 +1142,12 @@ class Simulator:
                 )
             if pc.counter_lag < 0:
                 raise AssertionError(f"{pc}: negative counter_lag")
+            # What the movement loop takes for granted: a sink is never
+            # full, and a flit one cycle after another clears no I flag.
+            if pc.kind is PortKind.EJECTION and any(vc.flits for vc in pc.vcs):
+                raise AssertionError(f"{pc}: an ejection lane buffers flits")
+            if pc.i_threshold is not None and pc.i_threshold < 1:
+                raise AssertionError(f"{pc}: armed with i_threshold < 1")
         n_route = sum(1 for m in self.active_messages if m.route_asleep)
         if n_route != self._route_parked_box[0]:
             raise AssertionError(

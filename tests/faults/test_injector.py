@@ -8,6 +8,7 @@ source of truth every simulation phase reads.
 import pytest
 
 from repro.network.config import SimulationConfig
+from repro.network.message import Message
 from repro.network.simulator import Simulator
 from repro.network.tracing import Tracer
 
@@ -134,6 +135,28 @@ class TestCounterFaults:
         assert pc.counter_lag == 9
         pc.note_occupied(sim.cycle)  # counter only advances while occupied
         pc.record_flit(sim.cycle + 1)  # the next flit clears the lag
+        assert pc.counter_lag == 0
+
+    def test_lag_cleared_by_a_body_flit_of_a_passing_worm(self):
+        """The movement loop inlines ``record_flit`` at the body-flit hop;
+        its copy has to clear the lag as the method does."""
+        link = next(
+            pc.index
+            for pc in quiet_sim([]).channels
+            if (pc.src_node, pc.dst_node) == (0, 1)
+        )
+        fault = {
+            "kind": "counter-lag", "start": 12, "end": 13, "channel": link,
+            "lag": 9,
+        }
+        sim = quiet_sim([fault])
+        sim.enqueue_source(Message(0, 0, 1, 40, 0), 0)
+        pc = sim.channels[link]
+        step_to(sim, 15)
+        # The fault landed (before cycle 12's phases), flits kept crossing
+        # the link, and the first of them took the lag with it.
+        assert sim.stats.fault_edges == 1
+        assert pc.last_flit_cycle == 15
         assert pc.counter_lag == 0
 
     def test_lag_delays_inactivity_reading(self):

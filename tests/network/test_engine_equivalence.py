@@ -109,6 +109,12 @@ CASES = {
         mechanism="ndm", threshold=16, selective_promotion=True
     ),
     "ndm-low-vc": dict(mechanism="ndm", threshold=16, vcs_per_channel=1),
+    # The per-input-port crossbar: both engines share the movement loop,
+    # so only the pin below says the limit constrains anything.
+    "input-limit": dict(
+        mechanism="ndm", threshold=16, vcs_per_channel=3,
+        crossbar_input_limit=True,
+    ),
     "pdm": dict(mechanism="pdm", threshold=16),
     "timeout": dict(mechanism="timeout", threshold=24),
     "hybrid": dict(mechanism="hybrid", threshold=8),
@@ -132,10 +138,13 @@ CASES = {
     "duato-torus": dict(mechanism="none", routing="duato-adaptive"),
 }
 
-#: case -> (delivered, sha256 of the traced event stream).  The engines
-#: agreeing with each other does not pin *what* they route: offering
-#: ``dimension-order`` every unfinished dimension passes every other test.
-#: After an intended model change, re-record from the assertion message.
+#: case -> (delivered, sha256 of the traced event stream[, the event
+#: engine's work counters]).  The engines agreeing with each other does
+#: not pin *what* they route or move — they share that code: offering
+#: ``dimension-order`` every unfinished dimension, or never stamping
+#: ``last_drain_cycle`` under ``crossbar_input_limit``, passes every
+#: other test.  After an intended model change, re-record from the
+#: assertion message.
 PINNED = {
     "dimension-order-mesh": (
         579,
@@ -144,6 +153,45 @@ PINNED = {
     "duato-torus": (
         416,
         "a4998918ef82ef49e795dbc159f31a4584dc040db222b47cff9e70f503bb5138",
+    ),
+    "input-limit": (
+        528,
+        "b922c441f90c85b0e61ec73d7fc3bade8acab9df56ccba13abf98d0d572f1174",
+        {
+            "route_attempts": 13798,
+            "route_parked_skips": 27550,
+            "route_parks": 12019,
+            "move_visits": 27147,
+            "move_parked_skips": 32754,
+            "move_parks": 883,
+            "deadline_wakeups": 6884,
+        },
+    ),
+    "ndm": (
+        573,
+        "0b215158cc9981e2133042d26d128156c446b117d4565729b61fdc1ca6199695",
+        {
+            "route_attempts": 12937,
+            "route_parked_skips": 26610,
+            "route_parks": 10991,
+            "move_visits": 27911,
+            "move_parked_skips": 30435,
+            "move_parks": 900,
+            "deadline_wakeups": 6066,
+        },
+    ),
+    "long-messages": (
+        95,
+        "92e6e48a969b85af079eb9580832bc7f712740ede4bca5b45b7b75bda0f262f1",
+        {
+            "route_attempts": 1482,
+            "route_parked_skips": 11445,
+            "route_parks": 955,
+            "move_visits": 24082,
+            "move_parked_skips": 10613,
+            "move_parks": 173,
+            "deadline_wakeups": 416,
+        },
     ),
 }
 
@@ -156,8 +204,10 @@ def test_engines_bit_identical(case):
 
 @pytest.mark.parametrize("case", sorted(PINNED))
 def test_routing_function_run_is_pinned(case):
+    """Named for its first two cases; every ``PINNED`` run is held to it."""
     sim, stats = _run(_config(**CASES[case]), "event")
-    run = (stats.delivered, digest_of(sim))
+    run = (stats.delivered, digest_of(sim), dict(stats.engine_counters))
+    run = run[: len(PINNED[case])]
     assert run == PINNED[case], f"if intended, re-record {case!r} as {run!r}"
 
 

@@ -96,6 +96,21 @@ class TestConservationInvariants:
         assert stats.delivered <= stats.generated
         assert stats.flits_delivered > 0
 
+    def test_movement_loop_preconditions_are_checked(self):
+        """The two facts the movement loop leans on without testing."""
+        config = small_config()
+        config.detector.mechanism = "ndm"
+        sim = Simulator(config)
+        sim.check_invariants()
+        sink = sim.routers[0].ejection_pcs[0]
+        sink.vcs[0].flits = 1
+        with pytest.raises(AssertionError, match="ejection lane buffers"):
+            sim.check_invariants()
+        sink.vcs[0].flits = 0
+        sink.i_threshold = 0
+        with pytest.raises(AssertionError, match="i_threshold < 1"):
+            sim.check_invariants()
+
 
 class TestDeterminism:
     def test_same_seed_same_stats(self):
