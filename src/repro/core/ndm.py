@@ -122,16 +122,15 @@ class NewDetectionMechanism(CounterDetector):
         # of the owning router, resolved once here because the hook fires
         # on every flit that clears a set I flag; the selective variant
         # promotes the channel's refcounted waiters.
-        router_inputs = [
-            tuple(r.input_pcs) + tuple(r.injection_pcs) for r in sim.routers
-        ]
+        router_inputs = [tuple(r.header_input_pcs()) for r in sim.routers]
         self._reset_targets = [()] * len(sim.channels)
+        hook = self._on_i_reset  # one bound method, shared by every channel
         for pc in sim.channels:
             pc.gp = _P
             if pc.kind is not PortKind.INJECTION:
                 # Output side of some router: arm the I-flag reset hook.
                 pc.i_threshold = self.t1
-                pc.on_i_reset = self._on_i_reset
+                pc.on_i_reset = hook
                 if self.selective_promotion:
                     pc.waiters = self._reset_targets[pc.index] = {}
                 else:

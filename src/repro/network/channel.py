@@ -34,16 +34,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 #: real cycle number exceeds every practical threshold.
 NEVER = -(1 << 60)
 
-#: Widest channel for which the mask -> free-lane-tuple table is built
-#: (the table has 2**num_vcs entries per channel).  Wider channels fall
-#: back to scanning ``vcs`` — same result, without the table memory.
+#: Widest channel for which the mask -> free-lane-indices table is used
+#: (the table has 2**num_vcs entries).  Wider channels fall back to
+#: scanning their lanes — same result, without the table memory.
 MASK_TABLE_MAX_VCS = 8
 
 
 @lru_cache(maxsize=None)
 def _lanes_of_mask(num_vcs: int) -> Tuple[Tuple[int, ...], ...]:
-    """The lane indices each free mask selects, lowest first — one
-    template per channel width, so a build derives it once, not per channel."""
+    """The lane indices each free mask selects, lowest first — one table
+    per channel width, shared by every channel of that width."""
     return tuple(
         tuple(i for i in range(num_vcs) if mask >> i & 1)
         for mask in range(1 << num_vcs)
@@ -165,18 +165,15 @@ class PhysicalChannel:
         # Incremental free-lane structure: bit ``i`` of ``free_mask`` is
         # set iff lane ``i`` is unoccupied, maintained by VirtualChannel
         # allocate/release as two integer ops.  ``lanes_by_mask[mask]``
-        # is the precomputed tuple of free lanes for that mask, in
-        # lane-index order — the exact order a scan of ``vcs`` would
-        # collect them, so ``rng.choice`` over it draws identically.
-        # The table is skipped for very wide channels (2**n entries).
+        # is the tuple of lane indices set in that mask, in lane-index
+        # order — the order a scan of ``vcs`` collects them, so a draw
+        # by position picks the lane ``rng.choice`` over that scan would.
+        # One table per width is shared by every channel of that width;
+        # very wide channels (2**n entries) have none and scan instead.
         self.free_mask = (1 << num_vcs) - 1
-        self.lanes_by_mask: Optional[List[Tuple[VirtualChannel, ...]]] = None
-        if num_vcs <= MASK_TABLE_MAX_VCS:
-            vcs = self.vcs
-            self.lanes_by_mask = [
-                tuple([vcs[i] for i in lanes])
-                for lanes in _lanes_of_mask(num_vcs)
-            ]
+        self.lanes_by_mask: Optional[Tuple[Tuple[int, ...], ...]] = (
+            _lanes_of_mask(num_vcs) if num_vcs <= MASK_TABLE_MAX_VCS else None
+        )
         self.occupied_count = 0
         self.last_flit_cycle = NEVER
         self.active_since = NEVER
@@ -324,18 +321,23 @@ class PhysicalChannel:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def lane_indices(self, mask: int) -> Tuple[int, ...]:
+        """The lanes set in ``mask``, lowest first: the shared table's
+        entry, or a scan on a channel too wide to have one."""
+        table = self.lanes_by_mask
+        if table is not None:
+            return table[mask]
+        return tuple(i for i in range(len(self.vcs)) if mask >> i & 1)
+
     @property
     def free_lanes(self) -> Tuple[VirtualChannel, ...]:
         """The currently unoccupied lanes, in lane-index order.
 
-        Hot paths read ``lanes_by_mask[free_mask]`` inline instead; this
-        accessor serves checks, tests and wide-channel fallback.
+        Routing reads lane indices and picks a lane by position instead
+        of building this tuple; it serves checks and tests.
         """
-        table = self.lanes_by_mask
-        if table is not None:
-            return table[self.free_mask]
-        mask = self.free_mask
-        return tuple(vc for vc in self.vcs if mask & (1 << vc.index))
+        vcs = self.vcs
+        return tuple([vcs[i] for i in self.lane_indices(self.free_mask)])
 
     def free_vcs(self) -> List[VirtualChannel]:
         """The currently unoccupied lanes of this channel (index order)."""
@@ -358,14 +360,12 @@ class PhysicalChannel:
     def usable_free_lanes(self) -> Tuple[VirtualChannel, ...]:
         """Free lanes routing may actually allocate (fault-aware).
 
-        Identical to :attr:`free_lanes` on a healthy channel; hot paths
-        inline the ``free_mask & usable_mask`` table lookup instead.
+        Identical to :attr:`free_lanes` on a healthy channel; routing
+        reads the indices of ``free_mask & usable_mask`` instead.
         """
+        vcs = self.vcs
         mask = self.free_mask & self.usable_mask
-        table = self.lanes_by_mask
-        if table is not None:
-            return table[mask]
-        return tuple(vc for vc in self.vcs if mask & (1 << vc.index))
+        return tuple([vcs[i] for i in self.lane_indices(mask)])
 
     def has_free_vc(self) -> bool:
         """Whether any lane of this channel is unoccupied."""

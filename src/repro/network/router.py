@@ -113,20 +113,16 @@ class Router:
     def free_injection_vc(self) -> Optional[VirtualChannel]:
         """A free virtual channel on any injection port, or ``None``.
 
-        ``free_lanes`` is kept in lane-index order, so the first entry is
-        the lowest-index free lane — the same lane a scan of ``pc.vcs``
-        would have returned.  The free mask is ANDed with the channel's
-        ``usable_mask`` so faulted injection ports (router stalls) accept
-        nothing; the mask is all-ones on healthy channels.
+        The lowest set bit of the free mask is the lowest-index free lane
+        — the same lane a scan of ``pc.vcs`` would have returned.  The
+        free mask is ANDed with the channel's ``usable_mask`` so faulted
+        injection ports (router stalls) accept nothing; the mask is
+        all-ones on healthy channels.
         """
         for pc in self.injection_pcs:
             mask = pc.free_mask & pc.usable_mask
-            table = pc.lanes_by_mask
-            lanes = (
-                table[mask] if table is not None else pc.usable_free_lanes()
-            )
-            if lanes:
-                return lanes[0]
+            if mask:
+                return pc.vcs[(mask & -mask).bit_length() - 1]
         return None
 
     def describe(self) -> str:  # pragma: no cover - cosmetic

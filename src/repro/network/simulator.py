@@ -61,7 +61,6 @@ from typing import (
     Dict,
     List,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
@@ -562,7 +561,7 @@ class Simulator:
                 if lowest_only and candidates:
                     break
 
-        free: Sequence[VirtualChannel]
+        vc: Optional[VirtualChannel] = None
         if self._vc_class_routing:
             if m.first_attempt_done:
                 allowed = m.feasible_vcs
@@ -575,33 +574,37 @@ class Simulator:
                     )
                 )
             free = [vc for vc in usable_lanes(allowed) if vc.occupant is None]
+            if free:
+                vc = free[0] if len(free) == 1 else self.rng.choice(free)
+        elif len(candidates) == 1:
+            # Free lane indices come from the incremental per-channel mask
+            # (ANDed with ``usable_mask``, all-ones on healthy channels)
+            # through the shared table, so no rescan of ``pc.vcs`` per
+            # attempt.  ``rng.choice`` reads only a sequence's length and
+            # one position, so drawing over the indices — or, below, over
+            # ``range(total)`` — picks the lane a draw over the
+            # concatenated free lanes would.
+            pc = candidates[0]
+            table = pc.lanes_by_mask
+            mask = pc.free_mask & pc.usable_mask
+            lanes = table[mask] if table is not None else pc.lane_indices(mask)
+            if lanes:
+                vc = pc.vcs[lanes[0] if len(lanes) == 1 else self.rng.choice(lanes)]
         else:
-            # The free lanes of each candidate come from the incremental
-            # per-channel mask (kept lane-index-ordered via the mask ->
-            # lanes table), so no rescan of ``pc.vcs`` per attempt.  The
-            # tuples are read-only snapshots — safe to alias.  ANDing in
-            # ``usable_mask`` (all-ones on healthy channels) filters out
-            # faulted lanes at the cost of one integer op.
-            if len(candidates) == 1:
-                pc = candidates[0]
+            total = 0
+            for pc in candidates:
                 table = pc.lanes_by_mask
-                free = (
-                    table[pc.free_mask & pc.usable_mask]
-                    if table is not None
-                    else pc.usable_free_lanes()
-                )
-            else:
-                acc: List[VirtualChannel] = []
+                mask = pc.free_mask & pc.usable_mask
+                total += len(table[mask] if table is not None else pc.lane_indices(mask))
+            if total:
+                k = 0 if total == 1 else self.rng.choice(range(total))
                 for pc in candidates:
-                    table = pc.lanes_by_mask
-                    acc += (
-                        table[pc.free_mask & pc.usable_mask]
-                        if table is not None
-                        else pc.usable_free_lanes()
-                    )
-                free = acc
-        if free:
-            vc = free[0] if len(free) == 1 else self.rng.choice(free)
+                    lanes = pc.lane_indices(pc.free_mask & pc.usable_mask)
+                    if k < len(lanes):
+                        vc = pc.vcs[lanes[k]]
+                        break
+                    k -= len(lanes)
+        if vc is not None:
             vc.allocate(m, cycle)
             if vc.pc.kind is PortKind.NETWORK:
                 router.note_network_vc_allocated()
@@ -624,10 +627,7 @@ class Simulator:
             # The wait relation, recorded once per block: every reader
             # iterates this tuple instead of re-deriving it per query.
             if not self._vc_class_routing:
-                lanes: List[VirtualChannel] = []
-                for pc in candidates:
-                    lanes += pc.vcs
-                allowed = tuple(lanes)
+                allowed = tuple([vc for pc in candidates for vc in pc.vcs])
             m.feasible_vcs = allowed
             if self.tracer is not None:
                 self.tracer.record(("block", cycle, m.id, node))
