@@ -48,8 +48,8 @@ def snapshot_channels(sim: "Simulator") -> List[ChannelSnapshot]:
                 src_node=pc.src_node,
                 dst_node=pc.dst_node,
                 occupied_vcs=pc.occupied_count,
-                total_vcs=len(pc.vcs),
-                buffered_flits=sum(vc.flits for vc in pc.vcs),
+                total_vcs=pc.num_vcs,
+                buffered_flits=sum(vc.flits for vc in pc.vcs(sim.lanes)),
                 inactivity=pc.inactivity(cycle),
             )
         )
@@ -63,7 +63,7 @@ def network_occupancy(sim: "Simulator") -> float:
         if pc.kind is not PortKind.NETWORK:
             continue
         held += pc.occupied_count
-        total += len(pc.vcs)
+        total += pc.num_vcs
     return held / total if total else 0.0
 
 
@@ -83,7 +83,7 @@ def occupancy_by_node(sim: "Simulator") -> Dict[int, float]:
     result: Dict[int, float] = {}
     for router in sim.routers:
         held = sum(pc.occupied_count for pc in router.output_pc_list)
-        total = sum(len(pc.vcs) for pc in router.output_pc_list)
+        total = sum(pc.num_vcs for pc in router.output_pc_list)
         result[router.node] = held / total if total else 0.0
     return result
 

@@ -23,7 +23,7 @@ ejection ports consume flits unconditionally (no protocol deadlock).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Set
+from typing import Iterable, List, Mapping, Set
 
 from repro.network.message import Message, usable_lanes
 from repro.network.types import MessageStatus
@@ -65,29 +65,33 @@ def find_deadlocked(messages: Iterable[Message]) -> Set[Message]:
     # and work done are identical across PYTHONHASHSEED values.  The
     # escape test is inlined in the pass loop; in the common wedged-network
     # case the fixpoint converges in two passes, so per-call overhead
-    # dominates any asymptotically cleverer scheme.
-    deadlocked: Set[Message] = set(candidates)
+    # dominates any asymptotically cleverer scheme.  Lanes name their
+    # occupants by id (a free lane's ``None`` is in no set of ids).
+    deadlocked = {m.id for m in candidates}
     changed = True
     while changed:
         changed = False
         for m in candidates:
-            if m not in deadlocked:
+            if m.id not in deadlocked:
                 continue
             # ``usable_lanes`` inlined (see the note on constant factors).
             for vc in m.feasible_vcs:
                 if (vc.pc.usable_mask >> vc.index) & 1 and (
-                    vc.occupant is None or vc.occupant not in deadlocked
+                    vc.occupant not in deadlocked
                 ):
-                    deadlocked.discard(m)
+                    deadlocked.discard(m.id)
                     changed = True
                     break
-    return deadlocked
+    return {m for m in candidates if m.id in deadlocked}
 
 
-def waiting_chain(message: Message, limit: int = 32) -> List[Message]:
+def waiting_chain(
+    message: Message, messages: Mapping[int, Message], limit: int = 32
+) -> List[Message]:
     """Follow one holder chain from ``message`` (diagnostic helper).
 
-    Picks, at each step, the first occupied usable lane's holder.  Useful
+    Picks, at each step, the first occupied usable lane's holder, looked
+    up by id in ``messages`` (the network's in-flight map).  Useful
     in tests and examples to show who a blocked message is waiting on.
     Stops at ``limit`` hops, at a non-blocked message, or when a cycle
     closes (the repeated message is included once more as the closing
@@ -99,7 +103,7 @@ def waiting_chain(message: Message, limit: int = 32) -> List[Message]:
     for _ in range(limit):
         holder = next(
             (
-                vc.occupant
+                messages[vc.occupant]
                 for vc in usable_lanes(current.feasible_vcs)
                 if vc.occupant is not None
             ),

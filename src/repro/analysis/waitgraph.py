@@ -110,10 +110,14 @@ def build_wait_graph(messages: Iterable[Message]) -> WaitGraph:
 
     A blocked message's alternatives are its usable allowed lanes (see
     :func:`repro.network.message.usable_lanes`): an occupied one is a wait
-    edge, a free one an escape — the relation the oracle reduces.
+    edge, a free one an escape — the relation the oracle reduces.  Lanes
+    name their occupants by id, so ``messages`` must hold every holder:
+    the active messages, or a deadlocked set (its members wait only on
+    each other).
     """
     graph = WaitGraph()
-    blocked = [m for m in messages if m.is_blocked() and m.spans]
+    by_id = {m.id: m for m in messages}
+    blocked = [m for m in by_id.values() if m.is_blocked() and m.spans]
     for m in blocked:
         graph.messages[m.id] = m
     for m in blocked:
@@ -126,7 +130,7 @@ def build_wait_graph(messages: Iterable[Message]) -> WaitGraph:
                 edges.append(
                     WaitEdge(
                         waiter=m,
-                        holder=vc.occupant,
+                        holder=by_id[vc.occupant],
                         channel_index=vc.pc.index,
                         vc_index=vc.index,
                     )

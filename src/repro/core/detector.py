@@ -15,17 +15,22 @@ Hook call sites (see ``repro.network.simulator``):
 * ``on_vc_released`` — a virtual channel was freed (tail passed, delivery,
   or recovery).
 * ``on_message_removed`` — a worm is being torn down by recovery.
-* ``periodic_check`` — once per cycle with the active message list; used by
-  source-side timeout mechanisms that do not piggyback on header routing.
+* ``on_i_reset`` — a flit cleared an I flag on a channel the detector
+  armed with ``i_threshold``.
+* ``periodic_check`` — once per cycle; used by source-side timeout
+  mechanisms that do not piggyback on header routing.
+
+Hooks that act on the network take the simulator as their first argument:
+a detector keeps no reference to it, so the network it observes holds no
+reference cycle through it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.network.channel import NEVER, VirtualChannel
+from repro.network.channel import NEVER, PhysicalChannel, VirtualChannel
 from repro.network.message import Message
-from repro.network.router import Router
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.network.config import DetectorConfig
@@ -74,7 +79,6 @@ class DeadlockDetector:
         if threshold < 1:
             raise ValueError(f"detection threshold must be >= 1, got {threshold}")
         self.threshold = threshold
-        self.sim: "Simulator" = None  # type: ignore[assignment]
 
     @classmethod
     def from_config(cls, config: "DetectorConfig") -> "DeadlockDetector":
@@ -87,8 +91,7 @@ class DeadlockDetector:
         return cls.batch_shareable
 
     def attach(self, sim: "Simulator") -> None:
-        """Wire the detector into a built simulator (called once)."""
-        self.sim = sim
+        """Arm the detector's state on a built simulator (called once)."""
 
     @staticmethod
     def score(message: Message, cycle: int) -> int:
@@ -107,7 +110,7 @@ class DeadlockDetector:
     # Hooks (default: no-ops)
     # ------------------------------------------------------------------
     def on_blocked_attempt(
-        self, message: Message, router: Router, cycle: int, first_attempt: bool
+        self, sim: "Simulator", message: Message, cycle: int, first_attempt: bool
     ) -> bool:
         """A routing attempt failed; return True to mark ``message``.
 
@@ -132,7 +135,7 @@ class DeadlockDetector:
         """
         return self.deadline(message, cycle, self.threshold)
 
-    def probe_phase(self, cycle: int) -> List[Message]:
+    def probe_phase(self, sim: "Simulator", cycle: int) -> List[Message]:
         """Advance out-of-band probes one hop; return elected victims.
 
         Called once per cycle between the checks and routing phases, but
@@ -155,9 +158,11 @@ class DeadlockDetector:
     def on_message_removed(self, message: Message, cycle: int) -> None:
         """``message`` is being torn down by the recovery mechanism."""
 
-    def periodic_check(
-        self, active_messages: Iterable[Message], cycle: int
-    ) -> List[Message]:
+    def on_i_reset(self, sim: "Simulator", pc: PhysicalChannel, cycle: int) -> None:
+        """A flit crossed ``pc`` while its I flag was set (fires only on
+        channels the detector armed with ``i_threshold``)."""
+
+    def periodic_check(self, sim: "Simulator", cycle: int) -> List[Message]:
         """Messages to mark independent of header routing (source-side)."""
         return []
 

@@ -21,12 +21,14 @@ makes that guarantee robust to heuristic corner cases).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.ndm import NewDetectionMechanism
 from repro.core.timeout import HeaderBlockedTimeout
 from repro.network.message import Message
-from repro.network.router import Router
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.network.simulator import Simulator
 
 
 class HybridDetection(NewDetectionMechanism):
@@ -58,9 +60,9 @@ class HybridDetection(NewDetectionMechanism):
         self.fallback_detections = 0
 
     def on_blocked_attempt(
-        self, message: Message, router: Router, cycle: int, first_attempt: bool
+        self, sim: "Simulator", message: Message, cycle: int, first_attempt: bool
     ) -> bool:
-        if super().on_blocked_attempt(message, router, cycle, first_attempt):
+        if super().on_blocked_attempt(sim, message, cycle, first_attempt):
             return True
         if first_attempt:
             return False

@@ -38,12 +38,11 @@ Protocol, exactly as described in the paper:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, List, Optional
 
 from repro.core.detector import CounterDetector
 from repro.network.channel import PhysicalChannel, VirtualChannel
 from repro.network.message import Message
-from repro.network.router import Router
 from repro.network.types import GPState, PortKind
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -52,16 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 
 _G = GPState.GENERATE
 _P = GPState.PROPAGATE
-
-
-def wake_header_waiters(input_pc: PhysicalChannel) -> None:
-    """Wake the headers parked on ``input_pc`` (its flag turned G)."""
-    if input_pc.header_waiters:
-        box = input_pc.wake_box
-        for m in input_pc.header_waiters:
-            if m.route_asleep:
-                m.route_asleep = False
-                box[0] -= 1
 
 
 class NewDetectionMechanism(CounterDetector):
@@ -95,10 +84,11 @@ class NewDetectionMechanism(CounterDetector):
         self.t1 = t1
         self.selective_promotion = selective_promotion
         #: Output channel index -> the inputs its reactivation promotes
-        #: (armed by :meth:`attach`).  On the detector, not the channel:
-        #: channels that hold channels make ``copy.deepcopy`` recurse
-        #: through the whole network.
-        self._reset_targets: List[Iterable[PhysicalChannel]] = []
+        #: (armed by :meth:`attach`): the owning router's inputs, or under
+        #: selective promotion the inputs whose blocked headers request
+        #: the channel, refcounted.  On the detector, not the channel: a
+        #: channel that held channels would close reference cycles.
+        self.reset_targets: List[Any] = []
 
     @classmethod
     def from_config(cls, config: DetectorConfig) -> "NewDetectionMechanism":
@@ -116,38 +106,36 @@ class NewDetectionMechanism(CounterDetector):
 
     # ------------------------------------------------------------------
     def attach(self, sim: "Simulator") -> None:
-        """Arm every router-output channel's I-flag reset hook."""
-        super().attach(sim)
+        """Arm every router-output channel's I flag."""
         # The paper's simple variant promotes a fixed set — every input
         # of the owning router, resolved once here because the hook fires
         # on every flit that clears a set I flag; the selective variant
         # promotes the channel's refcounted waiters.
         router_inputs = [tuple(r.header_input_pcs()) for r in sim.routers]
-        self._reset_targets = [()] * len(sim.channels)
-        hook = self._on_i_reset  # one bound method, shared by every channel
+        targets: List[Any] = [()] * len(sim.channels)
         for pc in sim.channels:
             pc.gp = _P
             if pc.kind is not PortKind.INJECTION:
                 # Output side of some router: arm the I-flag reset hook.
                 pc.i_threshold = self.t1
-                pc.on_i_reset = hook
                 if self.selective_promotion:
-                    pc.waiters = self._reset_targets[pc.index] = {}
+                    targets[pc.index] = {}
                 else:
-                    self._reset_targets[pc.index] = router_inputs[pc.src_node]
+                    targets[pc.index] = router_inputs[pc.src_node]
+        self.reset_targets = targets
 
     # ------------------------------------------------------------------
     # Routing-attempt protocol
     # ------------------------------------------------------------------
     def on_blocked_attempt(
-        self, message: Message, router: Router, cycle: int, first_attempt: bool
+        self, sim: "Simulator", message: Message, cycle: int, first_attempt: bool
     ) -> bool:
         """Apply the first-attempt G/P rule or the G + all-DT detection."""
         input_pc = message.input_pc
         if input_pc is None:  # pragma: no cover - headers always hold a VC here
             return False
         if first_attempt:
-            self._first_attempt(message, input_pc, cycle)
+            self._first_attempt(sim, message, input_pc, cycle)
             return False
         if input_pc.gp is not _G:
             return False
@@ -162,17 +150,21 @@ class NewDetectionMechanism(CounterDetector):
         Otherwise every requested channel is held by an already-blocked
         message and the current one is not waiting on the root."""
         return (
-            input_pc.occupied_count >= len(input_pc.vcs)
+            input_pc.occupied_count >= input_pc.num_vcs
             and not self.score(message, cycle) > self.t1
         )
 
     def _first_attempt(
-        self, message: Message, input_pc: PhysicalChannel, cycle: int
+        self,
+        sim: "Simulator",
+        message: Message,
+        input_pc: PhysicalChannel,
+        cycle: int,
     ) -> None:
         if self.selective_promotion:
             self._register_waiter(message, input_pc)
         if self.first_attempt_generates(message, input_pc, cycle):
-            self._promote(input_pc)
+            self._promote(sim, input_pc)
         else:
             input_pc.gp = _P
 
@@ -211,33 +203,33 @@ class NewDetectionMechanism(CounterDetector):
         if self.selective_promotion:
             self._unregister_waiter(message)
 
-    def _on_i_reset(self, pc: PhysicalChannel, cycle: int) -> None:
+    def on_i_reset(self, sim: "Simulator", pc: PhysicalChannel, cycle: int) -> None:
         """A stalled output channel advanced again: relabel tree roots.
 
         Changes the P flags of the inputs this output reactivates to G.
         The already-G check is inlined: the hook fires on every flit that
         clears a set I flag, and most inputs are already G by then.
         """
-        for input_pc in self._reset_targets[pc.index]:
+        for input_pc in self.reset_targets[pc.index]:
             if input_pc.gp is not _G:
-                self._promote(input_pc)
+                self._promote(sim, input_pc)
 
     @staticmethod
-    def _promote(input_pc: PhysicalChannel) -> None:
+    def _promote(sim: "Simulator", input_pc: PhysicalChannel) -> None:
         """Set an input channel's flag to G, waking parked headers on a
         P -> G transition (their detection predicate may now hold)."""
         if input_pc.gp is not _G:
             input_pc.gp = _G
-            wake_header_waiters(input_pc)
+            waiters = input_pc.header_waiters
+            if waiters:
+                sim.wake(waiters)
 
     # ------------------------------------------------------------------
     # Selective-promotion bookkeeping
     # ------------------------------------------------------------------
     def _register_waiter(self, message: Message, input_pc: PhysicalChannel) -> None:
         for pc in message.feasible_pcs:
-            waiters = pc.waiters
-            if waiters is None:  # pragma: no cover - armed in attach()
-                continue
+            waiters = self.reset_targets[pc.index]
             waiters[input_pc] = waiters.get(input_pc, 0) + 1
 
     def _unregister_waiter(self, message: Message) -> None:
@@ -247,9 +239,7 @@ class NewDetectionMechanism(CounterDetector):
         if input_pc is None:
             return
         for pc in message.feasible_pcs:
-            waiters = pc.waiters
-            if not waiters:
-                continue
+            waiters = self.reset_targets[pc.index]
             count = waiters.get(input_pc, 0)
             if count <= 1:
                 waiters.pop(input_pc, None)

@@ -18,9 +18,13 @@ Drawbacks the paper demonstrates (and our benchmarks reproduce):
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.core.detector import CounterDetector
 from repro.network.message import Message
-from repro.network.router import Router
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.network.simulator import Simulator
 
 
 class PreviousDetectionMechanism(CounterDetector):
@@ -32,7 +36,7 @@ class PreviousDetectionMechanism(CounterDetector):
     batch_shareable = True
 
     def on_blocked_attempt(
-        self, message: Message, router: Router, cycle: int, first_attempt: bool
+        self, sim: "Simulator", message: Message, cycle: int, first_attempt: bool
     ) -> bool:
         # The mechanism is stateless across attempts: every time a blocked
         # message is re-routed it checks the IF flag of each alternative.

@@ -25,11 +25,13 @@ ablation, not as the reproduction target.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
 from repro.core.detector import CounterDetector, DeadlockDetector
 from repro.network.message import Message, usable_lanes
-from repro.network.router import Router
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.network.simulator import Simulator
 
 
 class PreciseNDM(DeadlockDetector):
@@ -48,12 +50,14 @@ class PreciseNDM(DeadlockDetector):
         self._witness: Dict[int, object] = {}
 
     def on_blocked_attempt(
-        self, message: Message, router: Router, cycle: int, first_attempt: bool
+        self, sim: "Simulator", message: Message, cycle: int, first_attempt: bool
     ) -> bool:
         witness = self._witness
         if first_attempt:
             witness[message.id] = None
-        if witness[message.id] is None and self._sees_advancing_holder(message):
+        if witness[message.id] is None and self._sees_advancing_holder(
+            message, sim.messages
+        ):
             witness[message.id] = cycle
         witnessed = witness[message.id]
         if witnessed is None:
@@ -66,10 +70,10 @@ class PreciseNDM(DeadlockDetector):
         return CounterDetector.score(message, cycle) > self.threshold
 
     @staticmethod
-    def _sees_advancing_holder(message: Message) -> bool:
+    def _sees_advancing_holder(message: Message, messages: Dict[int, Message]) -> bool:
         for vc in usable_lanes(message.feasible_vcs):
             occupant = vc.occupant
-            if occupant is not None and not occupant.is_blocked():
+            if occupant is not None and not messages[occupant].is_blocked():
                 return True
         return False
 

@@ -30,11 +30,11 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 from repro.core.detector import DeadlockDetector
 from repro.network.message import Message
 from repro.network.probes import ProbeTransport
-from repro.network.router import Router
 from repro.network.types import MessageStatus
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.network.config import DetectorConfig
+    from repro.network.simulator import Simulator
 
 
 class ProbeDetection(DeadlockDetector):
@@ -77,7 +77,7 @@ class ProbeDetection(DeadlockDetector):
     # Router-side hooks
     # ------------------------------------------------------------------
     def on_blocked_attempt(
-        self, message: Message, router: Router, cycle: int, first_attempt: bool
+        self, sim: "Simulator", message: Message, cycle: int, first_attempt: bool
     ) -> bool:
         """Arm the launch deadline on the episode's first failed attempt.
 
@@ -107,10 +107,11 @@ class ProbeDetection(DeadlockDetector):
     # ------------------------------------------------------------------
     # Probe phase
     # ------------------------------------------------------------------
-    def probe_phase(self, cycle: int) -> List[Message]:
+    def probe_phase(self, sim: "Simulator", cycle: int) -> List[Message]:
         """One out-of-band hop for every in-flight probe, plus launches."""
         transport = self.transport
-        victims = transport.advance(cycle)
+        messages = sim.messages
+        victims = transport.advance(messages)
         heap = self._launch_heap
         in_network = MessageStatus.IN_NETWORK
         while heap and heap[0][0] <= cycle:
@@ -125,10 +126,10 @@ class ProbeDetection(DeadlockDetector):
             self._arm(message, cycle + self.threshold)
             if transport.has_session(message.id):
                 continue  # session already chasing; keep the cadence alive
-            deadend = transport.start_session(message, cycle)
+            deadend = transport.start_session(message, messages)
             if deadend is not None:
                 victims.append(deadend)
-        self._flush_counters()
+        self._flush_counters(sim)
         return victims
 
     def _arm(self, message: Message, launch_cycle: int) -> None:
@@ -139,9 +140,9 @@ class ProbeDetection(DeadlockDetector):
             self._launch_heap, (launch_cycle, self._launch_seq, message, episode)
         )
 
-    def _flush_counters(self) -> None:
+    def _flush_counters(self, sim: "Simulator") -> None:
         """Mirror transport counters into the run's behavioural stats."""
-        vars(self.sim.stats).update(self.transport.counters())
+        vars(sim.stats).update(self.transport.counters())
 
     def describe(self) -> str:
         return (

@@ -27,14 +27,15 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 
 
 class RecoveryManager:
-    """Strategy interface invoked when a message is marked as deadlocked."""
+    """Strategy interface invoked when a message is marked as deadlocked.
+
+    Stateless: the simulator passes itself to every call, so a scheme
+    holds no reference back to the network it acts on.
+    """
 
     name = "abstract"
 
-    def __init__(self, sim: "Simulator") -> None:
-        self.sim = sim
-
-    def recover(self, message: Message, cycle: int) -> None:
+    def recover(self, sim: "Simulator", message: Message, cycle: int) -> None:
         raise NotImplementedError
 
 
@@ -59,18 +60,18 @@ class ProgressiveRecovery(RecoveryManager):
     #: (interrupt + buffer management in [13]'s software scheme).
     software_overhead = 16
 
-    def recover(self, message: Message, cycle: int) -> None:
+    def recover(self, sim: "Simulator", message: Message, cycle: int) -> None:
         node = message.header_router()
         if node is None:
             node = message.inject_node
-        self.sim.free_worm(message, cycle)
+        sim.free_worm(message, cycle)
         message.recoveries += 1
-        distance = self.sim.topology.distance(node, message.dest)
+        distance = sim.topology.distance(node, message.dest)
         ready = cycle + distance + message.length + self.software_overhead
-        self.sim.schedule_recovery_delivery(message, ready)
-        self.sim.stats.recoveries += 1
-        if self.sim.measuring:
-            self.sim.stats.recoveries_measured += 1
+        sim.schedule_recovery_delivery(message, ready)
+        sim.stats.recoveries += 1
+        if sim.measuring:
+            sim.stats.recoveries_measured += 1
 
 
 class ProgressiveReinjection(RecoveryManager):
@@ -85,18 +86,18 @@ class ProgressiveReinjection(RecoveryManager):
 
     name = "progressive-reinject"
 
-    def recover(self, message: Message, cycle: int) -> None:
+    def recover(self, sim: "Simulator", message: Message, cycle: int) -> None:
         node = message.header_router()
         if node is None:
             node = message.inject_node
-        self.sim.free_worm(message, cycle)
+        sim.free_worm(message, cycle)
         message.recoveries += 1
         message.is_recovery_reinjection = True
         message.reset_for_reinjection(node, cycle)
-        self.sim.enqueue_recovery(message, node)
-        self.sim.stats.recoveries += 1
-        if self.sim.measuring:
-            self.sim.stats.recoveries_measured += 1
+        sim.enqueue_recovery(message, node)
+        sim.stats.recoveries += 1
+        if sim.measuring:
+            sim.stats.recoveries_measured += 1
 
 
 class RegressiveRecovery(RecoveryManager):
@@ -104,14 +105,14 @@ class RegressiveRecovery(RecoveryManager):
 
     name = "regressive"
 
-    def recover(self, message: Message, cycle: int) -> None:
-        self.sim.free_worm(message, cycle)
+    def recover(self, sim: "Simulator", message: Message, cycle: int) -> None:
+        sim.free_worm(message, cycle)
         message.retries += 1
         message.reset_for_reinjection(message.source, cycle)
-        self.sim.enqueue_source(message, message.source, front=False)
-        self.sim.stats.aborts += 1
-        if self.sim.measuring:
-            self.sim.stats.aborts_measured += 1
+        sim.enqueue_source(message, message.source, front=False)
+        sim.stats.aborts += 1
+        if sim.measuring:
+            sim.stats.aborts_measured += 1
 
 
 class NoRecovery(RecoveryManager):
@@ -124,12 +125,12 @@ class NoRecovery(RecoveryManager):
 
     name = "none"
 
-    def recover(self, message: Message, cycle: int) -> None:
+    def recover(self, sim: "Simulator", message: Message, cycle: int) -> None:
         # The mark itself was already recorded by the simulator.
         return
 
 
-def make_recovery(name: str, sim: "Simulator") -> RecoveryManager:
+def make_recovery(name: str) -> RecoveryManager:
     """Instantiate a recovery scheme by config name."""
     schemes = {
         ProgressiveRecovery.name: ProgressiveRecovery,
@@ -138,7 +139,7 @@ def make_recovery(name: str, sim: "Simulator") -> RecoveryManager:
         NoRecovery.name: NoRecovery,
     }
     try:
-        return schemes[name](sim)
+        return schemes[name]()
     except KeyError:
         raise ValueError(
             f"unknown recovery scheme {name!r}; choose from {sorted(schemes)}"

@@ -19,12 +19,14 @@ timeouts by roughly 10x in false detections, and NDM gains another 10x.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.detector import DeadlockDetector
 from repro.network.message import Message
-from repro.network.router import Router
 from repro.network.types import MessageStatus
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.network.simulator import Simulator
 
 
 class HeaderBlockedTimeout(DeadlockDetector):
@@ -47,7 +49,7 @@ class HeaderBlockedTimeout(DeadlockDetector):
         return None if since is None else since + threshold + 1
 
     def on_blocked_attempt(
-        self, message: Message, router: Router, cycle: int, first_attempt: bool
+        self, sim: "Simulator", message: Message, cycle: int, first_attempt: bool
     ) -> bool:
         """Fire once the header's blocked age is over the threshold."""
         return self.score(message, cycle) > self.threshold
@@ -72,15 +74,13 @@ class SourceAgeTimeout(DeadlockDetector):
         since = message.inject_cycle
         return 0 if since is None else cycle - since
 
-    def periodic_check(
-        self, active_messages: Iterable[Message], cycle: int
-    ) -> List[Message]:
+    def periodic_check(self, sim: "Simulator", cycle: int) -> List[Message]:
         """The eligible messages whose score is over the threshold."""
         score, threshold = self.score, self.threshold
         in_network = MessageStatus.IN_NETWORK
         return [
             m
-            for m in active_messages
+            for m in sim.active_messages
             if m.status is in_network
             and not m.marked_deadlocked
             and score(m, cycle) > threshold

@@ -52,10 +52,13 @@ _Op = Tuple[int, PhysicalChannel, int]
 
 
 class FaultInjector:
-    """Applies a compiled fault schedule to one simulator instance."""
+    """Applies a compiled fault schedule to one simulator instance.
+
+    Compiled against ``sim``'s channels, it keeps no reference to the
+    simulator: :meth:`apply` is handed it every cycle.
+    """
 
     def __init__(self, sim: "Simulator", specs: Sequence[FaultSpec]) -> None:
-        self.sim = sim
         self.specs = tuple(specs)
         #: cycle -> edge ops, in spec order (insertion order is spec order).
         self._edges: Dict[int, List[_Op]] = {}
@@ -66,22 +69,22 @@ class FaultInjector:
         self._stuck_refs: Dict[Tuple[int, int], int] = {}
         for spec in self.specs:
             spec.validate()
-            self._compile(spec)
+            self._compile(sim, spec)
 
     # ------------------------------------------------------------------
     # Compilation
     # ------------------------------------------------------------------
-    def _compile(self, spec: FaultSpec) -> None:
-        channels = self.sim.channels
+    def _compile(self, sim: "Simulator", spec: FaultSpec) -> None:
+        channels = sim.channels
         if spec.kind == "router-stall":
             node = spec.node
             assert node is not None
-            if node >= len(self.sim.routers):
+            if node >= len(sim.routers):
                 raise ValueError(
                     f"router-stall fault targets node {node}, but the "
-                    f"network has {len(self.sim.routers)} nodes"
+                    f"network has {len(sim.routers)} nodes"
                 )
-            router = self.sim.routers[node]
+            router = sim.routers[node]
             # A stalled crossbar switches nothing: everything the router
             # drives goes dark, and its injection ports accept nothing.
             # Upstream links into the router keep transmitting (their
@@ -109,10 +112,10 @@ class FaultInjector:
         elif spec.kind == "vc-stuck":
             lane = spec.lane
             assert lane is not None
-            if lane >= len(pc.vcs):
+            if lane >= pc.num_vcs:
                 raise ValueError(
                     f"vc-stuck fault targets lane {lane} of channel "
-                    f"{channel}, which has {len(pc.vcs)} lanes"
+                    f"{channel}, which has {pc.num_vcs} lanes"
                 )
             self._push(spec.start, (_STUCK_ON, pc, lane))
             self._push(spec.end, (_STUCK_OFF, pc, lane))
@@ -129,8 +132,9 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Per-cycle application
     # ------------------------------------------------------------------
-    def apply(self, cycle: int) -> None:
-        """Apply this cycle's fault edges (called at the top of ``step``)."""
+    def apply(self, sim: "Simulator", cycle: int) -> None:
+        """Apply this cycle's fault edges to ``sim`` (called at the top of
+        ``step``)."""
         # Counter-freeze upkeep: while a window covers an *occupied*
         # channel, the lag grows one cycle per cycle so the reading holds
         # at its window-start value (a flit reset zeroes both and the
@@ -142,7 +146,6 @@ class FaultInjector:
         ops = self._edges.get(cycle)
         if not ops:
             return
-        sim = self.sim
         tracer = sim.tracer
         for code, pc, arg in ops:
             if code == _DOWN_ON:

@@ -133,29 +133,18 @@ def place_worm(
     causes outside the scenario).
     """
     topo = sim.topology
-    cycle = sim.cycle
-    src_node = topo.node_at(source)
-    dest_node = topo.node_at(dest)
-    m = Message(sim._next_message_id, src_node, dest_node, length, cycle)
-    sim._next_message_id += 1
-
-    spans: List[VirtualChannel] = []
-    inj_vc = sim.routers[src_node].free_injection_vc()
-    if inj_vc is None:
-        raise RuntimeError(f"no free injection VC at node {source}")
-    inj_vc.allocate(m, cycle)
-    spans.append(inj_vc)
-
-    node = src_node
+    m, inj_vc = _admit(sim, topo.node_at(source), topo.node_at(dest), length)
+    spans: List[VirtualChannel] = [inj_vc]
+    node = m.source
     for direction in path:
         router = sim.routers[node]
         pc = router.output_pcs.get(direction)
         if pc is None:
             raise ValueError(f"node {node} has no channel in direction {direction}")
-        vc = next((v for v in pc.vcs if v.occupant is None), None)
+        vc = next((v for v in pc.vcs(sim.lanes) if v.occupant is None), None)
         if vc is None:
             raise RuntimeError(f"{pc} fully occupied; scenario placement invalid")
-        vc.allocate(m, cycle)
+        sim._allocate(vc, m, sim.cycle)
         router.note_network_vc_allocated()
         spans.append(vc)
         node = pc.dst_node
@@ -168,16 +157,7 @@ def place_worm(
         remaining -= take
     m.flits_at_source = remaining
     m.spans = spans
-    m.status = MessageStatus.IN_NETWORK
-    m.inject_cycle = cycle
-    m.last_source_flit_cycle = cycle  # placement counts as last activity
-    m.ever_injected = True
-    m.counted = True
-    m.in_active = True
-    sim.stats.injected += 1
-    if sim.measuring:
-        sim.stats.injected_measured += 1
-    sim.active_messages.append(m)
+    m.last_source_flit_cycle = sim.cycle  # placement counts as last activity
     if not parked:
         sim.pending_route.append(m)
     return m
@@ -200,34 +180,37 @@ def place_entering(
     if first_vc.occupant is not None:
         raise RuntimeError(f"{first_vc} is not free")
     topo = sim.topology
-    cycle = sim.cycle
-    src_node = topo.node_at(source)
-    m = Message(sim._next_message_id, src_node, topo.node_at(dest), length, cycle)
-    sim._next_message_id += 1
-
-    inj_vc = sim.routers[src_node].free_injection_vc()
-    if inj_vc is None:
-        raise RuntimeError(f"no free injection VC at node {source}")
-    inj_vc.allocate(m, cycle)
+    m, inj_vc = _admit(sim, topo.node_at(source), topo.node_at(dest), length)
     inj_vc.flits = min(length, inj_vc.capacity)
     m.flits_at_source = length - inj_vc.flits
     m.spans = [inj_vc]
-
-    first_vc.allocate(m, cycle)
+    sim._allocate(first_vc, m, sim.cycle)
     if first_vc.pc.kind is PortKind.NETWORK:
         sim.routers[first_vc.pc.src_node].note_network_vc_allocated()
     m.allocated_vc = first_vc
+    return m
 
+
+def _admit(
+    sim: Simulator, source: int, dest: int, length: int
+) -> Tuple[Message, VirtualChannel]:
+    """A new message from ``source``, counted as injected now and in
+    flight, holding a free injection lane of its node (also returned)."""
+    m = Message(sim._next_message_id, source, dest, length, sim.cycle)
+    sim._next_message_id += 1
+    inj_vc = sim.routers[source].free_injection_vc(sim.lanes)
+    if inj_vc is None:
+        raise RuntimeError(f"no free injection VC at node {source}")
+    sim._allocate(inj_vc, m, sim.cycle)
     m.status = MessageStatus.IN_NETWORK
-    m.inject_cycle = cycle
-    m.ever_injected = True
-    m.counted = True
-    m.in_active = True
+    m.inject_cycle = sim.cycle
+    m.ever_injected = m.counted = m.in_active = True
     sim.stats.injected += 1
     if sim.measuring:
         sim.stats.injected_measured += 1
     sim.active_messages.append(m)
-    return m
+    sim.messages[m.id] = m
+    return m, inj_vc
 
 
 # ----------------------------------------------------------------------
@@ -242,7 +225,7 @@ def channel_between(
     dst_node = topo.node_at(dst)
     for direction, pc in sim.routers[src_node].output_pcs.items():
         if pc.dst_node == dst_node:
-            return pc.vcs[0]
+            return sim.lanes[pc.lane0]
     raise ValueError(f"no channel from {src} to {dst}")
 
 

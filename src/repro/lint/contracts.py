@@ -12,10 +12,12 @@ and adds the pieces that belong to the lint layer:
   expected to wake parked work);
 * *role* contracts for calls the analyzer cannot resolve statically but
   whose receiver attribute names a well-known collaborator
-  (``self.detector.…``, ``self.recovery.recover``, ``pc.on_i_reset``);
+  (``self.detector.…``, ``self.recovery.recover``, a hoisted
+  ``on_i_reset`` hook);
 * the wake-significance classifier: which writes can unblock a parked
   waiter (VC release, counter restart, P->G promotion, fault-edge heal)
-  and therefore carry an EFF002 wake obligation.
+  and therefore carry an EFF002 wake obligation, and the lane bookkeeping
+  whose obligation the network discharges at its call sites.
 
 Everything here is *data*; the dataflow engine lives in
 :mod:`repro.lint.effects` and the rules in :mod:`repro.lint.rules_effects`.
@@ -81,6 +83,8 @@ HOOK_CONTRACTS: Dict[str, RoleContract] = {
     "on_message_removed": RoleContract(
         "on_message_removed", _groups("gp", "park")
     ),
+    # Re-promotes P flags to G and wakes the header waiters parked on them.
+    "on_i_reset": RoleContract("on_i_reset", _groups("gp", "park"), wakes=True),
     "periodic_check": RoleContract("periodic_check", frozenset()),
     "probe_phase": RoleContract("probe_phase", frozenset()),
     "blocked_deadline": RoleContract("blocked_deadline", frozenset()),
@@ -92,18 +96,11 @@ RECOVER_CONTRACT = RoleContract(
     "recover", DOMAIN - EFFECT_GROUPS["faults"], wakes=True
 )
 
-#: The ``on_i_reset`` callback re-promotes P flags to G and wakes the
-#: header waiters parked on them (``NewDetectionMechanism._on_i_reset``,
-#: reached through a channel attribute the analyzer cannot resolve).
-ON_I_RESET_CONTRACT = RoleContract(
-    "on_i_reset", _groups("gp", "park"), wakes=True
-)
-
 #: Receiver attribute name -> role, for calls the engine cannot resolve
 #: to a concrete function.  ``x.detector.hook(...)`` applies the hook
 #: contract for ``hook``; ``x.recovery.recover(...)`` the recovery
-#: contract; ``pc.on_i_reset(...)`` (or an alias of it) the reset-hook
-#: contract.  Tracer calls are telemetry-only.
+#: contract; a local alias of ``x.on_i_reset`` the reset-hook contract.
+#: Tracer calls are telemetry-only.
 ATTR_ROLES: Dict[str, str] = {
     "detector": "hook",
     "recovery": "recover",
@@ -121,7 +118,7 @@ def role_contract(role: str, method: Optional[str]) -> Optional[RoleContract]:
     if role == "recover":
         return RECOVER_CONTRACT if method == "recover" else None
     if role == "on_i_reset":
-        return ON_I_RESET_CONTRACT
+        return HOOK_CONTRACTS["on_i_reset"]
     if role == "pure":
         return RoleContract("pure", frozenset())
     return None
@@ -133,6 +130,18 @@ def role_contract(role: str, method: Optional[str]) -> Optional[RoleContract]:
 #: Attributes whose write means "a parked message is being woken":
 #: clearing a sleep flag is the event engine's wake primitive.
 WAKE_WRITE_ATTRS: FrozenSet[str] = frozenset({"route_asleep", "move_asleep"})
+
+#: Lane bookkeeping, blind to the parked waiters the simulator owns -> the
+#: simulator method whose wake discharges its obligations (EFF002 checks
+#: that the method still reaches both).
+DEFERRED_WAKES: Dict[str, str] = {
+    "repro.network.channel.VirtualChannel.release": (
+        "repro.network.simulator.Simulator._release_vc"
+    ),
+    "repro.network.channel.PhysicalChannel.note_occupied": (
+        "repro.network.simulator.Simulator._allocate"
+    ),
+}
 
 
 def classify_wake_obligation(

@@ -24,8 +24,8 @@ Resolved call shapes:
 * ``x.m(...)`` where ``x`` is a parameter/local with an inferred class
   type (annotations, ``self.attr = param`` mining in ``__init__``,
   constructor calls, ``Sequence[T]`` element access, for-loop targets);
-* ``x.detector.hook(...)`` / ``x.recovery.recover(...)`` /
-  ``pc.on_i_reset(...)`` via the role table in
+* ``x.detector.hook(...)`` / ``x.recovery.recover(...)`` / an alias of
+  ``x.on_i_reset`` via the role table in
   :mod:`repro.lint.contracts` (applied as declared contracts);
 * bare-name calls to same-module functions, imports and nested defs;
 * mutator-method calls (``d.pop``, ``l.append`` …) on an attribute
@@ -440,9 +440,9 @@ class _Env:
         self.var_type: Dict[str, str] = {}
         #: local name -> element class key (for subscripts / iteration)
         self.var_elem: Dict[str, str] = {}
-        #: local name -> attribute it aliases (``box = self.wake_box``)
+        #: local name -> attribute it aliases (``w = self.route_waiters``)
         self.var_attr: Dict[str, str] = {}
-        #: local name -> role (``hook = pc.on_i_reset``)
+        #: local name -> role (``hook = self.detector.on_i_reset``)
         self.var_role: Dict[str, str] = {}
         #: local name -> same-class method it aliases
         self.var_method: Dict[str, str] = {}

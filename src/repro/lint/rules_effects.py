@@ -144,8 +144,8 @@ class WakeCoverageRule(Rule):
     )
     hint = (
         "wake the affected waiters on the same path (clear route_asleep/"
-        "move_asleep through the channel wake loops), or line-waive with "
-        "a comment naming the caller that provably wakes afterwards"
+        "move_asleep, e.g. through Simulator.wake), declare the waking "
+        "caller in DEFERRED_WAKES, or line-waive with a comment naming it"
     )
     scopes = ("repro.network", "repro.core", "repro.faults")
 
@@ -157,7 +157,7 @@ class WakeCoverageRule(Rule):
             summary = effect_index.summaries[qualname]
             if summary.module_name != module.module_name:
                 continue
-            if summary.trans_wake:
+            if summary.trans_wake or _woken_by_caller(effect_index, qualname):
                 continue
             label = qualname[len(module.module_name) + 1:]
             for site in summary.writes:
@@ -171,6 +171,19 @@ class WakeCoverageRule(Rule):
                     "unblock a parked waiter, but no event-engine wake "
                     f"is reachable from {label}",
                 )
+
+
+def _woken_by_caller(index: EffectIndex, qualname: str) -> bool:
+    """Whether ``qualname``'s waker in ``contracts.DEFERRED_WAKES`` reaches
+    it and a direct wake through resolved calls (not hook contracts)."""
+    reached: Set[str] = set()
+    stack = [contracts.DEFERRED_WAKES.get(qualname, "")]
+    while stack:
+        name = stack.pop()
+        if name in index.summaries and name not in reached:
+            reached.add(name)
+            stack.extend(index.summaries[name].calls)
+    return qualname in reached and any(index.summaries[n].wakes for n in reached)
 
 
 _MATH_SANITIZERS = frozenset({"floor", "ceil", "trunc", "isqrt", "gcd", "comb"})

@@ -71,15 +71,13 @@ from typing import (
     Tuple,
 )
 
-from repro.core.detector import DeadlockDetector
-from repro.core.ndm import NewDetectionMechanism, wake_header_waiters
+from repro.core.ndm import NewDetectionMechanism
 from repro.core.probe import ProbeDetection
 from repro.metrics.stats import DetectionTally, SimulationStats
 from repro.network.channel import PhysicalChannel, VirtualChannel
 from repro.network.config import DetectorConfig, SimulationConfig
 from repro.network.message import Message
 from repro.network.probes import ProbeTransport
-from repro.network.router import Router
 from repro.network.simulator import Simulator
 from repro.network.types import DetectionEvent, GPState, MessageStatus
 
@@ -179,15 +177,17 @@ class _CellProbeTransport(ProbeTransport):
     """
 
     def __init__(
-        self, max_hops: int, max_outstanding: int, owner: "BatchObserver", rank: int
+        self, max_hops: int, max_outstanding: int, pending: Dict[int, int], rank: int
     ) -> None:
         super().__init__(max_hops, max_outstanding)
-        self._owner = owner
-        self._rank = rank
+        # The owner's pending masks, not the owner, which holds this
+        # transport: a pointer back would close a reference cycle.
+        self._pending = pending
+        self._bit = 1 << rank
 
     def _marked(self, message: Message) -> bool:
-        pending = self._owner._pending.get(message.id, self._owner._full_mask)
-        return not (pending >> self._rank & 1)
+        bit = self._bit
+        return not self._pending.get(message.id, bit) & bit
 
 
 class _BatchProbeCell(ProbeDetection):
@@ -202,13 +202,15 @@ class _BatchProbeCell(ProbeDetection):
     ``BatchObserver.fold_cell`` writes them into the cell's stats.
     """
 
-    def __init__(self, owner: "BatchObserver", rank: int, cell: DetectorConfig) -> None:
+    def __init__(
+        self, rank: int, cell: DetectorConfig, pending: Dict[int, int]
+    ) -> None:
         caps = (cell.probe_max_hops, cell.probe_max_outstanding)
         super().__init__(cell.threshold, *caps)
         self.rank = rank
-        self.transport = _CellProbeTransport(*caps, owner, rank)
+        self.transport = _CellProbeTransport(*caps, pending, rank)
 
-    def _flush_counters(self) -> None:
+    def _flush_counters(self, sim: Simulator) -> None:
         """No-op: the owner folds transport counters per cell instead."""
 
 
@@ -295,6 +297,8 @@ class BatchObserver(NewDetectionMechanism):
         }
         k = len(ordered)
         self._full_mask = (1 << k) - 1
+        #: message id -> bitmask of cells that have not yet detected it.
+        self._pending: Dict[int, int] = {}
         #: The ladders evaluated on routing attempts and those evaluated
         #: in the checks phase — each a contiguous bit range of the
         #: pending masks; the ndm ladder's range (0 without ndm cells)
@@ -312,7 +316,7 @@ class BatchObserver(NewDetectionMechanism):
             if cls is ProbeDetection:
                 for rank in ranks:
                     self._probe_units[rank] = _BatchProbeCell(
-                        self, rank, self.cells[rank]
+                        rank, self.cells[rank], self._pending
                     )
                 continue
             family = _Family(
@@ -331,8 +335,6 @@ class BatchObserver(NewDetectionMechanism):
         # Instance-level gates: the simulator caches these at build time.
         self.needs_periodic_check = bool(self._periodic_families)
         self.has_probe_phase = bool(self._probe_units)
-        #: message id -> bitmask of cells that have not yet detected it.
-        self._pending: Dict[int, int] = {}
         #: Per-cell detection counters and event log, rank order.
         self._tally = [DetectionTally() for _ in range(k)]
         # Per-cell ground-truth snapshot for on-detection classification:
@@ -357,20 +359,21 @@ class BatchObserver(NewDetectionMechanism):
         """Canonical rank of a cell (raises if absent from the group)."""
         return self._rank_by_key[detector_cell_key(detector)]
 
-    def attach(self, sim: "Simulator") -> None:  # type: ignore[override]
+    def attach(self, sim: Simulator) -> None:
         self._gp_mask = [0] * len(sim.channels)
         if self._ndm_mask:
-            super().attach(sim)  # arm the I-flag reset hooks, all-P flags
-        else:
-            DeadlockDetector.attach(self, sim)
-        for unit in self._probe_units.values():
-            unit.attach(sim)
+            super().attach(sim)  # arm the I flags, all-P flags
 
     # ------------------------------------------------------------------
     # Per-cell G/P flag maintenance (ndm family)
     # ------------------------------------------------------------------
     def _first_attempt_cells(
-        self, message: Message, input_pc: PhysicalChannel, cycle: int, live: int
+        self,
+        sim: Simulator,
+        message: Message,
+        input_pc: PhysicalChannel,
+        cycle: int,
+        live: int,
     ) -> None:
         """First-attempt G/P write, suppressed per cell like the reference.
 
@@ -386,25 +389,31 @@ class BatchObserver(NewDetectionMechanism):
             # superset of each reference's (spurious wakes re-park).
             self._gp_mask[input_pc.index] |= live
             input_pc.gp = _G
-            wake_header_waiters(input_pc)
+            waiters = input_pc.header_waiters
+            if waiters:
+                sim.wake(waiters)
         else:
             self._gp_mask[input_pc.index] &= ~live
             input_pc.gp = _P
 
-    def _promote(self, input_pc: PhysicalChannel) -> None:  # type: ignore[override]
+    def _promote(  # type: ignore[override]
+        self, sim: Simulator, input_pc: PhysicalChannel
+    ) -> None:
         """Channel-level promotion (I-flag reset hook): every cell to G."""
         self._gp_mask[input_pc.index] = self._ndm_mask
         input_pc.gp = _G
-        wake_header_waiters(input_pc)
+        waiters = input_pc.header_waiters
+        if waiters:
+            sim.wake(waiters)
 
-    def _on_i_reset(self, pc: PhysicalChannel, cycle: int) -> None:
+    def on_i_reset(self, sim: Simulator, pc: PhysicalChannel, cycle: int) -> None:
         """As the parent's, but also fires when only a *cell's* flag is P:
         the shared flag being G does not cover the cells whose suppressed
         first-attempt writes diverged from it."""
         gp_mask, full = self._gp_mask, self._ndm_mask
-        for input_pc in self._reset_targets[pc.index]:
+        for input_pc in self.reset_targets[pc.index]:
             if input_pc.gp is not _G or gp_mask[input_pc.index] != full:
-                self._promote(input_pc)
+                self._promote(sim, input_pc)
 
     def on_message_routed(self, message: Message, cycle: int) -> None:
         """Routing success resets the input flag to P in every cell
@@ -425,7 +434,7 @@ class BatchObserver(NewDetectionMechanism):
     # Routing-attempt families (ndm / pdm / header timeout / probe arm)
     # ------------------------------------------------------------------
     def on_blocked_attempt(
-        self, message: Message, router: Router, cycle: int, first_attempt: bool
+        self, sim: Simulator, message: Message, cycle: int, first_attempt: bool
     ) -> bool:
         input_pc = message.input_pc
         if input_pc is None:  # pragma: no cover - headers always hold a VC
@@ -442,19 +451,20 @@ class BatchObserver(NewDetectionMechanism):
             gate ^= ndm_mask
             if first_attempt:
                 self._first_attempt_cells(
-                    message, input_pc, cycle, pending & ndm_mask
+                    sim, message, input_pc, cycle, pending & ndm_mask
                 )
             else:
                 gate |= self._gp_mask[input_pc.index]
-        self._sweep(self._attempt_families, (message,), cycle, gate)
+        self._sweep(sim, self._attempt_families, (message,), cycle, gate)
         if first_attempt:
             for unit in self._probe_units.values():
                 if pending >> unit.rank & 1:
-                    unit.on_blocked_attempt(message, router, cycle, True)
+                    unit.on_blocked_attempt(sim, message, cycle, True)
         return False  # never mark: the trajectory is shared
 
     def _sweep(
         self,
+        sim: Simulator,
         families: List[_Family],
         messages: Iterable[Message],
         cycle: int,
@@ -484,7 +494,7 @@ class BatchObserver(NewDetectionMechanism):
                         hit |= live & (((1 << bisect_left(ladder, score)) - 1) << base)
             if hit:
                 self._pending[m.id] = pending & ~hit
-                self._record(m, cycle, hit)
+                self._record(sim, m, cycle, hit)
 
     def blocked_deadline(self, message: Message, cycle: int) -> Optional[int]:
         """Composite deadline: the earliest any pending cell can detect.
@@ -521,21 +531,21 @@ class BatchObserver(NewDetectionMechanism):
     # ------------------------------------------------------------------
     # Periodic families (source-age / injection-stall)
     # ------------------------------------------------------------------
-    def periodic_check(
-        self, active_messages: Iterable[Message], cycle: int
-    ) -> List[Message]:
+    def periodic_check(self, sim: Simulator, cycle: int) -> List[Message]:
         """Record source-side timeout hits per cell; mark nothing."""
-        self._sweep(self._periodic_families, active_messages, cycle, self._full_mask)
+        self._sweep(
+            sim, self._periodic_families, sim.active_messages, cycle, self._full_mask
+        )
         return []
 
     # ------------------------------------------------------------------
     # Probe family
     # ------------------------------------------------------------------
-    def probe_phase(self, cycle: int) -> List[Message]:
+    def probe_phase(self, sim: Simulator, cycle: int) -> List[Message]:
         """Advance every cell's probes; record victims per cell."""
         in_network = MessageStatus.IN_NETWORK
         for unit in self._probe_units.values():
-            for victim in unit.probe_phase(cycle):
+            for victim in unit.probe_phase(sim, cycle):
                 # The reference applies the same screen before handling
                 # a probe victim; the pending bit is the per-cell
                 # "not yet marked".
@@ -545,11 +555,11 @@ class BatchObserver(NewDetectionMechanism):
                 if not (pending >> unit.rank & 1):
                     continue
                 self._pending[victim.id] = pending & ~(1 << unit.rank)
-                self._record(victim, cycle, 1 << unit.rank)
+                self._record(sim, victim, cycle, 1 << unit.rank)
         return []
 
     # ------------------------------------------------------------------
-    def _record(self, message: Message, cycle: int, hit: int) -> None:
+    def _record(self, sim: Simulator, message: Message, cycle: int, hit: int) -> None:
         """Tally one detection event per hit cell (ascending ranks).
 
         On-detection classification reproduces each solo run's per-cycle
@@ -558,7 +568,6 @@ class BatchObserver(NewDetectionMechanism):
         network at its own first detection of the cycle, shared with
         the cells first detecting in the same ``_truth_epoch``.
         """
-        sim = self.sim
         classify = sim.config.ground_truth_on_detection
         swept = classify and sim._truth_cache_cycle == cycle
         node = message.header_router()

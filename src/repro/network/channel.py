@@ -17,18 +17,23 @@ while at least one virtual channel is occupied, resets on every flit, and
 for the paper's Figure 5 situation: a channel freed by recovery and
 immediately re-acquired still shows its long inactivity, so the first flit
 of the new occupant clears a set I flag and re-labels the tree root.
+
+The network keeps every lane in one flat list (a channel's from ``lane0``).
+A lane points at its channel and names its occupant by message id; a
+channel names its waiting messages by id and points at nothing, so no
+reference cycle runs through either.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.network.types import GPState, NodeId, PortKind
 from repro.network.topology import Direction
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
-    from repro.network.message import Message
+    from repro.network.simulator import Simulator
 
 #: Sentinel meaning "never": far enough in the past that any difference with a
 #: real cycle number exceeds every practical threshold.
@@ -53,10 +58,10 @@ def _lanes_of_mask(num_vcs: int) -> Tuple[Tuple[int, ...], ...]:
 class VirtualChannel:
     """One virtual channel (lane) of a physical channel.
 
-    Holds at most one *occupant* worm at a time; ``flits`` counts how many of
-    the occupant's flits currently sit in this channel's input buffer.  Sink
-    channels (ejection ports) consume flits instantly, so their ``flits``
-    stays at zero while they are occupied.
+    Holds at most one *occupant* worm at a time, named by its message id;
+    ``flits`` counts how many of the occupant's flits currently sit in this
+    channel's input buffer.  Sink channels (ejection ports) consume flits
+    instantly, so their ``flits`` stays at zero while they are occupied.
     """
 
     __slots__ = ("pc", "index", "capacity", "occupant", "flits")
@@ -65,22 +70,18 @@ class VirtualChannel:
         self.pc = pc
         self.index = index
         self.capacity = capacity
-        self.occupant: Optional["Message"] = None
+        self.occupant: Optional[int] = None
         self.flits = 0
 
-    @property
-    def is_free(self) -> bool:
-        return self.occupant is None
-
-    def allocate(self, message: "Message", cycle: int) -> None:
-        """Reserve this virtual channel for ``message``'s worm."""
+    def allocate(self, message_id: int, cycle: int) -> None:
+        """Reserve this virtual channel for message ``message_id``'s worm."""
         if self.occupant is not None:
             raise RuntimeError(
-                f"{self} already occupied by message {self.occupant.id}"
+                f"{self} already occupied by message {self.occupant}"
             )
         self.pc.free_mask &= ~(1 << self.index)
         self.pc.note_occupied(cycle)
-        self.occupant = message
+        self.occupant = message_id
 
     def release(self, cycle: int) -> None:
         """Free the channel after the occupant's tail passed (or recovery)."""
@@ -112,9 +113,9 @@ class PhysicalChannel:
       flags of the detectors;
     * the per-*input*-channel Generate/Propagate flag (``gp``) used by the
       new detection mechanism (NDM);
-    * an optional ``on_i_reset`` callback fired when a flit transmission
-      clears an I flag that was set (inactivity exceeded ``i_threshold``),
-      which NDM uses to promote P flags back to G (paper, Fig. 5 situation).
+    * an optional ``i_threshold``: a flit transmission that clears an I
+      flag set beyond it fires the detector's ``on_i_reset`` hook, which
+      NDM uses to promote P flags back to G (paper, Fig. 5 situation).
     """
 
     __slots__ = (
@@ -123,7 +124,8 @@ class PhysicalChannel:
         "src_node",
         "dst_node",
         "direction",
-        "vcs",
+        "num_vcs",
+        "lane0",
         "free_mask",
         "lanes_by_mask",
         "occupied_count",
@@ -132,11 +134,8 @@ class PhysicalChannel:
         "last_drain_cycle",
         "gp",
         "i_threshold",
-        "on_i_reset",
-        "waiters",
         "route_waiters",
         "header_waiters",
-        "wake_box",
         "_frozen_inactivity",
         "fault_down",
         "stuck_mask",
@@ -153,20 +152,21 @@ class PhysicalChannel:
         direction: Optional[Direction],
         num_vcs: int,
         buffer_depth: int,
+        lanes: List[VirtualChannel],
     ) -> None:
         self.index = index
         self.kind = kind
         self.src_node = src_node
         self.dst_node = dst_node
         self.direction = direction
-        self.vcs: List[VirtualChannel] = [
-            VirtualChannel(self, i, buffer_depth) for i in range(num_vcs)
-        ]
+        self.num_vcs = num_vcs
+        self.lane0 = len(lanes)
+        lanes.extend([VirtualChannel(self, i, buffer_depth) for i in range(num_vcs)])
         # Incremental free-lane structure: bit ``i`` of ``free_mask`` is
         # set iff lane ``i`` is unoccupied, maintained by VirtualChannel
         # allocate/release as two integer ops.  ``lanes_by_mask[mask]``
         # is the tuple of lane indices set in that mask, in lane-index
-        # order — the order a scan of ``vcs`` collects them, so a draw
+        # order — the order a scan of the lanes collects them, so a draw
         # by position picks the lane ``rng.choice`` over that scan would.
         # One table per width is shared by every channel of that width;
         # very wide channels (2**n entries) have none and scan instead.
@@ -180,27 +180,10 @@ class PhysicalChannel:
         self.last_drain_cycle = NEVER
         self.gp = GPState.PROPAGATE
         self.i_threshold: Optional[int] = None
-        self.on_i_reset: Optional[Callable[["PhysicalChannel", int], None]] = None
-        # Input channels whose blocked header waits on this output channel
-        # (refcounted); maintained only when the selective G/P promotion
-        # variant is active.
-        self.waiters: Optional[Dict["PhysicalChannel", int]] = None
-        # Event-driven quiescence (see repro.network.simulator): parked
-        # messages whose feasible set contains this output channel.  They
-        # are woken — route_asleep cleared — whenever a lane frees or the
-        # channel's inactivity counter resumes from a frozen value (both
-        # can only make routing or detection possible *earlier*).
-        # Insertion-ordered dicts (values unused) rather than sets: waiter
-        # iteration order must not depend on PYTHONHASHSEED.
-        self.route_waiters: Optional[Dict["Message", None]] = None
-        # Parked messages whose header sits on this (input) channel; woken
-        # by a G/P Propagate->Generate promotion (see repro.core.ndm).
-        self.header_waiters: Optional[Dict["Message", None]] = None
-        # One-element list shared with the simulator, counting messages
-        # currently parked for routing; every wake site decrements it so
-        # the routing phase knows when its whole pending list is asleep.
-        # (A throwaway box until the simulator installs the shared one.)
-        self.wake_box: List[int] = [0]
+        # Ids of the parked headers waiting on this output channel and of
+        # those whose header sits on this input channel (Simulator.wake).
+        self.route_waiters: Optional[Dict[int, None]] = None
+        self.header_waiters: Optional[Dict[int, None]] = None
         # Counter value latched when the channel became fully unoccupied;
         # the hardware register keeps its value across unoccupied gaps.
         self._frozen_inactivity = 0
@@ -228,14 +211,6 @@ class PhysicalChannel:
             # Resume the counter from its frozen value: the virtual start
             # is back-dated so inactivity(cycle) == frozen value now.
             self.active_since = cycle - self._frozen_inactivity
-            # The counter starts advancing again, so a parked waiter's
-            # detection deadline may now be reachable: wake them all.
-            if self.route_waiters:
-                box = self.wake_box
-                for m in self.route_waiters:
-                    if m.route_asleep:
-                        m.route_asleep = False
-                        box[0] -= 1
         self.occupied_count += 1
 
     def note_released(self, cycle: int) -> None:
@@ -252,13 +227,6 @@ class PhysicalChannel:
             # The latched register value already reflects the lag; the
             # counter resumes from it on re-occupation with a clean slate.
             self.counter_lag = 0
-        # A freed lane may let a parked header route on its next attempt.
-        if self.route_waiters:
-            box = self.wake_box
-            for m in self.route_waiters:
-                if m.route_asleep:
-                    m.route_asleep = False
-                    box[0] -= 1
 
     # ------------------------------------------------------------------
     # Monitor
@@ -295,53 +263,52 @@ class PhysicalChannel:
             start = self.active_since
         return start + threshold + 1 + self.counter_lag
 
-    def record_flit(self, cycle: int) -> None:
+    def record_flit(self, cycle: int, sim: "Simulator") -> None:
         """Account for one flit crossing the channel at ``cycle``.
 
-        Resets the inactivity monitor; if that transition clears a set
-        I flag, the ``on_i_reset`` hook fires *before* the reset so the
-        detector observes the transition (the paper's root-relabeling rule).
-        The movement loop's inlined copy skips the test when
-        ``last_flit_cycle == cycle - 1``: inactivity is then at most 1 and
-        no channel is armed with ``i_threshold < 1``, so no I flag is set.
+        Resets the inactivity monitor; if that transition clears an I flag
+        set beyond ``i_threshold``, ``sim``'s detector hears of it through
+        ``on_i_reset`` *before* the reset, so it observes the transition
+        (the paper's root-relabeling rule).  The movement loop's inlined
+        copy skips the test when ``last_flit_cycle == cycle - 1``:
+        inactivity is then at most 1 and no channel is armed with
+        ``i_threshold < 1``, so no I flag is set.
         """
-        if (
-            self.i_threshold is not None
-            and self.on_i_reset is not None
-            and self.occupied_count > 0
-        ):
+        t1 = self.i_threshold
+        if t1 is not None and self.occupied_count > 0:
             start = self.last_flit_cycle
             if self.active_since > start:
                 start = self.active_since
-            if cycle - start - self.counter_lag > self.i_threshold:
-                self.on_i_reset(self, cycle)
+            if cycle - start - self.counter_lag > t1:
+                sim.detector.on_i_reset(sim, self, cycle)
         self.last_flit_cycle = cycle
         self.counter_lag = 0
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def vcs(self, lanes: Sequence[VirtualChannel]) -> Sequence[VirtualChannel]:
+        """This channel's lanes, out of the network's flat list ``lanes``."""
+        return lanes[self.lane0 : self.lane0 + self.num_vcs]
+
     def lane_indices(self, mask: int) -> Tuple[int, ...]:
         """The lanes set in ``mask``, lowest first: the shared table's
         entry, or a scan on a channel too wide to have one."""
         table = self.lanes_by_mask
         if table is not None:
             return table[mask]
-        return tuple(i for i in range(len(self.vcs)) if mask >> i & 1)
+        return tuple(i for i in range(self.num_vcs) if mask >> i & 1)
 
-    @property
-    def free_lanes(self) -> Tuple[VirtualChannel, ...]:
+    def free_lanes(
+        self, lanes: Sequence[VirtualChannel]
+    ) -> Tuple[VirtualChannel, ...]:
         """The currently unoccupied lanes, in lane-index order.
 
         Routing reads lane indices and picks a lane by position instead
         of building this tuple; it serves checks and tests.
         """
-        vcs = self.vcs
-        return tuple([vcs[i] for i in self.lane_indices(self.free_mask)])
-
-    def free_vcs(self) -> List[VirtualChannel]:
-        """The currently unoccupied lanes of this channel (index order)."""
-        return list(self.free_lanes)
+        base = self.lane0
+        return tuple([lanes[base + i] for i in self.lane_indices(self.free_mask)])
 
     # ------------------------------------------------------------------
     # Fault state (mutated only by repro.faults.injector.FaultInjector)
@@ -354,22 +321,8 @@ class PhysicalChannel:
         ``FaultInjector.apply``, which mutates many channels per event and
         ends with one ``sim.wake_all_parked()`` covering them all.
         """
-        mask = 0 if self.fault_down else (1 << len(self.vcs)) - 1
+        mask = 0 if self.fault_down else (1 << self.num_vcs) - 1
         self.usable_mask = mask & ~self.stuck_mask  # repro-lint: disable=EFF002 - FaultInjector.apply wakes after the batch of recomputes
-
-    def usable_free_lanes(self) -> Tuple[VirtualChannel, ...]:
-        """Free lanes routing may actually allocate (fault-aware).
-
-        Identical to :attr:`free_lanes` on a healthy channel; routing
-        reads the indices of ``free_mask & usable_mask`` instead.
-        """
-        vcs = self.vcs
-        mask = self.free_mask & self.usable_mask
-        return tuple([vcs[i] for i in self.lane_indices(mask)])
-
-    def has_free_vc(self) -> bool:
-        """Whether any lane of this channel is unoccupied."""
-        return self.occupied_count < len(self.vcs)
 
     def describe(self) -> str:
         """Short human-readable identity (endpoint nodes and kind)."""

@@ -216,8 +216,13 @@ class SimulationConfig:
         self.build_topology()  # validates radix/dimensions
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form (JSON-serializable) for results provenance."""
-        return dataclasses.asdict(self)
+        """Plain-dict form (JSON-serializable) for results provenance:
+        ``dataclasses.asdict`` without its deep copy of every scalar leaf."""
+        data = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        data["traffic"] = _copied(vars(self.traffic))
+        data["detector"] = dict(vars(self.detector))
+        data["faults"] = _copied(self.faults)
+        return data
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "SimulationConfig":
@@ -246,6 +251,15 @@ class SimulationConfig:
             ),
         )
         return dataclasses.replace(clone, **changes)
+
+
+def _copied(value: Any) -> Any:
+    """``value`` with every dict, list and tuple in it copied."""
+    if isinstance(value, dict):
+        return {k: _copied(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_copied(v) for v in value)
+    return value
 
 
 def paper_config() -> SimulationConfig:

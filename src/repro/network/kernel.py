@@ -24,15 +24,15 @@ from typing import Dict, FrozenSet
 # ----------------------------------------------------------------------
 # The effect *domain* is the behavioural state shared by both
 # engines: every attribute of Message / VirtualChannel / PhysicalChannel
-# / Router that feeds the trajectory or the behavioural digest.  The
+# / Router that feeds the trajectory or the behavioural digest, and the
+# NDM's reset targets, which it keeps by channel index.  The
 # groups below partition it; each phase declares which groups it may
 # write, and the phase-effect analyzer (``repro lint``, rule EFF001)
 # verifies the *transitive* write set of each phase method against this
 # table.  Telemetry (stats, tracers, perf counters) is deliberately
 # outside the domain — writing it is always allowed.
 EFFECT_GROUPS: Dict[str, FrozenSet[str]] = {
-    # Event-engine parking surface: sleep flags, waiter registries and
-    # the shared parked-message counter box.
+    # Event-engine parking surface: sleep flags and waiter registries.
     "park": frozenset(
         {
             "route_asleep",
@@ -40,12 +40,11 @@ EFFECT_GROUPS: Dict[str, FrozenSet[str]] = {
             "wait_registered",
             "route_waiters",
             "header_waiters",
-            "wake_box",
         }
     ),
-    # NDM Generate/Propagate flags and the selective-promotion waiter
-    # refcounts that drive them.
-    "gp": frozenset({"gp", "waiters"}),
+    # NDM Generate/Propagate flags and the reset targets (selective
+    # promotion's waiter refcounts) that drive them.
+    "gp": frozenset({"gp", "reset_targets"}),
     # Channel occupancy: lane ownership, buffered flits, free-lane masks
     # and the inactivity-monitor activation state derived from them.
     "occupancy": frozenset(
@@ -59,15 +58,14 @@ EFFECT_GROUPS: Dict[str, FrozenSet[str]] = {
             "busy_network_vcs",
         }
     ),
-    # The paper's per-channel counters and the detector plumbing wired
-    # into them.
+    # The paper's per-channel counters and the I-flag threshold a
+    # detector arms them with.
     "counters": frozenset(
         {
             "last_flit_cycle",
             "last_drain_cycle",
             "counter_lag",
             "i_threshold",
-            "on_i_reset",
         }
     ),
     # Worm extent: the span list and source/delivery flit accounting.

@@ -10,7 +10,7 @@ objects.  ``spans[0]`` is the tail-most channel (closest to the source),
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.network.channel import PhysicalChannel, VirtualChannel
 from repro.network.types import MessageId, MessageStatus, NodeId, PortKind
@@ -135,13 +135,6 @@ class Message:
     # ------------------------------------------------------------------
     # Position queries
     # ------------------------------------------------------------------
-    @property
-    def header_vc(self) -> Optional[VirtualChannel]:
-        """The virtual channel currently holding the header flit."""
-        if not self.spans:
-            return None
-        return self.spans[-1]
-
     def header_router(self) -> Optional[NodeId]:
         """Router at which the header waits / was last buffered."""
         spans = self.spans
@@ -232,8 +225,3 @@ def usable_lanes(lanes: Iterable[VirtualChannel]) -> Iterator[VirtualChannel]:
     for vc in lanes:
         if (vc.pc.usable_mask >> vc.index) & 1:
             yield vc
-
-
-def describe_path(message: Message) -> Sequence[str]:
-    """Human-readable description of the channels a worm spans (for traces)."""
-    return [f"{vc.pc.describe()}#vc{vc.index}({vc.flits}f)" for vc in message.spans]

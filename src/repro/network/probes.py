@@ -46,7 +46,7 @@ launch declares it deadlocked directly (a *dead-end self-detection*).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.metrics.stats import PROBE_FIELDS
 from repro.network.message import Message, usable_lanes
@@ -77,14 +77,18 @@ def roll_digest(
     return digest
 
 
-def wait_edges(m: Message) -> Tuple[bool, List[Tuple[int, int, Message]]]:
+def wait_edges(
+    m: Message, messages: Mapping[int, Message]
+) -> Tuple[bool, List[Tuple[int, int, Message]]]:
     """Escape test plus ordered wait edges of the blocked message ``m``.
 
     Returns ``(has_escape, edges)`` where ``edges`` is the ordered list
     of ``(channel_index, lane_index, holder)`` over ``m``'s usable
-    lanes — the relation :func:`repro.analysis.deadlock.find_deadlocked`
-    reduces.  A free usable lane is an escape: the caller should drop the
-    probe (the message can advance), so ``edges`` is not meaningful when
+    lanes, holders looked up by id in ``messages`` (the network's
+    in-flight map) — the relation
+    :func:`repro.analysis.deadlock.find_deadlocked` reduces.  A free
+    usable lane is an escape: the caller should drop the probe (the
+    message can advance), so ``edges`` is not meaningful when
     ``has_escape`` is True.
     """
     edges: List[Tuple[int, int, Message]] = []
@@ -92,7 +96,7 @@ def wait_edges(m: Message) -> Tuple[bool, List[Tuple[int, int, Message]]]:
         occupant = vc.occupant
         if occupant is None:
             return True, edges
-        edges.append((vc.pc.index, vc.index, occupant))
+        edges.append((vc.pc.index, vc.index, messages[occupant]))
     return False, edges
 
 
@@ -122,19 +126,17 @@ class ProbeSession:
     __slots__ = (
         "initiator",
         "episode",
-        "started",
         "visited",
         "digests",
         "probes",
         "has_returning",
     )
 
-    def __init__(self, initiator: Message, cycle: int) -> None:
+    def __init__(self, initiator: Message) -> None:
         self.initiator = initiator
         #: ``blocked_since`` at session start: the initiator advancing and
         #: re-blocking elsewhere starts a new episode, staling this session.
         self.episode = initiator.blocked_since
-        self.started = cycle
         #: Per-initiator dedupe: message ids already carrying a probe of
         #: this session (insertion-ordered dict used as an ordered set).
         self.visited: Dict[int, None] = {}
@@ -204,12 +206,9 @@ class ProbeTransport:
     def has_session(self, initiator_id: int) -> bool:
         return initiator_id in self.sessions
 
-    def outstanding(self, initiator_id: int) -> int:
-        """Probes currently in flight for one initiator (tests, bounds)."""
-        session = self.sessions.get(initiator_id)
-        return len(session.probes) if session is not None else 0
-
-    def start_session(self, m: Message, cycle: int) -> Optional[Message]:
+    def start_session(
+        self, m: Message, messages: Mapping[int, Message]
+    ) -> Optional[Message]:
         """Launch a probe session from the blocked initiator ``m``.
 
         Returns ``m`` itself when the launch immediately proves deadlock
@@ -217,7 +216,7 @@ class ProbeTransport:
         escape through), ``None`` otherwise.  A launch finding an escape
         starts nothing — the message can still advance.
         """
-        escape, edges = wait_edges(m)
+        escape, edges = wait_edges(m, messages)
         if escape:
             self.dropped_progress += 1
             return None
@@ -228,7 +227,7 @@ class ProbeTransport:
             self.launches += 1
             self.deadend_detections += 1
             return m
-        session = ProbeSession(m, cycle)
+        session = ProbeSession(m)
         for channel_index, lane_index, holder in edges:
             if holder is m:
                 # Self-wait (a lane the initiator itself still holds):
@@ -249,7 +248,7 @@ class ProbeTransport:
     # ------------------------------------------------------------------
     # Per-cycle advance
     # ------------------------------------------------------------------
-    def advance(self, cycle: int) -> List[Message]:
+    def advance(self, messages: Mapping[int, Message]) -> List[Message]:
         """Advance every in-flight probe one hop; return elected victims."""
         victims: List[Message] = []
         ended: List[int] = []
@@ -266,7 +265,7 @@ class ProbeTransport:
                 # new episode: every probe of this session is moot.
                 ended.append(initiator_id)
                 continue
-            victim = self._advance_session(session)
+            victim = self._advance_session(session, messages)
             if victim is not None:
                 victims.append(victim)
                 ended.append(initiator_id)
@@ -276,7 +275,9 @@ class ProbeTransport:
             del self.sessions[initiator_id]
         return victims
 
-    def _advance_session(self, session: ProbeSession) -> Optional[Message]:
+    def _advance_session(
+        self, session: ProbeSession, messages: Mapping[int, Message]
+    ) -> Optional[Message]:
         """One hop for each of a session's probes; victim on detection."""
         out: List[Probe] = []
         in_network = MessageStatus.IN_NETWORK
@@ -306,7 +307,7 @@ class ProbeTransport:
                 # lower-id initiator's own session.
                 self.dropped_election += 1
                 continue
-            escape, edges = wait_edges(x)
+            escape, edges = wait_edges(x, messages)
             if escape:
                 self.dropped_progress += 1
                 continue

@@ -55,22 +55,6 @@ class Router:
         self.ejection_row: Tuple[PhysicalChannel, ...] = ()
         self.busy_network_vcs = 0
 
-    # ------------------------------------------------------------------
-    # Wiring (called once by the simulator builder)
-    # ------------------------------------------------------------------
-    def add_output(self, direction: Direction, pc: PhysicalChannel) -> None:
-        self.output_pcs[direction] = pc
-        self.output_pc_list.append(pc)
-
-    def add_input(self, pc: PhysicalChannel) -> None:
-        self.input_pcs.append(pc)
-
-    def add_injection(self, pc: PhysicalChannel) -> None:
-        self.injection_pcs.append(pc)
-
-    def add_ejection(self, pc: PhysicalChannel) -> None:
-        self.ejection_pcs.append(pc)
-
     def build_route_rows(
         self,
         dimension_rows: Sequence[Sequence[Sequence[Tuple[Direction, ...]]]],
@@ -97,7 +81,7 @@ class Router:
             raise RuntimeError(f"router {self.node}: negative busy VC count")
 
     def total_network_vcs(self) -> int:
-        return sum(len(pc.vcs) for pc in self.output_pc_list)
+        return sum(pc.num_vcs for pc in self.output_pc_list)
 
     # ------------------------------------------------------------------
     # Queries used by detection mechanisms
@@ -110,19 +94,21 @@ class Router:
         """
         return self.input_pcs + self.injection_pcs
 
-    def free_injection_vc(self) -> Optional[VirtualChannel]:
+    def free_injection_vc(
+        self, lanes: Sequence[VirtualChannel]
+    ) -> Optional[VirtualChannel]:
         """A free virtual channel on any injection port, or ``None``.
 
         The lowest set bit of the free mask is the lowest-index free lane
-        — the same lane a scan of ``pc.vcs`` would have returned.  The
-        free mask is ANDed with the channel's ``usable_mask`` so faulted
-        injection ports (router stalls) accept nothing; the mask is
-        all-ones on healthy channels.
+        — the same lane a scan of the port's lanes in the network's flat
+        ``lanes`` would have returned.  The free mask is ANDed with the
+        channel's ``usable_mask`` so faulted injection ports (router
+        stalls) accept nothing; the mask is all-ones on healthy channels.
         """
         for pc in self.injection_pcs:
             mask = pc.free_mask & pc.usable_mask
             if mask:
-                return pc.vcs[(mask & -mask).bit_length() - 1]
+                return lanes[pc.lane0 + (mask & -mask).bit_length() - 1]
         return None
 
     def describe(self) -> str:  # pragma: no cover - cosmetic

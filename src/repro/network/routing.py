@@ -15,7 +15,7 @@ find a deadlock).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from repro.network.topology import Direction, Topology
 from repro.network.types import NodeId
@@ -77,15 +77,17 @@ class RoutingFunction:
         self,
         topology: Topology,
         pc: "PhysicalChannel",
+        vcs: Sequence["VirtualChannel"],
         current: NodeId,
         dest: NodeId,
-    ) -> List["VirtualChannel"]:
-        """Virtual channels of ``pc`` this message's header may acquire.
+    ) -> Sequence["VirtualChannel"]:
+        """Which of ``vcs``, the lanes of ``pc``, this message's header may
+        acquire.
 
         Only consulted when ``uses_vc_classes`` is True; the default grants
         every lane (true fully adaptive usage).
         """
-        return pc.vcs
+        return vcs
 
 
 class TrueFullyAdaptive(RoutingFunction):
@@ -197,11 +199,12 @@ class DuatoAdaptive(TrueFullyAdaptive):
         self,
         topology: Topology,
         pc: "PhysicalChannel",
+        vcs: Sequence["VirtualChannel"],
         current: NodeId,
         dest: NodeId,
-    ) -> List["VirtualChannel"]:
-        num_escape = min(self.num_escape_vcs, max(len(pc.vcs) - 1, 1))
-        lanes = list(pc.vcs[num_escape:])  # adaptive lanes: always allowed
+    ) -> Sequence["VirtualChannel"]:
+        num_escape = min(self.num_escape_vcs, max(len(vcs) - 1, 1))
+        lanes = list(vcs[num_escape:])  # adaptive lanes: always allowed
         direction = pc.direction
         if direction is not None:
             escape_dir = self.escape_direction(topology, current, dest)
@@ -210,10 +213,10 @@ class DuatoAdaptive(TrueFullyAdaptive):
                     topology, current, dest, direction[0], direction[1]
                 )
                 if cls < num_escape:
-                    lanes.append(pc.vcs[cls])
+                    lanes.append(vcs[cls])
         else:
             # Injection/ejection ports carry no class restriction.
-            return pc.vcs
+            return vcs
         return lanes
 
 

@@ -76,6 +76,7 @@ from repro.network.message import Message, usable_lanes
 from repro.network.rotating import RotatingList
 from repro.network.router import Router
 from repro.network.routing import make_routing_function
+from repro.network.topology import Direction
 from repro.network.types import DetectionEvent, MessageStatus, NodeId, PortKind
 from repro.traffic.workload import Workload
 
@@ -113,8 +114,13 @@ class Simulator:
         self._coords_of = self.topology.coords
         self.workload = Workload(config.traffic, self.topology)
 
+        # The network owns flat lists of its channels and lanes and maps
+        # its in-flight messages by id, the name lanes and channels use
+        # for them: no reference cycle, so refcounting frees a network.
         self.routers: List[Router] = []
         self.channels: List[PhysicalChannel] = []
+        self.lanes: List[VirtualChannel] = []
+        self.messages: Dict[int, Message] = {}
         self._build_network()
 
         # Fault injection (see repro.faults): compiled once, applied at
@@ -136,7 +142,7 @@ class Simulator:
             detector if detector is not None else make_detector(config.detector)
         )
         self.detector.attach(self)
-        self.recovery = make_recovery(config.recovery, self)
+        self.recovery = make_recovery(config.recovery)
 
         self.stats = SimulationStats(
             warmup_cycles=config.warmup_cycles,
@@ -156,13 +162,14 @@ class Simulator:
         # no per-attempt side effects on blocked messages.
         self._park_enabled = config.engine != "scan"
         self._detector_can_sleep = self.detector.can_sleep_blocked
-        #: The cycle, as step() executes it: (phase name, bound method)
-        #: in the canonical order of ``PHASE_METHODS``.  Probe-family
-        #: detectors get a dedicated out-of-band phase between checks and
-        #: routing; for every other detector the entry is left out and
-        #: step() never pays for the extra call.
-        self._phases: List[Tuple[str, Callable[[int], None]]] = [
-            (name, getattr(self, method))
+        #: The cycle, as step() executes it: (phase name, function called
+        #: as ``phase(self, cycle)`` — a bound method would point back at
+        #: the simulator) in the canonical order of ``PHASE_METHODS``.
+        #: Probe-family detectors get a dedicated out-of-band phase between
+        #: checks and routing; for every other detector the entry is left
+        #: out and step() never pays for the extra call.
+        self._phases: List[Tuple[str, Callable[["Simulator", int], None]]] = [
+            (name, getattr(type(self), method))
             for method, name in PHASE_METHODS.items()
             if name != "probes" or self.detector.has_probe_phase
         ]
@@ -170,12 +177,9 @@ class Simulator:
         #: detector predicate can first become true at deadline_cycle.
         self._route_deadlines: List[Tuple[int, int, Message]] = []
         self._deadline_seq = 0
-        #: Shared one-element counter of currently route-parked messages;
-        #: channels and the NDM decrement it on wake, so the routing phase
-        #: can tell in O(1) when its entire pending list is asleep.
-        self._route_parked_box: List[int] = [0]
-        for pc in self.channels:
-            pc.wake_box = self._route_parked_box
+        #: Count of route-parked messages (see :meth:`wake`), so the routing
+        #: phase can tell in O(1) when its entire pending list is asleep.
+        self._route_parked = 0
         #: Count of currently move-parked worms (simulator-internal: the
         #: only wake sites are routing grants and worm teardown).
         self._move_parked = 0
@@ -222,50 +226,42 @@ class Simulator:
     def _build_network(self) -> None:
         cfg = self.config
         topo = self.topology
-        self.routers = [Router(n) for n in range(topo.num_nodes)]
-        index = 0
+        self.routers = routers = [Router(n) for n in range(topo.num_nodes)]
+
+        def channel(
+            kind: PortKind,
+            src: Optional[NodeId],
+            dst: Optional[NodeId],
+            direction: Optional[Direction] = None,
+        ) -> PhysicalChannel:
+            pc = PhysicalChannel(
+                len(self.channels),
+                kind,
+                src,
+                dst,
+                direction,
+                cfg.vcs_per_channel,
+                cfg.buffer_depth,
+                self.lanes,
+            )
+            self.channels.append(pc)
+            return pc
+
         for node in range(topo.num_nodes):
             for direction, neighbor in topo.neighbors(node):
-                pc = PhysicalChannel(
-                    index,
-                    PortKind.NETWORK,
-                    node,
-                    neighbor,
-                    direction,
-                    cfg.vcs_per_channel,
-                    cfg.buffer_depth,
-                )
-                index += 1
-                self.channels.append(pc)
-                self.routers[node].add_output(direction, pc)
-                self.routers[neighbor].add_input(pc)
-        for node in range(topo.num_nodes):
-            for _ in range(cfg.injection_ports):
-                pc = PhysicalChannel(
-                    index,
-                    PortKind.INJECTION,
-                    None,
-                    node,
-                    None,
-                    cfg.vcs_per_channel,
-                    cfg.buffer_depth,
-                )
-                index += 1
-                self.channels.append(pc)
-                self.routers[node].add_injection(pc)
-            for _ in range(cfg.ejection_ports):
-                pc = PhysicalChannel(
-                    index,
-                    PortKind.EJECTION,
-                    node,
-                    None,
-                    None,
-                    cfg.vcs_per_channel,
-                    cfg.buffer_depth,
-                )
-                index += 1
-                self.channels.append(pc)
-                self.routers[node].add_ejection(pc)
+                pc = channel(PortKind.NETWORK, node, neighbor, direction)
+                routers[node].output_pcs[direction] = pc
+                routers[node].output_pc_list.append(pc)
+                routers[neighbor].input_pcs.append(pc)
+        for node, router in enumerate(routers):
+            router.injection_pcs = [
+                channel(PortKind.INJECTION, None, node)
+                for _ in range(cfg.injection_ports)
+            ]
+            router.ejection_pcs = [
+                channel(PortKind.EJECTION, node, None)
+                for _ in range(cfg.ejection_ports)
+            ]
         rows = self.routing_fn.dimension_rows(topo)
         for router in self.routers:
             router.build_route_rows(rows, topo.coords(router.node))
@@ -337,19 +333,19 @@ class Simulator:
         # window boundary affects the whole cycle on both engines alike.
         injector = self._fault_injector
         if injector is not None:
-            injector.apply(cycle)
+            injector.apply(self, cycle)
 
         if self._profile:
             phase_time = self._phase_time
             start = perf_counter()
             for name, phase in self._phases:
-                phase(cycle)
+                phase(self, cycle)
                 end = perf_counter()
                 phase_time[name] += end - start
                 start = end
         else:
             for _, phase in self._phases:
-                phase(cycle)
+                phase(self, cycle)
         self.cycle = cycle + 1
 
     # ------------------------------------------------------------------
@@ -364,7 +360,7 @@ class Simulator:
             self._complete_recovery_deliveries(cycle)
 
         if self.detector.needs_periodic_check:
-            for m in self.detector.periodic_check(self.active_messages, cycle):
+            for m in self.detector.periodic_check(self, cycle):
                 if m.status is MessageStatus.IN_NETWORK and not m.marked_deadlocked:
                     self._handle_detection(m, cycle)
 
@@ -381,7 +377,7 @@ class Simulator:
         by returning probes enter the normal recovery path exactly like
         periodic-check detections.
         """
-        for victim in self.detector.probe_phase(cycle):
+        for victim in self.detector.probe_phase(self, cycle):
             if (
                 victim.status is MessageStatus.IN_NETWORK
                 and not victim.marked_deadlocked
@@ -393,14 +389,12 @@ class Simulator:
     # ------------------------------------------------------------------
     def _routing_phase(self, cycle: int) -> None:
         deadlines = self._route_deadlines
-        if deadlines:
-            box = self._route_parked_box
-            while deadlines and deadlines[0][0] <= cycle:
-                m = heapq.heappop(deadlines)[2]
-                if m.route_asleep:
-                    m.route_asleep = False
-                    box[0] -= 1
-                    self._n_deadline_wakeups += 1
+        while deadlines and deadlines[0][0] <= cycle:
+            m = heapq.heappop(deadlines)[2]
+            if m.route_asleep:
+                m.route_asleep = False
+                self._route_parked -= 1
+                self._n_deadline_wakeups += 1
         plist = self.pending_route
         if plist.tail:
             # Headers appended by the last movement phase: splice them in
@@ -413,7 +407,7 @@ class Simulator:
         start = plist.rot + cycle % n
         if start >= n:
             start -= n
-        if self._route_parked_box[0] == n:
+        if self._route_parked == n:
             # Every pending header is asleep (and therefore IN_NETWORK —
             # any status change wakes it): the reference scan would fail
             # every attempt and rebuild the list in rotated order.  The
@@ -467,33 +461,32 @@ class Simulator:
         """Put a freshly failed header to sleep until a wakeup event.
 
         Sound because (a) a failed attempt proves no allowed VC is free,
-        and any later free lane triggers ``note_released`` which clears
-        ``route_asleep``; (b) the detector predicate can only first hold
-        at ``blocked_deadline`` — earlier only if an inactivity counter
-        restarts (``note_occupied`` wake) or the input channel is promoted
-        to G (``header_waiters`` wake), each of which re-parks with a
-        recomputed deadline on the next failed attempt.
+        and any later free lane wakes ``pc.route_waiters`` in
+        :meth:`_release_vc`; (b) the detector predicate can only first
+        hold at ``blocked_deadline`` — earlier only if an inactivity
+        counter restarts (the :meth:`_allocate` wake) or the input channel
+        is promoted to G (``header_waiters`` wake), each of which re-parks
+        with a recomputed deadline on the next failed attempt.
         """
         if not m.wait_registered:
-            # Waiter collections are insertion-ordered dicts, not sets:
-            # the wake loops iterate them, and iteration order must not
-            # depend on PYTHONHASHSEED (see DET003 in repro.lint).
+            # By id, in insertion-ordered dicts, not sets: wake order must
+            # not depend on PYTHONHASHSEED (see DET003 in repro.lint).
             m.wait_registered = True
             for pc in m.feasible_pcs:
                 waiters = pc.route_waiters
                 if waiters is None:
                     waiters = pc.route_waiters = {}
-                waiters[m] = None
+                waiters[m.id] = None
             ipc = m.input_pc
             if ipc is not None:
-                hwaiters = ipc.header_waiters
-                if hwaiters is None:
-                    hwaiters = ipc.header_waiters = {}
-                hwaiters[m] = None
+                waiters = ipc.header_waiters
+                if waiters is None:
+                    waiters = ipc.header_waiters = {}
+                waiters[m.id] = None
         if m.marked_deadlocked:
             # Already detected (recovery "none"): only a VC release matters.
             m.route_asleep = True
-            self._route_parked_box[0] += 1
+            self._route_parked += 1
             self._n_route_parks += 1
             return
         deadline = self.detector.blocked_deadline(m, cycle)
@@ -507,7 +500,7 @@ class Simulator:
             )
         else:
             return  # inconsistent deadline; stay awake (reference behaviour)
-        self._route_parked_box[0] += 1
+        self._route_parked += 1
         self._n_route_parks += 1
 
     def wake_all_parked(self) -> None:
@@ -522,26 +515,33 @@ class Simulator:
         Waiter registrations and queued heap deadlines stay in place
         (stale heap entries are skipped when they pop).
         """
-        box = self._route_parked_box
         moves = 0
         for m in self.active_messages:
             if m.route_asleep:
                 m.route_asleep = False
-                box[0] -= 1
+                self._route_parked -= 1
             if m.move_asleep:
                 m.move_asleep = False
                 moves += 1
         self._move_parked -= moves
 
+    def wake(self, waiters: Dict[int, None]) -> None:
+        """Clear the routing park of every message in a channel's waiters."""
+        messages = self.messages
+        for message_id in waiters:
+            m = messages[message_id]
+            if m.route_asleep:
+                m.route_asleep = False
+                self._route_parked -= 1
+
     def _unregister_parked(self, m: Message) -> None:
         """Drop ``m`` from all waiter maps (before feasible_pcs is cleared)."""
         m.wait_registered = False
         for pc in m.feasible_pcs:
-            if pc.route_waiters is not None:
-                pc.route_waiters.pop(m, None)
+            (pc.route_waiters or {}).pop(m.id, None)
         ipc = m.input_pc
-        if ipc is not None and ipc.header_waiters is not None:
-            ipc.header_waiters.pop(m, None)
+        if ipc is not None:
+            (ipc.header_waiters or {}).pop(m.id, None)
 
     def _attempt_route(self, m: Message, cycle: int) -> bool:
         """Try to allocate an output VC for ``m``'s header; True on success."""
@@ -570,7 +570,7 @@ class Simulator:
                     vc
                     for pc in candidates
                     for vc in self.routing_fn.allowed_vcs(
-                        self.topology, pc, node, m.dest
+                        self.topology, pc, pc.vcs(self.lanes), node, m.dest
                     )
                 )
             free = [vc for vc in usable_lanes(allowed) if vc.occupant is None]
@@ -579,7 +579,7 @@ class Simulator:
         elif len(candidates) == 1:
             # Free lane indices come from the incremental per-channel mask
             # (ANDed with ``usable_mask``, all-ones on healthy channels)
-            # through the shared table, so no rescan of ``pc.vcs`` per
+            # through the shared table, so no rescan of the lanes per
             # attempt.  ``rng.choice`` reads only a sequence's length and
             # one position, so drawing over the indices — or, below, over
             # ``range(total)`` — picks the lane a draw over the
@@ -587,9 +587,10 @@ class Simulator:
             pc = candidates[0]
             table = pc.lanes_by_mask
             mask = pc.free_mask & pc.usable_mask
-            lanes = table[mask] if table is not None else pc.lane_indices(mask)
-            if lanes:
-                vc = pc.vcs[lanes[0] if len(lanes) == 1 else self.rng.choice(lanes)]
+            indices = table[mask] if table is not None else pc.lane_indices(mask)
+            if indices:
+                k = indices[0] if len(indices) == 1 else self.rng.choice(indices)
+                vc = self.lanes[pc.lane0 + k]
         else:
             total = 0
             for pc in candidates:
@@ -599,13 +600,13 @@ class Simulator:
             if total:
                 k = 0 if total == 1 else self.rng.choice(range(total))
                 for pc in candidates:
-                    lanes = pc.lane_indices(pc.free_mask & pc.usable_mask)
-                    if k < len(lanes):
-                        vc = pc.vcs[lanes[k]]
+                    indices = pc.lane_indices(pc.free_mask & pc.usable_mask)
+                    if k < len(indices):
+                        vc = self.lanes[pc.lane0 + indices[k]]
                         break
-                    k -= len(lanes)
+                    k -= len(indices)
         if vc is not None:
-            vc.allocate(m, cycle)
+            self._allocate(vc, m, cycle)
             if vc.pc.kind is PortKind.NETWORK:
                 router.note_network_vc_allocated()
             m.allocated_vc = vc
@@ -627,12 +628,12 @@ class Simulator:
             # The wait relation, recorded once per block: every reader
             # iterates this tuple instead of re-deriving it per query.
             if not self._vc_class_routing:
-                allowed = tuple([vc for pc in candidates for vc in pc.vcs])
+                allowed = tuple([vc for pc in candidates for vc in pc.vcs(self.lanes)])
             m.feasible_vcs = allowed
             if self.tracer is not None:
                 self.tracer.record(("block", cycle, m.id, node))
         if not m.marked_deadlocked and self.detector.on_blocked_attempt(
-            m, router, cycle, first
+            self, m, cycle, first
         ):
             self._handle_detection(m, cycle)
         elif self._park_enabled and (
@@ -694,9 +695,12 @@ class Simulator:
         faults = self._faults_on
         prev_cycle = cycle - 1
         release_vc = self._release_vc
+        hook = self.detector.on_i_reset
+        messages = self.messages
         for m in order:
             if m.status is not in_network:
                 m.in_active = False
+                del messages[m.id]
                 n_gone += 1
                 continue
             if m.move_asleep:
@@ -741,7 +745,7 @@ class Simulator:
                                 self.stats.injected += 1
                                 if self.measuring:
                                     self.stats.injected_measured += 1
-                    tpc.record_flit(cycle)
+                    tpc.record_flit(cycle, self)
                     spans.append(avc)
                     m.allocated_vc = None
                     if tpc.kind is ejection:
@@ -782,16 +786,11 @@ class Simulator:
                             # means inactivity <= 1 <= t1: no I flag set.
                             if last != prev_cycle:
                                 t1 = dpc.i_threshold
-                                hook = dpc.on_i_reset
-                                if (
-                                    t1 is not None
-                                    and hook is not None
-                                    and dpc.occupied_count > 0
-                                ):
+                                if t1 is not None and dpc.occupied_count > 0:
                                     if dpc.active_since > last:
                                         last = dpc.active_since
                                     if cycle - last - dpc.counter_lag > t1:
-                                        hook(dpc, cycle)
+                                        hook(self, dpc, cycle)
                             dpc.last_flit_cycle = cycle
                             dpc.counter_lag = 0
                             if dpc.kind is ejection:
@@ -812,7 +811,7 @@ class Simulator:
                         elif fpc.last_flit_cycle != cycle:
                             m.flits_at_source -= 1
                             m.last_source_flit_cycle = cycle
-                            fpc.record_flit(cycle)
+                            fpc.record_flit(cycle, self)
                             first.flits += 1
             else:
                 # -- tail release, then delivery ------------------------
@@ -828,6 +827,7 @@ class Simulator:
                     spans.clear()
                     self._finish_delivery(m, cycle)
                     m.in_active = False
+                    del messages[m.id]
                     delivered = True
                     continue
             if park and frozen and spans:
@@ -896,7 +896,7 @@ class Simulator:
             for node, queue in self.recovery_queues.items():
                 router = self.routers[node]
                 while queue:
-                    vc = router.free_injection_vc()
+                    vc = router.free_injection_vc(self.lanes)
                     if vc is None:
                         break
                     self._start_injection(queue.popleft(), vc, cycle)
@@ -915,7 +915,7 @@ class Simulator:
             while queue:
                 if limit is not None and router.busy_network_vcs > limit:
                     break
-                vc = router.free_injection_vc()
+                vc = router.free_injection_vc(self.lanes)
                 if vc is None:
                     break
                 self._start_injection(queue.popleft(), vc, cycle)
@@ -925,12 +925,13 @@ class Simulator:
             self._nodes_with_source.discard(node)
 
     def _start_injection(self, m: Message, vc: VirtualChannel, cycle: int) -> None:
-        vc.allocate(m, cycle)
+        self._allocate(vc, m, cycle)
         m.allocated_vc = vc
         m.status = MessageStatus.IN_NETWORK
         if not m.in_active:
             m.in_active = True
             self.active_messages.append(m)
+            self.messages[m.id] = m
 
     # ------------------------------------------------------------------
     # Phase 6: generation
@@ -991,7 +992,7 @@ class Simulator:
             self.tracer.record(
                 ("detect", cycle, m.id, event.node, self.detector.name)
             )
-        self.recovery.recover(m, cycle)
+        self.recovery.recover(self, m, cycle)
 
     def free_worm(self, m: Message, cycle: int) -> None:
         """Release every channel the worm holds (recovery teardown)."""
@@ -1007,7 +1008,7 @@ class Simulator:
             self._unregister_parked(m)
         if m.route_asleep:
             m.route_asleep = False
-            self._route_parked_box[0] -= 1
+            self._route_parked -= 1
         if m.move_asleep:
             m.move_asleep = False
             self._move_parked -= 1
@@ -1019,9 +1020,21 @@ class Simulator:
         for vc in vcs:
             self._release_vc(vc, cycle)
 
+    def _allocate(self, vc: VirtualChannel, m: Message, cycle: int) -> None:
+        """Grant ``vc`` to ``m``'s worm."""
+        vc.allocate(m.id, cycle)
+        waiters = vc.pc.route_waiters
+        if waiters and vc.pc.occupied_count == 1:
+            # The counter resumed: a parked waiter's deadline may be reachable.
+            self.wake(waiters)
+
     def _release_vc(self, vc: VirtualChannel, cycle: int) -> None:
         pc = vc.pc
         vc.release(cycle)
+        # A freed lane may let a parked header route on its next attempt.
+        waiters = pc.route_waiters
+        if waiters:
+            self.wake(waiters)
         if pc.kind is PortKind.NETWORK:
             self.routers[pc.src_node].note_network_vc_released()
         self.detector.on_vc_released(vc, cycle)
@@ -1106,11 +1119,14 @@ class Simulator:
             if m.status is MessageStatus.IN_NETWORK:
                 m.check_conservation()
                 self._check_parked_state(m)
+        if {m.id for m in self.active_messages} != set(self.messages):
+            raise AssertionError("in-flight message map != active messages")
+        lanes = self.lanes
         for router in self.routers:
             busy = sum(
                 1
                 for pc in router.output_pc_list
-                for vc in pc.vcs
+                for vc in pc.vcs(lanes)
                 if vc.occupant is not None
             )
             if busy != router.busy_network_vcs:
@@ -1119,20 +1135,21 @@ class Simulator:
                     f"!= actual {busy}"
                 )
         for pc in self.channels:
-            occupied = sum(1 for vc in pc.vcs if vc.occupant is not None)
+            vcs = pc.vcs(lanes)
+            occupied = sum(1 for vc in vcs if vc.occupant is not None)
             if occupied != pc.occupied_count:
                 raise AssertionError(
                     f"{pc}: occupied_count {pc.occupied_count} != actual {occupied}"
                 )
-            actual_free = tuple(vc for vc in pc.vcs if vc.occupant is None)
-            if actual_free != pc.free_lanes:
+            actual_free = tuple(vc for vc in vcs if vc.occupant is None)
+            if actual_free != pc.free_lanes(lanes):
                 # Order matters too: routing draws rng.choice over these
                 # lanes, so a permuted free_lanes silently changes runs.
                 raise AssertionError(
-                    f"{pc}: free_lanes {pc.free_lanes} != actual free "
+                    f"{pc}: free_lanes {pc.free_lanes(lanes)} != actual free "
                     f"{actual_free} (stale free_mask or misordered table)"
                 )
-            full = (1 << len(pc.vcs)) - 1
+            full = (1 << pc.num_vcs) - 1
             expected_usable = 0 if pc.fault_down else full & ~pc.stuck_mask
             if pc.usable_mask != expected_usable:
                 raise AssertionError(
@@ -1144,14 +1161,14 @@ class Simulator:
                 raise AssertionError(f"{pc}: negative counter_lag")
             # What the movement loop takes for granted: a sink is never
             # full, and a flit one cycle after another clears no I flag.
-            if pc.kind is PortKind.EJECTION and any(vc.flits for vc in pc.vcs):
+            if pc.kind is PortKind.EJECTION and any(vc.flits for vc in vcs):
                 raise AssertionError(f"{pc}: an ejection lane buffers flits")
             if pc.i_threshold is not None and pc.i_threshold < 1:
                 raise AssertionError(f"{pc}: armed with i_threshold < 1")
         n_route = sum(1 for m in self.active_messages if m.route_asleep)
-        if n_route != self._route_parked_box[0]:
+        if n_route != self._route_parked:
             raise AssertionError(
-                f"route-parked count {self._route_parked_box[0]} != actual "
+                f"route-parked count {self._route_parked} != actual "
                 f"{n_route} (a stale count defeats the all-asleep fast path)"
             )
         n_move = sum(1 for m in self.active_messages if m.move_asleep)

@@ -11,10 +11,9 @@ seams installed:
   consumed from the same vector, before the cycle's phases run.
 
 Successor expansion works by **replay**: the checker never snapshots or
-copies a simulator (detector hooks close over live channel objects, so a
-deep copy would silently keep references into the original network).
-Instead each state stores its choice trace and a fresh instance replays
-it from cycle zero — which doubles as the counterexample replay path.
+copies a simulator.  Each state stores its choice trace and a fresh
+instance replays it from cycle zero — which doubles as the
+counterexample replay path.
 """
 
 from __future__ import annotations
@@ -164,10 +163,10 @@ class Instance:
                 key = (pc.index, input_pc.index)
                 expected[key] = expected.get(key, 0) + 1
         actual: Dict[Tuple[int, int], int] = {}
-        for pc in self.sim.channels:
-            if pc.waiters:
-                for input_pc, count in pc.waiters.items():
-                    actual[(pc.index, input_pc.index)] = count
+        targets = self.detector.reset_targets  # type: ignore[attr-defined]
+        for index, waiters in enumerate(targets):
+            for input_pc, count in dict(waiters).items():
+                actual[(index, input_pc.index)] = count
         if expected != actual:
             raise WaiterViolation(
                 f"selective waiter maps diverged: expected {sorted(expected.items())}, "

@@ -63,10 +63,12 @@ def _clamp_rel(value: int, cap: int, period: int = 1) -> int:
     return cap + (value - cap) % period
 
 
-def _encode_channel(pc: PhysicalChannel, cycle: int, cap: int) -> Encoded:
-    lanes = tuple(
-        (vc.occupant.id if vc.occupant is not None else -1, vc.flits)
-        for vc in pc.vcs
+def _encode_channel(
+    inst: Instance, pc: PhysicalChannel, cycle: int, cap: int
+) -> Encoded:
+    occupancy = tuple(
+        (vc.occupant if vc.occupant is not None else -1, vc.flits)
+        for vc in pc.vcs(inst.sim.lanes)
     )
     if pc.occupied_count == 0:
         inactivity: Tuple[str, int] = ("f", min(pc._frozen_inactivity, cap))
@@ -77,12 +79,11 @@ def _encode_channel(pc: PhysicalChannel, cycle: int, cap: int) -> Encoded:
         raw = cycle - start - pc.counter_lag
         inactivity = ("a", min(raw, cap))
     waiters: Tuple[Tuple[int, int], ...] = ()
-    if pc.waiters:
-        waiters = tuple(
-            sorted((ipc.index, count) for ipc, count in pc.waiters.items())
-        )
+    if inst.case.selective_promotion:  # its refcounts live on the NDM
+        targets = dict(inst.detector.reset_targets[pc.index])  # type: ignore
+        waiters = tuple(sorted((i.index, n) for i, n in targets.items()))
     return (
-        lanes,
+        occupancy,
         pc.gp is GPState.GENERATE,
         inactivity,
         pc.fault_down,
@@ -175,9 +176,7 @@ def encode_state(inst: Instance, include_engine: bool = True) -> Encoded:
     cycle = sim.cycle
     cap = case.counter_cap
     period = case.blocked_period
-    channels = tuple(
-        _encode_channel(pc, cycle, cap) for pc in sim.channels
-    )
+    channels = tuple(_encode_channel(inst, pc, cycle, cap) for pc in sim.channels)
     active = tuple(
         _encode_message(m, cycle, cap, period, include_engine)
         for m in sim.active_messages

@@ -24,12 +24,15 @@ Checked rules (paper, Section 3):
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.core.ndm import NewDetectionMechanism
 from repro.network.channel import PhysicalChannel, VirtualChannel
 from repro.network.message import Message
 from repro.network.types import GPState
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.network.simulator import Simulator
 
 _G = GPState.GENERATE
 _P = GPState.PROPAGATE
@@ -73,9 +76,13 @@ class RecordingNDM(NewDetectionMechanism):
     # Rule sites
     # ------------------------------------------------------------------
     def _first_attempt(
-        self, message: Message, input_pc: PhysicalChannel, cycle: int
+        self,
+        sim: "Simulator",
+        message: Message,
+        input_pc: PhysicalChannel,
+        cycle: int,
     ) -> None:
-        if input_pc.occupied_count < len(input_pc.vcs):
+        if input_pc.occupied_count < input_pc.num_vcs:
             expected = _P
         else:
             expected = _P
@@ -85,7 +92,7 @@ class RecordingNDM(NewDetectionMechanism):
                     break
         self._ctx = "first-attempt"
         try:
-            super()._first_attempt(message, input_pc, cycle)
+            super()._first_attempt(sim, message, input_pc, cycle)
         finally:
             self._ctx = None
         if input_pc.gp is not expected:
@@ -119,22 +126,24 @@ class RecordingNDM(NewDetectionMechanism):
     # ------------------------------------------------------------------
     # Promotion sites
     # ------------------------------------------------------------------
-    def _promote(self, input_pc: PhysicalChannel) -> None:  # type: ignore[override]
+    def _promote(  # type: ignore[override]
+        self, sim: "Simulator", input_pc: PhysicalChannel
+    ) -> None:
         if self._ctx is None:
             raise GPViolation(
                 f"promotion of input channel {input_pc.index} outside any "
                 "sanctioned rule site"
             )
         was = input_pc.gp
-        NewDetectionMechanism._promote(input_pc)
+        NewDetectionMechanism._promote(sim, input_pc)
         if was is not _G:
             self.events.append((input_pc.index, True))
 
-    def _on_i_reset(self, pc: PhysicalChannel, cycle: int) -> None:
+    def on_i_reset(self, sim: "Simulator", pc: PhysicalChannel, cycle: int) -> None:
         self._check_i_reset(pc, cycle)
         self._ctx = "i-reset"
         try:
-            super()._on_i_reset(pc, cycle)
+            super().on_i_reset(sim, pc, cycle)
         finally:
             self._ctx = None
 

@@ -37,7 +37,7 @@ class TestSnapshots:
     def test_buffered_flits_match_vcs(self):
         sim = loaded_sim()
         for snap, pc in zip(snapshot_channels(sim), sim.channels):
-            assert snap.buffered_flits == sum(vc.flits for vc in pc.vcs)
+            assert snap.buffered_flits == sum(vc.flits for vc in pc.vcs(sim.lanes))
 
     def test_idle_network_all_free(self):
         sim = loaded_sim(rate=0.0, cycles=50)

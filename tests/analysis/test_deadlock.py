@@ -80,7 +80,7 @@ class TestWaitingChain:
         scenario = build_figure2("none")
         scenario.run(5)
         d = scenario.messages["D"]
-        chain = waiting_chain(d)
+        chain = waiting_chain(d, scenario.sim.messages)
         names = [scenario.name_of(m.id) for m in chain]
         assert names[:3] == ["D", "C", "B"]
 
@@ -88,7 +88,7 @@ class TestWaitingChain:
         scenario = build_figure3("none")
         scenario.run(30)
         b = scenario.messages["B"]
-        chain = waiting_chain(b)
+        chain = waiting_chain(b, scenario.sim.messages)
         ids = [m.id for m in chain]
         assert len(ids) != len(set(ids))  # closed a loop
 
@@ -96,11 +96,11 @@ class TestWaitingChain:
         scenario = build_figure2("none")
         scenario.run(5)
         b = scenario.messages["B"]
-        chain = waiting_chain(b)
+        chain = waiting_chain(b, scenario.sim.messages)
         assert chain[-1] is scenario.messages["A"]
 
     def test_unblocked_message_chain_is_singleton(self):
         scenario = quiet_scenario()
         sim = scenario.sim
         m = place_worm(sim, (3, 0), [(0, +1)], (6, 0), length=16)
-        assert waiting_chain(m) == [m]
+        assert waiting_chain(m, scenario.sim.messages) == [m]

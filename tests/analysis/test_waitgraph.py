@@ -137,9 +137,11 @@ class TestDiagnostics:
         restricted = 0
         for m in blocked:
             lanes = m.feasible_vcs
-            restricted += len(lanes) < sum(len(pc.vcs) for pc in m.feasible_pcs)
-            holders = [vc.occupant for vc in lanes if vc.occupant is not None]
-            chain = waiting_chain(m)
+            restricted += len(lanes) < sum(pc.num_vcs for pc in m.feasible_pcs)
+            holders = [
+                sim.messages[vc.occupant] for vc in lanes if vc.occupant is not None
+            ]
+            chain = waiting_chain(m, sim.messages)
             assert chain[0] is m
             assert chain[1:2] == holders[:1]
         assert restricted  # some header really is denied an escape lane

@@ -92,12 +92,12 @@ class TestWaitGraphProperties:
                 vc
                 for pc in m.feasible_pcs
                 for vc in sim.routing_fn.allowed_vcs(
-                    sim.topology, pc, m.header_router(), m.dest
+                    sim.topology, pc, pc.vcs(sim.lanes), m.header_router(), m.dest
                 )
                 if (pc.usable_mask >> vc.index) & 1
             ]
             occupied = [
-                (vc.pc.index, vc.index, vc.occupant)
+                (vc.pc.index, vc.index, sim.messages[vc.occupant])
                 for vc in lanes
                 if vc.occupant is not None
             ]
@@ -107,7 +107,7 @@ class TestWaitGraphProperties:
                 for e in graph.edges[message_id]
             ] == occupied
             assert graph.free_alternatives[message_id] == free
-            escape, edges = wait_edges(m)
+            escape, edges = wait_edges(m, sim.messages)
             assert escape == (free > 0)
             if not escape:
                 assert edges == occupied

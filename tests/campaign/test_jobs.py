@@ -1,5 +1,11 @@
 """Tests for campaign job enumeration, hashing and the unit payload."""
 
+import dataclasses
+import hashlib
+import json
+
+import pytest
+
 from repro.campaign.jobs import (
     CellJob,
     cell_from_dict,
@@ -9,7 +15,8 @@ from repro.campaign.jobs import (
     job_key,
     unit_payload,
 )
-from repro.experiments.runner import CellResult, build_cell_config
+from repro.experiments.runner import CellResult, build_cell_config, saturation_rate
+from repro.experiments.spec import TABLE_SPECS, base_config, quick_spec
 from tests.campaign.conftest import tiny_base, tiny_spec
 
 
@@ -38,6 +45,22 @@ class TestConfigHash:
         digest = config_hash(tiny_base())
         assert len(digest) == 64
         int(digest, 16)  # must be valid hex
+
+    @pytest.mark.parametrize("full", [False, True], ids=["quick", "full"])
+    def test_every_table_job_hashes_as_its_asdict_json(self, full):
+        """``to_dict`` skips ``asdict``'s deep copy but not its content:
+        no cache key or manifest hash of any paper-table cell moves."""
+        base = base_config(full=full)
+        jobs = []
+        for spec in TABLE_SPECS.values():
+            spec = spec if full else quick_spec(spec)
+            jobs += enumerate_table_jobs(spec, base, saturation_rate(base, spec))[1]
+        assert len(jobs) == (1020 if full else 192)
+        for job in jobs:
+            text = json.dumps(
+                dataclasses.asdict(job.config), sort_keys=True, separators=(",", ":")
+            )
+            assert job.config_hash == hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestEnumerateTableJobs:

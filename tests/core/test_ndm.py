@@ -75,7 +75,7 @@ class TestFirstAttemptRule:
         b = place_worm(sim, (3, 1), [(1, -1)], (4, 0), length=16)
         scenario.run(2)
         assert b.is_blocked()
-        assert b.input_pc.occupied_count < len(b.input_pc.vcs)
+        assert b.input_pc.occupied_count < b.input_pc.num_vcs
         assert b.input_pc.gp is GPState.PROPAGATE
 
 
@@ -162,7 +162,7 @@ class TestPromotionVariants:
         b = place_worm(sim, (3, 1), [(1, -1)], (4, 0), length=16)
         scenario.run(2)
         (requested,) = b.feasible_pcs
-        assert b.input_pc in requested.waiters
+        assert b.input_pc in sim.detector.reset_targets[requested.index]
 
     def test_selective_waiter_cleanup_on_route(self):
         scenario = fresh_scenario(selective_promotion=True)
@@ -172,5 +172,6 @@ class TestPromotionVariants:
         b = place_worm(sim, (3, 1), [(1, -1)], (4, 0), length=16)
         scenario.run(2)
         (requested,) = b.feasible_pcs
-        scenario.run_until(lambda s: not requested.waiters, limit=400)
-        assert not requested.waiters
+        waiters = sim.detector.reset_targets[requested.index]
+        scenario.run_until(lambda s: not waiters, limit=400)
+        assert not waiters

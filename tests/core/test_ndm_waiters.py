@@ -3,11 +3,11 @@
 Two layers of bookkeeping hang off blocked messages and must stay exactly
 in sync with the network state:
 
-* the *selective-promotion* maps (``pc.waiters``: for each output channel,
-  which input channels host blocked headers requesting it, with
-  multiplicity) that :meth:`NewDetectionMechanism._on_i_reset` consults;
+* the *selective-promotion* maps (``ndm.reset_targets``: for each output
+  channel, which input channels host blocked headers requesting it, with
+  multiplicity) that :meth:`NewDetectionMechanism.on_i_reset` consults;
 * the *event-engine* wakeup sets (``pc.route_waiters`` /
-  ``pc.header_waiters``) that re-awaken parked headers.
+  ``pc.header_waiters``, by message id) that re-awaken parked headers.
 
 A leak in either direction is silent in normal runs — stale entries cause
 spurious promotions (extra false detections), missing entries cause lost
@@ -29,7 +29,7 @@ from repro.network.types import MessageStatus, PortKind
 # Ground-truth reconciliation helpers
 # ----------------------------------------------------------------------
 def expected_selective_waiters(sim: Simulator, marked: bool = False):
-    """Recompute the ``pc.waiters`` maps from the message population.
+    """Recompute the selective waiter maps from the message population.
 
     With ``marked=False``: contributions of blocked, *unmarked* in-network
     messages.  Every such message is registered (its first failed attempt
@@ -65,7 +65,7 @@ def assert_selective_waiters_consistent(sim: Simulator) -> None:
     unmarked = expected_selective_waiters(sim, marked=False)
     marked = expected_selective_waiters(sim, marked=True)
     for pc, floor in unmarked.items():
-        actual = dict(pc.waiters or {})
+        actual = dict(sim.detector.reset_targets[pc.index])
         slack = marked[pc]
         for inp in set(floor) | set(actual) | set(slack):
             lo = floor.get(inp, 0)
@@ -82,16 +82,17 @@ def assert_wakeup_sets_consistent(sim: Simulator) -> None:
     registered = {
         m for m in sim.active_messages if getattr(m, "wait_registered", False)
     }
+    ids = {m.id for m in registered}
     for m in registered:
         for pc in m.feasible_pcs:
-            assert pc.route_waiters and m in pc.route_waiters
+            assert m.id in (pc.route_waiters or ())
         if m.input_pc is not None:
-            assert m.input_pc.header_waiters and m in m.input_pc.header_waiters
+            assert m.id in (m.input_pc.header_waiters or ())
     for pc in sim.channels:
         for m in pc.route_waiters or ():
-            assert m in registered, f"stale route waiter {m} on {pc}"
+            assert m in ids, f"stale route waiter {m} on {pc}"
         for m in pc.header_waiters or ():
-            assert m in registered, f"stale header waiter {m} on {pc}"
+            assert m in ids, f"stale header waiter {m} on {pc}"
 
 
 # ----------------------------------------------------------------------
@@ -107,8 +108,11 @@ class _Stub:
         return getattr(self, "name", super().__repr__())
 
 
-def _stub_pc(name: str):
-    return _Stub(name=name, waiters={})
+def _stub_ndm(*names: str):
+    """A selective NDM armed for one stub channel per name."""
+    ndm = NewDetectionMechanism(16, selective_promotion=True)
+    ndm.reset_targets = [{} for _ in names]
+    return ndm, [_Stub(name=name, index=i) for i, name in enumerate(names)]
 
 
 def _stub_message(input_pc, feasible_pcs):
@@ -121,43 +125,40 @@ def _stub_message(input_pc, feasible_pcs):
 
 class TestWaiterCounts:
     def test_register_increments_per_feasible_channel(self):
-        ndm = NewDetectionMechanism(16, selective_promotion=True)
-        out_a, out_b, inp = _stub_pc("a"), _stub_pc("b"), _stub_pc("in")
+        ndm, (out_a, out_b, inp) = _stub_ndm("a", "b", "in")
         m = _stub_message(inp, [out_a, out_b])
         ndm._register_waiter(m, inp)
-        assert out_a.waiters == {inp: 1}
-        assert out_b.waiters == {inp: 1}
+        assert ndm.reset_targets[out_a.index] == {inp: 1}
+        assert ndm.reset_targets[out_b.index] == {inp: 1}
 
     def test_two_messages_same_input_count_to_two(self):
-        ndm = NewDetectionMechanism(16, selective_promotion=True)
-        out, inp = _stub_pc("out"), _stub_pc("in")
+        ndm, (out, inp) = _stub_ndm("out", "in")
+        waiters = ndm.reset_targets[out.index]
         m1 = _stub_message(inp, [out])
         m2 = _stub_message(inp, [out])
         ndm._register_waiter(m1, inp)
         ndm._register_waiter(m2, inp)
-        assert out.waiters == {inp: 2}
+        assert waiters == {inp: 2}
         ndm._unregister_waiter(m1)
-        assert out.waiters == {inp: 1}
+        assert waiters == {inp: 1}
         ndm._unregister_waiter(m2)
-        assert out.waiters == {}
+        assert waiters == {}
 
     def test_unregister_never_registered_is_noop(self):
-        ndm = NewDetectionMechanism(16, selective_promotion=True)
-        out, inp = _stub_pc("out"), _stub_pc("in")
+        ndm, (out, inp) = _stub_ndm("out", "in")
         m = _stub_message(inp, [out])
         m.first_attempt_done = False  # routed on the first try
         ndm._unregister_waiter(m)
-        assert out.waiters == {}
+        assert ndm.reset_targets[out.index] == {}
 
     def test_unregister_distinct_inputs_keeps_other(self):
-        ndm = NewDetectionMechanism(16, selective_promotion=True)
-        out, in1, in2 = _stub_pc("out"), _stub_pc("in1"), _stub_pc("in2")
+        ndm, (out, in1, in2) = _stub_ndm("out", "in1", "in2")
         m1 = _stub_message(in1, [out])
         m2 = _stub_message(in2, [out])
         ndm._register_waiter(m1, in1)
         ndm._register_waiter(m2, in2)
         ndm._unregister_waiter(m1)
-        assert out.waiters == {in2: 1}
+        assert ndm.reset_targets[out.index] == {in2: 1}
 
 
 # ----------------------------------------------------------------------
@@ -180,7 +181,8 @@ class TestScenarioBookkeeping:
         sim, a, b = self._blocked_pair()
         assert_selective_waiters_consistent(sim)
         assert any(
-            b.input_pc in (pc.waiters or {}) for pc in b.feasible_pcs
+            b.input_pc in sim.detector.reset_targets[pc.index]
+            for pc in b.feasible_pcs
         )
         # Run until B is no longer blocked at this router (A's tail passes).
         for _ in range(80):
@@ -198,8 +200,8 @@ class TestScenarioBookkeeping:
         assert not sim.active_messages
         assert_selective_waiters_consistent(sim)  # all maps empty now
         assert_wakeup_sets_consistent(sim)
+        assert not any(sim.detector.reset_targets)
         for pc in sim.channels:
-            assert not pc.waiters
             assert not pc.route_waiters
             assert not pc.header_waiters
 

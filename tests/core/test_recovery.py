@@ -26,7 +26,7 @@ class TestProgressiveRecovery:
         scenario.run_until(lambda s: b.status is MessageStatus.RECOVERING,
                            limit=1000)
         for vc in held:
-            assert vc.occupant is not b
+            assert vc.occupant != b.id
 
     def test_recovery_latency_includes_lane_transit(self):
         scenario = build_figure3("ndm", threshold=8, recovery="progressive")
@@ -119,10 +119,10 @@ class TestNoRecovery:
 class TestFactory:
     def test_unknown_scheme_raises(self):
         with pytest.raises(ValueError, match="unknown recovery scheme"):
-            make_recovery("wormhole-magic", sim=None)
+            make_recovery("wormhole-magic")
 
     @pytest.mark.parametrize(
         "name", ["progressive", "progressive-reinject", "regressive", "none"]
     )
     def test_known_schemes_constructible(self, name):
-        assert make_recovery(name, sim=None).name == name
+        assert make_recovery(name).name == name

@@ -96,7 +96,7 @@ class TestFactory:
     def test_base_hooks_are_noops(self):
         detector = make_detector(DetectorConfig(mechanism="none"))
         assert detector.on_blocked_attempt(None, None, 0, True) is False
-        assert detector.periodic_check([], 0) == []
+        assert detector.periodic_check(None, 0) == []
         detector.on_message_routed(None, 0)
         detector.on_vc_released(None, 0)
         detector.on_message_removed(None, 0)

@@ -33,8 +33,8 @@ class TestHeaderBlockedTimeout:
         # The rule itself, at its boundary (the run above wakes the parked
         # header at the deadline, so it cannot see an off-by-one score).
         attempt = sim.detector.on_blocked_attempt
-        assert not attempt(b, None, b.blocked_since + 12, False)
-        assert attempt(b, None, b.blocked_since + 13, False)
+        assert not attempt(sim, b, b.blocked_since + 12, False)
+        assert attempt(sim, b, b.blocked_since + 13, False)
 
     def test_falsely_marks_even_behind_advancing_message(self):
         """The crude timeout cannot tell congestion from deadlock."""

@@ -108,7 +108,7 @@ class TestInvariantsUnderFaults:
         for pc in sim.channels:
             assert not pc.fault_down
             assert pc.stuck_mask == 0
-            assert pc.usable_mask == (1 << len(pc.vcs)) - 1
+            assert pc.usable_mask == (1 << pc.num_vcs) - 1
 
 
 class TestConservation:

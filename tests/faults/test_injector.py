@@ -89,7 +89,7 @@ class TestVcStuck:
         step_to(sim, 1)
         assert pc.stuck_mask == 0b10
         assert pc.usable_mask == 0b01
-        assert [vc.index for vc in pc.usable_free_lanes()] == [0]
+        assert pc.lane_indices(pc.free_mask & pc.usable_mask) == (0,)
         step_to(sim, 4)
         assert pc.stuck_mask == 0 and pc.usable_mask == FULL
 
@@ -134,7 +134,7 @@ class TestCounterFaults:
         step_to(sim, 2)
         assert pc.counter_lag == 9
         pc.note_occupied(sim.cycle)  # counter only advances while occupied
-        pc.record_flit(sim.cycle + 1)  # the next flit clears the lag
+        pc.record_flit(sim.cycle + 1, sim)  # the next flit clears the lag
         assert pc.counter_lag == 0
 
     def test_lag_cleared_by_a_body_flit_of_a_passing_worm(self):

@@ -97,7 +97,7 @@ class TestMonitorProperties:
         for _ in range(200):
             sim.step()
         for pc in sim.channels:
-            actual = sum(1 for vc in pc.vcs if vc.occupant is not None)
+            actual = sum(1 for vc in pc.vcs(sim.lanes) if vc.occupant is not None)
             assert pc.occupied_count == actual
 
 
@@ -122,11 +122,12 @@ class TestGroundTruthProperties:
         for _ in range(250):
             sim.step()
         deadlocked = find_deadlocked(sim.active_messages)
+        ids = {m.id for m in deadlocked}
         for m in deadlocked:
             for pc in m.feasible_pcs:
-                for vc in pc.vcs:
+                for vc in pc.vcs(sim.lanes):
                     assert vc.occupant is not None
-                    assert vc.occupant in deadlocked
+                    assert vc.occupant in ids
 
     @given(config_strategy)
     @SLOW

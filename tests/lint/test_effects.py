@@ -4,14 +4,15 @@ These exercise the dataflow layer directly — aliasing, augmented
 assignment, self-method dispatch, cross-module propagation, obligation
 classification — plus the two repo-level gates the
 tentpole promises: zero EFF findings on ``src/``, and the
-seeded-regression proof that stripping the PR 2 drain-fix wake loop from
-``PhysicalChannel.note_released`` trips EFF002.
+seeded-regression proof that stripping the drain-termination wake from
+``Simulator._release_vc`` trips EFF002.
 """
 
 import re
+import shutil
 from pathlib import Path
 
-from repro.lint import lint_file, run_lint
+from repro.lint import run_lint
 from repro.lint.effects import build_effect_index
 from repro.lint.findings import format_text
 from repro.lint.module import ModuleInfo
@@ -171,34 +172,34 @@ def test_src_tree_has_zero_effect_findings():
     assert effect_findings == [], format_text(effect_findings)
 
 
-_WAKE_LOOP = re.compile(
+_WAKE = re.compile(
     r"\n        # A freed lane may let a parked header route on its next"
-    r" attempt\.\n(?:.*\n)*? *box\[0\] -= 1\n",
+    r" attempt\.\n(?:.*\n)*? *self\.wake\(waiters\)\n",
 )
 
 
 def test_stripping_the_drain_fix_wake_trips_eff002(tmp_path):
     """Seeded regression: the analyzer catches the PR 2 bug class.
 
-    ``VirtualChannel.release`` discharges its wake obligation through
-    ``pc.note_released``; removing note_released's waiter wake loop (the
-    PR 2 drain-termination fix) must surface as EFF002 on the release
-    writes.
+    ``VirtualChannel.release`` cannot see the parked waiters (the
+    simulator owns them), so ``Simulator._release_vc`` discharges its
+    wake obligation (``contracts.DEFERRED_WAKES``); removing that wake
+    (the drain-termination fix) must surface as EFF002 on the
+    release writes.
     """
-    source = (REPO_ROOT / "src/repro/network/channel.py").read_text()
-    assert _WAKE_LOOP.search(source), "wake loop not found in channel.py"
-    broken = _WAKE_LOOP.sub("\n", source)
-    assert broken != source
-    path = tmp_path / "channel.py"
-    path.write_text(broken)
-    result = lint_file(path, module_name="repro.network.channel")
+    tree = tmp_path / "repro"
+    shutil.copytree(REPO_ROOT / "src" / "repro", tree)
+    files = [tree / "network" / "channel.py", tree / "network" / "simulator.py"]
+    # The pristine pair stays clean: the wake is load-bearing.
+    clean = run_lint(files)
+    assert [f for f in clean.findings if f.code == "EFF002"] == []
+    source = files[1].read_text()
+    assert _WAKE.search(source), "release wake not found in simulator.py"
+    files[1].write_text(_WAKE.sub("\n", source))
+    result = run_lint(files)
     eff002 = [f for f in result.findings if f.code == "EFF002"]
     assert {f.message.split("'")[1] for f in eff002} == {
         "occupant",
         "free_mask",
     }, format_text(result.findings)
-    # The pristine file stays clean: the wake loop is load-bearing.
-    pristine = tmp_path / "pristine.py"
-    pristine.write_text(source)
-    clean = lint_file(pristine, module_name="repro.network.channel")
-    assert [f for f in clean.findings if f.code == "EFF002"] == []
+    assert all(f.path.endswith("channel.py") for f in eff002)

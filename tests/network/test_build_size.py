@@ -1,10 +1,11 @@
-"""Guard on what one simulator build leaves for the garbage collector.
+"""Guard on how many tracked objects one simulator build allocates.
 
-A finished network is cyclic garbage (each lane points at its channel and
-back), so every object a build allocates is walked and freed by a full
-collection.  Per-channel eager tables used to make that about 16 tracked
-objects per channel; the lanes-by-mask table is now shared per width.
-This bound catches a per-channel table coming back unnoticed.
+Every object a build allocates is walked by each collection that runs
+while the network is alive (and, before the network lost its reference
+cycles, by the full collection that freed it).  Per-channel eager tables
+used to make that about 16 tracked objects per channel; the lanes-by-mask
+table is now shared per width and the lanes live in one flat list.  This
+bound catches a per-channel table coming back unnoticed.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import gc
 from repro.experiments.spec import base_config
 from repro.network.simulator import Simulator
 
-#: Tracked objects one build may leave per channel (7.2 today).
+#: Tracked objects one build may leave per channel (6.2 today).
 MAX_OBJECTS_PER_CHANNEL = 8
 
 

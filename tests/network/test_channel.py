@@ -7,166 +7,167 @@ from repro.network.types import GPState, PortKind
 
 
 def make_pc(num_vcs=3, depth=4, kind=PortKind.NETWORK):
-    return PhysicalChannel(0, kind, 0, 1, (0, +1), num_vcs, depth)
+    """A channel and the flat lane list it appended its lanes to."""
+    lanes = []
+    return PhysicalChannel(0, kind, 0, 1, (0, +1), num_vcs, depth, lanes), lanes
 
 
-class FakeMessage:
-    """Stands in for Message in channel-level tests."""
+class HookSpy:
+    """Stands in for the simulator: its detector's I-reset calls land here."""
 
-    def __init__(self, message_id=1):
-        self.id = message_id
+    def __init__(self):
+        self.detector = self
+        self.fired = []
+
+    def on_i_reset(self, sim, pc, cycle):
+        self.fired.append(cycle)
 
 
 class TestVirtualChannel:
     def test_starts_free(self):
-        pc = make_pc()
-        assert all(vc.is_free for vc in pc.vcs)
+        pc, lanes = make_pc()
+        assert all(vc.occupant is None for vc in lanes)
 
     def test_allocate_sets_occupant(self):
-        pc = make_pc()
-        m = FakeMessage()
-        pc.vcs[0].allocate(m, cycle=5)
-        assert pc.vcs[0].occupant is m
-        assert not pc.vcs[0].is_free
+        pc, lanes = make_pc()
+        lanes[0].allocate(7, cycle=5)
+        assert lanes[0].occupant == 7  # the message id, not the message
+        assert lanes[0].occupant is not None
 
     def test_double_allocate_raises(self):
-        pc = make_pc()
-        pc.vcs[0].allocate(FakeMessage(1), cycle=0)
+        pc, lanes = make_pc()
+        lanes[0].allocate(1, cycle=0)
         with pytest.raises(RuntimeError):
-            pc.vcs[0].allocate(FakeMessage(2), cycle=1)
+            lanes[0].allocate(2, cycle=1)
 
     def test_release_clears_occupant_and_flits(self):
-        pc = make_pc()
-        vc = pc.vcs[0]
-        vc.allocate(FakeMessage(), cycle=0)
+        pc, lanes = make_pc()
+        vc = lanes[0]
+        vc.allocate(1, cycle=0)
         vc.flits = 3
         vc.release(cycle=10)
-        assert vc.is_free
+        assert vc.occupant is None
         assert vc.flits == 0
 
     def test_release_free_channel_raises(self):
-        pc = make_pc()
+        pc, lanes = make_pc()
         with pytest.raises(RuntimeError):
-            pc.vcs[0].release(cycle=0)
+            lanes[0].release(cycle=0)
 
     def test_capacity_recorded(self):
-        pc = make_pc(depth=7)
-        assert all(vc.capacity == 7 for vc in pc.vcs)
+        pc, lanes = make_pc(depth=7)
+        assert all(vc.capacity == 7 for vc in lanes)
 
 
 class TestOccupancyCounting:
     def test_occupied_count_tracks_allocations(self):
-        pc = make_pc()
-        pc.vcs[0].allocate(FakeMessage(1), 0)
-        pc.vcs[1].allocate(FakeMessage(2), 0)
+        pc, lanes = make_pc()
+        lanes[0].allocate(1, 0)
+        lanes[1].allocate(2, 0)
         assert pc.occupied_count == 2
-        pc.vcs[0].release(5)
+        lanes[0].release(5)
         assert pc.occupied_count == 1
 
     def test_has_free_vc(self):
-        pc = make_pc(num_vcs=2)
-        assert pc.has_free_vc()
-        pc.vcs[0].allocate(FakeMessage(1), 0)
-        pc.vcs[1].allocate(FakeMessage(2), 0)
-        assert not pc.has_free_vc()
+        pc, lanes = make_pc(num_vcs=2)
+        assert pc.lane_indices(pc.free_mask) == (0, 1)
+        lanes[0].allocate(1, 0)
+        lanes[1].allocate(2, 0)
+        assert pc.lane_indices(pc.free_mask) == ()
 
     def test_free_vcs_lists_only_free(self):
-        pc = make_pc(num_vcs=3)
-        pc.vcs[1].allocate(FakeMessage(), 0)
-        assert pc.vcs[1] not in pc.free_vcs()
-        assert len(pc.free_vcs()) == 2
+        pc, lanes = make_pc(num_vcs=3)
+        lanes[1].allocate(1, 0)
+        assert pc.free_lanes(lanes) == (lanes[0], lanes[2])
 
 
 class TestInactivityMonitor:
     def test_unoccupied_channel_reports_frozen_zero(self):
-        pc = make_pc()
+        pc, lanes = make_pc()
         assert pc.inactivity(100) == 0
 
     def test_counts_from_occupancy(self):
-        pc = make_pc()
-        pc.vcs[0].allocate(FakeMessage(), cycle=10)
+        pc, lanes = make_pc()
+        lanes[0].allocate(1, cycle=10)
         assert pc.inactivity(10) == 0
         assert pc.inactivity(15) == 5
 
     def test_flit_resets_counter(self):
-        pc = make_pc()
-        pc.vcs[0].allocate(FakeMessage(), cycle=0)
-        pc.record_flit(8)
+        pc, lanes = make_pc()
+        lanes[0].allocate(1, cycle=0)
+        pc.record_flit(8, None)
         assert pc.inactivity(8) == 0
         assert pc.inactivity(11) == 3
 
     def test_second_allocation_does_not_reset(self):
-        pc = make_pc()
-        pc.vcs[0].allocate(FakeMessage(1), cycle=0)
-        pc.vcs[1].allocate(FakeMessage(2), cycle=9)
+        pc, lanes = make_pc()
+        lanes[0].allocate(1, cycle=0)
+        lanes[1].allocate(2, cycle=9)
         # Counter keeps counting from the first occupancy.
         assert pc.inactivity(10) == 10
 
     def test_counter_freezes_across_unoccupied_gap(self):
         # The hardware register keeps its value while the increment is
         # gated off (paper Fig. 6); crucial for the Figure 5 situation.
-        pc = make_pc(num_vcs=1)
-        pc.vcs[0].allocate(FakeMessage(1), cycle=0)
-        pc.vcs[0].release(cycle=20)  # counter frozen at 20
+        pc, lanes = make_pc(num_vcs=1)
+        lanes[0].allocate(1, cycle=0)
+        lanes[0].release(cycle=20)  # counter frozen at 20
         assert pc.inactivity(300) == 20
-        pc.vcs[0].allocate(FakeMessage(2), cycle=300)
+        lanes[0].allocate(2, cycle=300)
         assert pc.inactivity(300) == 20
         assert pc.inactivity(305) == 25
 
     def test_flit_after_resume_resets(self):
-        pc = make_pc(num_vcs=1)
-        pc.vcs[0].allocate(FakeMessage(1), cycle=0)
-        pc.vcs[0].release(cycle=50)
-        pc.vcs[0].allocate(FakeMessage(2), cycle=60)
-        pc.record_flit(61)
+        pc, lanes = make_pc(num_vcs=1)
+        lanes[0].allocate(1, cycle=0)
+        lanes[0].release(cycle=50)
+        lanes[0].allocate(2, cycle=60)
+        pc.record_flit(61, None)
         assert pc.inactivity(63) == 2
 
     def test_frozen_counter_small_after_active_release(self):
-        pc = make_pc(num_vcs=1)
-        pc.vcs[0].allocate(FakeMessage(1), cycle=0)
-        pc.record_flit(30)
-        pc.vcs[0].release(cycle=31)
+        pc, lanes = make_pc(num_vcs=1)
+        lanes[0].allocate(1, cycle=0)
+        pc.record_flit(30, None)
+        lanes[0].release(cycle=31)
         assert pc.inactivity(500) == 1
 
 
 class TestIResetHook:
     def test_hook_fires_when_inactive_channel_transmits(self):
-        pc = make_pc()
-        fired = []
+        pc, lanes = make_pc()
+        sim = HookSpy()
         pc.i_threshold = 1
-        pc.on_i_reset = lambda channel, cycle: fired.append(cycle)
-        pc.vcs[0].allocate(FakeMessage(), cycle=0)
-        pc.record_flit(10)  # inactivity was 10 > 1 -> I flag was set
-        assert fired == [10]
+        lanes[0].allocate(1, cycle=0)
+        pc.record_flit(10, sim)  # inactivity was 10 > 1 -> I flag was set
+        assert sim.fired == [10]
 
     def test_hook_skipped_for_streaming_flits(self):
-        pc = make_pc()
-        fired = []
+        pc, lanes = make_pc()
+        sim = HookSpy()
         pc.i_threshold = 1
-        pc.on_i_reset = lambda channel, cycle: fired.append(cycle)
-        pc.vcs[0].allocate(FakeMessage(), cycle=0)
-        pc.record_flit(0)
-        pc.record_flit(1)
-        pc.record_flit(2)
-        assert fired == []
+        lanes[0].allocate(1, cycle=0)
+        pc.record_flit(0, sim)
+        pc.record_flit(1, sim)
+        pc.record_flit(2, sim)
+        assert sim.fired == []
 
     def test_hook_skipped_when_unoccupied(self):
-        pc = make_pc()
-        fired = []
+        pc, lanes = make_pc()
+        sim = HookSpy()
         pc.i_threshold = 1
-        pc.on_i_reset = lambda channel, cycle: fired.append(cycle)
-        pc.record_flit(50)
-        assert fired == []
+        pc.record_flit(50, sim)
+        assert sim.fired == []
 
     def test_no_hook_without_threshold(self):
-        pc = make_pc()
-        pc.vcs[0].allocate(FakeMessage(), cycle=0)
-        pc.record_flit(10)  # must not raise
+        pc, lanes = make_pc()
+        lanes[0].allocate(1, cycle=0)
+        pc.record_flit(10, None)  # must not raise
 
 
 class TestBookkeepingGuards:
     def test_negative_occupancy_raises(self):
-        pc = make_pc()
+        pc, lanes = make_pc()
         with pytest.raises(RuntimeError):
             pc.note_released(cycle=0)
 
@@ -174,11 +175,11 @@ class TestBookkeepingGuards:
         assert NEVER < -(10**15)
 
     def test_gp_starts_propagate(self):
-        assert make_pc().gp is GPState.PROPAGATE
+        assert make_pc()[0].gp is GPState.PROPAGATE
 
     def test_describe_kinds(self):
-        assert "net" in make_pc().describe()
-        inj = PhysicalChannel(1, PortKind.INJECTION, None, 4, None, 1, 4)
+        assert "net" in make_pc()[0].describe()
+        inj = PhysicalChannel(1, PortKind.INJECTION, None, 4, None, 1, 4, [])
         assert "inj" in inj.describe()
-        ej = PhysicalChannel(2, PortKind.EJECTION, 4, None, None, 1, 4)
+        ej = PhysicalChannel(2, PortKind.EJECTION, 4, None, None, 1, 4, [])
         assert "ej" in ej.describe()

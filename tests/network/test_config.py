@@ -1,5 +1,7 @@
 """Tests for simulation configuration and validation."""
 
+import dataclasses
+
 import pytest
 
 from repro.network.config import (
@@ -181,6 +183,20 @@ class TestSerialization:
         payload = json.dumps(SimulationConfig().to_dict())
         rebuilt = SimulationConfig.from_dict(json.loads(payload))
         assert rebuilt.radix == SimulationConfig().radix
+
+    def test_to_dict_shares_no_container_with_the_config(self):
+        config = SimulationConfig()
+        config.traffic.pattern_params = {"fraction": 0.05, "nodes": [1, 2]}
+        config.faults = [{"kind": "link-down", "start": 1, "end": 5, "channel": 0}]
+        before = dataclasses.asdict(config)
+        payload = config.to_dict()
+        assert payload == before
+        payload["faults"][0]["channel"] = 9
+        payload["faults"].append({})
+        payload["traffic"]["pattern_params"]["nodes"].append(3)
+        payload["traffic"]["pattern_params"]["fraction"] = 1.0
+        payload["detector"]["threshold"] = 1
+        assert dataclasses.asdict(config) == before
 
     def test_from_dict_validates(self):
         payload = SimulationConfig().to_dict()

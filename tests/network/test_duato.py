@@ -66,9 +66,10 @@ class TestAllowedVCs:
         pc = self._pc(sim, (0, 0), (1, +1))  # non-escape direction
         cur = sim.topology.node_at((0, 0))
         dst = sim.topology.node_at((3, 3))
-        lanes = rf.allowed_vcs(sim.topology, pc, cur, dst)
-        assert pc.vcs[2] in lanes
-        assert pc.vcs[0] not in lanes  # escape lane of a non-escape PC
+        vcs = pc.vcs(sim.lanes)
+        lanes = rf.allowed_vcs(sim.topology, pc, vcs, cur, dst)
+        assert vcs[2] in lanes
+        assert vcs[0] not in lanes  # escape lane of a non-escape PC
 
     def test_escape_lane_on_dimension_order_pc(self):
         config = small_config(radix=8, routing="duato-adaptive")
@@ -78,10 +79,11 @@ class TestAllowedVCs:
         pc = self._pc(sim, (0, 0), (0, +1))  # the DOR next hop
         cur = sim.topology.node_at((0, 0))
         dst = sim.topology.node_at((3, 3))
-        lanes = rf.allowed_vcs(sim.topology, pc, cur, dst)
-        assert pc.vcs[2] in lanes
-        assert pc.vcs[1] in lanes  # class 1 (no wrap on 0 -> 3)
-        assert pc.vcs[0] not in lanes
+        vcs = pc.vcs(sim.lanes)
+        lanes = rf.allowed_vcs(sim.topology, pc, vcs, cur, dst)
+        assert vcs[2] in lanes
+        assert vcs[1] in lanes  # class 1 (no wrap on 0 -> 3)
+        assert vcs[0] not in lanes
 
     def test_injection_ports_unrestricted(self):
         config = small_config(radix=8, routing="duato-adaptive")
@@ -89,7 +91,8 @@ class TestAllowedVCs:
         sim = Simulator(config)
         rf = sim.routing_fn
         pc = sim.routers[0].injection_pcs[0]
-        assert list(rf.allowed_vcs(sim.topology, pc, 0, 5)) == list(pc.vcs)
+        vcs = pc.vcs(sim.lanes)
+        assert list(rf.allowed_vcs(sim.topology, pc, vcs, 0, 5)) == list(vcs)
 
 
 class TestDeadlockFreedom:

@@ -326,8 +326,12 @@ class _RngDeadline(PreviousDetectionMechanism):
     """Draws from the simulator's RNG while computing a deadline: only
     the event engine asks for deadlines, so its traffic stream shifts."""
 
+    def attach(self, sim):
+        super().attach(sim)
+        self.rng = sim.rng
+
     def blocked_deadline(self, message, cycle):
-        self.sim.rng.random()
+        self.rng.random()
         return super().blocked_deadline(message, cycle)
 
 
@@ -343,9 +347,9 @@ class _CountingDeadline(PreviousDetectionMechanism):
         self._deadlines += 1
         return super().blocked_deadline(message, cycle)
 
-    def on_blocked_attempt(self, message, router, cycle, first_attempt):
+    def on_blocked_attempt(self, sim, message, cycle, first_attempt):
         return self._deadlines == 0 and super().on_blocked_attempt(
-            message, router, cycle, first_attempt
+            sim, message, cycle, first_attempt
         )
 
 

@@ -5,8 +5,8 @@ lane ``i`` is unoccupied) as two integer ops in VirtualChannel
 allocate/release, plus a ``lanes_by_mask`` table — one per channel width,
 shared by every channel of that width — mapping each mask to its lane
 indices in lane-index order.  The contract: for any allocate/release
-history, ``free_lanes`` must equal what a fresh scan of ``vcs`` would
-collect — in the same order, because routing picks a lane by position
+history, ``free_lanes`` must equal what a fresh scan of the channel's
+lanes would collect — in the same order, because routing picks a lane by position
 with ``rng.choice`` and a different order would shift which lane a draw
 lands on and break bit-identical equivalence with the scan engine.  The
 routing tests at the end pin that draw directly: the lane
@@ -23,7 +23,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.network.channel import MASK_TABLE_MAX_VCS, PhysicalChannel
+from typing import List, Tuple
+
+from repro.network.channel import MASK_TABLE_MAX_VCS, PhysicalChannel, VirtualChannel
 from repro.network.config import SimulationConfig
 from repro.network.message import Message
 from repro.network.simulator import Simulator
@@ -31,8 +33,10 @@ from repro.network.types import MessageStatus, PortKind
 from repro.verify.choices import ChoiceLog, ScriptedRNG
 
 
-def make_pc(num_vcs: int) -> PhysicalChannel:
-    return PhysicalChannel(
+def make_pc(num_vcs: int) -> Tuple[PhysicalChannel, List[VirtualChannel]]:
+    """A channel and the flat lane list it appended its lanes to."""
+    lanes: List[VirtualChannel] = []
+    pc = PhysicalChannel(
         index=0,
         kind=PortKind.NETWORK,
         src_node=0,
@@ -40,24 +44,25 @@ def make_pc(num_vcs: int) -> PhysicalChannel:
         direction=(0, 1),
         num_vcs=num_vcs,
         buffer_depth=4,
+        lanes=lanes,
     )
+    return pc, lanes
 
 
 def make_message(i: int) -> Message:
     return Message(message_id=i, source=0, dest=1, length=4, gen_cycle=0)
 
 
-def scan_free(pc: PhysicalChannel):
+def scan_free(pc: PhysicalChannel, lanes):
     """What the pre-change code computed every routing attempt."""
-    return tuple(vc for vc in pc.vcs if vc.occupant is None)
+    return tuple(vc for vc in pc.vcs(lanes) if vc.occupant is None)
 
 
-def assert_consistent(pc: PhysicalChannel) -> None:
-    free = scan_free(pc)
-    assert pc.free_lanes == free
-    assert pc.free_vcs() == list(free)
+def assert_consistent(pc: PhysicalChannel, lanes) -> None:
+    free = scan_free(pc, lanes)
+    assert pc.free_lanes(lanes) == free
     assert bin(pc.free_mask).count("1") == len(free)
-    assert pc.occupied_count == len(pc.vcs) - len(free)
+    assert pc.occupied_count == pc.num_vcs - len(free)
     indices = tuple(vc.index for vc in free)
     assert pc.lane_indices(pc.free_mask) == indices
     if pc.lanes_by_mask is not None:
@@ -68,14 +73,14 @@ def assert_consistent(pc: PhysicalChannel) -> None:
 # Table construction
 # ----------------------------------------------------------------------
 def test_initial_state_all_free():
-    pc = make_pc(3)
+    pc, lanes = make_pc(3)
     assert pc.free_mask == 0b111
-    assert pc.free_lanes == tuple(pc.vcs)
-    assert_consistent(pc)
+    assert pc.free_lanes(lanes) == tuple(lanes)
+    assert_consistent(pc, lanes)
 
 
 def test_mask_table_entries_are_in_lane_index_order():
-    pc = make_pc(4)
+    pc, _ = make_pc(4)
     assert pc.lanes_by_mask is not None
     assert len(pc.lanes_by_mask) == 16
     for mask, lanes in enumerate(pc.lanes_by_mask):
@@ -84,45 +89,43 @@ def test_mask_table_entries_are_in_lane_index_order():
 
 
 def test_wide_channel_skips_table_but_keeps_contract():
-    pc = make_pc(MASK_TABLE_MAX_VCS + 1)
+    pc, lanes = make_pc(MASK_TABLE_MAX_VCS + 1)
     assert pc.lanes_by_mask is None  # 2**n table would be too large
-    assert_consistent(pc)
-    m = make_message(0)
-    pc.vcs[4].allocate(m, cycle=0)
-    pc.vcs[0].allocate(make_message(1), cycle=0)
-    assert_consistent(pc)
-    assert [vc.index for vc in pc.free_lanes] == [1, 2, 3, 5, 6, 7, 8]
-    pc.vcs[4].release(cycle=1)
-    assert_consistent(pc)
+    assert_consistent(pc, lanes)
+    lanes[4].allocate(0, cycle=0)
+    lanes[0].allocate(1, cycle=0)
+    assert_consistent(pc, lanes)
+    assert [vc.index for vc in pc.free_lanes(lanes)] == [1, 2, 3, 5, 6, 7, 8]
+    lanes[4].release(cycle=1)
+    assert_consistent(pc, lanes)
 
 
 # ----------------------------------------------------------------------
 # Allocate / release maintenance
 # ----------------------------------------------------------------------
 def test_allocate_release_updates_mask():
-    pc = make_pc(3)
-    m0, m1 = make_message(0), make_message(1)
-    pc.vcs[1].allocate(m0, cycle=0)
+    pc, lanes = make_pc(3)
+    lanes[1].allocate(0, cycle=0)
     assert pc.free_mask == 0b101
-    assert [vc.index for vc in pc.free_lanes] == [0, 2]
-    pc.vcs[0].allocate(m1, cycle=0)
+    assert [vc.index for vc in pc.free_lanes(lanes)] == [0, 2]
+    lanes[0].allocate(1, cycle=0)
     assert pc.free_mask == 0b100
-    assert [vc.index for vc in pc.free_lanes] == [2]
-    pc.vcs[1].release(cycle=2)
+    assert [vc.index for vc in pc.free_lanes(lanes)] == [2]
+    lanes[1].release(cycle=2)
     assert pc.free_mask == 0b110
-    assert [vc.index for vc in pc.free_lanes] == [1, 2]
-    assert_consistent(pc)
+    assert [vc.index for vc in pc.free_lanes(lanes)] == [1, 2]
+    assert_consistent(pc, lanes)
 
 
 def test_double_allocate_and_double_release_still_raise():
-    pc = make_pc(2)
-    pc.vcs[0].allocate(make_message(0), cycle=0)
+    pc, lanes = make_pc(2)
+    lanes[0].allocate(0, cycle=0)
     with pytest.raises(RuntimeError):
-        pc.vcs[0].allocate(make_message(1), cycle=0)
-    pc.vcs[0].release(cycle=1)
+        lanes[0].allocate(1, cycle=0)
+    lanes[0].release(cycle=1)
     with pytest.raises(RuntimeError):
-        pc.vcs[0].release(cycle=1)
-    assert_consistent(pc)
+        lanes[0].release(cycle=1)
+    assert_consistent(pc, lanes)
 
 
 @pytest.mark.parametrize("num_vcs", [1, 2, 3, 8, 9])
@@ -131,18 +134,18 @@ def test_random_churn_keeps_mask_and_scan_identical(num_vcs):
     out-of-order releases produced by recovery teardown) never let the
     incremental structure drift from the scan."""
     rng = random.Random(99 + num_vcs)
-    pc = make_pc(num_vcs)
+    pc, lanes = make_pc(num_vcs)
     next_id = 0
     for step in range(300):
-        free = [vc for vc in pc.vcs if vc.occupant is None]
-        held = [vc for vc in pc.vcs if vc.occupant is not None]
+        free = [vc for vc in lanes if vc.occupant is None]
+        held = [vc for vc in lanes if vc.occupant is not None]
         if held and (not free or rng.random() < 0.5):
             # Teardown-style release: any held lane, not just the oldest.
             rng.choice(held).release(cycle=step)
         else:
-            rng.choice(free).allocate(make_message(next_id), cycle=step)
+            rng.choice(free).allocate(next_id, cycle=step)
             next_id += 1
-        assert_consistent(pc)
+        assert_consistent(pc, lanes)
 
 
 # ----------------------------------------------------------------------
@@ -168,7 +171,7 @@ def _post_run_consistency(recovery: str) -> None:
         assert stats.messages_detected > 0
     sim.check_invariants()
     for pc in sim.channels:
-        assert_consistent(pc)
+        assert_consistent(pc, sim.lanes)
 
 
 @pytest.mark.parametrize(
@@ -222,26 +225,26 @@ def route_once(num_vcs, candidates, rng):
     pcs = []
     for pick, (free_mask, usable_mask) in candidates:
         pc = network[pick]
-        for vc in pc.vcs:
+        for vc in pc.vcs(sim.lanes):
             if not free_mask >> vc.index & 1:
-                vc.allocate(make_message(1), cycle=0)
+                vc.allocate(1, cycle=0)
         pc.stuck_mask = full & ~usable_mask
         pc.recompute_usable()
         pcs.append(pc)
     scan = [
         vc
         for pc in pcs
-        for vc in pc.vcs
+        for vc in pc.vcs(sim.lanes)
         if vc.occupant is None and pc.usable_mask >> vc.index & 1
     ]
     m = make_message(0)
-    inj = sim.routers[0].injection_pcs[0].vcs[0]
-    inj.allocate(m, cycle=0)
+    inj = sim.lanes[sim.routers[0].injection_pcs[0].lane0]
+    inj.allocate(m.id, cycle=0)
     m.spans.append(inj)
     m.status = MessageStatus.IN_NETWORK
     m.first_attempt_done = True
     m.feasible_pcs = tuple(pcs)
-    m.feasible_vcs = tuple(vc for pc in pcs for vc in pc.vcs)
+    m.feasible_vcs = tuple(vc for pc in pcs for vc in pc.vcs(sim.lanes))
     sim.rng = rng
     assert sim._attempt_route(m, cycle=1) == bool(scan)
     return m.allocated_vc, scan

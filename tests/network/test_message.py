@@ -3,12 +3,14 @@
 import pytest
 
 from repro.network.channel import PhysicalChannel
-from repro.network.message import Message, describe_path
+from repro.network.message import Message
 from repro.network.types import MessageStatus, PortKind
 
 
 def make_pc(index=0, kind=PortKind.NETWORK, src=0, dst=1):
-    return PhysicalChannel(index, kind, src, dst, (0, +1), 2, 4)
+    """A two-lane channel and the flat lane list it appended its lanes to."""
+    lanes = []
+    return PhysicalChannel(index, kind, src, dst, (0, +1), 2, 4, lanes), lanes
 
 
 class TestConstruction:
@@ -36,33 +38,34 @@ class TestConstruction:
 class TestPositionQueries:
     def test_header_vc_none_at_source(self):
         m = Message(0, 0, 1, 4, 0)
-        assert m.header_vc is None
+        assert not m.spans
         assert m.header_router() is None
         assert m.input_pc is None
 
     def test_header_router_network_channel(self):
         m = Message(0, 0, 5, 4, 0)
-        pc = make_pc(src=2, dst=3)
-        pc.vcs[0].allocate(m, 0)
-        m.spans = [pc.vcs[0]]
+        pc, lanes = make_pc(src=2, dst=3)
+        lanes[0].allocate(m.id, 0)
+        m.spans = [lanes[0]]
         assert m.header_router() == 3
         assert m.input_pc is pc
 
     def test_header_router_ejection_channel(self):
         m = Message(0, 0, 5, 4, 0)
-        pc = PhysicalChannel(0, PortKind.EJECTION, 5, None, None, 1, 4)
-        pc.vcs[0].allocate(m, 0)
-        m.spans = [pc.vcs[0]]
+        lanes = []
+        PhysicalChannel(0, PortKind.EJECTION, 5, None, None, 1, 4, lanes)
+        lanes[0].allocate(m.id, 0)
+        m.spans = [lanes[0]]
         assert m.header_router() == 5
 
     def test_flits_in_network_sums_spans(self):
         m = Message(0, 0, 5, 10, 0)
-        a, b = make_pc(0), make_pc(1, src=1, dst=2)
-        a.vcs[0].allocate(m, 0)
-        b.vcs[0].allocate(m, 0)
-        a.vcs[0].flits = 4
-        b.vcs[0].flits = 2
-        m.spans = [a.vcs[0], b.vcs[0]]
+        (_, a), (_, b) = make_pc(0), make_pc(1, src=1, dst=2)
+        a[0].allocate(m.id, 0)
+        b[0].allocate(m.id, 0)
+        a[0].flits = 4
+        b[0].flits = 2
+        m.spans = [a[0], b[0]]
         assert m.flits_in_network() == 6
 
 
@@ -84,7 +87,7 @@ class TestBlockedPredicate:
     def test_not_blocked_with_allocation(self):
         m = self._in_network_message()
         m.first_attempt_done = True
-        m.allocated_vc = make_pc().vcs[0]
+        m.allocated_vc = make_pc()[1][0]
         assert not m.is_blocked()
 
     def test_not_blocked_when_queued(self):
@@ -98,7 +101,7 @@ class TestResets:
         m = Message(0, 0, 5, 8, 0)
         m.first_attempt_done = True
         m.blocked_since = 10
-        m.feasible_pcs = (make_pc(),)
+        m.feasible_pcs = (make_pc()[0],)
         m.reset_routing_state()
         assert not m.first_attempt_done
         assert m.blocked_since is None
@@ -123,10 +126,10 @@ class TestResets:
 class TestConservation:
     def test_conservation_holds(self):
         m = Message(0, 0, 5, 10, 0)
-        pc = make_pc()
-        pc.vcs[0].allocate(m, 0)
-        pc.vcs[0].flits = 4
-        m.spans = [pc.vcs[0]]
+        _, lanes = make_pc()
+        lanes[0].allocate(m.id, 0)
+        lanes[0].flits = 4
+        m.spans = [lanes[0]]
         m.flits_at_source = 3
         m.flits_delivered = 3
         m.check_conservation()
@@ -139,9 +142,11 @@ class TestConservation:
 
     def test_describe_path(self):
         m = Message(0, 0, 5, 10, 0)
-        pc = make_pc()
-        pc.vcs[0].allocate(m, 0)
-        pc.vcs[0].flits = 2
-        m.spans = [pc.vcs[0]]
-        (entry,) = describe_path(m)
-        assert "2f" in entry
+        pc, lanes = make_pc()
+        lanes[1].allocate(m.id, 0)
+        lanes[1].flits = 2
+        m.spans = [lanes[1]]
+        # A span names its channel and lane; the lane names its occupant.
+        (span,) = m.spans
+        assert span.pc is pc and pc.lane_indices(pc.free_mask) == (0,)
+        assert (span.index, span.occupant, span.flits) == (1, m.id, 2)

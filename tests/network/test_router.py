@@ -76,18 +76,14 @@ class TestBusyCounting:
 
 class TestFreeInjectionVC:
     def test_returns_free_vc(self, built_sim):
-        vc = built_sim.routers[0].free_injection_vc()
+        vc = built_sim.routers[0].free_injection_vc(built_sim.lanes)
         assert vc is not None
         assert vc.pc.kind is PortKind.INJECTION
 
     def test_returns_none_when_full(self):
         sim = Simulator(small_config())
         router = sim.routers[0]
-
-        class Fake:
-            id = 0
-
         for pc in router.injection_pcs:
-            for vc in pc.vcs:
-                vc.allocate(Fake(), 0)
-        assert router.free_injection_vc() is None
+            for vc in pc.vcs(sim.lanes):
+                vc.allocate(0, 0)
+        assert router.free_injection_vc(sim.lanes) is None

@@ -172,7 +172,8 @@ def test_first_attempt_offers_exactly_what_candidates_says(shape, routing):
                     for d in rule.candidates(sim.topology, node, dest)
                 )
             m = Message(0, (dest + 1) % len(nodes), dest, 4, 0)
-            m.spans = [router.injection_pcs[0].vcs[0]]  # header waits at node
+            # The header waits at node, in its first injection lane.
+            m.spans = [sim.lanes[router.injection_pcs[0].lane0]]
             assert not sim._attempt_route(m, 0)
             assert m.feasible_pcs == expected, (node, dest)
 

@@ -103,10 +103,10 @@ class TestConservationInvariants:
         sim = Simulator(config)
         sim.check_invariants()
         sink = sim.routers[0].ejection_pcs[0]
-        sink.vcs[0].flits = 1
+        sim.lanes[sink.lane0].flits = 1
         with pytest.raises(AssertionError, match="ejection lane buffers"):
             sim.check_invariants()
-        sink.vcs[0].flits = 0
+        sim.lanes[sink.lane0].flits = 0
         sink.i_threshold = 0
         with pytest.raises(AssertionError, match="i_threshold < 1"):
             sim.check_invariants()
