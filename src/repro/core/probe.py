@@ -9,8 +9,7 @@ The mechanism is two-layered:
   deadline ``blocked_since + threshold``; each time the deadline passes
   with the header still blocked in the same episode, the detector starts
   (or refreshes) an edge-chasing probe session and re-arms one threshold
-  later.  The threshold is the ``t2``-analog the adaptive controller in
-  :mod:`repro.core.adaptive` tunes.
+  later.  The threshold is the probe family's ``t2``-analog.
 * **probe transport** (:mod:`repro.network.probes`): sessions advance one
   hop per cycle in the simulator's dedicated probe phase; a probe
   returning to its initiator proves a wait-graph cycle and elects the

@@ -122,15 +122,6 @@ class Topology:
     def _ring_distance(self, a: int, b: int) -> int:
         raise NotImplementedError
 
-    def average_distance(self) -> float:
-        """Mean minimal distance from a node to every *other* node.
-
-        Used by the saturation estimator; by symmetry it is identical for
-        every source node, so it is computed from node 0.
-        """
-        total = sum(self.distance(0, n) for n in range(1, self.num_nodes))
-        return total / (self.num_nodes - 1)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(radix={self.radix}, dimensions={self.dimensions})"
 

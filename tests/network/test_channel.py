@@ -1,7 +1,10 @@
 """Tests for virtual/physical channels and the inactivity monitor."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.core.detector import CounterDetector
 from repro.network.channel import NEVER, PhysicalChannel
 from repro.network.types import GPState, PortKind
 
@@ -10,6 +13,12 @@ def make_pc(num_vcs=3, depth=4, kind=PortKind.NETWORK):
     """A channel and the flat lane list it appended its lanes to."""
     lanes = []
     return PhysicalChannel(0, kind, 0, 1, (0, +1), num_vcs, depth, lanes), lanes
+
+
+def waiting_on(*pcs):
+    """A blocked message whose feasible outputs are ``pcs``: all the
+    counter rule reads of it."""
+    return SimpleNamespace(feasible_pcs=list(pcs))
 
 
 class HookSpy:
@@ -132,6 +141,72 @@ class TestInactivityMonitor:
         lanes[0].release(cycle=31)
         assert pc.inactivity(500) == 1
 
+    def test_deadline_is_first_cycle_past_threshold(self):
+        # DT / IF: set once the counter exceeds the threshold, not at it.
+        pc, lanes = make_pc()
+        lanes[0].allocate(1, cycle=0)
+        assert pc.inactivity_deadline(8) == 9
+        assert pc.inactivity(8) == 8
+        assert pc.inactivity(9) > 8
+
+
+class TestCounterRule:
+    """The I / DT / IF flags as the detectors read them: one counter per
+    channel compared with ``> t`` (``CounterDetector.score`` /
+    ``deadline``, and ``record_flit`` for I)."""
+
+    def test_score_is_the_channel_counter(self):
+        pc, lanes = make_pc()
+        lanes[0].allocate(1, cycle=0)
+        assert CounterDetector.score(waiting_on(pc), 5) == pc.inactivity(5) == 5
+
+    def test_score_is_least_counter_over_outputs(self):
+        a, a_lanes = make_pc()
+        b, b_lanes = make_pc()
+        a_lanes[0].allocate(1, cycle=0)
+        b_lanes[0].allocate(2, cycle=3)
+        assert CounterDetector.score(waiting_on(a, b), 7) == 4
+
+    def test_between_t1_and_t2_only_i_holds(self):
+        t1, t2 = 1, 8
+        pc, lanes = make_pc()
+        lanes[0].allocate(1, cycle=0)
+        score = CounterDetector.score(waiting_on(pc), 5)
+        assert score > t1 and not score > t2
+        assert pc.inactivity_deadline(t1) <= 5 < pc.inactivity_deadline(t2)
+
+    def test_flit_clears_score_below_both_thresholds(self):
+        t1, t2 = 1, 8
+        pc, lanes = make_pc()
+        lanes[0].allocate(1, cycle=0)
+        pc.record_flit(20, None)
+        score = CounterDetector.score(waiting_on(pc), 20)
+        assert score == 0
+        assert not score > t1 and not score > t2
+
+    def test_unoccupied_channel_never_crosses(self):
+        pc, lanes = make_pc()
+        msg = waiting_on(pc)
+        assert CounterDetector.score(msg, 100) == 0
+        assert CounterDetector.deadline(msg, 100, 1) is None
+        assert CounterDetector.deadline(msg, 100, 8) is None
+
+    def test_deadline_crosses_one_past_threshold(self):
+        pc, lanes = make_pc()
+        lanes[0].allocate(1, cycle=0)
+        msg = waiting_on(pc)
+        assert CounterDetector.deadline(msg, 0, 16) == 17
+        assert not CounterDetector.score(msg, 16) > 16
+        assert CounterDetector.score(msg, 17) > 16
+
+    def test_flit_pushes_deadline_later(self):
+        pc, lanes = make_pc()
+        lanes[0].allocate(1, cycle=0)
+        msg = waiting_on(pc)
+        pc.record_flit(30, None)
+        assert not CounterDetector.score(msg, 31) > 16
+        assert CounterDetector.deadline(msg, 31, 16) == 47
+
 
 class TestIResetHook:
     def test_hook_fires_when_inactive_channel_transmits(self):
@@ -151,6 +226,18 @@ class TestIResetHook:
         pc.record_flit(1, sim)
         pc.record_flit(2, sim)
         assert sim.fired == []
+
+    def test_hook_fires_first_cycle_past_t1(self):
+        # I flag: a counter at t1 is still clear, one past it is set.
+        fired = []
+        for cycle in (3, 4):
+            pc, lanes = make_pc()
+            sim = HookSpy()
+            pc.i_threshold = 3
+            lanes[0].allocate(1, cycle=0)
+            pc.record_flit(cycle, sim)
+            fired.append(sim.fired)
+        assert fired == [[], [4]]
 
     def test_hook_skipped_when_unoccupied(self):
         pc, lanes = make_pc()
@@ -176,6 +263,13 @@ class TestBookkeepingGuards:
 
     def test_gp_starts_propagate(self):
         assert make_pc()[0].gp is GPState.PROPAGATE
+
+    def test_gp_flag_reads_back_what_was_set(self):
+        pc, lanes = make_pc()
+        pc.gp = GPState.GENERATE
+        assert pc.gp is GPState.GENERATE
+        pc.gp = GPState.PROPAGATE
+        assert pc.gp is GPState.PROPAGATE
 
     def test_describe_kinds(self):
         assert "net" in make_pc()[0].describe()

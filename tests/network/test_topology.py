@@ -153,13 +153,6 @@ class TestDistance:
             for b in range(0, topo.num_nodes, 11):
                 assert topo.distance(a, b) == topo.distance(b, a)
 
-    def test_average_distance_uniform_8ary2(self):
-        # Ring of radix 8: average offset distance is 32/16 per dimension
-        # over other nodes; exact value computed combinatorially: each
-        # dimension contributes mean 2 over all 64 pairs minus self.
-        topo = KAryNCube(8, 2)
-        assert topo.average_distance() == pytest.approx(256 / 63, rel=1e-9)
-
     @given(
         st.integers(min_value=0, max_value=63),
         st.integers(min_value=0, max_value=63),

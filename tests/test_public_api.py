@@ -95,7 +95,7 @@ class TestEveryModuleDocumented:
         [
             "repro.core.ndm", "repro.core.pdm", "repro.core.precise",
             "repro.core.hybrid", "repro.core.timeout", "repro.core.recovery",
-            "repro.core.flags", "repro.core.detector", "repro.core.registry",
+            "repro.core.probe", "repro.core.detector", "repro.core.registry",
             "repro.network.topology", "repro.network.routing",
             "repro.network.channel", "repro.network.message",
             "repro.network.router", "repro.network.simulator",
