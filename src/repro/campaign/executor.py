@@ -154,6 +154,13 @@ def _run_unit(
     ]
 
 
+def _predicted_cost(unit: Sequence[CellJob]) -> float:
+    """A unit's run cost up to a constant: cycles x nodes x offered load."""
+    config = unit[0].config
+    cycles = config.warmup_cycles + config.measure_cycles
+    return cycles * config.radix**config.dimensions * config.traffic.injection_rate
+
+
 def default_num_workers() -> int:
     """Default fan-out: one worker per CPU."""
     return os.cpu_count() or 1
@@ -247,11 +254,13 @@ def execute_jobs(
         for unit in units:
             finish_unit(unit, _run_unit(unit_payload(unit), "serial"))
     elif units:
-        # Units finish out of order; each is one pool task.
+        # Units finish out of order; each is one pool task, submitted
+        # longest first so no long unit starts last (ties keep their order).
         pool = ProcessPoolExecutor(max_workers=min(num_workers, len(units)))
         try:
             futures = {
-                pool.submit(_run_unit, unit_payload(unit)): unit for unit in units
+                pool.submit(_run_unit, unit_payload(unit)): unit
+                for unit in sorted(units, key=_predicted_cost, reverse=True)
             }
             for future in as_completed(futures):
                 finish_unit(futures[future], future.result())

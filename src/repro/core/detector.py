@@ -129,9 +129,9 @@ class DeadlockDetector:
         lane freeing or an inactivity counter resuming on a feasible
         channel, or a G/P promotion on the input channel).  ``None`` means
         detection is impossible without such an event.  The default reads
-        :meth:`deadline` at the detector's own threshold, which is also
-        correct for detectors whose ``on_blocked_attempt`` never returns
-        True on subsequent attempts (none, source-age, injection-stall).
+        :meth:`deadline` at the detector's own threshold; source-age and
+        injection-stall, whose ``on_blocked_attempt`` never fires, return
+        ``None`` instead (their ``deadline`` schedules the fold's checks).
         """
         return self.deadline(message, cycle, self.threshold)
 

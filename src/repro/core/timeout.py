@@ -74,6 +74,16 @@ class SourceAgeTimeout(DeadlockDetector):
         since = message.inject_cycle
         return 0 if since is None else cycle - since
 
+    @staticmethod
+    def deadline(message: Message, cycle: int, threshold: int) -> Optional[int]:
+        """The injection instant never moves once set — exact."""
+        since = message.inject_cycle
+        return None if since is None else since + threshold + 1
+
+    def blocked_deadline(self, message: Message, cycle: int) -> Optional[int]:
+        """None: the rule never fires on a routing attempt."""
+        return None
+
     def periodic_check(self, sim: "Simulator", cycle: int) -> List[Message]:
         """The eligible messages whose score is over the threshold."""
         score, threshold = self.score, self.threshold
@@ -104,3 +114,11 @@ class InjectionStallTimeout(SourceAgeTimeout):
         if since is None or message.flits_at_source <= 0:
             return 0
         return cycle - since
+
+    @staticmethod
+    def deadline(message: Message, cycle: int, threshold: int) -> Optional[int]:
+        """A lower bound (the instant only moves later); ``None`` once drained."""
+        since = message.last_source_flit_cycle
+        if since is None or message.flits_at_source <= 0:
+            return None
+        return since + threshold + 1

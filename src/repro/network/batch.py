@@ -35,9 +35,11 @@ each mechanism class states its rule once as a monotone score (see
 ``DeadlockDetector.score``), a solo detector compares it with its one
 threshold and ``BatchObserver._sweep`` counts the rungs of each
 :class:`_Family`'s threshold ladder under it (``bisect_left``); probe
-victims come from the per-cell transports.  :class:`BatchSimulator` advances the
-network **once** with that observer, then folds the shared run's
-statistics into K per-cell
+victims come from the per-cell transports.  The source-side families
+sweep a message only once its ``deadline`` at its lowest pending rung
+has come, off a heap, not every in-flight message per cycle.
+:class:`BatchSimulator` advances the network **once** with that observer,
+then folds the shared run's statistics into K per-cell
 :class:`~repro.metrics.stats.SimulationStats` that are bit-identical to
 K independent ``engine="event"`` runs (asserted by
 ``tests/network/test_batch_engine.py`` over the equivalence corpus and
@@ -56,6 +58,7 @@ reductions are O(feasible channels).
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import json
 from bisect import bisect_left
 from typing import (
@@ -79,7 +82,7 @@ from repro.network.config import DetectorConfig, SimulationConfig
 from repro.network.message import Message
 from repro.network.probes import ProbeTransport
 from repro.network.simulator import Simulator
-from repro.network.types import DetectionEvent, GPState, MessageStatus
+from repro.network.types import DetectionEvent, GPState, MessageStatus, PortKind
 
 #: Constant: the fold needs no numpy.  The name stays because the frozen
 #: benchmark (benchmarks/spine) reads it.
@@ -332,6 +335,9 @@ class BatchObserver(NewDetectionMechanism):
                 self._attempt_families.append(family)
             if cls is NewDetectionMechanism:
                 self._ndm_mask = family.mask
+        #: (cycle, message id) heap: when an in-flight message can next
+        #: fire for a pending periodic cell (see :meth:`_schedule`).
+        self._due: List[Tuple[int, int]] = []
         # Instance-level gates: the simulator caches these at build time.
         self.needs_periodic_check = bool(self._periodic_families)
         self.has_probe_phase = bool(self._probe_units)
@@ -423,6 +429,9 @@ class BatchObserver(NewDetectionMechanism):
         if self._ndm_mask and input_pc is not None:
             self._gp_mask[input_pc.index] = 0
             input_pc.gp = _P
+        if input_pc is not None and input_pc.kind is PortKind.INJECTION:
+            if not message.first_attempt_done:  # else scheduled when it blocked
+                self._schedule(message, cycle)
 
     def on_vc_released(self, vc: VirtualChannel, cycle: int) -> None:
         """Lane release resets the flag to P in every cell."""
@@ -441,6 +450,8 @@ class BatchObserver(NewDetectionMechanism):
             return False
         if first_attempt:
             self._truth_epoch += 1
+            if input_pc.kind is PortKind.INJECTION:
+                self._schedule(message, cycle)
         pending = self._pending.get(message.id, self._full_mask)
         gate = self._full_mask
         ndm_mask = self._ndm_mask
@@ -474,8 +485,9 @@ class BatchObserver(NewDetectionMechanism):
         ``gate`` whose rule fires on it now: per family, the rungs of the
         ladder under the message's score (the one place the fold compares
         a score with thresholds).  The loop body is the fold's hot spot
-        (the checks phase runs it per message per cycle), hence the
-        hoisted gate and the floor test: most scores are under every rung."""
+        (every failed routing attempt runs it), hence the hoisted gate,
+        the floor test — most scores are under every rung — and one score
+        per message for adjacent families sharing a rule (ndm and pdm)."""
         gated = [
             (f.mask & gate, f.base, f.ladder, f.ladder[0], f.score) for f in families
         ]
@@ -486,10 +498,12 @@ class BatchObserver(NewDetectionMechanism):
                 continue
             pending = pending_of(m.id, full)
             hit = 0
+            rule: Optional[Callable[[Message, int], int]] = None
             for mask, base, ladder, floor, score_of in gated:
                 live = pending & mask
                 if live:
-                    score = score_of(m, cycle)
+                    if score_of is not rule:
+                        rule, score = score_of, score_of(m, cycle)
                     if score > floor:
                         hit |= live & (((1 << bisect_left(ladder, score)) - 1) << base)
             if hit:
@@ -515,12 +529,21 @@ class BatchObserver(NewDetectionMechanism):
         input_pc = message.input_pc
         if input_pc is None:
             return None
-        pending = self._pending.get(message.id, self._full_mask)
+        live = self._pending.get(message.id, self._full_mask)
+        if self._ndm_mask:
+            live &= ~self._ndm_mask | self._gp_mask[input_pc.index]
+        return self._earliest(self._attempt_families, message, cycle, live)
+
+    @staticmethod
+    def _earliest(
+        families: List[_Family], message: Message, cycle: int, live_cells: int
+    ) -> Optional[int]:
+        """None-aware minimum over ``families`` of the deadline at the
+        lowest rung in ``live_cells`` (each family's deadline is monotone
+        in t, so that rung's is the family's earliest)."""
         best: Optional[int] = None
-        for family in self._attempt_families:
-            live = pending & family.mask
-            if family.mask == self._ndm_mask:
-                live &= self._gp_mask[input_pc.index]
+        for family in families:
+            live = live_cells & family.mask
             if live:
                 lowest = family.ladder[(live & -live).bit_length() - 1 - family.base]
                 d = family.deadline(message, cycle, lowest)
@@ -531,11 +554,40 @@ class BatchObserver(NewDetectionMechanism):
     # ------------------------------------------------------------------
     # Periodic families (source-age / injection-stall)
     # ------------------------------------------------------------------
+    def _schedule(self, message: Message, cycle: int) -> None:
+        """Queue ``message`` for the first cycle a pending periodic cell
+        can fire on it.  Under recovery "none" the source-age deadline is
+        exact and the injection-stall one a lower bound (its instant only
+        moves later), so the entry pops no later than any firing.  First
+        called at the message's first routing event, the cycle after its
+        injection instant: no rung t >= 1 can have fired before."""
+        pending = self._pending.get(message.id, self._full_mask)
+        due = self._earliest(self._periodic_families, message, cycle, pending)
+        if due is not None:
+            heapq.heappush(self._due, (due, message.id))
+
     def periodic_check(self, sim: Simulator, cycle: int) -> List[Message]:
-        """Record source-side timeout hits per cell; mark nothing."""
-        self._sweep(
-            sim, self._periodic_families, sim.active_messages, cycle, self._full_mask
-        )
+        """Record source-side timeout hits per cell; mark nothing.  Sweeps
+        the messages due now, in the order a solo scan visits them, and
+        re-schedules each; an id no longer in flight is dropped."""
+        due = self._due
+        if not due or due[0][0] > cycle:
+            return []
+        in_flight = sim.messages
+        ids: Set[int] = set()
+        while due and due[0][0] <= cycle:
+            message_id = heapq.heappop(due)[1]
+            if message_id in in_flight:
+                ids.add(message_id)
+        if not ids:
+            return []
+        if len(ids) == 1:
+            messages = [in_flight[ids.pop()]]
+        else:
+            messages = [m for m in sim.active_messages if m.id in ids]
+        self._sweep(sim, self._periodic_families, messages, cycle, self._full_mask)
+        for m in messages:
+            self._schedule(m, cycle)
         return []
 
     # ------------------------------------------------------------------

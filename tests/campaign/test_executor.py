@@ -1,6 +1,7 @@
 """Tests for the campaign executor: serial/pool determinism, cache, resume."""
 
 import json
+from concurrent.futures import Future
 
 import pytest
 
@@ -69,6 +70,75 @@ class TestDeterminism:
         second = execute_jobs(jobs, num_workers=1)
         for key in first:
             assert first[key].cell == second[key].cell
+
+
+def inline_pool(monkeypatch):
+    """Replace the process pool with one that runs each unit as it is
+    submitted; returns the live list of submitted key lists."""
+    submitted = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def submit(self, fn, payload):
+            submitted.append(list(payload["keys"]))
+            future = Future()
+            future.set_result(fn(payload, "inline"))
+            return future
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(executor_module, "ProcessPoolExecutor", InlinePool)
+    return submitted
+
+
+class TestPoolSubmission:
+    """The pool takes units longest first: cycles x nodes x load."""
+
+    @staticmethod
+    def two_lengths():
+        long_base = tiny_base()
+        long_base.measure_cycles = 800
+        return tiny_jobs() + tiny_jobs(tiny_spec(table_id=3), long_base)
+
+    def test_pool_submits_longest_unit_first(self, monkeypatch):
+        jobs = self.two_lengths()
+        submitted = inline_pool(monkeypatch)
+        execute_jobs(jobs, num_workers=2)
+
+        def keys(table_id, load_index):
+            return [
+                [j.key] for j in jobs
+                if (j.table_id, j.load_index) == (table_id, load_index)
+            ]
+
+        # 900 cycles beat 500, then the higher load; equal costs keep
+        # their input order (the two thresholds of one load).
+        assert submitted == keys(3, 1) + keys(3, 0) + keys(2, 1) + keys(2, 0)
+
+    def test_serial_loop_keeps_input_order(self, monkeypatch):
+        jobs = self.two_lengths()
+        units = spy_on_units(monkeypatch)
+        execute_jobs(jobs, num_workers=1)
+        assert units == [[j.key] for j in jobs]
+
+    def test_pool_records_equal_serial_records(self):
+        def records(outcomes):
+            return {
+                key: {
+                    k: v for k, v in o.record().items()
+                    if k not in ("wall_time", "worker")
+                }
+                for key, o in outcomes.items()
+            }
+
+        jobs = mixed_jobs()
+        serial = execute_jobs(jobs, num_workers=1)
+        pooled = execute_jobs(jobs, num_workers=2)
+        assert {o.worker for o in pooled.values()} != {"serial"}
+        assert records(pooled) == records(serial)
 
 
 class TestProgressAndTelemetry:

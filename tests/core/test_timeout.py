@@ -1,11 +1,15 @@
 """Unit tests for the crude timeout detection mechanisms."""
 
+import pytest
+
 from repro.core.timeout import (
     HeaderBlockedTimeout,
     InjectionStallTimeout,
     SourceAgeTimeout,
 )
 from repro.figures.scenarios import Scenario, place_worm, scenario_config
+from repro.network.config import SimulationConfig
+from repro.network.message import Message
 from repro.network.simulator import Simulator
 
 
@@ -108,3 +112,76 @@ class TestInjectionStallTimeout:
         scenario.run(100)
         assert b.flits_at_source == 0
         assert not b.marked_deadlocked
+
+
+class TestSourceSideDeadlines:
+    """The batch fold schedules its checks phase by ``deadline``; each
+    must agree with its own ``score``."""
+
+    THRESHOLDS = (1, 4, 128, 1024)
+
+    @staticmethod
+    def message(length=32):
+        return Message(0, 0, 5, length, 0)
+
+    @pytest.mark.parametrize("t", THRESHOLDS)
+    def test_source_age_deadline_is_first_cycle_over_threshold(self, t):
+        m = self.message()
+        assert SourceAgeTimeout.deadline(m, 0, t) is None  # not injected
+        m.inject_cycle = 100
+        d = SourceAgeTimeout.deadline(m, 101, t)
+        assert SourceAgeTimeout.score(m, d - 1) <= t < SourceAgeTimeout.score(m, d)
+        # Exact: the instant never moves, so the cycle asked from does not matter.
+        assert SourceAgeTimeout.deadline(m, d - 1, t) == d
+
+    @pytest.mark.parametrize("t", THRESHOLDS)
+    def test_injection_stall_deadline_bounds_score_while_instant_holds(self, t):
+        m = self.message()
+        assert InjectionStallTimeout.deadline(m, 0, t) is None  # no flit yet
+        m.last_source_flit_cycle = 100
+        m.flits_at_source = 5
+        d = InjectionStallTimeout.deadline(m, 101, t)
+        score = InjectionStallTimeout.score
+        assert all(score(m, c) <= t for c in range(100, d))
+        assert score(m, d) > t
+        # A later source flit only pushes it out.
+        m.last_source_flit_cycle = 150
+        assert InjectionStallTimeout.deadline(m, 151, t) > d
+        # Drained: the source no longer sees the worm, now or later.
+        m.flits_at_source = 0
+        assert InjectionStallTimeout.deadline(m, 151, t) is None
+        assert score(m, 151 + 10 * t) == 0
+
+
+#: Solo runs of both source-side mechanisms on an 8x8, 1-VC torus that
+#: wedges (seed 7, load 0.6, threshold 256, no recovery), pinned at the
+#: values from before the source-side rules stated a ``deadline``.  Their
+#: rule never fires on a routing attempt, so it must not set a blocked
+#: header's wake-up cycle either: read through the base
+#: ``blocked_deadline``, the new ``deadline`` would add 92 deadline
+#: wake-ups to the source-age run and 206 to the injection-stall one.
+WEDGE_COUNTERS = {
+    "route_attempts": 1851,
+    "route_parked_skips": 44500,
+    "route_parks": 481,
+    "move_visits": 7976,
+    "move_parked_skips": 42339,
+    "move_parks": 308,
+    "deadline_wakeups": 0,
+}
+
+
+@pytest.mark.parametrize(
+    "mechanism, detections", [("source-age", 92), ("injection-stall", 62)]
+)
+def test_source_side_rules_leave_solo_parking_unchanged(mechanism, detections):
+    config = SimulationConfig(
+        radix=8, dimensions=2, vcs_per_channel=1, warmup_cycles=0,
+        measure_cycles=600, seed=7, recovery="none",
+    )
+    config.traffic.injection_rate = 0.6
+    config.detector.mechanism = mechanism
+    config.detector.threshold = 256
+    stats = Simulator(config).run()
+    assert stats.detections == detections
+    assert stats.engine_counters == WEDGE_COUNTERS
