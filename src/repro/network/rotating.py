@@ -99,13 +99,6 @@ class RotatingList:
             self.items.extend(self.tail)
             self.tail.clear()
 
-    def start_index(self, offset: int) -> int:
-        """Physical index of conceptual position ``offset`` (fold first
-        if ``tail`` is non-empty; ``offset`` must be < ``len(items)``)."""
-        start = self.rot + offset
-        n = len(self.items)
-        return start - n if start >= n else start
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"RotatingList(n={len(self.items)}, rot={self.rot}, "

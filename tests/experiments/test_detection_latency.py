@@ -33,10 +33,11 @@ class TestSinglePoint:
         assert point.messages_marked >= 3
 
     def test_latency_grows_with_threshold(self):
-        fast = measure_detection_latency("ndm", threshold=8)
-        slow = measure_detection_latency("ndm", threshold=128)
-        assert fast.detected and slow.detected
-        assert slow.latency > fast.latency + 60
+        for mechanism in ("ndm", "pdm", "timeout"):
+            fast = measure_detection_latency(mechanism, threshold=8)
+            slow = measure_detection_latency(mechanism, threshold=128)
+            assert fast.detected and slow.detected, mechanism
+            assert slow.latency > fast.latency + 60, (mechanism, fast, slow)
 
     def test_undetected_when_detector_none(self):
         point = measure_detection_latency("none", threshold=16, deadline=400)

@@ -121,7 +121,8 @@ class TestDeadlockFreedom:
 class TestRecoveryVsAvoidance:
     def test_fully_adaptive_with_recovery_outperforms(self):
         """The paper's motivation: unrestricted routing + recovery beats
-        escape-channel avoidance at moderate-high load."""
+        escape-channel avoidance at moderate-high load, in latency and
+        without giving up throughput."""
         results = {}
         for routing in ("fully-adaptive", "duato-adaptive"):
             config = small_config(radix=8, routing=routing)
@@ -131,6 +132,7 @@ class TestRecoveryVsAvoidance:
             if routing == "duato-adaptive":
                 config.detector.mechanism = "none"
                 config.recovery = "none"
-            stats = Simulator(config).run()
-            results[routing] = stats.average_latency()
-        assert results["fully-adaptive"] <= results["duato-adaptive"] * 1.1
+            results[routing] = Simulator(config).run()
+        adaptive, duato = results["fully-adaptive"], results["duato-adaptive"]
+        assert adaptive.average_latency() <= duato.average_latency() * 1.1
+        assert adaptive.throughput() >= duato.throughput() - 0.02

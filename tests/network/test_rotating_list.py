@@ -87,18 +87,6 @@ def test_fold_is_idempotent_on_folded_list():
 
 
 # ----------------------------------------------------------------------
-# start_index
-# ----------------------------------------------------------------------
-def test_start_index_wraps_physical_positions():
-    rl = make([0, 1, 2, 3, 4], rot=3)
-    # Conceptual order is [3, 4, 0, 1, 2]; conceptual position k lives at
-    # physical index (3 + k) mod 5.
-    for offset, physical in [(0, 3), (1, 4), (2, 0), (3, 1), (4, 2)]:
-        assert rl.start_index(offset) == physical
-        assert rl.items[rl.start_index(offset)] == rl.to_list()[offset]
-
-
-# ----------------------------------------------------------------------
 # The phase protocol, against the reference plain-list model
 # ----------------------------------------------------------------------
 def _reference_cycle(lst, cycle, drop, appends):

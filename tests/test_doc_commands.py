@@ -5,8 +5,13 @@ repro.<package> …`` lines from the fenced blocks of README.md,
 EXPERIMENTS.md and docs/*.md and feeds each to ``parse_args`` of the
 parser its entry point builds — never to the command's handler — so a
 removed subcommand or a renamed flag fails here, not in a reader's shell.
+
+Likewise every ``tests/…``, ``benchmarks/…`` or ``examples/….py`` path
+those docs and DESIGN.md cite must exist, and a ``::name`` after it must
+name a class or function defined in that file.
 """
 
+import ast
 import contextlib
 import io
 import pathlib
@@ -31,6 +36,10 @@ MODULES = {"repro.faults": "faults", "repro.lint": "lint", "repro.verify": "veri
 COMMAND = re.compile(
     r"(?:\$\s+)?(?:\w+=\S*\s+)*"
     r"(?:repro(?:-experiments)?|python3? -m repro[.\w]*)(?:\s|$)"
+)
+
+CITATION = re.compile(
+    r"(?<![\w/.])(?:(?:tests|benchmarks)/[\w./-]*|examples/[\w/.-]*\.py)(?:::[\w:]+)?"
 )
 
 
@@ -138,3 +147,63 @@ def test_collector_reads_every_form():
 )
 def test_parse_error_bites(line, parses):
     assert (parse_error(shlex.split(line)) is None) is parses
+
+
+def resolves(citation):
+    """Whether a cited path exists and each ``::`` name is defined in it."""
+    path, *names = citation.rstrip(".").split("::")
+    cited = ROOT / path
+    if not cited.exists():
+        return False
+    scope = ast.parse(cited.read_text(encoding="utf-8")).body if names else []
+    for name in names:
+        found = [
+            node
+            for node in scope
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name
+        ]
+        if not found:
+            return False
+        scope = found[0].body
+    return True
+
+
+@pytest.mark.parametrize(
+    "doc", [ROOT / "DESIGN.md", *DOCS], ids=lambda p: p.relative_to(ROOT).as_posix()
+)
+def test_doc_citations_resolve(doc):
+    text = doc.read_text(encoding="utf-8")
+    dangling = [
+        f"{doc.name}:{text.count(chr(10), 0, match.start()) + 1}: {match.group()}"
+        for match in CITATION.finditer(text)
+        if not resolves(match.group())
+    ]
+    assert not dangling, "\n".join(dangling)
+
+
+def test_citation_collector_reads_every_form():
+    text = (
+        "see `tests/figures/test_scenarios.py::TestFigure2`, benchmarks/spine/ "
+        "and examples/quickstart.py.  Not src/repro/tests/x.py or examples/."
+    )
+    assert CITATION.findall(text) == [
+        "tests/figures/test_scenarios.py::TestFigure2",
+        "benchmarks/spine/",
+        "examples/quickstart.py",
+    ]
+
+
+@pytest.mark.parametrize(
+    "citation, ok",
+    [
+        ("tests/", True),
+        ("tests/figures/test_scenarios.py::TestFigure2::test_ndm_detects_nothing", True),
+        ("tests/test_doc_commands.py::resolves", True),
+        ("tests/figures/test_scenarios.py::test_figure2", False),
+        ("tests/figures/test_scenarios.py::TestFigure3::test_ndm_detects_nothing", False),
+        ("benchmarks/no_such_suite.py", False),
+        ("examples/no_such_example.py", False),
+    ],
+)
+def test_resolves_bites(citation, ok):
+    assert resolves(citation) is ok
