@@ -106,22 +106,21 @@ class NewDetectionMechanism(CounterDetector):
 
     # ------------------------------------------------------------------
     def attach(self, sim: "Simulator") -> None:
-        """Arm every router-output channel's I flag."""
+        """Arm every router-output channel's I flag (channels are built
+        with their G/P flag at P)."""
         # The paper's simple variant promotes a fixed set — every input
         # of the owning router, resolved once here because the hook fires
         # on every flit that clears a set I flag; the selective variant
         # promotes the channel's refcounted waiters.
         router_inputs = [tuple(r.header_input_pcs()) for r in sim.routers]
         targets: List[Any] = [()] * len(sim.channels)
+        t1, selective = self.t1, self.selective_promotion
+        injection = PortKind.INJECTION
         for pc in sim.channels:
-            pc.gp = _P
-            if pc.kind is not PortKind.INJECTION:
+            if pc.kind is not injection:
                 # Output side of some router: arm the I-flag reset hook.
-                pc.i_threshold = self.t1
-                if self.selective_promotion:
-                    targets[pc.index] = {}
-                else:
-                    targets[pc.index] = router_inputs[pc.src_node]
+                pc.i_threshold = t1
+                targets[pc.index] = {} if selective else router_inputs[pc.src_node]
         self.reset_targets = targets
 
     # ------------------------------------------------------------------

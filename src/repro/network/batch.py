@@ -368,7 +368,7 @@ class BatchObserver(NewDetectionMechanism):
     def attach(self, sim: Simulator) -> None:
         self._gp_mask = [0] * len(sim.channels)
         if self._ndm_mask:
-            super().attach(sim)  # arm the I flags, all-P flags
+            super().attach(sim)  # arm the I flags (flags are built all-P)
 
     # ------------------------------------------------------------------
     # Per-cell G/P flag maintenance (ndm family)

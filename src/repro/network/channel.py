@@ -44,6 +44,10 @@ NEVER = -(1 << 60)
 #: scanning their lanes — same result, without the table memory.
 MASK_TABLE_MAX_VCS = 8
 
+#: Every channel built starts at P; bound once because an Enum member
+#: lookup costs ~0.1 µs.
+_P = GPState.PROPAGATE
+
 
 @lru_cache(maxsize=None)
 def _lanes_of_mask(num_vcs: int) -> Tuple[Tuple[int, ...], ...]:
@@ -161,7 +165,8 @@ class PhysicalChannel:
         self.direction = direction
         self.num_vcs = num_vcs
         self.lane0 = len(lanes)
-        lanes.extend([VirtualChannel(self, i, buffer_depth) for i in range(num_vcs)])
+        for i in range(num_vcs):
+            lanes.append(VirtualChannel(self, i, buffer_depth))
         # Incremental free-lane structure: bit ``i`` of ``free_mask`` is
         # set iff lane ``i`` is unoccupied, maintained by VirtualChannel
         # allocate/release as two integer ops.  ``lanes_by_mask[mask]``
@@ -178,7 +183,7 @@ class PhysicalChannel:
         self.last_flit_cycle = NEVER
         self.active_since = NEVER
         self.last_drain_cycle = NEVER
-        self.gp = GPState.PROPAGATE
+        self.gp = _P
         self.i_threshold: Optional[int] = None
         # Ids of the parked headers waiting on this output channel and of
         # those whose header sits on this input channel (Simulator.wake).

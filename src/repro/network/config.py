@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.network.routing import routing_function_class
 from repro.network.topology import Topology, shared_topology
 
 
@@ -175,7 +176,8 @@ class SimulationConfig:
         return int(math.floor(self.injection_limit_fraction * total_network_vcs))
 
     def validate(self) -> None:
-        """Raise ``ValueError`` on inconsistent settings."""
+        """Raise ``ValueError`` on inconsistent settings: every setting a
+        build would reject, with the build's message, constructing nothing."""
         if self.vcs_per_channel < 1:
             raise ValueError("vcs_per_channel must be >= 1")
         if self.buffer_depth < 1:
@@ -207,6 +209,14 @@ class SimulationConfig:
             "none",
         ):
             raise ValueError(f"unknown recovery scheme {self.recovery!r}")
+        # Registry lookups (imported here: repro.traffic imports this module).
+        from repro.traffic.lengths import check_length_spec_name
+        from repro.traffic.patterns import pattern_class
+
+        routing_function_class(self.routing)
+        pattern_class(self.traffic.pattern)
+        check_length_spec_name(self.traffic.lengths)
+        self.injection_limit(0)  # raises on a fraction outside (0, 1]
         if self.faults:
             # Imported here: repro.faults is a leaf package, but config is
             # imported everywhere and should not pull it in unconditionally.

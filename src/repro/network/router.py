@@ -55,20 +55,6 @@ class Router:
         self.ejection_row: Tuple[PhysicalChannel, ...] = ()
         self.busy_network_vcs = 0
 
-    def build_route_rows(
-        self,
-        dimension_rows: Sequence[Sequence[Sequence[Tuple[Direction, ...]]]],
-        coords: Sequence[int],
-    ) -> None:
-        """Map ``RoutingFunction.dimension_rows`` through this router's
-        channels (all wired by now); ``coords`` are this node's."""
-        outs = self.output_pcs
-        self.route_rows = tuple(
-            tuple(tuple([outs[d] for d in dirs]) for dirs in by_cur[c])
-            for by_cur, c in zip(dimension_rows, coords)
-        )
-        self.ejection_row = tuple(self.ejection_pcs)
-
     # ------------------------------------------------------------------
     # Allocation bookkeeping
     # ------------------------------------------------------------------

@@ -15,7 +15,7 @@ find a deadlock).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Sequence, Tuple, Type
 
 from repro.network.topology import Direction, Topology
 from repro.network.types import NodeId
@@ -55,7 +55,7 @@ class RoutingFunction:
 
     def dimension_rows(
         self, topology: Topology
-    ) -> List[List[List[Tuple[Direction, ...]]]]:
+    ) -> Tuple[Tuple[Tuple[Tuple[Direction, ...], ...], ...], ...]:
         """``rows[dim][cur][dst]``: :meth:`candidates` between two nodes that
         differ only in coordinate ``dim`` — what a router holds.  Minimal
         routing decides each dimension from that coordinate pair alone (ring
@@ -68,10 +68,9 @@ class RoutingFunction:
                 topology.node_at([c * (i == dim) for i in range(n)])
                 for c in range(topology.radix)
             ]
-            rows.append(
-                [[self.candidates(topology, a, b) for b in along] for a in along]
-            )
-        return rows
+            rows.append(tuple(tuple([self.candidates(topology, a, b) for b in along])
+                              for a in along))
+        return tuple(rows)
 
     def allowed_vcs(
         self,
@@ -229,8 +228,13 @@ _ROUTING_FUNCTIONS = {
 
 def make_routing_function(name: str) -> RoutingFunction:
     """Instantiate a routing function by config name."""
+    return routing_function_class(name)()
+
+
+def routing_function_class(name: str) -> Type[RoutingFunction]:
+    """The routing function a config name selects; ``ValueError`` if none."""
     try:
-        return _ROUTING_FUNCTIONS[name]()
+        return _ROUTING_FUNCTIONS[name]
     except KeyError:
         raise ValueError(
             f"unknown routing function {name!r}; "

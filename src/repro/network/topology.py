@@ -45,6 +45,9 @@ class Topology:
         # Pre-compute coordinate tables once; these are consulted on every
         # routing decision, so they must be O(1) lookups.
         self._coords = [self._compute_coords(n) for n in range(self.num_nodes)]
+        self._directions = tuple(
+            (dim, sign) for dim in range(dimensions) for sign in (+1, -1)
+        )
 
     # ------------------------------------------------------------------
     # Coordinates
@@ -78,10 +81,9 @@ class Topology:
     # Connectivity
     # ------------------------------------------------------------------
     def directions(self) -> Iterator[Direction]:
-        """Yield every direction a node may have an outgoing channel in."""
-        for dim in range(self.dimensions):
-            yield (dim, +1)
-            yield (dim, -1)
+        """Yield every direction a node may have an outgoing channel in
+        (the same tuples every call)."""
+        return iter(self._directions)
 
     def has_channel(self, node: NodeId, direction: Direction) -> bool:
         """Whether ``node`` has an outgoing channel in ``direction``."""
@@ -207,6 +209,32 @@ def shared_topology(kind: str, radix: int, dimensions: int) -> Topology:
     if kind == "mesh":
         return Mesh(radix, dimensions)
     raise ValueError(f"unknown topology {kind!r}; choose 'torus' or 'mesh'")
+
+
+#: ``RoutingFunction.dimension_rows[dim][cur]`` as its distinct entries
+#: (first-seen order) and each destination's position among them.
+Row = Tuple[Tuple[Tuple[Direction, ...], ...], Tuple[int, ...]]
+#: Each node's ``(direction, neighbour)`` links in ``neighbors()`` order; ``rows[dim][cur]``.
+Wiring = Tuple[Tuple[Tuple[Tuple[Direction, NodeId], ...], ...], Tuple[Tuple[Row, ...], ...]]
+
+
+@lru_cache(maxsize=16)
+def shared_wiring(topology: Topology, routing: str) -> Wiring:
+    """One wiring per shape and routing function, all tuples, so building a
+    simulator asks neither the topology nor the routing function anything.
+    A row holds each distinct candidate tuple once, so a router maps it
+    through its channels once and its row shares the result."""
+    # Imported here: repro.network.routing imports this module.
+    from repro.network.routing import make_routing_function
+
+    links = tuple(tuple(topology.neighbors(n)) for n in range(topology.num_nodes))
+    rows = make_routing_function(routing).dimension_rows(topology)
+    return links, tuple(tuple(map(_distinct_and_picks, by_cur)) for by_cur in rows)
+
+
+def _distinct_and_picks(row: Tuple[Tuple[Direction, ...], ...]) -> Row:
+    distinct = tuple(dict.fromkeys(row))
+    return distinct, tuple(map(distinct.index, row))
 
 
 @lru_cache(maxsize=None)

@@ -105,6 +105,13 @@ PAPER_SIZES: Dict[str, str] = {
 }
 
 
+def check_length_spec_name(name: str) -> None:
+    """Raise :func:`make_length_spec`'s ``ValueError`` for an unknown name."""
+    names = sorted(PAPER_SIZES) + ["fixed", "bimodal", "uniform"]
+    if name not in names:
+        raise ValueError(f"unknown length spec {name!r}; choose from {names}")
+
+
 def make_length_spec(name: str, **params: object) -> LengthSpec:
     """Instantiate a length spec by config name.
 
@@ -112,6 +119,7 @@ def make_length_spec(name: str, **params: object) -> LengthSpec:
     ``"sl"``) plus ``"fixed"``, ``"bimodal"`` and ``"uniform"`` with
     explicit parameters.
     """
+    check_length_spec_name(name)
     if name == "s":
         return FixedLength(16)
     if name == "l":
@@ -124,9 +132,4 @@ def make_length_spec(name: str, **params: object) -> LengthSpec:
         return FixedLength(**params)  # type: ignore[arg-type]
     if name == "bimodal":
         return BimodalLength(**params)  # type: ignore[arg-type]
-    if name == "uniform":
-        return UniformLength(**params)  # type: ignore[arg-type]
-    raise ValueError(
-        f"unknown length spec {name!r}; choose from "
-        f"{sorted(PAPER_SIZES) + ['fixed', 'bimodal', 'uniform']}"
-    )
+    return UniformLength(**params)  # type: ignore[arg-type]

@@ -234,13 +234,17 @@ _PATTERNS: Dict[str, Type[TrafficPattern]] = {
 
 def make_pattern(name: str, topology: Topology, **params: object) -> TrafficPattern:
     """Instantiate a traffic pattern by config name."""
+    return pattern_class(name)(topology, **params)  # type: ignore[arg-type]
+
+
+def pattern_class(name: str) -> Type[TrafficPattern]:
+    """The pattern a config name selects; ``ValueError`` if none does."""
     try:
-        cls = _PATTERNS[name]
+        return _PATTERNS[name]
     except KeyError:
         raise ValueError(
             f"unknown traffic pattern {name!r}; choose from {sorted(_PATTERNS)}"
         ) from None
-    return cls(topology, **params)  # type: ignore[arg-type]
 
 
 def pattern_names() -> Tuple[str, ...]:

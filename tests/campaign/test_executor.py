@@ -161,12 +161,17 @@ class TestProgressAndTelemetry:
             execute_jobs(tiny_jobs(), num_workers=0)
 
     def test_bad_cell_rejected_before_any_cell_runs(self, monkeypatch):
-        """A cell its simulator would reject (ndm with t1 >= t2) fails the
-        campaign up front, not after its neighbours have been simulated."""
+        """A cell its simulator would reject (ndm with t1 >= t2, an unknown
+        routing function) fails the campaign up front, not after its
+        neighbours have been simulated."""
         units = spy_on_units(monkeypatch)
         jobs = tiny_jobs()
         jobs[-1].config.detector.threshold = 1
         with pytest.raises(ValueError, match="must be well below t2"):
+            execute_jobs(jobs, num_workers=1)
+        jobs = tiny_jobs()
+        jobs[-1].config.routing = "west-first"
+        with pytest.raises(ValueError, match="unknown routing function"):
             execute_jobs(jobs, num_workers=1)
         assert units == []
 

@@ -15,7 +15,7 @@ import gc
 from repro.experiments.spec import base_config
 from repro.network.simulator import Simulator
 
-#: Tracked objects one build may leave per channel (6.2 today).
+#: Tracked objects one build may leave per channel (5.6 today).
 MAX_OBJECTS_PER_CHANNEL = 8
 
 

@@ -108,17 +108,50 @@ class TestValidation:
             config.validate()
 
     @pytest.mark.parametrize(
-        "detector,message",
+        "changes,message",
         [
-            ({"mechanism": "nope"}, "unknown detection mechanism 'nope'"),
-            ({"mechanism": "ndm", "threshold": 1}, "must be well below t2"),
-            ({"mechanism": "hybrid", "threshold": 1}, "must be well below t2"),
+            # The detector cases keep the ids they had as the only cases.
+            pytest.param(
+                {"detector": DetectorConfig(mechanism="nope")},
+                "unknown detection mechanism 'nope'",
+                id="detector0-unknown detection mechanism 'nope'",
+            ),
+            pytest.param(
+                {"detector": DetectorConfig(mechanism="ndm", threshold=1)},
+                "must be well below t2",
+                id="detector1-must be well below t2",
+            ),
+            pytest.param(
+                {"detector": DetectorConfig(mechanism="hybrid", threshold=1)},
+                "must be well below t2",
+                id="detector2-must be well below t2",
+            ),
+            pytest.param(
+                {"routing": "west-first"},
+                "unknown routing function 'west-first'",
+                id="routing",
+            ),
+            pytest.param(
+                {"traffic": TrafficConfig(pattern="tornado")},
+                "unknown traffic pattern 'tornado'",
+                id="pattern",
+            ),
+            pytest.param(
+                {"traffic": TrafficConfig(lengths="xl")},
+                "unknown length spec 'xl'",
+                id="lengths",
+            ),
+            pytest.param(
+                {"injection_limit_fraction": 1.5},
+                r"injection_limit_fraction must be in \(0, 1\], got 1.5",
+                id="injection-limit-fraction",
+            ),
         ],
     )
-    def test_validate_rejects_what_the_simulator_would(self, detector, message):
+    def test_validate_rejects_what_the_simulator_would(self, changes, message):
         """``validate()`` / ``from_dict()`` raise the constructor's own
         error, so a bad campaign cell dies before any cell runs."""
-        config = SimulationConfig(detector=DetectorConfig(**detector))
+        config = SimulationConfig(**changes)
         with pytest.raises(ValueError, match=message) as at_build:
             Simulator(config)
         with pytest.raises(ValueError, match=message) as at_validate:
