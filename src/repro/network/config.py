@@ -245,22 +245,36 @@ class SimulationConfig:
         return config
 
     def replace(self, **changes: Any) -> "SimulationConfig":
-        """Copy with top-level fields replaced (nested configs deep-copied)."""
-        clone = dataclasses.replace(
-            self,
-            traffic=dataclasses.replace(
-                self.traffic,
-                pattern_params=dict(self.traffic.pattern_params),
-                length_params=dict(self.traffic.length_params),
-            ),
-            detector=dataclasses.replace(self.detector),
-            faults=(
-                [dict(f) for f in self.faults]
-                if self.faults is not None
-                else None
-            ),
-        )
-        return dataclasses.replace(clone, **changes)
+        """Copy with top-level fields replaced (nested configs deep-copied).
+
+        Copies attributes without running a constructor: a campaign plan
+        copies every cell's config this way.
+        """
+        unknown = changes.keys() - _FIELD_NAMES
+        if unknown:
+            raise TypeError(
+                f"SimulationConfig has no field(s) {sorted(unknown)}"
+            )
+        traffic = _attribute_copy(self.traffic)
+        traffic.pattern_params = dict(traffic.pattern_params)
+        traffic.length_params = dict(traffic.length_params)
+        clone = _attribute_copy(self)
+        clone.traffic = traffic
+        clone.detector = _attribute_copy(self.detector)
+        if self.faults is not None:
+            clone.faults = [dict(f) for f in self.faults]
+        vars(clone).update(changes)
+        return clone
+
+
+_FIELD_NAMES = frozenset(f.name for f in dataclasses.fields(SimulationConfig))
+
+
+def _attribute_copy(obj: Any) -> Any:
+    """Shallow copy of a plain dataclass instance, bypassing ``__init__``."""
+    clone = object.__new__(type(obj))
+    vars(clone).update(vars(obj))
+    return clone
 
 
 def _copied(value: Any) -> Any:

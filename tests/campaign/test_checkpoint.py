@@ -1,5 +1,7 @@
 """Tests for the campaign manifest (checkpoint + summary report)."""
 
+import shutil
+
 from repro.campaign.checkpoint import (
     CampaignCheckpoint,
     render_summary,
@@ -59,6 +61,45 @@ class TestCampaignCheckpoint:
         ck = CampaignCheckpoint(path)
         record(ck, key="table2/th32/load0/s", config_hash=HASH_B)
         assert set(ck.completed()) == {HASH_A, HASH_B}
+
+    def test_completed_is_parsed_once_and_kept_current(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "m.jsonl"
+        record(CampaignCheckpoint(path), wall=1.0)
+        with path.open("a") as handle:
+            handle.write('{"kind": "cell", "config_hash": "tru')  # crash cut
+        reads = []
+        original = CampaignCheckpoint.records
+        monkeypatch.setattr(
+            CampaignCheckpoint,
+            "records",
+            lambda self: reads.append(1) or original(self),
+        )
+        ck = CampaignCheckpoint(path)
+        assert set(ck.completed()) == {HASH_A}  # the torn tail is skipped
+        record(ck, wall=2.0)
+        record(ck, key="table2/th32/load0/s", config_hash=HASH_B)
+        done = ck.completed()
+        assert len(reads) == 1
+        assert done[HASH_A]["wall_time"] == 2.0  # the latest record wins
+        assert set(done) == {HASH_A, HASH_B}
+        # The kept map is what a fresh parse of the file gives.
+        assert CampaignCheckpoint(path).completed() == done
+
+    def test_completed_is_a_snapshot(self, tmp_path):
+        ck = CampaignCheckpoint(tmp_path / "m.jsonl")
+        record(ck)
+        ck.completed().clear()
+        assert set(ck.completed()) == {HASH_A}
+
+    def test_append_recreates_a_vanished_directory(self, tmp_path):
+        path = tmp_path / "run" / "m.jsonl"
+        ck = CampaignCheckpoint(path)
+        record(ck)
+        shutil.rmtree(path.parent)
+        record(ck, key="table2/th32/load0/s", config_hash=HASH_B)
+        assert [r["config_hash"] for r in ck.records()] == [HASH_B]
 
     def test_fresh_truncates(self, tmp_path):
         path = tmp_path / "m.jsonl"

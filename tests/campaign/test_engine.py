@@ -1,5 +1,6 @@
 """Tests for the table-level campaign engine (reassembly + orchestration)."""
 
+import repro.campaign.engine as engine_module
 import repro.campaign.executor as executor_module
 from repro.campaign.cache import ResultCache
 from repro.campaign.checkpoint import CampaignCheckpoint, summarize_manifest
@@ -92,3 +93,36 @@ class TestRunCampaign:
         run_campaign([tiny_spec(table_id=2)], tiny_base(),
                      saturations={"uniform": 1.0}, progress_factory=factory)
         assert seen[2][-1] == (4, 4)
+
+    def test_resume_reads_its_manifest_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.jsonl"
+        specs = [
+            tiny_spec(table_id=2, mechanism="ndm"),
+            tiny_spec(table_id=3, mechanism="pdm"),
+            tiny_spec(table_id=4, mechanism="timeout"),
+        ]
+        first = run_campaign(specs, tiny_base(), saturations={"uniform": 1.0},
+                             checkpoint=CampaignCheckpoint(path))
+
+        reads, sources = [], []
+        records = CampaignCheckpoint.records
+        monkeypatch.setattr(
+            CampaignCheckpoint,
+            "records",
+            lambda self: reads.append(1) or records(self),
+        )
+        execute = engine_module.execute_jobs
+
+        def spy(jobs, **kwargs):
+            outcomes = execute(jobs, **kwargs)
+            sources.extend(o.source for o in outcomes.values())
+            return outcomes
+
+        monkeypatch.setattr(engine_module, "execute_jobs", spy)
+        resumed = run_campaign(specs, tiny_base(), saturations={"uniform": 1.0},
+                               checkpoint=CampaignCheckpoint(path), resume=True)
+        assert len(reads) == 1
+        assert sources == ["resume"] * sum(s.cell_count() for s in specs)
+        assert {t: table_to_json(r) for t, r in resumed.items()} == {
+            t: table_to_json(r) for t, r in first.items()
+        }

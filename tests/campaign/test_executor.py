@@ -1,7 +1,12 @@
 """Tests for the campaign executor: serial/pool determinism, cache, resume."""
 
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 
@@ -90,7 +95,8 @@ def inline_pool(monkeypatch):
         def shutdown(self, wait=True, cancel_futures=False):
             pass
 
-    monkeypatch.setattr(executor_module, "ProcessPoolExecutor", InlinePool)
+    # The executor imports the pool inside its pool branch.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return submitted
 
 
@@ -139,6 +145,31 @@ class TestPoolSubmission:
         pooled = execute_jobs(jobs, num_workers=2)
         assert {o.worker for o in pooled.values()} != {"serial"}
         assert records(pooled) == records(serial)
+
+    def test_serial_campaign_loads_no_process_pool(self):
+        """The pool machinery (multiprocessing, its queues) is imported
+        only when a campaign fans out."""
+        script = """
+import sys
+from repro.campaign import enumerate_table_jobs, execute_jobs
+from repro.experiments.spec import TABLE_SPECS, base_config, quick_spec
+base = base_config(full=False)
+base.radix, base.warmup_cycles, base.measure_cycles = 4, 10, 40
+_, jobs = enumerate_table_jobs(quick_spec(TABLE_SPECS[2]), base, 0.5)
+outcomes = execute_jobs(jobs[:1], num_workers=1)
+assert [o.source for o in outcomes.values()] == ["run"]
+print("concurrent.futures.process" in sys.modules)
+"""
+        src_dir = Path(executor_module.__file__).resolve().parents[2]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src_dir), env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        assert result.stdout.strip() == "False"
 
 
 class TestProgressAndTelemetry:

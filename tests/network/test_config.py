@@ -4,6 +4,8 @@ import dataclasses
 
 import pytest
 
+from repro.campaign.jobs import config_hash, enumerate_table_jobs
+from repro.experiments.spec import TABLE_SPECS, base_config, quick_spec
 from repro.network.config import (
     DetectorConfig,
     SimulationConfig,
@@ -185,6 +187,88 @@ class TestReplace:
         clone = config.replace()
         clone.detector.threshold = 999
         assert config.detector.threshold != 999
+
+    def test_replace_shares_no_mutable_object(self):
+        config = faulted_config()
+        clone = config.replace()
+        assert clone == config
+        for part in (
+            lambda c: c.traffic,
+            lambda c: c.detector,
+            lambda c: c.traffic.pattern_params,
+            lambda c: c.traffic.length_params,
+            lambda c: c.faults,
+        ):
+            assert part(clone) is not part(config)
+        for copied, original in zip(clone.faults, config.faults):
+            assert copied is not original
+        assert SimulationConfig().replace().faults is None
+
+    def test_replace_applies_changes_and_rejects_unknown_fields(self):
+        config = SimulationConfig()
+        traffic = TrafficConfig(injection_rate=0.5)
+        clone = config.replace(seed=99, traffic=traffic)
+        assert (clone.seed, config.seed) == (99, 1)
+        assert clone.traffic is traffic  # a passed value is taken as is
+        with pytest.raises(TypeError):
+            config.replace(no_such_field=1)
+
+    def test_replace_serializes_like_the_constructor_copy(self, monkeypatch):
+        """Every quick-table cell and a faulted config: the attribute copy
+        gives the ``to_dict()`` and ``config_hash`` that rebuilding
+        through ``dataclasses.replace`` gives (the cache keys)."""
+        def planned():
+            configs = [faulted_config()]
+            base = base_config(full=False)
+            for table_id in sorted(TABLE_SPECS):
+                spec = quick_spec(TABLE_SPECS[table_id])
+                _, jobs = enumerate_table_jobs(spec, base, saturation=0.5)
+                configs += [job.config for job in jobs]
+            return configs
+
+        copied = planned()
+        for config in copied:
+            for changes in ({}, {"seed": 11}):
+                clone = config.replace(**changes)
+                rebuilt = constructor_replace(config, **changes)
+                assert clone.to_dict() == rebuilt.to_dict()
+                assert config_hash(clone) == config_hash(rebuilt)
+        monkeypatch.setattr(SimulationConfig, "replace", constructor_replace)
+        rebuilt = planned()
+        assert len(copied) == 1 + 8 * 24
+        assert [c.to_dict() for c in copied] == [c.to_dict() for c in rebuilt]
+        assert list(map(config_hash, copied)) == list(map(config_hash, rebuilt))
+
+
+def faulted_config():
+    config = SimulationConfig(seed=5)
+    config.traffic.pattern_params = {"fraction": 0.05, "nodes": [1, 2]}
+    config.traffic.length_params = {"flits": 8}
+    config.faults = [
+        {"kind": "link-down", "start": 2, "end": 10, "channel": 3},
+        {"kind": "link-down", "start": 5, "end": 7, "channel": 3},
+    ]
+    return config
+
+
+def constructor_replace(config, **changes):
+    """``SimulationConfig.replace`` as three ``dataclasses.replace``
+    constructions plus a fourth for ``changes``."""
+    clone = dataclasses.replace(
+        config,
+        traffic=dataclasses.replace(
+            config.traffic,
+            pattern_params=dict(config.traffic.pattern_params),
+            length_params=dict(config.traffic.length_params),
+        ),
+        detector=dataclasses.replace(config.detector),
+        faults=(
+            [dict(f) for f in config.faults]
+            if config.faults is not None
+            else None
+        ),
+    )
+    return dataclasses.replace(clone, **changes)
 
 
 class TestSubConfigs:

@@ -136,6 +136,18 @@ CASES = {
         routing="dimension-order",
     ),
     "duato-torus": dict(mechanism="none", routing="duato-adaptive"),
+    # A stuck adaptive lane parks a header on a channel nobody occupies
+    # (its only allowed lane there is stuck); when another worm takes the
+    # escape lane, the channel's counter resumes, and only the
+    # ``_allocate`` wake lets the parked header's detection deadline run.
+    "duato-stuck-lane": dict(
+        mechanism="pdm", threshold=16, routing="duato-adaptive",
+        vcs_per_channel=2,
+        faults=[
+            {"kind": "vc-stuck", "start": 0, "end": 400, "channel": ch, "lane": 1}
+            for ch in range(0, 64, 4)
+        ],
+    ),
 }
 
 #: case -> (delivered, sha256 of the traced event stream[, the event
