@@ -2,7 +2,7 @@
 
 Subcommands are thin wrappers around the per-package CLIs::
 
-    repro lint [paths...]        static analysis (repro.lint)
+    repro lint [paths...]        set-order static analysis (repro.lint)
     repro faults conformance     detector conformance under faults (repro.faults)
     repro verify run             exhaustive small-network verifier (repro.verify)
     repro experiments ...        table campaigns (repro.experiments)
@@ -28,8 +28,8 @@ def build_parser() -> argparse.ArgumentParser:
     build_lint_parser(
         sub.add_parser(
             "lint",
-            help="determinism & protocol static analysis",
-            description="Determinism & protocol static analysis for repro.",
+            help="set-order (DET003) static analysis",
+            description="Set-order (DET003) static analysis for repro.",
         )
     )
     build_faults_parser(

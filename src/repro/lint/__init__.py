@@ -1,12 +1,14 @@
-"""``repro lint`` — determinism & protocol static analysis for this repo.
+"""``repro lint`` — the determinism check no single run can make.
 
-A small AST-based analyzer with rules tuned to the invariants this
-reproduction guarantees (bit-identical runs across hosts, engines and
-``PYTHONHASHSEED`` values; detectors that fully implement the
-event-engine contract).  Each rule has a stable code, a short autofix
-hint, and an inline escape hatch::
+A small AST-based analyzer for the one invariant tier-1 cannot test:
+iteration order that depends on set layout, which differs across
+``PYTHONHASHSEED`` values and CPython versions while every run in one
+interpreter agrees with itself (rule DET003).  The other contracts —
+effect tables, event-engine protocol, seeded randomness — are held by
+tier-1 tests while the simulator runs.  A rule has a stable code, a
+short autofix hint, and an inline escape hatch::
 
-    risky_call()  # repro-lint: disable=DET001
+    for node in nodes:  # repro-lint: disable=DET003 - order-insensitive
 
 Run it as ``repro lint`` (console script), ``python -m repro.lint``, or
 through :func:`run_lint` from tests and tooling.  The rule catalog lives
@@ -23,9 +25,8 @@ from repro.lint.findings import (
 )
 from repro.lint.registry import Rule, all_rules, get_rule, register_rule
 
-# Importing the rule modules registers the built-in rules.
+# Importing the rule module registers the built-in rule.
 import repro.lint.rules as _rules  # noqa: F401
-import repro.lint.rules_effects as _rules_effects  # noqa: F401
 
 __all__ = [
     "Finding",

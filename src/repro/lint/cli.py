@@ -19,7 +19,7 @@ def build_parser(
     if parser is None:
         parser = argparse.ArgumentParser(
             prog="repro lint",
-            description="Determinism & protocol static analysis for repro.",
+            description="Set-order (DET003) static analysis for repro.",
         )
     parser.add_argument(
         "paths",

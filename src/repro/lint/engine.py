@@ -1,21 +1,18 @@
-"""Lint driver: file discovery, cross-file index, rule dispatch.
+"""Lint driver: file discovery and rule dispatch.
 
-The engine parses every target file into a :class:`ModuleInfo`, builds a
-repo-wide class index (qualified name -> class summary) so rules like
-PROTO001 can resolve inheritance across files, then runs each registered
-rule over each module it applies to, dropping findings covered by inline
-``# repro-lint: disable=`` comments.
+The engine parses every target file into a :class:`ModuleInfo`, then
+runs each registered rule over each module it applies to, dropping
+findings covered by inline ``# repro-lint: disable=`` comments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
-from repro.lint.effects import build_effect_index
 from repro.lint.findings import Finding
-from repro.lint.module import ClassSummary, ModuleInfo, module_name_for
+from repro.lint.module import ModuleInfo, module_name_for
 from repro.lint.registry import Rule, all_rules
 
 
@@ -59,17 +56,8 @@ def _load(path: Path, module_name: Optional[str]) -> Union[ModuleInfo, Finding]:
 def _run_rules(
     modules: Sequence[ModuleInfo], rules: Sequence[Rule]
 ) -> List[Finding]:
-    # Cross-file class index for inheritance-aware rules (PROTO001).
-    index: Dict[str, ClassSummary] = {}
-    for module in modules:
-        for cls in module.classes:
-            index[cls.qualname] = cls
-    # Cross-file effect summaries for the EFF rule family.
-    effect_index = build_effect_index(modules)
     findings: List[Finding] = []
     for module in modules:
-        module.class_index = index  # type: ignore[attr-defined]
-        module.effect_index = effect_index  # type: ignore[attr-defined]
         for rule in rules:
             if not rule.applies_to(module.module_name):
                 continue

@@ -15,7 +15,8 @@ class Finding:
         path: file the violation is in (as given to the engine).
         line: 1-based line of the offending construct.
         col: 0-based column of the offending construct.
-        code: stable rule code (``DET001`` ... ``PROTO001``).
+        code: stable rule code (``DET003``, or ``SYNTAX`` for an
+            unparsable file).
         message: one-line description of what is wrong *here*.
         hint: the rule's generic autofix hint (how to resolve or disable).
     """

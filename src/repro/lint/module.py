@@ -1,9 +1,9 @@
 """Per-module analysis context shared by every rule.
 
 A :class:`ModuleInfo` owns the parsed AST plus the cheap semantic maps
-rules keep needing: the import table (local name -> qualified name),
-inline ``# repro-lint: disable=...`` suppressions, same-module function
-return annotations, and ``self.attr`` annotations per class.  Building
+rules keep needing: inline ``# repro-lint: disable=...`` suppressions,
+same-module function return annotations, and ``self.attr`` annotations
+per class.  Building
 them once per file keeps each rule a small, focused AST visitor.
 """
 
@@ -80,44 +80,6 @@ def dotted_name(node: ast.expr) -> Optional[str]:
     return None
 
 
-class ClassSummary:
-    """Structural facts one rule pass needs about a class definition."""
-
-    def __init__(self, module: str, node: ast.ClassDef, imports: Dict[str, str]) -> None:
-        self.module = module
-        self.name = node.name
-        self.qualname = f"{module}.{node.name}"
-        self.lineno = node.lineno
-        self.col = node.col_offset
-        self.node = node
-        #: Base classes, resolved to qualified names where possible.
-        self.bases: List[str] = []
-        for base in node.bases:
-            text = dotted_name(base)
-            if text is None:
-                continue
-            head, _, rest = text.partition(".")
-            resolved = imports.get(head, head)
-            self.bases.append(resolved + ("." + rest if rest else ""))
-        #: Methods defined directly in this class body.
-        self.methods: Set[str] = set()
-        #: Class-level attribute assignments name -> constant value (or
-        #: ``...`` sentinel for non-constant right-hand sides).
-        self.class_attrs: Dict[str, object] = {}
-        for stmt in node.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self.methods.add(stmt.name)
-            elif isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        value = (
-                            stmt.value.value
-                            if isinstance(stmt.value, ast.Constant)
-                            else ...
-                        )
-                        self.class_attrs[target.id] = value
-
-
 class ModuleInfo:
     """Parsed module plus the semantic maps rules share."""
 
@@ -128,36 +90,20 @@ class ModuleInfo:
         self.tree = ast.parse(source, filename=path)
         self.line_disables, self.file_disables = _collect_disables(source)
 
-        #: local name -> qualified name for every import in the module.
-        self.imports: Dict[str, str] = {}
         #: bare function/method name -> return annotation AST (last wins).
         self.func_returns: Dict[str, ast.expr] = {}
         #: (class name, attribute) -> annotation AST from ``self.x: T``
         #: statements and class-body annotations.
         self.attr_annotations: Dict[Tuple[str, str], ast.expr] = {}
-        self.classes: List[ClassSummary] = []
         self._scan()
 
     def _scan(self) -> None:
         for node in ast.walk(self.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    self.imports[alias.asname or alias.name.split(".")[0]] = (
-                        alias.name
-                    )
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                for alias in node.names:
-                    self.imports[alias.asname or alias.name] = (
-                        f"{node.module}.{alias.name}"
-                    )
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if node.returns is not None:
                     self.func_returns[node.name] = node.returns
         for node in self.tree.body:
             if isinstance(node, ast.ClassDef):
-                self.classes.append(
-                    ClassSummary(self.module_name, node, self.imports)
-                )
                 self._scan_class_annotations(node)
 
     def _scan_class_annotations(self, cls: ast.ClassDef) -> None:

@@ -243,7 +243,8 @@ class BatchObserver(NewDetectionMechanism):
 
     # Narrowed per *instance* in ``__init__``: only groups holding a
     # periodic (source-age / injection-stall) or probe cell pay those
-    # phases; the class-level True states the contract (PROTO001).
+    # phases; the class-level True states the contract the protocol walk
+    # in tests/core/test_registry.py checks.
     needs_periodic_check = True
     has_probe_phase = True
 

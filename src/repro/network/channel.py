@@ -327,7 +327,7 @@ class PhysicalChannel:
         ends with one ``sim.wake_all_parked()`` covering them all.
         """
         mask = 0 if self.fault_down else (1 << self.num_vcs) - 1
-        self.usable_mask = mask & ~self.stuck_mask  # repro-lint: disable=EFF002 - FaultInjector.apply wakes after the batch of recomputes
+        self.usable_mask = mask & ~self.stuck_mask
 
     def describe(self) -> str:
         """Short human-readable identity (endpoint nodes and kind)."""

@@ -9,9 +9,12 @@ simulator's park flags off and re-scans every message every cycle (the
 reference) while ``"event"`` parks blocked headers and frozen worms
 until a provable wakeup event.
 
-What lives here is the declared contract over that sequence, read by
-the phase-effect analyzer (``repro lint``): the behavioural effect
-domain and which part of it each phase may write.
+What lives here is the declared contract over that sequence: the
+behavioural effect domain, which part of it each phase, detector hook
+and recovery scheme may write.  ``tests/network/test_effect_contracts.py``
+holds the simulator to it while a corpus runs: every domain store and
+every in-place change of a domain list or dict is checked against the
+contracts of the phases and hooks executing at that moment.
 """
 
 from __future__ import annotations
@@ -20,17 +23,18 @@ from typing import Dict, FrozenSet
 
 
 # ----------------------------------------------------------------------
-# Phase effect contracts (read by repro.lint.contracts / rule EFF001)
+# Effect contracts (checked at run time by the tier-1 contract test)
 # ----------------------------------------------------------------------
 # The effect *domain* is the behavioural state shared by both
 # engines: every attribute of Message / VirtualChannel / PhysicalChannel
 # / Router that feeds the trajectory or the behavioural digest, and the
 # NDM's reset targets, which it keeps by channel index.  The
-# groups below partition it; each phase declares which groups it may
-# write, and the phase-effect analyzer (``repro lint``, rule EFF001)
-# verifies the *transitive* write set of each phase method against this
-# table.  Telemetry (stats, tracers, perf counters) is deliberately
-# outside the domain — writing it is always allowed.
+# groups below partition it; each phase, hook and recovery scheme
+# declares which groups it may write, and a write made while it runs
+# must fall inside its contract and every enclosing one.  Domain values
+# are integral (a float would make digests host-dependent).  Telemetry
+# (stats, tracers, perf counters) is deliberately outside the domain —
+# writing it is always allowed.
 EFFECT_GROUPS: Dict[str, FrozenSet[str]] = {
     # Event-engine parking surface: sleep flags and waiter registries.
     "park": frozenset(
@@ -159,3 +163,27 @@ PHASE_EFFECTS: Dict[str, FrozenSet[str]] = {
     "injection": _effects("park", "occupancy", "worm", "lifecycle"),
     "generation": _effects("lifecycle"),
 }
+
+#: DeadlockDetector hook name -> attributes the hook may write.  The
+#: routing-side hooks maintain G/P flags and wake the waiters those
+#: flags park; ``attach`` arms the flags and the I-flag thresholds; the
+#: query hooks (``blocked_deadline`` / ``probe_phase`` /
+#: ``periodic_check``) must not write behavioural state at all.
+HOOK_CONTRACTS: Dict[str, FrozenSet[str]] = {
+    "attach": _effects("gp", "counters"),
+    "on_blocked_attempt": _effects("gp", "park"),
+    "on_message_routed": _effects("gp", "park"),
+    "on_vc_released": _effects("gp", "park"),
+    "on_message_removed": _effects("gp", "park"),
+    "on_i_reset": _effects("gp", "park"),
+    "periodic_check": frozenset(),
+    "probe_phase": frozenset(),
+    "blocked_deadline": frozenset(),
+}
+
+#: Recovery schemes tear worms down: ``recover`` may write anything
+#: except fault state.
+RECOVER_CONTRACT: FrozenSet[str] = _effects(
+    "park", "gp", "occupancy", "counters", "worm",
+    "routing_state", "lifecycle", "detection",
+)

@@ -24,8 +24,8 @@ physical channel (virtual channels time-multiplexed), channel inactivity
 measured from the last flit transmission.
 
 ``SimulationConfig.engine`` names how this one phase sequence is
-executed (the phase-effect contract the analyzer checks it against is
-declared in :mod:`repro.network.kernel`):
+executed (the effect contracts the phases are held to are declared in
+:mod:`repro.network.kernel`):
 
 * ``"scan"`` — the reference that tests, the conformance harness and
   the verifier run beside the default: every blocked header re-attempts
@@ -905,6 +905,7 @@ class Simulator:
         if not self._nodes_with_source:
             return
         drained = []
+        # repro-lint: disable=DET003 - set-layout order; the fix moves every digest (ROADMAP item 1)
         for node in self._nodes_with_source:
             queue = self.source_queues[node]
             router = self.routers[node]

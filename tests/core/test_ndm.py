@@ -14,8 +14,11 @@ from repro.figures.scenarios import (
     place_worm,
     scenario_config,
 )
+from repro.network.batch import BatchSimulator
+from repro.network.config import DetectorConfig
 from repro.network.simulator import Simulator
 from repro.network.types import GPState
+from tests.network.test_engine_equivalence import _config
 
 
 def fresh_scenario(mechanism="ndm", threshold=16, **kwargs) -> Scenario:
@@ -175,3 +178,22 @@ class TestPromotionVariants:
         waiters = sim.detector.reset_targets[requested.index]
         scenario.run_until(lambda s: not waiters, limit=400)
         assert not waiters
+
+
+class TestGPRuleOnlyRemovesDetections:
+    """The paper's claim for the G/P rule: it only withholds detections,
+    so NDM marks only messages PDM's inactivity rule marks too.  Both
+    cells of a two-cell fold see one trajectory, so with recovery off
+    their marked sets are comparable message by message."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_ndm_detections_are_a_subset_of_pdm_at_equal_threshold(self, seed):
+        config = _config(mechanism="ndm", threshold=16, recovery="none", seed=seed)
+        cells = [
+            DetectorConfig(mechanism=name, threshold=16) for name in ("ndm", "pdm")
+        ]
+        ndm, pdm = BatchSimulator(config, cells).run()
+        ndm_ids = {event.message_id for event in ndm.detection_events}
+        pdm_ids = {event.message_id for event in pdm.detection_events}
+        assert ndm_ids, "NDM detected nothing: the subset would hold vacuously"
+        assert ndm_ids <= pdm_ids

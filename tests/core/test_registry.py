@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.core.detector import DeadlockDetector
 from repro.core.ndm import NewDetectionMechanism
 from repro.core.null import NoDetection
 from repro.core.pdm import PreviousDetectionMechanism
 from repro.core.registry import (
     batch_shareable,
     batch_shareable_names,
+    detector_class,
     detector_names,
     make_detector,
 )
@@ -16,7 +18,7 @@ from repro.core.timeout import (
     InjectionStallTimeout,
     SourceAgeTimeout,
 )
-from repro.network.batch import BatchSimulator
+from repro.network.batch import BatchObserver, BatchSimulator
 from repro.network.config import DetectorConfig, SimulationConfig
 from repro.network.simulator import Simulator
 
@@ -100,3 +102,52 @@ class TestFactory:
         detector.on_message_routed(None, 0)
         detector.on_vc_released(None, 0)
         detector.on_message_removed(None, 0)
+
+
+def _repro_detector_classes():
+    """Every loaded ``DeadlockDetector`` subclass defined in ``repro``."""
+    found, stack = [], [DeadlockDetector]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            if cls.__module__.startswith("repro.") and cls not in found:
+                found.append(cls)
+                stack.append(cls)
+    return found
+
+
+def _overrides(cls, name):
+    return getattr(cls, name) is not getattr(DeadlockDetector, name)
+
+
+class TestEventEngineProtocol:
+    """What the simulator assumes of every detector class: it reads the
+    class flags, not the hooks, to decide what to call and when a
+    blocked header may sleep."""
+
+    def test_walk_covers_the_registry_and_the_fold(self):
+        classes = _repro_detector_classes()
+        assert BatchObserver in classes
+        assert {detector_class(name) for name in detector_names()} <= set(classes)
+
+    @pytest.mark.parametrize(
+        "cls", _repro_detector_classes(), ids=lambda cls: cls.__name__
+    )
+    def test_detector_class_honours_the_protocol(self, cls):
+        own = vars(cls)
+        if "on_blocked_attempt" in own:
+            # Else the event engine parks a blocked header with no deadline
+            # and sleeps through its detection.
+            assert (
+                _overrides(cls, "deadline")
+                or _overrides(cls, "blocked_deadline")
+                or cls.can_sleep_blocked is False
+            ), f"{cls.__name__} detects on blocked attempts but declares no deadline"
+        if "periodic_check" in own:
+            assert cls.needs_periodic_check is True, "periodic_check is never called"
+        if "probe_phase" in own:
+            assert cls.has_probe_phase is True, "probe_phase is never called"
+        if cls.has_probe_phase is True:
+            assert _overrides(cls, "probe_phase"), "the probe phase runs the no-op"
+        hooks = ("on_blocked_attempt", "periodic_check", "probe_phase")
+        if any(_overrides(cls, hook) for hook in hooks):
+            assert cls.name != DeadlockDetector.name, f"{cls.__name__} has no name"

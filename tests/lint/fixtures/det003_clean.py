@@ -30,3 +30,15 @@ def int_keyed_dict() -> None:
     table: Dict[int, str] = {}
     for node in table.keys():
         print(node)
+
+
+class Simulator:
+    def _injection_phase(self, cycle: int) -> None:
+        nodes = set(range(8))
+        for node in sorted(nodes):
+            print(node)
+
+    def _rebuild(self) -> None:
+        # Outside the cycle phases an int set stays exempt.
+        for node in set(range(8)):
+            print(node)

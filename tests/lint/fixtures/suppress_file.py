@@ -1,12 +1,12 @@
-# repro-lint: disable-file=DET001
+# repro-lint: disable-file=DET003
 """A file-wide disable covers every occurrence of the code."""
 
-import time
+
+def first() -> None:
+    for item in {object(), object()}:
+        print(item)
 
 
-def first() -> float:
-    return time.time()
-
-
-def second() -> float:
-    return time.time()
+def second() -> None:
+    for item in {object(), object()}:
+        print(item)

@@ -1,16 +1,17 @@
 """Every violation in this fixture is covered by a disable comment."""
 
-import time
+
+def same_line() -> None:
+    for item in {object(), object()}:  # repro-lint: disable=DET003
+        print(item)
 
 
-def stamp() -> float:
-    return time.time()  # repro-lint: disable=DET001
+def above() -> None:
+    # repro-lint: disable=DET003,DET999
+    for item in {object(), object()}:
+        print(item)
 
 
-def above() -> float:
-    # repro-lint: disable=DET001,DET003
-    return time.time()
-
-
-def with_rationale() -> float:
-    return time.time()  # repro-lint: disable=DET001 - rationale after the code list
+def with_rationale() -> None:
+    for item in {object(), object()}:  # repro-lint: disable=DET003 - rationale after the code list
+        print(item)

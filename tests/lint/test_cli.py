@@ -11,31 +11,38 @@ from repro.lint.cli import main as lint_main
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, all_rules, get_rule, register_rule
 
-# PROTO001 applies repo-wide, so a bare temporary file trips it without
-# needing a module-name override.
+# DET003 applies to the order-sensitive packages, so the offending file
+# lives at repro/network/drain.py under the temporary directory (the
+# engine names modules from their package layout).
 CLI_BAD = '''\
-from repro.core.detector import DeadlockDetector
+"""Hash-ordered iteration in an order-sensitive module."""
 
-
-class Sleepy(DeadlockDetector):
-    name = "sleepy"
-
-    def on_blocked_attempt(self, sim, message, cycle):
-        return False
+def drain():
+    for item in {object(), object()}:
+        item.drop()
 '''
 
 
-def test_cli_exit_one_and_json_output(tmp_path, capsys):
-    bad = tmp_path / "sleepy.py"
+def bad_module(root):
+    package = root / "repro" / "network"
+    package.mkdir(parents=True)
+    for directory in (root / "repro", package):
+        (directory / "__init__.py").write_text("")
+    bad = package / "drain.py"
     bad.write_text(CLI_BAD)
+    return bad
+
+
+def test_cli_exit_one_and_json_output(tmp_path, capsys):
+    bad = bad_module(tmp_path)
     assert lint_main([str(bad), "--format=json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert len(payload) == 1
     finding = payload[0]
-    assert finding["code"] == "PROTO001"
+    assert finding["code"] == "DET003"
     assert finding["line"] == 4
     assert finding["path"] == str(bad)
-    assert "Sleepy" in finding["message"]
+    assert "hash-ordered" in finding["message"]
     assert finding["hint"]
 
 
@@ -48,19 +55,18 @@ def test_cli_exit_zero_on_clean_file(tmp_path, capsys):
 
 
 def test_cli_verbose_shows_autofix_hint(tmp_path, capsys):
-    bad = tmp_path / "sleepy.py"
-    bad.write_text(CLI_BAD)
+    bad = bad_module(tmp_path)
     assert lint_main([str(bad), "--verbose"]) == 1
     out = capsys.readouterr().out
-    assert "PROTO001" in out
+    assert "DET003" in out
     assert "hint:" in out
 
 
 def test_cli_list_rules(capsys):
     assert lint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule in all_rules():
-        assert rule.code in out
+    codes = [line.split()[0] for line in out.splitlines() if not line[:1].isspace()]
+    assert codes == ["DET003"]
 
 
 def test_umbrella_cli_routes_lint(tmp_path, capsys):
@@ -71,15 +77,7 @@ def test_umbrella_cli_routes_lint(tmp_path, capsys):
 
 
 def test_rule_catalog_complete_and_documented():
-    assert [rule.code for rule in all_rules()] == [
-        "DET001",
-        "DET002",
-        "DET003",
-        "EFF001",
-        "EFF002",
-        "EFF004",
-        "PROTO001",
-    ]
+    assert [rule.code for rule in all_rules()] == ["DET003"]
     for rule in all_rules():
         assert rule.summary
         assert rule.hint
@@ -89,20 +87,18 @@ def test_rule_catalog_complete_and_documented():
 def test_cli_json_round_trips_through_finding_schema(tmp_path, capsys):
     # The JSON format is a stable contract: every emitted object must
     # reconstruct a Finding exactly (no extra or missing fields).
-    bad = tmp_path / "sleepy.py"
-    bad.write_text(CLI_BAD)
+    bad = bad_module(tmp_path)
     assert lint_main([str(bad), "--format=json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     findings = [Finding(**item) for item in payload]
-    assert [f.code for f in findings] == ["PROTO001"]
+    assert [f.code for f in findings] == ["DET003"]
     assert json.loads(
         json.dumps([item for item in payload], sort_keys=True)
     ) == payload
 
 
 def test_cli_sarif_output(tmp_path, capsys):
-    bad = tmp_path / "sleepy.py"
-    bad.write_text(CLI_BAD)
+    bad = bad_module(tmp_path)
     assert lint_main([str(bad), "--format=sarif"]) == 1
     log = json.loads(capsys.readouterr().out)
     assert log["version"] == "2.1.0"
@@ -114,7 +110,7 @@ def test_cli_sarif_output(tmp_path, capsys):
         r.code for r in all_rules()
     }
     (result,) = run["results"]
-    assert result["ruleId"] == "PROTO001"
+    assert result["ruleId"] == "DET003"
     assert result["level"] == "error"
     location = result["locations"][0]["physicalLocation"]
     assert location["artifactLocation"]["uri"] == str(bad)
@@ -134,8 +130,7 @@ def test_cli_changed_scopes_to_git_diff(tmp_path, capsys, monkeypatch):
     git("init")
     git("config", "user.email", "lint@test")
     git("config", "user.name", "lint test")
-    bad = tmp_path / "sleepy.py"
-    bad.write_text(CLI_BAD)
+    bad = bad_module(tmp_path)
     git("add", "-A")
     git("commit", "-m", "seed")
     monkeypatch.chdir(tmp_path)
@@ -153,8 +148,7 @@ def test_cli_changed_scopes_to_git_diff(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_changed_falls_back_outside_git(tmp_path, capsys, monkeypatch):
-    bad = tmp_path / "sleepy.py"
-    bad.write_text(CLI_BAD)
+    bad = bad_module(tmp_path)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
     monkeypatch.setenv("GIT_DIR", str(tmp_path / "nonexistent.git"))
@@ -167,6 +161,6 @@ def test_register_rule_rejects_duplicate_codes():
 
         @register_rule
         class Duplicate(Rule):  # noqa: F811 - intentionally clashing
-            code = "DET001"
+            code = "DET003"
             summary = "duplicate"
             hint = "duplicate"

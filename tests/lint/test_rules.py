@@ -30,25 +30,11 @@ def expected(path: Path):
 
 
 BAD_CASES = [
-    ("det001_bad.py", "repro.network.det001_bad"),
-    ("det002_bad.py", "repro.analysis.det002_bad"),
     ("det003_bad.py", "repro.network.det003_bad"),
-    ("eff001_bad.py", "repro.network.eff001_bad"),
-    ("eff002_bad.py", "repro.network.eff002_bad"),
-    ("eff004_bad.py", "repro.network.eff004_bad"),
-    ("proto001_bad.py", "repro.core.proto001_bad"),
-    ("proto001_probe_bad.py", "repro.core.proto001_probe_bad"),
 ]
 
 CLEAN_CASES = [
-    ("det001_clean.py", "repro.network.det001_clean"),
-    ("det002_clean.py", "repro.analysis.det002_clean"),
     ("det003_clean.py", "repro.network.det003_clean"),
-    ("eff001_clean.py", "repro.network.eff001_clean"),
-    ("eff002_clean.py", "repro.network.eff002_clean"),
-    ("eff004_clean.py", "repro.network.eff004_clean"),
-    ("proto001_clean.py", "repro.core.proto001_clean"),
-    ("proto001_probe_clean.py", "repro.core.proto001_probe_clean"),
 ]
 
 
@@ -71,22 +57,10 @@ def test_clean_fixture_produces_no_findings(fixture, module_name):
 
 
 def test_scoped_rules_skip_out_of_scope_modules():
-    # The same offending sources are silent outside their rule's scope.
+    # The same offending source is silent outside the rule's scope.
     order_fixture = FIXTURES / "det003_bad.py"
     result = lint_file(order_fixture, module_name="repro.figures.det003_bad")
     assert result.findings == [], format_text(result.findings)
-    clock_fixture = FIXTURES / "det001_bad.py"
-    result = lint_file(clock_fixture, module_name="repro.figures.det001_bad")
-    assert result.findings == [], format_text(result.findings)
-
-
-def test_proto001_resolves_inheritance_across_files():
-    paths = [FIXTURES / "proto001_base.py", FIXTURES / "proto001_cross.py"]
-    result = run_lint(paths)
-    cross = FIXTURES / "proto001_cross.py"
-    assert sorted(
-        (Path(f.path).name, f.line, f.code) for f in result.findings
-    ) == [("proto001_cross.py", line, code) for line, code in expected(cross)]
 
 
 def test_inline_disable_suppresses_own_and_next_line():
@@ -111,7 +85,7 @@ def test_disable_comments_are_load_bearing(tmp_path):
     path = tmp_path / "mod.py"
     path.write_text(stripped)
     result = lint_file(path, module_name="repro.network.mod")
-    assert [f.code for f in result.findings] == ["DET001"] * 3
+    assert [f.code for f in result.findings] == ["DET003"] * 3
 
 
 def test_syntax_errors_are_reported_not_raised(tmp_path):

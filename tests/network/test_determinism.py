@@ -22,6 +22,7 @@ import hashlib
 import inspect
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -54,6 +55,20 @@ def _digest() -> str:
 
 def test_same_seed_same_run():
     assert _digest() == _digest()
+
+
+def test_module_level_random_does_not_reach_a_run():
+    """Every draw comes from the run's own seeded ``random.Random``, so
+    re-seeding the module-level ``random`` between runs changes nothing."""
+    state = random.getstate()
+    try:
+        digests = []
+        for seed in (1, 2):
+            random.seed(seed)
+            digests.append(_digest())
+    finally:
+        random.setstate(state)
+    assert digests[0] == digests[1]
 
 
 def test_simulator_does_not_import_numpy():
