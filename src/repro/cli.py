@@ -2,7 +2,6 @@
 
 Subcommands are thin wrappers around the per-package CLIs::
 
-    repro lint [paths...]        set-order static analysis (repro.lint)
     repro faults conformance     detector conformance under faults (repro.faults)
     repro verify run             exhaustive small-network verifier (repro.verify)
     repro experiments ...        table campaigns (repro.experiments)
@@ -15,7 +14,6 @@ import sys
 from typing import List, Optional
 
 from repro.faults.cli import build_parser as build_faults_parser
-from repro.lint.cli import build_parser as build_lint_parser
 from repro.verify.cli import build_parser as build_verify_parser
 
 
@@ -25,13 +23,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Wormhole deadlock-detection reproduction toolkit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    build_lint_parser(
-        sub.add_parser(
-            "lint",
-            help="set-order (DET003) static analysis",
-            description="Set-order (DET003) static analysis for repro.",
-        )
-    )
     build_faults_parser(
         sub.add_parser(
             "faults",

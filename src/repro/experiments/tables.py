@@ -14,6 +14,7 @@ from typing import Dict, Iterable, Optional
 from repro.experiments.report import render_table, table_to_json
 from repro.experiments.runner import TableResult, run_table
 from repro.experiments.spec import (
+    DEFAULT_SEED,
     TABLE_SPECS,
     TableSpec,
     base_config,
@@ -36,7 +37,7 @@ def table_spec(table_id: int, full: Optional[bool] = None) -> TableSpec:
 def regenerate_table(
     table_id: int,
     full: Optional[bool] = None,
-    seed: int = 7,
+    seed: int = DEFAULT_SEED,
     saturation: Optional[float] = None,
     progress=None,
     *,
@@ -69,7 +70,7 @@ def regenerate_table(
 def regenerate_all(
     table_ids: Iterable[int] = range(1, 8),
     full: Optional[bool] = None,
-    seed: int = 7,
+    seed: int = DEFAULT_SEED,
     *,
     jobs: int = 1,
     cache=None,

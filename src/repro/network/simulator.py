@@ -209,7 +209,6 @@ class Simulator:
             deque() for _ in range(self.topology.num_nodes)
         ]
         self.recovery_queues: Dict[NodeId, Deque[Message]] = {}
-        self._nodes_with_source: Set[NodeId] = set()
         self.injection_limits: List[Optional[int]] = [
             config.injection_limit(r.total_network_vcs()) for r in self.routers
         ]
@@ -467,7 +466,7 @@ class Simulator:
         """
         if not m.wait_registered:
             # By id, in insertion-ordered dicts, not sets: wake order must
-            # not depend on PYTHONHASHSEED (see DET003 in repro.lint).
+            # not depend on PYTHONHASHSEED or the interpreter's set layout.
             m.wait_registered = True
             for pc in m.feasible_pcs:
                 waiters = pc.route_waiters
@@ -902,14 +901,18 @@ class Simulator:
             for node in done:
                 del self.recovery_queues[node]
 
-        if not self._nodes_with_source:
-            return
-        drained = []
-        # repro-lint: disable=DET003 - set-layout order; the fix moves every digest (ROADMAP item 1)
-        for node in self._nodes_with_source:
-            queue = self.source_queues[node]
-            router = self.routers[node]
-            limit = self.injection_limits[node]
+        # Ascending node id.  A node injects only into its own router's
+        # injection lanes under a limit read from that router alone, so the
+        # order decides no contention here; it only fixes the order in which
+        # this cycle's new worms join ``active_messages``, whose visit order
+        # the routing and movement phases rotate every cycle.
+        routers = self.routers
+        limits = self.injection_limits
+        for node, queue in enumerate(self.source_queues):
+            if not queue:
+                continue
+            router = routers[node]
+            limit = limits[node]
             while queue:
                 if limit is not None and router.busy_network_vcs > limit:
                     break
@@ -917,10 +920,6 @@ class Simulator:
                 if vc is None:
                     break
                 self._start_injection(queue.popleft(), vc, cycle)
-            if not queue:
-                drained.append(node)
-        for node in drained:
-            self._nodes_with_source.discard(node)
 
     def _start_injection(self, m: Message, vc: VirtualChannel, cycle: int) -> None:
         self._allocate(vc, m, cycle)
@@ -966,7 +965,6 @@ class Simulator:
         if self.measuring:
             self.stats.generated_measured += 1
         queue.append(m)
-        self._nodes_with_source.add(source)
 
     # ------------------------------------------------------------------
     # Detection & recovery plumbing
@@ -1071,7 +1069,6 @@ class Simulator:
             self.source_queues[node].appendleft(m)
         else:
             self.source_queues[node].append(m)
-        self._nodes_with_source.add(node)
 
     # ------------------------------------------------------------------
     # Ground truth
@@ -1096,7 +1093,7 @@ class Simulator:
             if len(deadlocked) > st.max_deadlock_set_size:
                 st.max_deadlock_set_size = len(deadlocked)
             # Order-insensitive: only ids are unioned into a set.
-            for m in deadlocked:  # repro-lint: disable=DET003
+            for m in deadlocked:
                 self._ever_deadlocked.add(m.id)
             st.truly_deadlocked_messages = len(self._ever_deadlocked)
 

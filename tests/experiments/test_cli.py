@@ -1,10 +1,12 @@
 """Tests for the command-line interface (monkeypatched to tiny runs)."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments import cli, tables
-from repro.experiments.runner import CellResult, TableResult
-from repro.experiments.spec import TABLE_SPECS, quick_spec
+from repro.experiments.runner import CellResult, TableResult, run_cell
+from repro.experiments.spec import DEFAULT_SEED, TABLE_SPECS, base_config, quick_spec
 
 
 def fake_result(table_id: int) -> TableResult:
@@ -268,3 +270,32 @@ class TestCampaignCommand:
         with pytest.raises(SystemExit):
             cli.main(["table", "2", "--jobs", "0"])
         assert "must be >= 1" in capsys.readouterr().err
+
+
+class TestDefaultSeed:
+    def test_base_config_cell_equals_the_cli_cell(self, monkeypatch):
+        """``run_cell(base_config(), ...)`` reproduces the cell that
+        ``repro-experiments table`` prints: both read ``DEFAULT_SEED``."""
+        spec = quick_spec(TABLE_SPECS[2])
+        one_cell = dataclasses.replace(
+            spec,
+            sizes=("s",),
+            load_fractions=spec.load_fractions[:1],
+            paper_rates=spec.paper_rates[:1],
+            thresholds=(32,),
+            saturated_loads=(),
+        )
+        monkeypatch.setattr(tables, "table_spec", lambda table_id, full=None: one_cell)
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(tables.regenerate_table(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(cli, "regenerate_table", spy)
+        assert cli.main(["table", "2", "--jobs", "1"]) == 0
+        (result,) = seen
+        assert base_config().seed == DEFAULT_SEED
+        direct = run_cell(base_config(), one_cell, 32, "s", result.rates[0])
+        assert direct.injected > 0
+        assert result.cell(32, 0, "s") == direct

@@ -77,6 +77,9 @@ def test_heal_drains_fully_on_both_engines():
 def test_event_engine_invariants_through_the_heal():
     sim = Simulator(build_config("event"))
     while sim.active_messages or sim.cycle < HEAL_CYCLE + 1:
+        # The drain, as ``run()`` enters it: no new traffic after the
+        # measurement window, so the network can empty.
+        sim.generation_enabled = sim.cycle < sim.config.measure_cycles
         sim.step()
         if sim.cycle % 10 == 0 or HEAL_CYCLE - 2 <= sim.cycle <= HEAL_CYCLE + 5:
             sim.check_invariants()

@@ -26,12 +26,18 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
 import repro.network.simulator as simulator_module
+from repro.network.batch import BatchSimulator
 from repro.network.config import DetectorConfig, SimulationConfig
 from repro.network.simulator import Simulator
+from repro.network.tracing import Tracer
+from tests.integration.test_golden import digest_of
+from tests.network.test_batch_engine import MIXED_CELLS, _mixed_config
+from tests.network.test_engine_equivalence import CASES, _config
 
 _CONFIG_KWARGS = dict(
     radix=4,
@@ -106,19 +112,27 @@ stats = Simulator(config).run()
 payload = stats.to_dict(include_events=False, include_perf=False)
 print(hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest())
 """
+    assert _python(script) == _digest()
+
+
+def _python(script: str, hashseed: Optional[str] = None, *argv: str) -> str:
+    """Run ``script`` with ``argv`` in a fresh interpreter that imports
+    this tree's ``repro``; return its stripped stdout."""
     src_dir = Path(simulator_module.__file__).resolve().parents[2]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(src_dir), env.get("PYTHONPATH")])
     )
+    if hashseed is not None:
+        env["PYTHONHASHSEED"] = hashseed
     result = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", script, *argv],
         capture_output=True,
         text=True,
         check=True,
         env=env,
     )
-    assert result.stdout.strip() == _digest()
+    return result.stdout.strip()
 
 
 def _digest_under_hashseed(hashseed: str) -> str:
@@ -139,20 +153,7 @@ stats = Simulator(config).run()
 payload = stats.to_dict(include_events=False, include_perf=False)
 print(hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest())
 """
-    src_dir = Path(simulator_module.__file__).resolve().parents[2]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(src_dir), env.get("PYTHONPATH")])
-    )
-    env["PYTHONHASHSEED"] = hashseed
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        check=True,
-        env=env,
-    )
-    return result.stdout.strip()
+    return _python(script, hashseed)
 
 
 def test_run_identical_across_hash_seeds():
@@ -175,9 +176,8 @@ def test_copying_a_simulator_does_not_perturb_it(mechanism, selective):
     """Stepping a deep copy must leave the original on its own trajectory.
 
     The I-reset hook used to be a closure over live channels, so a copy's
-    hooks promoted the *original's* G/P flags.  Nothing is asserted about
-    the copy's own trajectory: that still depends on the iteration order
-    of ``Simulator._nodes_with_source`` (a set).
+    hooks promoted the *original's* G/P flags.  The copy's own trajectory
+    is held by :func:`test_deep_copy_ends_on_the_fresh_run_digest`.
     """
 
     def build() -> Simulator:
@@ -213,3 +213,102 @@ def test_copying_a_simulator_does_not_perturb_it(mechanism, selective):
     for _ in range(300):
         original.step()
     assert behaviour(original) == behaviour(reference)
+
+
+def _build(case: str):
+    """A traced engine-equivalence run, or the mixed fold group: one
+    shared trajectory serving every shareable detector family."""
+    if case == "fold-group":
+        return BatchSimulator(_mixed_config(), MIXED_CELLS)
+    sim = Simulator(_config(**CASES[case]))
+    sim.tracer = Tracer(capacity=0)
+    return sim
+
+
+def _finish(run):
+    """Run to the end; return everything the run's digest covers."""
+    if isinstance(run, BatchSimulator):
+        return [stats.to_dict(include_perf=False) for stats in run.run()]
+    return run.run().to_dict(include_perf=False), digest_of(run)
+
+
+@pytest.mark.parametrize("case", sorted(CASES) + ["fold-group"])
+def test_deep_copy_ends_on_the_fresh_run_digest(case):
+    """A run is a function of its config and seed, not of its objects'
+    memory layout: a deep copy taken at a mid-run cycle, the original
+    it was copied from, and a fresh run all end on one digest.
+
+    One interpreter iterates a given set the same way every time, so
+    every ordinary run agrees with itself; a copy rebuilds each set
+    from scratch, with other addresses and another slot layout.  A
+    phase whose visit order follows a set fails here.
+    """
+    reference = _finish(_build(case))
+    original = _build(case)
+    sim = getattr(original, "sim", original)
+    # A fixed cycle per case; seeding ``Random`` with a str does not
+    # depend on PYTHONHASHSEED.
+    cycle = random.Random(case).randrange(
+        1, sim.config.warmup_cycles + sim.config.measure_cycles
+    )
+    for _ in range(cycle):
+        sim.step()
+    clone = copy.deepcopy(original)
+    assert _finish(clone) == reference, f"the copy taken at cycle {cycle} diverged"
+    assert _finish(original) == reference
+
+
+_CAMPAIGN_SCRIPT = """
+import json, sys
+from repro.campaign.checkpoint import CampaignCheckpoint
+from repro.experiments.report import table_to_json
+from repro.experiments.runner import run_table
+from repro.experiments.spec import TableSpec, base_config
+
+manifest = CampaignCheckpoint(sys.argv[1], fresh=True)
+tables = []
+for table_id, recovery in ((1, "none"), (2, "progressive")):
+    base = base_config(full=False)
+    base.radix = 4
+    base.warmup_cycles, base.measure_cycles = 50, 200
+    base.recovery = recovery
+    spec = TableSpec(
+        table_id=table_id,
+        title="mixed",
+        mechanism="pdm" if table_id == 1 else "ndm",
+        pattern="uniform",
+        sizes=("s", "l"),
+        load_fractions=(0.5, 0.7, 0.9),
+        paper_rates=(0.3, 0.4, 0.5),
+        thresholds=(8, 32),
+        saturated_loads=(2,),
+    )
+    tables.append(json.loads(table_to_json(run_table(spec, base, 1.0, checkpoint=manifest))))
+cells = [r for r in manifest.records() if r["kind"] == "cell"]
+print(json.dumps({
+    "tables": tables,
+    "manifest_keys": [r["key"] for r in cells],
+    "engines": sorted({r["engine"] for r in cells}),
+}, sort_keys=True))
+"""
+
+
+def test_campaign_identical_across_hash_seeds(tmp_path):
+    """A campaign's tables and the order it records its cells do not
+    depend on PYTHONHASHSEED.
+
+    The first table runs without recovery, so its cells fold into
+    shared-trajectory groups (one per load and size); the second runs
+    every cell solo.  Planning keys its groups by a string (a config
+    hash), so a walk of those groups as a set would run them, and write
+    them to the manifest, in an order that moves with the hash seed;
+    within one interpreter every run agrees with itself, so only an A/B
+    sees it.
+    """
+    runs = [
+        json.loads(_python(_CAMPAIGN_SCRIPT, seed, str(tmp_path / f"{seed}.jsonl")))
+        for seed in ("0", "1", "4242")
+    ]
+    assert runs[0]["engines"] == ["batch", "event"]
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]

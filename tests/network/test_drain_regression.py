@@ -74,7 +74,6 @@ def test_drain_waits_for_recovery_reinjection_queues():
     # One ordinary message keeps the drain loop alive until it delivers.
     m1 = Message(0, 0, 5, 4, 0)
     sim.source_queues[0].append(m1)
-    sim._nodes_with_source.add(0)
     stats = sim.run()
     assert sim.seeded
     assert m1.status is MessageStatus.DELIVERED

@@ -167,12 +167,17 @@ class TestMeasurementWindow:
 class TestThroughputTracksOfferedLoad:
     @pytest.mark.parametrize("rate", [0.05, 0.15, 0.3])
     def test_accepted_matches_offered_below_saturation(self, rate, run_sim):
-        config = small_config()
-        config.warmup_cycles = 300
-        config.measure_cycles = 1500
-        config.traffic.injection_rate = rate
-        _, stats = run_sim(config)
-        assert stats.throughput() == pytest.approx(rate, rel=0.25)
+        # Pooled over three seeds: one 1,500-cycle run on 16 nodes strays
+        # past 25 % about once in thirty seeds at these loads.
+        accepted = []
+        for seed in (123, 124, 125):
+            config = small_config(seed=seed)
+            config.warmup_cycles = 300
+            config.measure_cycles = 1500
+            config.traffic.injection_rate = rate
+            _, stats = run_sim(config)
+            accepted.append(stats.throughput())
+        assert sum(accepted) / len(accepted) == pytest.approx(rate, rel=0.25)
 
     def test_latency_grows_with_load(self, run_sim):
         lats = []

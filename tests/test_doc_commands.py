@@ -31,7 +31,7 @@ DOCS = [
 ]
 
 #: ``python -m`` entry modules and the ``repro`` subcommand each one runs.
-MODULES = {"repro.faults": "faults", "repro.lint": "lint", "repro.verify": "verify"}
+MODULES = {"repro.faults": "faults", "repro.verify": "verify"}
 
 COMMAND = re.compile(
     r"(?:\$\s+)?(?:\w+=\S*\s+)*"
@@ -118,7 +118,7 @@ def test_collector_reads_every_form():
             "REPRO_FULL=1 repro-experiments table 2   # paper scale",
             "PYTHONPATH=src python -m repro.faults conformance --quick \\",
             "    --out report.json",
-            "$ repro lint --list-rules",
+            "$ repro verify run --out verdicts.json",
             "stats = Simulator(config).run()",
             "```",
         ]
@@ -130,7 +130,7 @@ def test_collector_reads_every_form():
             ["PYTHONPATH=src", "python", "-m", "repro.faults", "conformance",
              "--quick", "--out", "report.json"],
         ),
-        (6, ["$", "repro", "lint", "--list-rules"]),
+        (6, ["$", "repro", "verify", "run", "--out", "verdicts.json"]),
     ]
 
 
@@ -143,6 +143,8 @@ def test_collector_reads_every_form():
         ("repro faults sweep --mechanism probe", False),
         ("repro-experiments table N", False),
         ("python -m repro faults conformance", False),
+        ("repro lint src/repro", False),
+        ("python -m repro.lint src/repro", False),
     ],
 )
 def test_parse_error_bites(line, parses):
