@@ -224,7 +224,9 @@ def render_summary(summary: CampaignSummary) -> str:
                 for engine, count in sorted(summary.by_engine.items())
             )
         )
-    if summary.phase_time_total:
+    # Records of unprofiled runs written before phase times were
+    # omitted carry all-zero dicts: nothing was measured.
+    if any(summary.phase_time_total.values()):
         lines.append(
             "phase wall time       : "
             + ", ".join(

@@ -71,7 +71,8 @@ class JobOutcome:
     #: How the cell ran: ``"batch"`` on a shared trajectory, else its
     #: config's engine ("" for pre-engine records).
     engine: str = ""
-    #: Wall seconds per simulator phase (empty for pre-engine records).
+    #: Wall seconds per simulator phase (empty unless the run was
+    #: profiled; pre-engine records have none either).
     phase_time: Dict[str, float] = field(default_factory=dict)
 
     @classmethod
@@ -147,7 +148,7 @@ def _run_unit(
             per_cell,
             who,
             stats.engine,
-            stats.phase_time,
+            stats.phase_time if config.profile_phases else {},
         )
         for key, rate, stats in zip(keys, payload["rates"], stats_list)
     ]

@@ -132,16 +132,19 @@ def cell_record(
     """The stored form of one resolved cell.
 
     A worker returns it, a cache file holds it, and a manifest line
-    holds it next to ``kind`` / ``config_hash`` / ``source``.
+    holds it next to ``kind`` / ``config_hash`` / ``source``.  Only a
+    profiled run has ``phase_time``.
     """
-    return {
+    record: Dict[str, Any] = {
         "key": key,
         "cell": cell_to_dict(cell),
         "wall_time": wall_time,
         "worker": worker,
         "engine": engine,
-        "phase_time": phase_time,
     }
+    if phase_time:
+        record["phase_time"] = phase_time
+    return record
 
 
 def cell_to_dict(cell: CellResult) -> Dict[str, Any]:

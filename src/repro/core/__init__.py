@@ -3,7 +3,6 @@
 from repro.core.detector import DeadlockDetector
 from repro.core.ndm import NewDetectionMechanism
 from repro.core.null import NoDetection
-from repro.core.hybrid import HybridDetection
 from repro.core.pdm import PreviousDetectionMechanism
 from repro.core.precise import PreciseNDM
 from repro.core.recovery import (
@@ -24,7 +23,6 @@ from repro.core.timeout import (
 __all__ = [
     "DeadlockDetector",
     "HeaderBlockedTimeout",
-    "HybridDetection",
     "InjectionStallTimeout",
     "NewDetectionMechanism",
     "NoDetection",

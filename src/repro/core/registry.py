@@ -7,7 +7,6 @@ from typing import Tuple, Type
 from repro.core.detector import DeadlockDetector
 from repro.core.ndm import NewDetectionMechanism
 from repro.core.null import NoDetection
-from repro.core.hybrid import HybridDetection
 from repro.core.pdm import PreviousDetectionMechanism
 from repro.core.precise import PreciseNDM
 from repro.core.probe import ProbeDetection
@@ -24,7 +23,6 @@ _DETECTOR_CLASSES = {
     for cls in (
         NewDetectionMechanism,
         PreciseNDM,
-        HybridDetection,
         PreviousDetectionMechanism,
         ProbeDetection,
         HeaderBlockedTimeout,

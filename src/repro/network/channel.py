@@ -39,11 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 #: real cycle number exceeds every practical threshold.
 NEVER = -(1 << 60)
 
-#: Widest channel for which the mask -> free-lane-indices table is used
-#: (the table has 2**num_vcs entries).  Wider channels fall back to
-#: scanning their lanes — same result, without the table memory.
-MASK_TABLE_MAX_VCS = 8
-
 #: Every channel built starts at P; bound once because an Enum member
 #: lookup costs ~0.1 µs.
 _P = GPState.PROPAGATE
@@ -173,12 +168,10 @@ class PhysicalChannel:
         # is the tuple of lane indices set in that mask, in lane-index
         # order — the order a scan of the lanes collects them, so a draw
         # by position picks the lane ``rng.choice`` over that scan would.
-        # One table per width is shared by every channel of that width;
-        # very wide channels (2**n entries) have none and scan instead.
+        # One table per width is shared by every channel of that width
+        # (2**n entries: ``SimulationConfig.validate`` caps n at 8).
         self.free_mask = (1 << num_vcs) - 1
-        self.lanes_by_mask: Optional[Tuple[Tuple[int, ...], ...]] = (
-            _lanes_of_mask(num_vcs) if num_vcs <= MASK_TABLE_MAX_VCS else None
-        )
+        self.lanes_by_mask = _lanes_of_mask(num_vcs)
         self.occupied_count = 0
         self.last_flit_cycle = NEVER
         self.active_since = NEVER
@@ -296,14 +289,6 @@ class PhysicalChannel:
         """This channel's lanes, out of the network's flat list ``lanes``."""
         return lanes[self.lane0 : self.lane0 + self.num_vcs]
 
-    def lane_indices(self, mask: int) -> Tuple[int, ...]:
-        """The lanes set in ``mask``, lowest first: the shared table's
-        entry, or a scan on a channel too wide to have one."""
-        table = self.lanes_by_mask
-        if table is not None:
-            return table[mask]
-        return tuple(i for i in range(self.num_vcs) if mask >> i & 1)
-
     def free_lanes(
         self, lanes: Sequence[VirtualChannel]
     ) -> Tuple[VirtualChannel, ...]:
@@ -313,7 +298,7 @@ class PhysicalChannel:
         of building this tuple; it serves checks and tests.
         """
         base = self.lane0
-        return tuple([lanes[base + i] for i in self.lane_indices(self.free_mask)])
+        return tuple([lanes[base + i] for i in self.lanes_by_mask[self.free_mask]])
 
     # ------------------------------------------------------------------
     # Fault state (mutated only by repro.faults.injector.FaultInjector)

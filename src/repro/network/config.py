@@ -31,18 +31,15 @@ class TrafficConfig:
         pattern_params: extra keyword arguments for the pattern
             (e.g. ``{"radius": 1}`` for locality, ``{"fraction": 0.05}``
             for hot-spot).
-        lengths: message length spec name (see ``repro.traffic.lengths``):
-            ``"s"`` (16 flits), ``"l"`` (64), ``"L"`` (256) or ``"sl"``
-            (60 % 16-flit / 40 % 64-flit), or ``"fixed"`` with
-            ``length_params={"flits": n}``.
-        length_params: extra keyword arguments for the length spec.
+        lengths: the paper's message-size workload (see
+            ``repro.traffic.lengths``): ``"s"`` (16 flits), ``"l"`` (64),
+            ``"L"`` (256) or ``"sl"`` (60 % 16-flit / 40 % 64-flit).
         injection_rate: offered load in flits/cycle/node (the paper's unit).
     """
 
     pattern: str = "uniform"
     pattern_params: Dict[str, Any] = field(default_factory=dict)
     lengths: str = "s"
-    length_params: Dict[str, Any] = field(default_factory=dict)
     injection_rate: float = 0.2
 
 
@@ -141,7 +138,8 @@ class SimulationConfig:
     #: the timer calls themselves are measurable on the hot path, so they
     #: are only taken when profiling is requested (the perf harness and
     #: ``docs/performance.md`` workflows turn this on).  With the flag off
-    #: ``phase_time`` stays at its zero-initialized values.
+    #: ``phase_time`` stays at its zero-initialized values, and a campaign
+    #: cell record leaves it out.
     profile_phases: bool = False
 
     # --- run control ------------------------------------------------------
@@ -178,8 +176,10 @@ class SimulationConfig:
     def validate(self) -> None:
         """Raise ``ValueError`` on inconsistent settings: every setting a
         build would reject, with the build's message, constructing nothing."""
-        if self.vcs_per_channel < 1:
-            raise ValueError("vcs_per_channel must be >= 1")
+        # Every channel reads its free lanes from one shared table of
+        # 2**vcs_per_channel entries (repro.network.channel).
+        if not 1 <= self.vcs_per_channel <= 8:
+            raise ValueError("vcs_per_channel must be in 1..8")
         if self.buffer_depth < 1:
             raise ValueError("buffer_depth must be >= 1")
         if self.injection_ports < 1 or self.ejection_ports < 1:
@@ -188,6 +188,9 @@ class SimulationConfig:
             raise ValueError("injection_rate must be >= 0")
         if self.warmup_cycles < 0 or self.measure_cycles < 1:
             raise ValueError("warmup_cycles >= 0 and measure_cycles >= 1 required")
+        for name in ("drain_cycles", "ground_truth_interval", "source_queue_limit"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         # The mechanism's declaration rejects what its constructor would
         # (imported here: repro.core imports this module).
         from repro.core.registry import detector_class
@@ -257,7 +260,6 @@ class SimulationConfig:
             )
         traffic = _attribute_copy(self.traffic)
         traffic.pattern_params = dict(traffic.pattern_params)
-        traffic.length_params = dict(traffic.length_params)
         clone = _attribute_copy(self)
         clone.traffic = traffic
         clone.detector = _attribute_copy(self.detector)

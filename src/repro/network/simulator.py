@@ -581,22 +581,18 @@ class Simulator:
             # ``range(total)`` — picks the lane a draw over the
             # concatenated free lanes would.
             pc = candidates[0]
-            table = pc.lanes_by_mask
-            mask = pc.free_mask & pc.usable_mask
-            indices = table[mask] if table is not None else pc.lane_indices(mask)
+            indices = pc.lanes_by_mask[pc.free_mask & pc.usable_mask]
             if indices:
                 k = indices[0] if len(indices) == 1 else self.rng.choice(indices)
                 vc = self.lanes[pc.lane0 + k]
         else:
             total = 0
             for pc in candidates:
-                table = pc.lanes_by_mask
-                mask = pc.free_mask & pc.usable_mask
-                total += len(table[mask] if table is not None else pc.lane_indices(mask))
+                total += len(pc.lanes_by_mask[pc.free_mask & pc.usable_mask])
             if total:
                 k = 0 if total == 1 else self.rng.choice(range(total))
                 for pc in candidates:
-                    indices = pc.lane_indices(pc.free_mask & pc.usable_mask)
+                    indices = pc.lanes_by_mask[pc.free_mask & pc.usable_mask]
                     if k < len(indices):
                         vc = self.lanes[pc.lane0 + indices[k]]
                         break

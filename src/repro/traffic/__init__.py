@@ -5,18 +5,15 @@ from repro.traffic.lengths import (
     FixedLength,
     LengthSpec,
     PAPER_SIZES,
-    UniformLength,
     make_length_spec,
 )
 from repro.traffic.patterns import (
     BitReversalPattern,
     ButterflyPattern,
-    ComplementPattern,
     HotSpotPattern,
     LocalityPattern,
     PerfectShufflePattern,
     TrafficPattern,
-    TransposePattern,
     UniformPattern,
     make_pattern,
     pattern_names,
@@ -27,7 +24,6 @@ __all__ = [
     "BimodalLength",
     "BitReversalPattern",
     "ButterflyPattern",
-    "ComplementPattern",
     "FixedLength",
     "HotSpotPattern",
     "LengthSpec",
@@ -35,8 +31,6 @@ __all__ = [
     "PAPER_SIZES",
     "PerfectShufflePattern",
     "TrafficPattern",
-    "TransposePattern",
-    "UniformLength",
     "UniformPattern",
     "Workload",
     "make_length_spec",

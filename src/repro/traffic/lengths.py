@@ -75,27 +75,6 @@ class BimodalLength(LengthSpec):
         )
 
 
-class UniformLength(LengthSpec):
-    """Lengths uniform on ``[low, high]`` (extra, not in the paper)."""
-
-    name = "uniform"
-
-    def __init__(self, low: int, high: int) -> None:
-        if low < 1 or high < low:
-            raise ValueError(f"need 1 <= low <= high, got [{low}, {high}]")
-        self.low = low
-        self.high = high
-
-    def draw(self, rng: random.Random) -> int:
-        return rng.randint(self.low, self.high)
-
-    def mean(self) -> float:
-        return (self.low + self.high) / 2.0
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"UniformLength({self.low}, {self.high})"
-
-
 #: The paper's named message-size workloads (Table captions: s, l, L, sl).
 PAPER_SIZES: Dict[str, str] = {
     "s": "16-flit messages",
@@ -107,29 +86,16 @@ PAPER_SIZES: Dict[str, str] = {
 
 def check_length_spec_name(name: str) -> None:
     """Raise :func:`make_length_spec`'s ``ValueError`` for an unknown name."""
-    names = sorted(PAPER_SIZES) + ["fixed", "bimodal", "uniform"]
-    if name not in names:
-        raise ValueError(f"unknown length spec {name!r}; choose from {names}")
+    if name not in PAPER_SIZES:
+        raise ValueError(
+            f"unknown length spec {name!r}; choose from {sorted(PAPER_SIZES)}"
+        )
 
 
-def make_length_spec(name: str, **params: object) -> LengthSpec:
-    """Instantiate a length spec by config name.
-
-    Accepts the paper's shorthand names (``"s"``, ``"l"``, ``"L"``,
-    ``"sl"``) plus ``"fixed"``, ``"bimodal"`` and ``"uniform"`` with
-    explicit parameters.
-    """
+def make_length_spec(name: str) -> LengthSpec:
+    """The paper's message-size workload ``name``: ``"s"``, ``"l"``,
+    ``"L"`` or ``"sl"`` (see :data:`PAPER_SIZES`)."""
     check_length_spec_name(name)
-    if name == "s":
-        return FixedLength(16)
-    if name == "l":
-        return FixedLength(64)
-    if name == "L":
-        return FixedLength(256)
     if name == "sl":
         return BimodalLength(short=16, long=64, short_fraction=0.6)
-    if name == "fixed":
-        return FixedLength(**params)  # type: ignore[arg-type]
-    if name == "bimodal":
-        return BimodalLength(**params)  # type: ignore[arg-type]
-    return UniformLength(**params)  # type: ignore[arg-type]
+    return FixedLength({"s": 16, "l": 64, "L": 256}[name])

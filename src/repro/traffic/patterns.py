@@ -2,8 +2,7 @@
 
 The paper evaluates: uniform, uniform with locality, bit-reversal,
 perfect-shuffle, butterfly, and a hot-spot pattern in which 5 % of messages
-are destined for one node.  Transpose and complement are also provided as
-commonly used extras.
+are destined for one node.
 
 Bit-permutation patterns are defined on the binary representation of the
 node index and therefore need a power-of-two node count (the paper's 8-ary
@@ -160,27 +159,6 @@ class ButterflyPattern(_BitPermutationPattern):
         return out
 
 
-class TransposePattern(_BitPermutationPattern):
-    """Destination index = source index with bit halves swapped (extra)."""
-
-    name = "transpose"
-
-    def permute(self, index: int) -> int:
-        half = self.bits // 2
-        low = index & ((1 << half) - 1)
-        high = index >> half
-        return (low << (self.bits - half)) | high
-
-
-class ComplementPattern(_BitPermutationPattern):
-    """Destination index = bitwise complement of the source index (extra)."""
-
-    name = "complement"
-
-    def permute(self, index: int) -> int:
-        return index ^ ((1 << self.bits) - 1)
-
-
 class HotSpotPattern(TrafficPattern):
     """Uniform traffic except ``fraction`` of messages target one node.
 
@@ -225,8 +203,6 @@ _PATTERNS: Dict[str, Type[TrafficPattern]] = {
         BitReversalPattern,
         PerfectShufflePattern,
         ButterflyPattern,
-        TransposePattern,
-        ComplementPattern,
         HotSpotPattern,
     )
 }

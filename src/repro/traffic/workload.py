@@ -34,12 +34,8 @@ class Workload:
         self.pattern: TrafficPattern = make_pattern(
             config.pattern, topology, **config.pattern_params
         )
-        self.lengths: LengthSpec = make_length_spec(
-            config.lengths, **config.length_params
-        )
+        self.lengths: LengthSpec = make_length_spec(config.lengths)
         mean = self.lengths.mean()
-        if mean <= 0:
-            raise ValueError("mean message length must be positive")
         self.generation_probability = config.injection_rate / mean
         if self.generation_probability > 1.0:
             raise ValueError(

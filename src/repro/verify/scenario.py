@@ -139,8 +139,8 @@ class VerifyCase:
 
     @property
     def promotion(self) -> str:
-        """Report label for the promotion axis (NDM family only)."""
-        if self.mechanism in ("ndm", "hybrid"):
+        """Report label for the promotion axis (NDM only)."""
+        if self.mechanism == "ndm":
             return "selective" if self.selective_promotion else "simple"
         return "n/a"
 

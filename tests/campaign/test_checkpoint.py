@@ -143,6 +143,24 @@ class TestSummary:
         assert "run=1" in text
         assert "table2=1" in text
 
+    def test_all_zero_phase_times_print_no_phase_line(self, tmp_path):
+        """Records written before unprofiled runs left ``phase_time`` out
+        carry all-zero dicts; the summary does not present them as
+        measurements."""
+        path = tmp_path / "m.jsonl"
+        ck = CampaignCheckpoint(path)
+        ck.record_cell(key="table2/th8/load0/s", config_hash=HASH_A,
+                       cell={"percentage": 1.0}, wall_time=0.5,
+                       worker="serial", source="run",
+                       phase_time={"checks": 0.0, "routing": 0.0})
+        assert "phase wall time" not in render_summary(summarize_manifest(path))
+        ck.record_cell(key="table2/th32/load0/s", config_hash=HASH_B,
+                       cell={"percentage": 1.0}, wall_time=0.5,
+                       worker="serial", source="run",
+                       phase_time={"checks": 0.25, "routing": 0.5})
+        text = render_summary(summarize_manifest(path))
+        assert "phase wall time       : checks=0.25s, routing=0.50s" in text
+
     def test_render_empty_manifest(self, tmp_path):
         text = render_summary(summarize_manifest(tmp_path / "none.jsonl"))
         assert "empty" in text

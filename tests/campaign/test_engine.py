@@ -3,7 +3,11 @@
 import repro.campaign.engine as engine_module
 import repro.campaign.executor as executor_module
 from repro.campaign.cache import ResultCache
-from repro.campaign.checkpoint import CampaignCheckpoint, summarize_manifest
+from repro.campaign.checkpoint import (
+    CampaignCheckpoint,
+    render_summary,
+    summarize_manifest,
+)
 from repro.campaign.engine import run_campaign, run_table_campaign
 from repro.experiments.report import render_table, table_to_json
 from repro.experiments.runner import run_cell, run_table
@@ -40,6 +44,26 @@ class TestRunTableCampaign:
         summary = summarize_manifest(tmp_path / "m.jsonl")
         assert summary.campaigns_started == 1
         assert summary.total_cells == spec.cell_count()
+
+    def test_phase_times_recorded_only_when_measured(self, tmp_path):
+        """An unprofiled run's ``phase_time`` is its zero-filled default:
+        no manifest line carries it and the summary prints no phase
+        line.  A profiled campaign records and prints them."""
+        spec = tiny_spec()
+        for profiled in (False, True):
+            base = tiny_base()
+            base.profile_phases = profiled
+            path = tmp_path / f"m{int(profiled)}.jsonl"
+            run_table_campaign(spec, base, saturation=1.0,
+                               checkpoint=CampaignCheckpoint(path))
+            cells = [
+                r for r in CampaignCheckpoint(path).records()
+                if r["kind"] == "cell"
+            ]
+            assert len(cells) == spec.cell_count()
+            assert all(("phase_time" in r) is profiled for r in cells)
+            text = render_summary(summarize_manifest(path))
+            assert ("phase wall time" in text) is profiled
 
     def test_resume_after_torn_manifest_tail(self, tmp_path, monkeypatch):
         """A crash mid-append leaves a half-written last line; the resumed

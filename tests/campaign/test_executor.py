@@ -457,7 +457,7 @@ class TestOneRecord:
         for job in jobs:
             record = returned[job.key]
             assert set(record) == {
-                "key", "cell", "wall_time", "worker", "engine", "phase_time"
+                "key", "cell", "wall_time", "worker", "engine"
             }
             on_disk = json.loads(cache.path_for(job.config_hash).read_text())
             assert on_disk == record

@@ -89,7 +89,7 @@ class TestVcStuck:
         step_to(sim, 1)
         assert pc.stuck_mask == 0b10
         assert pc.usable_mask == 0b01
-        assert pc.lane_indices(pc.free_mask & pc.usable_mask) == (0,)
+        assert pc.lanes_by_mask[pc.free_mask & pc.usable_mask] == (0,)
         step_to(sim, 4)
         assert pc.stuck_mask == 0 and pc.usable_mask == FULL
 

@@ -177,8 +177,8 @@ class TestEligibility:
     @pytest.mark.parametrize(
         "overrides",
         [
-            dict(mechanism="hybrid"),
             dict(mechanism="ndm-precise"),
+            dict(recovery="regressive"),
             dict(mechanism="none"),
             dict(selective_promotion=True),
             dict(recovery="progressive"),
@@ -397,7 +397,7 @@ class TestMixedGroups:
         with pytest.raises(ValueError, match="not batch-shareable"):
             BatchObserver([_cell(selective_promotion=True)])
         with pytest.raises(ValueError, match="not batch-shareable"):
-            BatchObserver([_cell(mechanism="hybrid")])
+            BatchObserver([_cell(mechanism="ndm-precise")])
 
     def test_observer_rejects_mixed_t1(self):
         with pytest.raises(ValueError, match="disagree on t1"):

@@ -79,10 +79,10 @@ class TestOccupancyCounting:
 
     def test_has_free_vc(self):
         pc, lanes = make_pc(num_vcs=2)
-        assert pc.lane_indices(pc.free_mask) == (0, 1)
+        assert pc.lanes_by_mask[pc.free_mask] == (0, 1)
         lanes[0].allocate(1, 0)
         lanes[1].allocate(2, 0)
-        assert pc.lane_indices(pc.free_mask) == ()
+        assert pc.lanes_by_mask[pc.free_mask] == ()
 
     def test_free_vcs_lists_only_free(self):
         pc, lanes = make_pc(num_vcs=3)

@@ -83,11 +83,15 @@ class TestValidation:
         "field,value",
         [
             ("vcs_per_channel", 0),
+            ("vcs_per_channel", 9),
             ("buffer_depth", 0),
             ("injection_ports", 0),
             ("ejection_ports", 0),
             ("warmup_cycles", -1),
             ("measure_cycles", 0),
+            ("drain_cycles", -1),
+            ("ground_truth_interval", -1),
+            ("source_queue_limit", -1),
             ("recovery", "teleport"),
         ],
     )
@@ -122,11 +126,6 @@ class TestValidation:
                 {"detector": DetectorConfig(mechanism="ndm", threshold=1)},
                 "must be well below t2",
                 id="detector1-must be well below t2",
-            ),
-            pytest.param(
-                {"detector": DetectorConfig(mechanism="hybrid", threshold=1)},
-                "must be well below t2",
-                id="detector2-must be well below t2",
             ),
             pytest.param(
                 {"routing": "west-first"},
@@ -196,7 +195,6 @@ class TestReplace:
             lambda c: c.traffic,
             lambda c: c.detector,
             lambda c: c.traffic.pattern_params,
-            lambda c: c.traffic.length_params,
             lambda c: c.faults,
         ):
             assert part(clone) is not part(config)
@@ -243,7 +241,6 @@ class TestReplace:
 def faulted_config():
     config = SimulationConfig(seed=5)
     config.traffic.pattern_params = {"fraction": 0.05, "nodes": [1, 2]}
-    config.traffic.length_params = {"flits": 8}
     config.faults = [
         {"kind": "link-down", "start": 2, "end": 10, "channel": 3},
         {"kind": "link-down", "start": 5, "end": 7, "channel": 3},
@@ -259,7 +256,6 @@ def constructor_replace(config, **changes):
         traffic=dataclasses.replace(
             config.traffic,
             pattern_params=dict(config.traffic.pattern_params),
-            length_params=dict(config.traffic.length_params),
         ),
         detector=dataclasses.replace(config.detector),
         faults=(

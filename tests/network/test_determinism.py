@@ -170,7 +170,7 @@ def test_run_identical_across_hash_seeds():
 
 @pytest.mark.parametrize(
     "mechanism,selective",
-    [("ndm", False), ("ndm", True), ("hybrid", False)],
+    [("ndm", False), ("ndm", True)],
 )
 def test_copying_a_simulator_does_not_perturb_it(mechanism, selective):
     """Stepping a deep copy must leave the original on its own trajectory.

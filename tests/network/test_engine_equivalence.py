@@ -117,7 +117,6 @@ CASES = {
     ),
     "pdm": dict(mechanism="pdm", threshold=16),
     "timeout": dict(mechanism="timeout", threshold=24),
-    "hybrid": dict(mechanism="hybrid", threshold=8),
     "source-age": dict(mechanism="source-age", threshold=200),
     "none": dict(mechanism="none"),
     "recovery-reinject": dict(

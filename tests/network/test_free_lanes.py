@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from typing import List, Tuple
 
-from repro.network.channel import MASK_TABLE_MAX_VCS, PhysicalChannel, VirtualChannel
+from repro.network.channel import PhysicalChannel, VirtualChannel
 from repro.network.config import SimulationConfig
 from repro.network.message import Message
 from repro.network.simulator import Simulator
@@ -64,9 +64,7 @@ def assert_consistent(pc: PhysicalChannel, lanes) -> None:
     assert bin(pc.free_mask).count("1") == len(free)
     assert pc.occupied_count == pc.num_vcs - len(free)
     indices = tuple(vc.index for vc in free)
-    assert pc.lane_indices(pc.free_mask) == indices
-    if pc.lanes_by_mask is not None:
-        assert pc.lanes_by_mask[pc.free_mask] == indices
+    assert pc.lanes_by_mask[pc.free_mask] == indices
 
 
 # ----------------------------------------------------------------------
@@ -81,23 +79,10 @@ def test_initial_state_all_free():
 
 def test_mask_table_entries_are_in_lane_index_order():
     pc, _ = make_pc(4)
-    assert pc.lanes_by_mask is not None
     assert len(pc.lanes_by_mask) == 16
     for mask, lanes in enumerate(pc.lanes_by_mask):
         assert list(lanes) == [i for i in range(4) if mask & (1 << i)]
         assert list(lanes) == sorted(lanes)
-
-
-def test_wide_channel_skips_table_but_keeps_contract():
-    pc, lanes = make_pc(MASK_TABLE_MAX_VCS + 1)
-    assert pc.lanes_by_mask is None  # 2**n table would be too large
-    assert_consistent(pc, lanes)
-    lanes[4].allocate(0, cycle=0)
-    lanes[0].allocate(1, cycle=0)
-    assert_consistent(pc, lanes)
-    assert [vc.index for vc in pc.free_lanes(lanes)] == [1, 2, 3, 5, 6, 7, 8]
-    lanes[4].release(cycle=1)
-    assert_consistent(pc, lanes)
 
 
 # ----------------------------------------------------------------------
@@ -187,7 +172,6 @@ def test_free_lanes_survive_recovery_teardown(recovery):
 def test_channels_of_one_width_share_one_table():
     config = SimulationConfig(radix=4, dimensions=2, seed=1)
     table = Simulator(config).channels[0].lanes_by_mask
-    assert table is not None
     sim = Simulator(config)
     assert all(pc.lanes_by_mask is table for pc in sim.channels)
 

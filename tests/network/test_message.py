@@ -148,5 +148,5 @@ class TestConservation:
         m.spans = [lanes[1]]
         # A span names its channel and lane; the lane names its occupant.
         (span,) = m.spans
-        assert span.pc is pc and pc.lane_indices(pc.free_mask) == (0,)
+        assert span.pc is pc and pc.lanes_by_mask[pc.free_mask] == (0,)
         assert (span.index, span.occupant, span.flits) == (1, m.id, 2)

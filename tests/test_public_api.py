@@ -94,7 +94,7 @@ class TestEveryModuleDocumented:
         "name",
         [
             "repro.core.ndm", "repro.core.pdm", "repro.core.precise",
-            "repro.core.hybrid", "repro.core.timeout", "repro.core.recovery",
+            "repro.core.timeout", "repro.core.recovery",
             "repro.core.probe", "repro.core.detector", "repro.core.registry",
             "repro.network.topology", "repro.network.routing",
             "repro.network.channel", "repro.network.message",

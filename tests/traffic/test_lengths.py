@@ -10,7 +10,6 @@ from repro.traffic.lengths import (
     BimodalLength,
     FixedLength,
     PAPER_SIZES,
-    UniformLength,
     make_length_spec,
 )
 
@@ -56,20 +55,6 @@ class TestBimodal:
             BimodalLength(0, 64, 0.5)
 
 
-class TestUniformRange:
-    def test_within_bounds(self, rng):
-        spec = UniformLength(4, 10)
-        for _ in range(200):
-            assert 4 <= spec.draw(rng) <= 10
-
-    def test_mean(self):
-        assert UniformLength(4, 10).mean() == 7.0
-
-    def test_bounds_validation(self):
-        with pytest.raises(ValueError):
-            UniformLength(10, 4)
-
-
 class TestPaperNames:
     @pytest.mark.parametrize(
         "name,expected_mean",
@@ -81,15 +66,14 @@ class TestPaperNames:
     def test_paper_sizes_documented(self):
         assert set(PAPER_SIZES) == {"s", "l", "L", "sl"}
 
-    def test_explicit_specs(self):
-        assert make_length_spec("fixed", flits=7).mean() == 7
-        assert make_length_spec("bimodal", short=2, long=4,
-                                short_fraction=0.5).mean() == 3
-        assert make_length_spec("uniform", low=2, high=4).mean() == 3
-
     def test_unknown_raises(self):
         with pytest.raises(ValueError, match="unknown length spec"):
             make_length_spec("xl")
+
+    @pytest.mark.parametrize("name", ["fixed", "bimodal", "uniform"])
+    def test_only_the_paper_sizes_are_named(self, name):
+        with pytest.raises(ValueError, match="unknown length spec"):
+            make_length_spec(name)
 
     @given(st.integers(min_value=1, max_value=10_000))
     @settings(max_examples=30)

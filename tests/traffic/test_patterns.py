@@ -10,11 +10,9 @@ from repro.network.topology import KAryNCube
 from repro.traffic.patterns import (
     BitReversalPattern,
     ButterflyPattern,
-    ComplementPattern,
     HotSpotPattern,
     LocalityPattern,
     PerfectShufflePattern,
-    TransposePattern,
     UniformPattern,
     make_pattern,
     pattern_names,
@@ -103,8 +101,7 @@ class TestLocality:
 class TestBitPermutations:
     @pytest.mark.parametrize(
         "cls",
-        [BitReversalPattern, PerfectShufflePattern, ButterflyPattern,
-         TransposePattern, ComplementPattern],
+        [BitReversalPattern, PerfectShufflePattern, ButterflyPattern],
     )
     def test_permutation_is_bijective(self, cls, topo):
         pattern = cls(topo)
@@ -127,11 +124,6 @@ class TestBitPermutations:
         pattern = ButterflyPattern(topo)
         assert pattern.permute(1) == 32
         assert pattern.permute(33) == 33  # MSB == LSB: fixed point
-
-    def test_complement_is_involution(self, topo):
-        pattern = ComplementPattern(topo)
-        for i in range(0, 64, 5):
-            assert pattern.permute(pattern.permute(i)) == i
 
     def test_fixed_points_return_none(self, topo, rng):
         pattern = BitReversalPattern(topo)
