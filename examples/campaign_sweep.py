@@ -19,10 +19,10 @@ from repro.campaign import (
     CampaignCheckpoint,
     ResultCache,
     render_summary,
-    run_table_campaign,
     summarize_manifest,
 )
 from repro.experiments.report import render_table
+from repro.experiments.runner import run_table
 from repro.experiments.spec import TableSpec, base_config
 
 
@@ -51,15 +51,14 @@ def small_base():
 
 def timed(label, **kwargs):
     start = time.perf_counter()
-    result = run_table_campaign(small_table(), small_base(),
-                                saturation=0.45, **kwargs)
+    result = run_table(small_table(), small_base(), saturation=0.45, **kwargs)
     print(f"{label}: {time.perf_counter() - start:.2f}s")
     return result
 
 
 def main() -> None:
     serial = timed("serial run      (--jobs 1)")
-    pooled = timed("process pool    (--jobs 2)", num_workers=2)
+    pooled = timed("process pool    (--jobs 2)", jobs=2)
     assert render_table(pooled) == render_table(serial)
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -67,10 +66,10 @@ def main() -> None:
         manifest = Path(tmp) / "manifest.jsonl"
         checkpoint = CampaignCheckpoint(manifest)
 
-        cold = timed("cold cache      (populates) ", num_workers=2,
+        cold = timed("cold cache      (populates) ", jobs=2,
                      cache=cache, checkpoint=checkpoint)
         warm_cache = ResultCache(tmp)
-        warm = timed("warm cache      (100% hits) ", num_workers=2,
+        warm = timed("warm cache      (100% hits) ", jobs=2,
                      cache=warm_cache, checkpoint=checkpoint)
         print(f"  second run served {warm_cache.hits}/{warm_cache.hits + warm_cache.misses} "
               "cells from the cache")

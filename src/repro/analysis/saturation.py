@@ -3,9 +3,11 @@
 The paper expresses its operating points as injection rates up to "the
 saturation point" of each traffic pattern (its tables' highest load is
 annotated "(saturated)").  Our substrate saturates at different absolute
-rates than the authors' testbed, so the experiment harness measures the
-saturation rate per (topology, pattern, length) combination and places its
-loads at the same *fractions* of saturation the paper used.
+rates than the authors' testbed, so the experiment harness places its loads
+at the same *fractions* of saturation the paper used.  It reads the
+saturation rate of each pattern from a calibration table
+(``repro.experiments.spec.CALIBRATED_SATURATION_*``), whose values this
+search measured (``repro-experiments saturation``).
 
 Saturation here means the classic throughput definition: the offered load
 at which accepted throughput stops tracking offered load (within

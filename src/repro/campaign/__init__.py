@@ -11,8 +11,9 @@ regenerating the paper's tables into scheduled *jobs*:
 * :mod:`repro.campaign.cache` — content-addressed on-disk result store;
 * :mod:`repro.campaign.checkpoint` — incremental manifest for resume
   and the ``campaign summary`` report;
-* :mod:`repro.campaign.engine` — table-level orchestration
-  (``run_table_campaign`` / ``run_campaign``).
+* :mod:`repro.campaign.engine` — table reassembly and multi-table
+  campaigns (``run_campaign``); one table runs through
+  :func:`repro.experiments.runner.run_table`.
 """
 
 from repro.campaign.cache import ResultCache, default_cache_dir
@@ -22,11 +23,7 @@ from repro.campaign.checkpoint import (
     render_summary,
     summarize_manifest,
 )
-from repro.campaign.engine import (
-    assemble_table,
-    run_campaign,
-    run_table_campaign,
-)
+from repro.campaign.engine import assemble_table, run_campaign
 from repro.campaign.executor import (
     JobOutcome,
     default_num_workers,
@@ -58,6 +55,5 @@ __all__ = [
     "job_key",
     "render_summary",
     "run_campaign",
-    "run_table_campaign",
     "summarize_manifest",
 ]

@@ -1,10 +1,10 @@
 """High-level campaign engine: tables in, tables out.
 
-``run_table_campaign`` is the parallel/cached/resumable drop-in for the
-sequential ``run_table``: it enumerates the spec into jobs, resolves
-them through the executor, and reassembles the ``TableResult`` in
-canonical cell order — so the rendered table (and its JSON dump) is
-byte-identical to a sequential run of the same spec and seed.
+:func:`repro.experiments.runner.run_table` runs one table: it enumerates
+the spec into jobs, resolves them through the executor, and reassembles
+the ``TableResult`` with :func:`assemble_table` in canonical cell order —
+so the rendered table (and its JSON dump) is byte-identical however the
+cells ran.  It reads those three functions from this module at call time.
 
 ``run_campaign`` strings several tables into one campaign sharing a
 cache and a manifest.
@@ -18,41 +18,11 @@ from repro.campaign.cache import ResultCache
 from repro.campaign.checkpoint import CampaignCheckpoint
 from repro.campaign.executor import JobOutcome, ProgressFn, execute_jobs
 from repro.campaign.jobs import enumerate_table_jobs, job_key
-from repro.experiments.runner import TableResult, saturation_rate
+from repro.experiments.runner import TableResult, run_table
 from repro.experiments.spec import TableSpec
 from repro.network.config import SimulationConfig
 
-
-def run_table_campaign(
-    spec: TableSpec,
-    base: SimulationConfig,
-    saturation: Optional[float] = None,
-    num_workers: int = 1,
-    cache: Optional[ResultCache] = None,
-    checkpoint: Optional[CampaignCheckpoint] = None,
-    resume: bool = False,
-    progress: Optional[ProgressFn] = None,
-) -> TableResult:
-    """Run one table as a campaign and reassemble its result grid.
-
-    With the defaults (serial, no cache, no checkpoint) this computes
-    exactly what the sequential runner computes, cell for cell; every
-    keyword argument turns on one orthogonal engine feature.
-    """
-    if saturation is None:
-        saturation = saturation_rate(base, spec)
-    rates, jobs = enumerate_table_jobs(spec, base, saturation)
-    if checkpoint is not None:
-        checkpoint.start(spec.table_id, total=len(jobs))
-    outcomes = execute_jobs(
-        jobs,
-        num_workers=num_workers,
-        cache=cache,
-        checkpoint=checkpoint,
-        resume=resume,
-        progress=progress,
-    )
-    return assemble_table(spec, rates, outcomes)
+__all__ = ["assemble_table", "enumerate_table_jobs", "execute_jobs", "run_campaign"]
 
 
 def assemble_table(
@@ -62,9 +32,9 @@ def assemble_table(
 ) -> TableResult:
     """Rebuild a ``TableResult`` from keyed outcomes, canonical order.
 
-    Iterates ``spec.cell_coords()`` — the same order the sequential
-    runner fills cells in — so dict insertion order, rendering and JSON
-    dumps match the sequential path exactly.
+    Iterates ``spec.cell_coords()`` — the order the job enumerator
+    uses — so dict insertion order, rendering and JSON dumps do not
+    depend on which worker finished first.
     """
     result = TableResult(spec=spec, rates=tuple(rates))
     for threshold, load_index, size in spec.cell_coords():
@@ -78,7 +48,7 @@ def run_campaign(
     specs: Iterable[TableSpec],
     base: SimulationConfig,
     saturations: Optional[Dict[str, float]] = None,
-    num_workers: int = 1,
+    jobs: int = 1,
     cache: Optional[ResultCache] = None,
     checkpoint: Optional[CampaignCheckpoint] = None,
     resume: bool = False,
@@ -92,6 +62,7 @@ def run_campaign(
         specs: the table specs to run, in order.
         base: base simulation config shared by every table.
         saturations: optional pattern -> saturation-rate overrides.
+        jobs, cache, checkpoint, resume: as for ``run_table``.
         progress_factory: optional ``factory(spec) -> progress`` hook so
             callers can label per-table progress lines.
     """
@@ -101,14 +72,14 @@ def run_campaign(
         if saturations and spec.pattern in saturations:
             saturation = saturations[spec.pattern]
         progress = progress_factory(spec) if progress_factory else None
-        results[spec.table_id] = run_table_campaign(
+        results[spec.table_id] = run_table(
             spec,
             base,
             saturation=saturation,
-            num_workers=num_workers,
+            progress=progress,
+            jobs=jobs,
             cache=cache,
             checkpoint=checkpoint,
             resume=resume,
-            progress=progress,
         )
     return results

@@ -16,16 +16,11 @@ from repro.experiments.paper_data import PAPER_TABLES, paper_value
 from repro.experiments.report import (
     render_comparison,
     render_table,
+    save_result,
     table_to_json,
 )
 from repro.experiments.runner import CellResult, TableResult, run_cell, run_table
-from repro.experiments.spec import TABLE_SPECS, TableSpec, base_config
-from repro.experiments.tables import (
-    regenerate_all,
-    regenerate_table,
-    save_result,
-    table_spec,
-)
+from repro.experiments.spec import TABLE_SPECS, TableSpec, base_config, table_spec
 
 __all__ = [
     "CellResult",
@@ -41,8 +36,6 @@ __all__ = [
     "latency_sweep",
     "measure_detection_latency",
     "paper_value",
-    "regenerate_all",
-    "regenerate_table",
     "render_comparison",
     "render_latency_table",
     "render_table",

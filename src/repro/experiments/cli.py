@@ -25,15 +25,17 @@ from repro.campaign import (
     default_cache_dir,
     default_num_workers,
     render_summary,
+    run_campaign,
     summarize_manifest,
 )
-from repro.experiments.report import render_comparison, render_table
-from repro.experiments.spec import DEFAULT_SEED, TABLE_SPECS, base_config
-from repro.experiments.tables import (
+from repro.experiments.report import (
     default_out_dir,
-    regenerate_table,
+    render_comparison,
+    render_table,
     save_result,
 )
+from repro.experiments.runner import run_table, saturation_rate
+from repro.experiments.spec import DEFAULT_SEED, TABLE_SPECS, base_config, table_spec
 from repro.traffic.patterns import pattern_names
 
 #: Manifest filename inside a campaign cache directory.
@@ -76,7 +78,7 @@ def _progress_printer(prefix: str) -> _ProgressPrinter:
 
 
 def _campaign_options(args: argparse.Namespace) -> dict:
-    """``regenerate_table``'s campaign keywords, from the campaign flags."""
+    """``run_table``'s campaign keywords, from the campaign flags."""
     jobs = args.jobs if args.jobs is not None else default_num_workers()
     cache_dir = args.cache_dir
     if cache_dir is None and args.resume:
@@ -121,18 +123,20 @@ def cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _regenerate(args: argparse.Namespace, table_id: int, campaign: dict):
-    """Regenerate one table under the campaign flags, with a stderr
-    progress line that is terminated even when the run aborts."""
-    progress = _progress_printer(f"table {table_id}")
+def _base(args: argparse.Namespace):
+    """The harness base config for ``--full`` and ``--seed``."""
+    base = base_config(args.full or None)
+    base.seed = args.seed
+    return base
+
+
+def _regenerate(args: argparse.Namespace, campaign: dict):
+    """Regenerate ``args.table_id`` under the campaign flags, with a
+    stderr progress line that is terminated even when the run aborts."""
+    spec = table_spec(args.table_id, args.full or None)
+    progress = _progress_printer(f"table {args.table_id}")
     try:
-        return regenerate_table(
-            table_id,
-            full=args.full or None,
-            seed=args.seed,
-            progress=progress,
-            **campaign,
-        )
+        return run_table(spec, _base(args), progress=progress, **campaign)
     finally:
         progress.close()
 
@@ -140,7 +144,7 @@ def _regenerate(args: argparse.Namespace, table_id: int, campaign: dict):
 def cmd_table(args: argparse.Namespace) -> int:
     campaign = _campaign_options(args)
     cache = campaign["cache"]
-    result = _regenerate(args, args.table_id, campaign)
+    result = _regenerate(args, campaign)
     print(render_table(result))
     if cache is not None:
         print(f"\ncache: {cache.hits} hits, {cache.misses} misses "
@@ -154,8 +158,21 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_all(args: argparse.Namespace) -> int:
     campaign = _campaign_options(args)
     cache = campaign["cache"]
-    for tid in sorted(TABLE_SPECS):
-        result = _regenerate(args, tid, campaign)
+    specs = [table_spec(tid, args.full or None) for tid in sorted(TABLE_SPECS)]
+    printers = []
+
+    def progress_factory(spec):
+        printers.append(_progress_printer(f"table {spec.table_id}"))
+        return printers[-1]
+
+    try:
+        results = run_campaign(
+            specs, _base(args), progress_factory=progress_factory, **campaign
+        )
+    finally:
+        for printer in printers:
+            printer.close()
+    for result in results.values():
         print(render_table(result))
         print()
         if args.out:
@@ -167,7 +184,7 @@ def cmd_all(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    result = _regenerate(args, args.table_id, _campaign_options(args))
+    result = _regenerate(args, _campaign_options(args))
     print(render_comparison(result))
     return 0
 
@@ -193,12 +210,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 def cmd_latency(args: argparse.Namespace) -> int:
     from repro.experiments.latency import default_rates, sweep_load
-    from repro.experiments.runner import saturation_rate
-    from repro.experiments.tables import table_spec
 
     spec = table_spec(2, full=args.full or None)  # NDM, uniform
-    config = base_config(args.full or None)
-    config.seed = args.seed
+    config = _base(args)
     config.routing = args.routing
     if args.routing == "duato-adaptive":
         config.detector.mechanism = "none"
@@ -294,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 f"(e.g. {default_out_dir()})")
         p.set_defaults(func=func)
 
-    p = sub.add_parser("all", help="regenerate all seven tables")
+    p = sub.add_parser("all", help="regenerate all eight tables (1-7 and probe extension 8)")
     p.add_argument("--full", action="store_true")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_campaign_flags(p)

@@ -4,12 +4,14 @@ The paper's tables have one row per detection threshold and one column per
 (injection rate, message size) pair, with ``(*)`` marking columns in which
 actual deadlocks were detected.  ``render_table`` reproduces that layout;
 ``render_comparison`` adds the paper's published value next to each of our
-measurements.
+measurements; ``save_result`` writes a table's text and JSON to disk.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
 from typing import Optional
 
 from repro.experiments.paper_data import PAPER_TABLES
@@ -130,3 +132,17 @@ def table_to_json(result: TableResult) -> str:
         },
     }
     return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def save_result(result: TableResult, out_dir: str = "results") -> Path:
+    """Write the rendered table and its JSON dump under ``out_dir``."""
+    path = Path(out_dir)
+    path.mkdir(parents=True, exist_ok=True)
+    stem = f"table{result.spec.table_id}"
+    (path / f"{stem}.txt").write_text(render_table(result) + "\n")
+    (path / f"{stem}.json").write_text(table_to_json(result) + "\n")
+    return path / f"{stem}.txt"
+
+
+def default_out_dir() -> str:
+    return os.environ.get("REPRO_RESULTS_DIR", "results")

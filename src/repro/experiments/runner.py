@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.analysis.saturation import find_saturation
 from repro.experiments.spec import TableSpec, calibrated_saturation
 from repro.metrics.stats import SimulationStats
 from repro.network.config import SimulationConfig
@@ -102,32 +101,13 @@ def cell_from_stats(stats: SimulationStats, rate: float) -> CellResult:
     )
 
 
-def saturation_rate(
-    base: SimulationConfig,
-    spec: TableSpec,
-    measured: Optional[Dict[str, float]] = None,
-    measure: bool = False,
-) -> float:
-    """Saturation rate for the spec's pattern on the base configuration.
+def saturation_rate(base: SimulationConfig, spec: TableSpec) -> float:
+    """Calibrated saturation rate for the spec's pattern on the base
+    configuration's scale (the 64-node quick or the 512-node paper grid).
 
-    Uses the calibrated table by default; set ``measure=True`` to run the
-    saturation search (slower but exact for modified configurations).
+    ``repro-experiments saturation`` measures the values in the table.
     """
-    if measured and spec.pattern in measured:
-        return measured[spec.pattern]
-    if not measure:
-        calibrated = calibrated_saturation(full=base.dimensions >= 3)
-        if spec.pattern in calibrated:
-            return calibrated[spec.pattern]
-    probe = base.replace()
-    probe.warmup_cycles = min(probe.warmup_cycles, 500)
-    probe.measure_cycles = min(probe.measure_cycles, 2000)
-    probe.traffic.pattern = spec.pattern
-    probe.traffic.pattern_params = dict(spec.pattern_params)
-    probe.traffic.lengths = "s"
-    probe.detector.mechanism = "none"
-    probe.ground_truth_interval = 0
-    return find_saturation(probe).saturation_rate
+    return calibrated_saturation(full=base.dimensions >= 3)[spec.pattern]
 
 
 def run_table(
@@ -141,13 +121,15 @@ def run_table(
     checkpoint=None,
     resume: bool = False,
 ) -> TableResult:
-    """Regenerate one full table (delegates to the campaign engine).
+    """Regenerate one full table as a campaign.
 
-    The default keyword arguments run every cell serially in-process —
-    the historical sequential behaviour.  ``jobs > 1`` fans the cells
-    out over a process pool; ``cache``/``checkpoint``/``resume`` plug in
-    the campaign engine's result store and manifest (see
-    :mod:`repro.campaign`).  All paths produce bit-identical tables.
+    Enumerates the spec into jobs, resolves them through the campaign
+    executor and reassembles the ``TableResult`` in canonical cell
+    order.  The default keyword arguments run every cell serially
+    in-process; ``jobs > 1`` fans the cells out over a process pool;
+    ``cache``/``checkpoint``/``resume`` plug in the campaign engine's
+    result store and manifest (see :mod:`repro.campaign`).  All paths
+    produce byte-identical tables.
 
     Args:
         spec: the table's grid definition.
@@ -160,16 +142,21 @@ def run_table(
         checkpoint: optional :class:`repro.campaign.CampaignCheckpoint`.
         resume: reuse finished cells from the checkpoint manifest.
     """
-    # Imported here: the campaign package depends on this module.
-    from repro.campaign.engine import run_table_campaign
+    # Imported here: the campaign package depends on this module.  The
+    # engine's names are read at call time, so patching them reaches here.
+    from repro.campaign import engine
 
-    return run_table_campaign(
-        spec,
-        base,
-        saturation=saturation,
+    if saturation is None:
+        saturation = saturation_rate(base, spec)
+    rates, cell_jobs = engine.enumerate_table_jobs(spec, base, saturation)
+    if checkpoint is not None:
+        checkpoint.start(spec.table_id, total=len(cell_jobs))
+    outcomes = engine.execute_jobs(
+        cell_jobs,
         num_workers=jobs,
         cache=cache,
         checkpoint=checkpoint,
         resume=resume,
         progress=progress,
     )
+    return engine.assemble_table(spec, rates, outcomes)

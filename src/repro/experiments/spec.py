@@ -191,6 +191,17 @@ def base_config(full: Optional[bool] = None) -> SimulationConfig:
     return config
 
 
+def table_spec(table_id: int, full: Optional[bool] = None) -> TableSpec:
+    """The (quick or full) spec for one paper table."""
+    if table_id not in TABLE_SPECS:
+        choices = ", ".join(str(t) for t in sorted(TABLE_SPECS))
+        raise ValueError(f"no such table: {table_id}; choose one of {choices}")
+    spec = TABLE_SPECS[table_id]
+    if full is None:
+        full = full_mode()
+    return spec if full else quick_spec(spec)
+
+
 def quick_spec(spec: TableSpec) -> TableSpec:
     """Trim a table spec to the quick benchmark grid.
 

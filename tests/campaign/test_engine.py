@@ -1,4 +1,5 @@
-"""Tests for the table-level campaign engine (reassembly + orchestration)."""
+"""Tests for table-level campaigns: ``run_table`` (one table, reassembled in
+canonical order) and ``run_campaign`` (several tables, one cache/manifest)."""
 
 import repro.campaign.engine as engine_module
 import repro.campaign.executor as executor_module
@@ -8,16 +9,18 @@ from repro.campaign.checkpoint import (
     render_summary,
     summarize_manifest,
 )
-from repro.campaign.engine import run_campaign, run_table_campaign
+from repro.campaign.engine import run_campaign
 from repro.experiments.report import render_table, table_to_json
 from repro.experiments.runner import run_cell, run_table
 from tests.campaign.conftest import tiny_base, tiny_spec
 
 
 class TestRunTableCampaign:
+    """``run_table``: one table run as a campaign."""
+
     def test_matches_sequential_cell_by_cell(self):
         spec, base = tiny_spec(), tiny_base()
-        result = run_table_campaign(spec, base, saturation=1.0)
+        result = run_table(spec, base, saturation=1.0)
         for threshold, load_index, size in spec.cell_coords():
             direct = run_cell(base, spec, threshold, size,
                               result.rates[load_index])
@@ -25,14 +28,14 @@ class TestRunTableCampaign:
 
     def test_pool_render_byte_identical(self):
         spec, base = tiny_spec(), tiny_base()
-        serial = run_table_campaign(spec, base, saturation=1.0, num_workers=1)
-        pooled = run_table_campaign(spec, base, saturation=1.0, num_workers=2)
+        serial = run_table(spec, base, saturation=1.0, jobs=1)
+        pooled = run_table(spec, base, saturation=1.0, jobs=2)
         assert render_table(serial) == render_table(pooled)
         assert table_to_json(serial) == table_to_json(pooled)
 
     def test_cells_in_canonical_insertion_order(self):
         spec = tiny_spec()
-        result = run_table_campaign(spec, tiny_base(), saturation=1.0)
+        result = run_table(spec, tiny_base(), saturation=1.0)
         assert tuple(result.cells) == spec.thresholds
         for row in result.cells.values():
             assert list(row) == [(0, "s"), (1, "s")]
@@ -40,7 +43,7 @@ class TestRunTableCampaign:
     def test_checkpoint_records_campaign(self, tmp_path):
         ck = CampaignCheckpoint(tmp_path / "m.jsonl")
         spec = tiny_spec()
-        run_table_campaign(spec, tiny_base(), saturation=1.0, checkpoint=ck)
+        run_table(spec, tiny_base(), saturation=1.0, checkpoint=ck)
         summary = summarize_manifest(tmp_path / "m.jsonl")
         assert summary.campaigns_started == 1
         assert summary.total_cells == spec.cell_count()
@@ -54,8 +57,8 @@ class TestRunTableCampaign:
             base = tiny_base()
             base.profile_phases = profiled
             path = tmp_path / f"m{int(profiled)}.jsonl"
-            run_table_campaign(spec, base, saturation=1.0,
-                               checkpoint=CampaignCheckpoint(path))
+            run_table(spec, base, saturation=1.0,
+                      checkpoint=CampaignCheckpoint(path))
             cells = [
                 r for r in CampaignCheckpoint(path).records()
                 if r["kind"] == "cell"

@@ -4,9 +4,16 @@ import dataclasses
 
 import pytest
 
-from repro.experiments import cli, tables
+import repro.campaign.engine as engine_module
+from repro.experiments import cli, report, runner
 from repro.experiments.runner import CellResult, TableResult, run_cell
-from repro.experiments.spec import DEFAULT_SEED, TABLE_SPECS, base_config, quick_spec
+from repro.experiments.spec import (
+    DEFAULT_SEED,
+    TABLE_SPECS,
+    base_config,
+    quick_spec,
+    table_spec,
+)
 
 
 def fake_result(table_id: int) -> TableResult:
@@ -28,14 +35,17 @@ def fake_result(table_id: int) -> TableResult:
 def patched(monkeypatch):
     calls = []
 
-    def fake_regenerate(table_id, full=None, seed=7, saturation=None,
-                        progress=None, **campaign_kwargs):
-        calls.append(table_id)
+    def fake_run_table(spec, base, saturation=None, progress=None,
+                       **campaign_kwargs):
+        calls.append(spec.table_id)
         if progress:
             progress(1, 1)
-        return fake_result(table_id)
+        return fake_result(spec.table_id)
 
-    monkeypatch.setattr(cli, "regenerate_table", fake_regenerate)
+    # ``table``/``compare`` call run_table; ``all`` reaches it through
+    # run_campaign.
+    monkeypatch.setattr(cli, "run_table", fake_run_table)
+    monkeypatch.setattr(engine_module, "run_table", fake_run_table)
     return calls
 
 
@@ -65,6 +75,26 @@ class TestCLI:
         assert cli.main(["all"]) == 0
         assert sorted(patched) == [1, 2, 3, 4, 5, 6, 7, 8]
 
+    def test_all_runs_tables_1_to_8_as_one_campaign(self, patched, tmp_path,
+                                                    monkeypatch):
+        """``all`` is the paper's Tables 1-7 plus the probe extension,
+        Table 8: one ``run_campaign`` call, one file pair per table."""
+        requested = []
+        campaign = cli.run_campaign
+
+        def spy(specs, base, **kwargs):
+            specs = list(specs)
+            requested.extend(spec.table_id for spec in specs)
+            return campaign(specs, base, **kwargs)
+
+        monkeypatch.setattr(cli, "run_campaign", spy)
+        assert cli.main(["all", "--jobs", "1", "--out", str(tmp_path)]) == 0
+        assert requested == [1, 2, 3, 4, 5, 6, 7, 8]
+        assert sorted(p.name for p in tmp_path.glob("table*.json")) == [
+            f"table{tid}.json" for tid in requested
+        ]
+        assert "eight tables" in cli.build_parser().format_help()
+
     def test_invalid_table_rejected(self):
         with pytest.raises(SystemExit):
             cli.main(["table", "9"])
@@ -89,7 +119,7 @@ class TestCLI:
 
 class TestSaveResult:
     def test_save_writes_txt_and_json(self, tmp_path):
-        path = tables.save_result(fake_result(2), str(tmp_path))
+        path = report.save_result(fake_result(2), str(tmp_path))
         assert path.read_text().startswith("Table 2")
         assert (tmp_path / "table2.json").exists()
 
@@ -97,11 +127,11 @@ class TestSaveResult:
 class TestTableSpecLookup:
     def test_bad_table_id(self):
         with pytest.raises(ValueError, match="no such table"):
-            tables.table_spec(0)
+            table_spec(0)
 
     def test_quick_vs_full(self):
-        quick = tables.table_spec(2, full=False)
-        full = tables.table_spec(2, full=True)
+        quick = table_spec(2, full=False)
+        full = table_spec(2, full=True)
         assert len(quick.thresholds) < len(full.thresholds)
 
 
@@ -165,11 +195,11 @@ class TestProgressPrinter:
 
     def test_abort_newline_reaches_stderr_from_command(self, monkeypatch,
                                                        capsys):
-        def exploding_regenerate(table_id, progress=None, **kwargs):
+        def exploding_run_table(spec, base, progress=None, **kwargs):
             progress(1, 4)
             raise RuntimeError("boom mid-table")
 
-        monkeypatch.setattr(cli, "regenerate_table", exploding_regenerate)
+        monkeypatch.setattr(cli, "run_table", exploding_run_table)
         with pytest.raises(RuntimeError, match="boom"):
             cli.main(["table", "2"])
         assert capsys.readouterr().err.endswith("\n")
@@ -179,11 +209,11 @@ class TestCampaignFlags:
     def test_flags_forwarded_to_regenerate(self, monkeypatch, tmp_path):
         seen = {}
 
-        def spy(table_id, full=None, seed=7, progress=None, **kwargs):
-            seen.update(kwargs, table_id=table_id)
-            return fake_result(table_id)
+        def spy(spec, base, progress=None, **kwargs):
+            seen.update(kwargs, table_id=spec.table_id)
+            return fake_result(spec.table_id)
 
-        monkeypatch.setattr(cli, "regenerate_table", spy)
+        monkeypatch.setattr(cli, "run_table", spy)
         assert cli.main(["table", "2", "--jobs", "3",
                          "--cache-dir", str(tmp_path), "--resume"]) == 0
         assert seen["jobs"] == 3
@@ -194,11 +224,11 @@ class TestCampaignFlags:
     def test_default_jobs_is_cpu_count(self, monkeypatch):
         seen = {}
 
-        def spy(table_id, full=None, seed=7, progress=None, **kwargs):
+        def spy(spec, base, progress=None, **kwargs):
             seen.update(kwargs)
-            return fake_result(table_id)
+            return fake_result(spec.table_id)
 
-        monkeypatch.setattr(cli, "regenerate_table", spy)
+        monkeypatch.setattr(cli, "run_table", spy)
         assert cli.main(["table", "2"]) == 0
         import os
         assert seen["jobs"] == (os.cpu_count() or 1)
@@ -210,11 +240,11 @@ class TestCampaignFlags:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "dflt"))
         seen = {}
 
-        def spy(table_id, full=None, seed=7, progress=None, **kwargs):
+        def spy(spec, base, progress=None, **kwargs):
             seen.update(kwargs)
-            return fake_result(table_id)
+            return fake_result(spec.table_id)
 
-        monkeypatch.setattr(cli, "regenerate_table", spy)
+        monkeypatch.setattr(cli, "run_table", spy)
         assert cli.main(["table", "2", "--resume"]) == 0
         assert str(seen["cache"].root) == str(tmp_path / "dflt")
 
@@ -223,9 +253,8 @@ class TestCampaignFlags:
         manifest.write_text('{"kind": "campaign", "table_id": 2, "total": 1}\n')
 
         monkeypatch.setattr(
-            cli, "regenerate_table",
-            lambda table_id, full=None, seed=7, progress=None, **kw:
-                fake_result(table_id),
+            cli, "run_table",
+            lambda spec, base, progress=None, **kw: fake_result(spec.table_id),
         )
         assert cli.main(["table", "2", "--cache-dir", str(tmp_path)]) == 0
         assert not manifest.exists() or manifest.read_text() == ""
@@ -285,14 +314,14 @@ class TestDefaultSeed:
             thresholds=(32,),
             saturated_loads=(),
         )
-        monkeypatch.setattr(tables, "table_spec", lambda table_id, full=None: one_cell)
+        monkeypatch.setattr(cli, "table_spec", lambda table_id, full=None: one_cell)
         seen = []
 
         def spy(*args, **kwargs):
-            seen.append(tables.regenerate_table(*args, **kwargs))
+            seen.append(runner.run_table(*args, **kwargs))
             return seen[-1]
 
-        monkeypatch.setattr(cli, "regenerate_table", spy)
+        monkeypatch.setattr(cli, "run_table", spy)
         assert cli.main(["table", "2", "--jobs", "1"]) == 0
         (result,) = seen
         assert base_config().seed == DEFAULT_SEED

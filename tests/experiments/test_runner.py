@@ -9,7 +9,14 @@ from repro.experiments.runner import (
     run_table,
     saturation_rate,
 )
-from repro.experiments.spec import TABLE_SPECS, TableSpec, base_config
+from repro.experiments.spec import (
+    CALIBRATED_SATURATION_FULL,
+    CALIBRATED_SATURATION_QUICK,
+    TABLE_SPECS,
+    TableSpec,
+    base_config,
+)
+from repro.traffic.patterns import pattern_names
 
 
 def tiny_base():
@@ -102,8 +109,13 @@ class TestSaturationRate:
         rate = saturation_rate(base_config(full=False), TABLE_SPECS[2])
         assert rate == pytest.approx(0.738)
 
-    def test_override_dict_wins(self):
-        rate = saturation_rate(
-            base_config(full=False), TABLE_SPECS[2], measured={"uniform": 0.42}
-        )
-        assert rate == 0.42
+    def test_calibration_covers_every_pattern(self):
+        """``saturation_rate`` is a table lookup with no search behind it,
+        so every registered pattern needs a calibrated rate at both scales."""
+        for table in (CALIBRATED_SATURATION_QUICK, CALIBRATED_SATURATION_FULL):
+            assert set(pattern_names()) <= set(table)
+        for full in (False, True):
+            for pattern in pattern_names():
+                spec = TableSpec(table_id=1, title="any", mechanism="ndm",
+                                 pattern=pattern)
+                assert saturation_rate(base_config(full=full), spec) > 0

@@ -1,9 +1,13 @@
-"""Integration tests for the table entry points (tiny monkeypatched grids)."""
+"""Integration tests for the table entry points on tiny grids:
+``run_table`` for one table, ``run_campaign`` for several."""
 
-import pytest
+import json
 
-from repro.experiments import tables as tables_module
+from repro.campaign import run_campaign
+from repro.experiments.report import default_out_dir, save_result
+from repro.experiments.runner import run_table
 from repro.experiments.spec import TableSpec
+from tests.conftest import small_config
 
 
 def tiny_specs():
@@ -21,57 +25,34 @@ def tiny_specs():
     }
 
 
-@pytest.fixture
-def tiny_harness(monkeypatch):
-    from repro.experiments import spec as spec_module
-
-    monkeypatch.setattr(spec_module, "TABLE_SPECS", tiny_specs())
-    monkeypatch.setattr(tables_module, "TABLE_SPECS", tiny_specs())
-    monkeypatch.setattr(
-        tables_module, "quick_spec", lambda spec: spec
-    )
-
-    def tiny_base(full=None):
-        from tests.conftest import small_config
-
-        config = small_config()
-        config.warmup_cycles = 100
-        config.measure_cycles = 400
-        return config
-
-    monkeypatch.setattr(tables_module, "base_config", tiny_base)
-    return tiny_base
-
-
 class TestRegenerate:
-    def test_regenerate_table(self, tiny_harness):
-        result = tables_module.regenerate_table(2, saturation=1.0)
+    def test_regenerate_table(self):
+        result = run_table(tiny_specs()[2], small_config(), saturation=1.0)
         assert set(result.cells) == {8}
         cell = result.cell(8, 0, "s")
         assert cell.injected > 0
 
-    def test_regenerate_all(self, tiny_harness):
-        results = tables_module.regenerate_all(table_ids=(1, 2))
+    def test_regenerate_all(self):
+        results = run_campaign(tiny_specs().values(), small_config())
         assert sorted(results) == [1, 2]
         assert results[1].spec.mechanism == "pdm"
         assert results[2].spec.mechanism == "ndm"
 
-    def test_save_and_reload_json(self, tiny_harness, tmp_path):
-        import json
-
-        result = tables_module.regenerate_table(2, saturation=1.0)
-        tables_module.save_result(result, str(tmp_path))
+    def test_save_and_reload_json(self, tmp_path):
+        result = run_table(tiny_specs()[2], small_config(), saturation=1.0)
+        save_result(result, str(tmp_path))
         payload = json.loads((tmp_path / "table2.json").read_text())
         assert payload["mechanism"] == "ndm"
         assert payload["cells"]["8"]["0:s"]["injected"] > 0
 
-    def test_seed_changes_cells(self, tiny_harness):
-        a = tables_module.regenerate_table(2, seed=1, saturation=1.0)
-        b = tables_module.regenerate_table(2, seed=2, saturation=1.0)
+    def test_seed_changes_cells(self):
+        spec = tiny_specs()[2]
+        a = run_table(spec, small_config(seed=1), saturation=1.0)
+        b = run_table(spec, small_config(seed=2), saturation=1.0)
         ca = a.cell(8, 0, "s")
         cb = b.cell(8, 0, "s")
         assert (ca.injected, ca.throughput) != (cb.injected, cb.throughput)
 
     def test_default_out_dir_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_RESULTS_DIR", "/tmp/custom-results")
-        assert tables_module.default_out_dir() == "/tmp/custom-results"
+        assert default_out_dir() == "/tmp/custom-results"

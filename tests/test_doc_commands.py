@@ -8,7 +8,8 @@ removed subcommand or a renamed flag fails here, not in a reader's shell.
 
 Likewise every ``tests/…``, ``benchmarks/…`` or ``examples/….py`` path
 those docs and DESIGN.md cite must exist, and a ``::name`` after it must
-name a class or function defined in that file.
+name a class or function defined in that file; and every ``from repro…
+import …`` or ``import repro…`` line in their fenced blocks must import.
 """
 
 import ast
@@ -37,6 +38,8 @@ COMMAND = re.compile(
     r"(?:\$\s+)?(?:\w+=\S*\s+)*"
     r"(?:repro(?:-experiments)?|python3? -m repro[.\w]*)(?:\s|$)"
 )
+
+IMPORT = re.compile(r"from\s+repro(?:\.[\w.]+)?\s+import\s|import\s+repro\b")
 
 CITATION = re.compile(
     r"(?<![\w/.])(?:(?:tests|benchmarks)/[\w./-]*|examples/[\w/.-]*\.py)(?:::[\w:]+)?"
@@ -209,3 +212,83 @@ def test_citation_collector_reads_every_form():
 )
 def test_resolves_bites(citation, ok):
     assert resolves(citation) is ok
+
+
+def doc_imports(text):
+    """(line number, statement) of each ``repro`` import in ``text``'s
+    fenced blocks; a parenthesised import is joined up to its ``)``."""
+    imports = []
+    fenced = False
+    pending = ""
+    for number, line in enumerate(text.splitlines(), 1):
+        stripped = line.split("#")[0].strip()
+        if stripped.startswith("```"):
+            fenced = not fenced
+            pending = ""
+            continue
+        if not fenced:
+            continue
+        if pending:
+            pending += " " + stripped
+        elif IMPORT.match(stripped):
+            start, pending = number, stripped
+        else:
+            continue
+        if pending.count("(") == pending.count(")"):
+            imports.append((start, pending))
+            pending = ""
+    return imports
+
+
+def import_error(statement):
+    """Why ``statement`` fails to import, or None if it imports."""
+    try:
+        exec(statement, {})
+    except ImportError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "doc", [ROOT / "DESIGN.md", *DOCS], ids=lambda p: p.relative_to(ROOT).as_posix()
+)
+def test_doc_imports_resolve(doc):
+    failures = []
+    for number, statement in doc_imports(doc.read_text(encoding="utf-8")):
+        error = import_error(statement)
+        if error:
+            failures.append(f"{doc.name}:{number}: {statement}: {error}")
+    assert not failures, "\n".join(failures)
+
+
+def test_import_collector_reads_every_form():
+    text = "\n".join(
+        [
+            "from repro import Simulator   # prose, not a fenced block",
+            "```python",
+            "from repro.campaign import (",
+            "    ResultCache,  # the store",
+            ")",
+            "python - <<'EOF'",
+            "import repro.network.simulator as sim",
+            "from reprox import y",
+            "```",
+        ]
+    )
+    assert doc_imports(text) == [
+        (3, "from repro.campaign import ( ResultCache, )"),
+        (7, "import repro.network.simulator as sim"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "statement, imports",
+    [
+        ("from repro.experiments.runner import run_table", True),
+        ("import repro.campaign.engine as engine", True),
+        ("from repro.experiments.tables import table_spec", False),
+        ("from repro.campaign import run_table_campaign", False),
+    ],
+)
+def test_import_error_bites(statement, imports):
+    assert (import_error(statement) is None) is imports

@@ -30,12 +30,18 @@ class TestTopLevel:
         stats = repro.Simulator(config).run()
         assert "throughput" in stats.summary()
 
-    def test_regenerate_table_takes_no_engine(self):
+    def test_table_entry_points_take_no_engine(self):
         """Tables run on the default engine; the fold is chosen from the
-        cells, so there is nothing for a caller to select."""
-        from repro.experiments.tables import regenerate_table
+        cells, so there is nothing for a caller to select.  Both entry
+        points take the campaign keywords under one spelling."""
+        from repro.campaign import run_campaign
+        from repro.experiments import run_table
 
-        assert "engine" not in inspect.signature(regenerate_table).parameters
+        for entry in (run_table, run_campaign):
+            params = inspect.signature(entry).parameters
+            assert "engine" not in params
+            assert {"jobs", "cache", "checkpoint", "resume"} <= set(params)
+            assert "num_workers" not in params
 
 
     @pytest.mark.skipif(
@@ -106,7 +112,7 @@ class TestEveryModuleDocumented:
             "repro.analysis.saturation", "repro.analysis.channels",
             "repro.metrics.stats", "repro.metrics.timeseries",
             "repro.experiments.spec", "repro.experiments.runner",
-            "repro.experiments.tables", "repro.experiments.report",
+            "repro.experiments.report",
             "repro.experiments.paper_data", "repro.experiments.cli",
             "repro.experiments.latency",
             "repro.experiments.detection_latency",

@@ -1,6 +1,4 @@
-"""Tests for the workload glue (rate conversion, generation draws)."""
-
-import random
+"""Tests for the workload glue (rate conversion)."""
 
 import pytest
 
@@ -36,40 +34,3 @@ class TestGenerationProbability:
     def test_rate_beyond_one_message_per_cycle_rejected(self, topo):
         with pytest.raises(ValueError, match="exceeds one message per cycle"):
             make_workload(topo, rate=20.0, lengths="s")
-
-    def test_zero_rate_never_generates(self, topo):
-        wl = make_workload(topo, rate=0.0)
-        rng = random.Random(1)
-        assert all(wl.maybe_generate(0, rng) is None for _ in range(100))
-
-
-class TestMaybeGenerate:
-    def test_returns_dest_and_length(self, topo):
-        wl = make_workload(topo, rate=16.0 * 0.9, lengths="s")  # p = 0.9
-        rng = random.Random(3)
-        draws = [wl.maybe_generate(4, rng) for _ in range(50)]
-        hits = [d for d in draws if d is not None]
-        assert hits
-        for dest, length in hits:
-            assert dest != 4
-            assert length == 16
-
-    def test_generation_rate_statistics(self, topo):
-        wl = make_workload(topo, rate=1.6, lengths="s")  # p = 0.1
-        rng = random.Random(4)
-        hits = sum(
-            1 for _ in range(10_000) if wl.maybe_generate(0, rng) is not None
-        )
-        assert 0.08 < hits / 10_000 < 0.12
-
-    def test_fixed_point_sources_silent(self, topo):
-        wl = make_workload(topo, rate=15.9, lengths="s", pattern="butterfly")
-        rng = random.Random(5)
-        # Node 0 is a butterfly fixed point (MSB == LSB == 0).
-        assert all(wl.maybe_generate(0, rng) is None for _ in range(50))
-
-    def test_describe_mentions_pattern_and_rate(self, topo):
-        wl = make_workload(topo, rate=0.25)
-        text = wl.describe()
-        assert "uniform" in text
-        assert "0.25" in text
