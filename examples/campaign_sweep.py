@@ -57,7 +57,7 @@ def timed(label, **kwargs):
 
 
 def main() -> None:
-    serial = timed("serial run      (--jobs 1)")
+    serial = timed("serial run      (--jobs 1)", jobs=1)
     pooled = timed("process pool    (--jobs 2)", jobs=2)
     assert render_table(pooled) == render_table(serial)
 

@@ -11,9 +11,10 @@ regenerating the paper's tables into scheduled *jobs*:
 * :mod:`repro.campaign.cache` — content-addressed on-disk result store;
 * :mod:`repro.campaign.checkpoint` — incremental manifest for resume
   and the ``campaign summary`` report;
-* :mod:`repro.campaign.engine` — table reassembly and multi-table
-  campaigns (``run_campaign``); one table runs through
-  :func:`repro.experiments.runner.run_table`.
+* :mod:`repro.campaign.engine` — campaigns (``run_campaign``): every
+  table planned first, all cells resolved in one executor call, each
+  table reassembled; :func:`repro.experiments.runner.run_table` is the
+  one-table case.
 """
 
 from repro.campaign.cache import ResultCache, default_cache_dir

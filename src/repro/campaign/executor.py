@@ -9,8 +9,14 @@ through three layers, cheapest first:
 2. **cache** — the content-addressed on-disk store
    (:class:`~repro.campaign.cache.ResultCache`);
 3. **run** — a live simulation, either in-process (``num_workers=1``,
-   the deterministic serial fallback used by tests) or fanned out over a
-   ``ProcessPoolExecutor``.
+   the deterministic serial fallback used by tests, and any call with
+   fewer than two units to run) or fanned out over a
+   ``ProcessPoolExecutor`` that is shut down, workers reaped, before the
+   call returns.
+
+Jobs with equal config hashes (the same cell in two tables) are
+simulated once; the later ones are served from the cache after the
+run, or copied from their twin when there is no cache.
 
 All three hand back the same thing: one *record* per cell
 (:func:`~repro.campaign.jobs.cell_record` — key, cell, wall time,
@@ -41,7 +47,7 @@ from __future__ import annotations
 import os
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.campaign.cache import ResultCache
@@ -220,7 +226,14 @@ def execute_jobs(
     # record (killed writer, hand-edited file) downgrades to the next
     # layer with a warning instead of poisoning the whole campaign.
     pending: List[CellJob] = []
+    # A config two tables share runs once: its later twins resolve
+    # after the live run, from the cache when the campaign has one.
+    queued: Dict[str, CellJob] = {}
+    twins: List[CellJob] = []
     for job in jobs:
+        if job.config_hash in queued:
+            twins.append(job)
+            continue
         stored = completed.get(job.config_hash)
         if stored is not None and finish(
             JobOutcome.from_record(job, stored, "resume", worker="manifest")
@@ -232,6 +245,7 @@ def execute_jobs(
         ):
             continue
         pending.append(job)
+        queued[job.config_hash] = job
 
     # A cell its simulator would reject fails here, before any neighbour runs.
     for job in pending:
@@ -250,10 +264,11 @@ def execute_jobs(
             if not finish(JobOutcome.from_record(job, record, "run")):
                 raise RuntimeError(f"worker returned no usable record for {job.key}")
 
-    if num_workers == 1:
+    # A pool pays off only with two units to overlap.
+    if num_workers == 1 or len(units) < 2:
         for unit in units:
             finish_unit(unit, _run_unit(unit_payload(unit), "serial"))
-    elif units:
+    else:
         # Imported here: a serial campaign never loads the pool machinery
         # (multiprocessing and its queues, 1.7 MB resident on CPython 3.11).
         from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -268,6 +283,17 @@ def execute_jobs(
             }
             for future in as_completed(futures):
                 finish_unit(futures[future], future.result())
-        finally:
+        except BaseException:
+            # A failed unit or Ctrl-C: drop the queue, leave running units.
             pool.shutdown(wait=False, cancel_futures=True)
+            raise
+        # Every unit is done: reap the workers so none outlives the call.
+        pool.shutdown(wait=True)
+
+    for job in twins:
+        stored = cache.get(job.config_hash) if cache is not None else None
+        if stored is None or not finish(
+            JobOutcome.from_record(job, stored, "cache", worker="cache")
+        ):
+            finish(replace(outcomes[queued[job.config_hash].key], job=job))
     return outcomes

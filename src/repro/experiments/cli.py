@@ -23,7 +23,6 @@ from repro.campaign import (
     CampaignCheckpoint,
     ResultCache,
     default_cache_dir,
-    default_num_workers,
     render_summary,
     run_campaign,
     summarize_manifest,
@@ -78,8 +77,11 @@ def _progress_printer(prefix: str) -> _ProgressPrinter:
 
 
 def _campaign_options(args: argparse.Namespace) -> dict:
-    """``run_table``'s campaign keywords, from the campaign flags."""
-    jobs = args.jobs if args.jobs is not None else default_num_workers()
+    """``run_table``'s campaign keywords, from the campaign flags.
+
+    An unset ``--jobs`` stays ``None``: the executor resolves it to one
+    worker per CPU.
+    """
     cache_dir = args.cache_dir
     if cache_dir is None and args.resume:
         cache_dir = default_cache_dir()
@@ -89,7 +91,7 @@ def _campaign_options(args: argparse.Namespace) -> dict:
         checkpoint = CampaignCheckpoint(
             Path(cache_dir) / MANIFEST_NAME, fresh=not args.resume
         )
-    return dict(jobs=jobs, cache=cache, checkpoint=checkpoint,
+    return dict(jobs=args.jobs, cache=cache, checkpoint=checkpoint,
                 resume=args.resume)
 
 
@@ -159,19 +161,12 @@ def cmd_all(args: argparse.Namespace) -> int:
     campaign = _campaign_options(args)
     cache = campaign["cache"]
     specs = [table_spec(tid, args.full or None) for tid in sorted(TABLE_SPECS)]
-    printers = []
-
-    def progress_factory(spec):
-        printers.append(_progress_printer(f"table {spec.table_id}"))
-        return printers[-1]
-
+    # One pool runs every table's cells at once: one line counts them all.
+    progress = _progress_printer("all tables")
     try:
-        results = run_campaign(
-            specs, _base(args), progress_factory=progress_factory, **campaign
-        )
+        results = run_campaign(specs, _base(args), progress=progress, **campaign)
     finally:
-        for printer in printers:
-            printer.close()
+        progress.close()
     for result in results.values():
         print(render_table(result))
         print()

@@ -116,17 +116,17 @@ def run_table(
     saturation: Optional[float] = None,
     progress=None,
     *,
-    jobs: int = 1,
+    jobs: Optional[int] = None,
     cache=None,
     checkpoint=None,
     resume: bool = False,
 ) -> TableResult:
-    """Regenerate one full table as a campaign.
+    """Regenerate one full table: the one-spec case of ``run_campaign``.
 
     Enumerates the spec into jobs, resolves them through the campaign
     executor and reassembles the ``TableResult`` in canonical cell
-    order.  The default keyword arguments run every cell serially
-    in-process; ``jobs > 1`` fans the cells out over a process pool;
+    order.  By default the cells fan out over one worker process per
+    CPU; ``jobs=1`` runs every cell serially in-process.
     ``cache``/``checkpoint``/``resume`` plug in the campaign engine's
     result store and manifest (see :mod:`repro.campaign`).  All paths
     produce byte-identical tables.
@@ -137,26 +137,24 @@ def run_table(
         saturation: saturation rate override (flits/cycle/node); defaults
             to the calibrated value for the spec's pattern.
         progress: optional callable ``progress(done, total)``.
-        jobs: worker-process count (1 = serial in-process).
+        jobs: worker-process count (``None`` = one per CPU, 1 = serial
+            in-process).
         cache: optional :class:`repro.campaign.ResultCache`.
         checkpoint: optional :class:`repro.campaign.CampaignCheckpoint`.
         resume: reuse finished cells from the checkpoint manifest.
     """
-    # Imported here: the campaign package depends on this module.  The
-    # engine's names are read at call time, so patching them reaches here.
+    # Imported here: the campaign package depends on this module.
     from repro.campaign import engine
 
-    if saturation is None:
-        saturation = saturation_rate(base, spec)
-    rates, cell_jobs = engine.enumerate_table_jobs(spec, base, saturation)
-    if checkpoint is not None:
-        checkpoint.start(spec.table_id, total=len(cell_jobs))
-    outcomes = engine.execute_jobs(
-        cell_jobs,
-        num_workers=jobs,
+    saturations = None if saturation is None else {spec.pattern: saturation}
+    tables = engine.run_campaign(
+        [spec],
+        base,
+        saturations,
+        jobs=jobs,
         cache=cache,
         checkpoint=checkpoint,
         resume=resume,
         progress=progress,
     )
-    return engine.assemble_table(spec, rates, outcomes)
+    return tables[spec.table_id]

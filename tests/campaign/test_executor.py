@@ -171,6 +171,21 @@ print("concurrent.futures.process" in sys.modules)
         )
         assert result.stdout.strip() == "False"
 
+    def test_one_pending_unit_forks_no_pool(self, tmp_path, monkeypatch):
+        """A pool pays off only with two units to overlap: one miss (the
+        rest served from the cache) runs in-process under ``jobs=2``."""
+        jobs = tiny_jobs()
+        cache = ResultCache(tmp_path)
+        execute_jobs(jobs[1:], num_workers=1, cache=cache)
+
+        def no_pool(max_workers):
+            raise AssertionError("a pool was started for one unit")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        outcomes = execute_jobs(jobs, num_workers=2, cache=cache)
+        assert outcomes[jobs[0].key].worker == "serial"
+        assert {o.source for o in outcomes.values()} == {"run", "cache"}
+
 
 class TestProgressAndTelemetry:
     def test_progress_counts_every_job(self):

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 import repro.campaign.engine as engine_module
+from repro.campaign.executor import JobOutcome, default_num_workers
 from repro.experiments import cli, report, runner
 from repro.experiments.runner import CellResult, TableResult, run_cell
 from repro.experiments.spec import (
@@ -33,19 +34,24 @@ def fake_result(table_id: int) -> TableResult:
 
 @pytest.fixture
 def patched(monkeypatch):
+    """Resolve every planned cell to one canned result; returns the
+    table ids the campaign planned, in planning order."""
     calls = []
 
-    def fake_run_table(spec, base, saturation=None, progress=None,
-                       **campaign_kwargs):
-        calls.append(spec.table_id)
+    def fake_execute_jobs(jobs, progress=None, **kwargs):
+        for job in jobs:
+            if job.table_id not in calls:
+                calls.append(job.table_id)
+        cell = CellResult(0.123, 1, 1, 0, 1, 100, 0.4, 0.4, False)
         if progress:
-            progress(1, 1)
-        return fake_result(spec.table_id)
+            progress(len(jobs), len(jobs))
+        return {
+            job.key: JobOutcome(job, cell, 0.0, "serial", "run") for job in jobs
+        }
 
-    # ``table``/``compare`` call run_table; ``all`` reaches it through
-    # run_campaign.
-    monkeypatch.setattr(cli, "run_table", fake_run_table)
-    monkeypatch.setattr(engine_module, "run_table", fake_run_table)
+    # ``table``/``compare`` (through run_table) and ``all`` all plan
+    # through run_campaign, which resolves its cells here.
+    monkeypatch.setattr(engine_module, "execute_jobs", fake_execute_jobs)
     return calls
 
 
@@ -74,6 +80,14 @@ class TestCLI:
     def test_all_command(self, patched, capsys):
         assert cli.main(["all"]) == 0
         assert sorted(patched) == [1, 2, 3, 4, 5, 6, 7, 8]
+
+    def test_all_prints_one_progress_line(self, patched, capsys):
+        """Every table's cells share one pool, so ``all`` counts them on
+        one stderr line, not one per table."""
+        assert cli.main(["all"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("\rall tables: 192/192 cells")
 
     def test_all_runs_tables_1_to_8_as_one_campaign(self, patched, tmp_path,
                                                     monkeypatch):
@@ -222,6 +236,8 @@ class TestCampaignFlags:
         assert seen["checkpoint"].path == tmp_path / cli.MANIFEST_NAME
 
     def test_default_jobs_is_cpu_count(self, monkeypatch):
+        """An unset ``--jobs`` reaches the engine as ``None``, which the
+        executor alone resolves to one worker per CPU."""
         seen = {}
 
         def spy(spec, base, progress=None, **kwargs):
@@ -231,7 +247,8 @@ class TestCampaignFlags:
         monkeypatch.setattr(cli, "run_table", spy)
         assert cli.main(["table", "2"]) == 0
         import os
-        assert seen["jobs"] == (os.cpu_count() or 1)
+        assert seen["jobs"] is None
+        assert default_num_workers() == (os.cpu_count() or 1)
         assert seen["cache"] is None
         assert seen["checkpoint"] is None
 

@@ -85,19 +85,19 @@ class TestRunCell:
 
 class TestRunTable:
     def test_grid_complete(self):
-        result = run_table(tiny_spec(), tiny_base(), saturation=1.0)
+        result = run_table(tiny_spec(), tiny_base(), saturation=1.0, jobs=1)
         assert set(result.cells) == {8, 32}
         for row in result.cells.values():
             assert set(row) == {(0, "s")}
 
     def test_rates_scaled_by_saturation(self):
-        result = run_table(tiny_spec(), tiny_base(), saturation=1.0)
+        result = run_table(tiny_spec(), tiny_base(), saturation=1.0, jobs=1)
         assert result.rates == (0.5,)
 
     def test_progress_callback(self):
         seen = []
         run_table(
-            tiny_spec(), tiny_base(), saturation=1.0,
+            tiny_spec(), tiny_base(), saturation=1.0, jobs=1,
             progress=lambda done, total: seen.append((done, total)),
         )
         assert seen[-1] == (2, 2)

@@ -283,7 +283,7 @@ for table_id, recovery in ((1, "none"), (2, "progressive")):
         thresholds=(8, 32),
         saturated_loads=(2,),
     )
-    tables.append(json.loads(table_to_json(run_table(spec, base, 1.0, checkpoint=manifest))))
+    tables.append(json.loads(table_to_json(run_table(spec, base, 1.0, jobs=1, checkpoint=manifest))))
 cells = [r for r in manifest.records() if r["kind"] == "cell"]
 print(json.dumps({
     "tables": tables,
