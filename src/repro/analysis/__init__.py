@@ -9,7 +9,7 @@ from repro.analysis.channels import (
     snapshot_channels,
     stalled_channels,
 )
-from repro.analysis.deadlock import find_deadlocked, waiting_chain
+from repro.analysis.deadlock import find_deadlocked
 from repro.analysis.saturation import SaturationResult, find_saturation
 from repro.analysis.waitgraph import (
     WaitEdge,
@@ -35,5 +35,4 @@ __all__ = [
     "find_deadlocked",
     "find_saturation",
     "tree_depth_histogram",
-    "waiting_chain",
 ]

@@ -23,9 +23,9 @@ ejection ports consume flits unconditionally (no protocol deadlock).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Set
+from typing import Iterable, Set
 
-from repro.network.message import Message, usable_lanes
+from repro.network.message import Message
 from repro.network.types import MessageStatus
 
 
@@ -84,36 +84,3 @@ def find_deadlocked(messages: Iterable[Message]) -> Set[Message]:
                     break
     return {m for m in candidates if m.id in deadlocked}
 
-
-def waiting_chain(
-    message: Message, messages: Mapping[int, Message], limit: int = 32
-) -> List[Message]:
-    """Follow one holder chain from ``message`` (diagnostic helper).
-
-    Picks, at each step, the first occupied usable lane's holder, looked
-    up by id in ``messages`` (the network's in-flight map).  Useful
-    in tests and examples to show who a blocked message is waiting on.
-    Stops at ``limit`` hops, at a non-blocked message, or when a cycle
-    closes (the repeated message is included once more as the closing
-    element so callers can see the loop).
-    """
-    chain = [message]
-    seen = {message.id}
-    current = message
-    for _ in range(limit):
-        holder = next(
-            (
-                messages[vc.occupant]
-                for vc in usable_lanes(current.feasible_vcs)
-                if vc.occupant is not None
-            ),
-            None,
-        )
-        if holder is None:
-            break
-        chain.append(holder)
-        if holder.id in seen or not holder.is_blocked():
-            break
-        seen.add(holder.id)
-        current = holder
-    return chain

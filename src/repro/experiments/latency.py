@@ -53,11 +53,6 @@ class LoadSweep:
                 return point
         return None
 
-    def peak_throughput(self) -> float:
-        if not self.points:
-            return 0.0
-        return max(p.throughput for p in self.points)
-
     def rows(self) -> List[str]:
         """Fixed-width text rows (offered, accepted, latency, detection)."""
         lines = [

@@ -136,10 +136,10 @@ class SimulationConfig:
     #: Record wall-clock time per simulation phase (``stats.phase_time``)
     #: via two ``perf_counter`` calls per phase per cycle.  Off by default:
     #: the timer calls themselves are measurable on the hot path, so they
-    #: are only taken when profiling is requested (the perf harness and
-    #: ``docs/performance.md`` workflows turn this on).  With the flag off
-    #: ``phase_time`` stays at its zero-initialized values, and a campaign
-    #: cell record leaves it out.
+    #: are only taken when profiling is requested (the benchmark's traced
+    #: passes and docs/performance.md, *Profiling workflow*, turn this on).
+    #: With the flag off ``phase_time`` stays at its zero-initialized
+    #: values, and a campaign cell record leaves it out.
     profile_phases: bool = False
 
     # --- run control ------------------------------------------------------

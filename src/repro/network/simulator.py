@@ -155,8 +155,8 @@ class Simulator:
             self._phase_time[name] = 0.0
 
         # Per-phase wall-clock timing is opt-in: the perf_counter calls
-        # per cycle are measurable on the hot path (see
-        # docs/performance.md), so step() skips them unless profiling.
+        # per cycle are measurable on the hot path (docs/performance.md,
+        # *Per-phase wall timing*), so step() skips them unless profiling.
         self._profile = config.profile_phases
         # Event engine state.  Parking is only sound when the detector has
         # no per-attempt side effects on blocked messages.

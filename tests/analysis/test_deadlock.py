@@ -1,6 +1,6 @@
 """Tests for the ground-truth deadlock analyzer."""
 
-from repro.analysis.deadlock import find_deadlocked, waiting_chain
+from repro.analysis.deadlock import find_deadlocked
 from repro.figures.scenarios import (
     Scenario,
     build_figure2,
@@ -73,34 +73,3 @@ class TestFindDeadlocked:
         scenario.run(3)
         # The second VC of ch(a->b) is free: b is not even blocked.
         assert not b.is_blocked() or not find_deadlocked(sim.active_messages)
-
-
-class TestWaitingChain:
-    def test_chain_follows_holders(self):
-        scenario = build_figure2("none")
-        scenario.run(5)
-        d = scenario.messages["D"]
-        chain = waiting_chain(d, scenario.sim.messages)
-        names = [scenario.name_of(m.id) for m in chain]
-        assert names[:3] == ["D", "C", "B"]
-
-    def test_chain_detects_cycle(self):
-        scenario = build_figure3("none")
-        scenario.run(30)
-        b = scenario.messages["B"]
-        chain = waiting_chain(b, scenario.sim.messages)
-        ids = [m.id for m in chain]
-        assert len(ids) != len(set(ids))  # closed a loop
-
-    def test_chain_stops_at_advancing_holder(self):
-        scenario = build_figure2("none")
-        scenario.run(5)
-        b = scenario.messages["B"]
-        chain = waiting_chain(b, scenario.sim.messages)
-        assert chain[-1] is scenario.messages["A"]
-
-    def test_unblocked_message_chain_is_singleton(self):
-        scenario = quiet_scenario()
-        sim = scenario.sim
-        m = place_worm(sim, (3, 0), [(0, +1)], (6, 0), length=16)
-        assert waiting_chain(m, scenario.sim.messages) == [m]

@@ -46,9 +46,6 @@ class TestLoadSweepAnalysis:
         flat = sweep_load(base, rates=[0.05, 0.08], seed=5)
         assert flat.knee(factor=5.0) is None
 
-    def test_peak_throughput(self, sweep):
-        assert sweep.peak_throughput() == max(p.throughput for p in sweep.points)
-
     def test_rows_render(self, sweep):
         rows = sweep.rows()
         assert len(rows) == len(sweep.points) + 1
@@ -57,7 +54,6 @@ class TestLoadSweepAnalysis:
 
     def test_empty_sweep(self):
         empty = LoadSweep(points=[])
-        assert empty.peak_throughput() == 0.0
         assert empty.knee() is None
 
 
