@@ -127,7 +127,7 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 def _base(args: argparse.Namespace):
     """The harness base config for ``--full`` and ``--seed``."""
-    base = base_config(args.full or None)
+    base = base_config(args.full)
     base.seed = args.seed
     return base
 
@@ -135,7 +135,7 @@ def _base(args: argparse.Namespace):
 def _regenerate(args: argparse.Namespace, campaign: dict):
     """Regenerate ``args.table_id`` under the campaign flags, with a
     stderr progress line that is terminated even when the run aborts."""
-    spec = table_spec(args.table_id, args.full or None)
+    spec = table_spec(args.table_id, args.full)
     progress = _progress_printer(f"table {args.table_id}")
     try:
         return run_table(spec, _base(args), progress=progress, **campaign)
@@ -160,7 +160,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_all(args: argparse.Namespace) -> int:
     campaign = _campaign_options(args)
     cache = campaign["cache"]
-    specs = [table_spec(tid, args.full or None) for tid in sorted(TABLE_SPECS)]
+    specs = [table_spec(tid, args.full) for tid in sorted(TABLE_SPECS)]
     # One pool runs every table's cells at once: one line counts them all.
     progress = _progress_printer("all tables")
     try:
@@ -206,7 +206,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 def cmd_latency(args: argparse.Namespace) -> int:
     from repro.experiments.latency import default_rates, sweep_load
 
-    spec = table_spec(2, full=args.full or None)  # NDM, uniform
+    spec = table_spec(2, full=args.full)  # NDM, uniform
     config = _base(args)
     config.routing = args.routing
     if args.routing == "duato-adaptive":
@@ -258,7 +258,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 
 def cmd_saturation(args: argparse.Namespace) -> int:
-    config = base_config(args.full or None)
+    config = base_config(args.full)
     config.warmup_cycles = 500
     config.measure_cycles = 2000
     config.traffic.pattern = args.pattern

@@ -13,9 +13,8 @@ uniform 0.428/0.471/0.514/0.600 with 0.600 the saturated point).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.network.config import SimulationConfig, quick_config, paper_config
 
@@ -164,19 +163,12 @@ TABLE_SPECS: Dict[int, TableSpec] = {
 }
 
 
-def full_mode() -> bool:
-    """Whether the environment requests paper-scale runs (REPRO_FULL=1)."""
-    return os.environ.get("REPRO_FULL", "").strip() in ("1", "true", "yes")
-
-
-def base_config(full: Optional[bool] = None) -> SimulationConfig:
+def base_config(full: bool = False) -> SimulationConfig:
     """The harness base configuration for quick or full (paper-scale) mode.
 
     Quick mode: 64-node 8-ary 2-cube, short measurement windows.
     Full mode: the paper's 512-node 8-ary 3-cube, longer windows.
     """
-    if full is None:
-        full = full_mode()
     if full:
         config = paper_config()
         config.warmup_cycles = 2000
@@ -191,14 +183,12 @@ def base_config(full: Optional[bool] = None) -> SimulationConfig:
     return config
 
 
-def table_spec(table_id: int, full: Optional[bool] = None) -> TableSpec:
+def table_spec(table_id: int, full: bool = False) -> TableSpec:
     """The (quick or full) spec for one paper table."""
     if table_id not in TABLE_SPECS:
         choices = ", ".join(str(t) for t in sorted(TABLE_SPECS))
         raise ValueError(f"no such table: {table_id}; choose one of {choices}")
     spec = TABLE_SPECS[table_id]
-    if full is None:
-        full = full_mode()
     return spec if full else quick_spec(spec)
 
 
@@ -252,8 +242,6 @@ CALIBRATED_SATURATION_FULL: Dict[str, float] = {
 }
 
 
-def calibrated_saturation(full: Optional[bool] = None) -> Dict[str, float]:
-    if full is None:
-        full = full_mode()
+def calibrated_saturation(full: bool = False) -> Dict[str, float]:
     table = CALIBRATED_SATURATION_FULL if full else CALIBRATED_SATURATION_QUICK
     return dict(table)

@@ -125,7 +125,8 @@ class SimulationStats(DetectionTally):
     probe_deadend_detections: int = 0
     #: Probes dropped because their current message could still advance.
     probe_dropped_progress: int = 0
-    #: Probes dropped by per-initiator visited-set / path-digest dedupe.
+    #: Probes dropped by the per-initiator visited-set dedupe (self-waits
+    #: and second returning probes included).
     probe_dropped_dedupe: int = 0
     #: Probes dropped by lowest-id root election.
     probe_dropped_election: int = 0

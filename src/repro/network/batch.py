@@ -16,7 +16,9 @@ detection has **zero feedback** into the network:
 
 Hence the *flit-level* trajectory — channel occupancy, inactivity
 counters, RNG stream, ground-truth sweeps — is identical for every
-cell, across thresholds **and mechanisms**.  What is *not* identical is
+cell, across thresholds **and mechanisms**, and so is the oracle's grade
+of a detection, which reads only the network at the detection's
+instant.  What is *not* identical is
 the per-run detector bookkeeping: a reference run skips every detector
 call of a marked message, which suppresses that message's later
 first-attempt G/P writes and probe-launch armings, and which messages
@@ -74,6 +76,7 @@ from typing import (
     Tuple,
 )
 
+from repro.analysis import deadlock
 from repro.core.ndm import NewDetectionMechanism
 from repro.core.probe import ProbeDetection
 from repro.metrics.stats import DetectionTally, SimulationStats
@@ -344,16 +347,10 @@ class BatchObserver(NewDetectionMechanism):
         self.has_probe_phase = bool(self._probe_units)
         #: Per-cell detection counters and event log, rank order.
         self._tally = [DetectionTally() for _ in range(k)]
-        # Per-cell ground-truth snapshot for on-detection classification:
-        # a solo run takes its snapshot at *its* first detection of a
-        # cycle, so cells first detecting at different instants of one
-        # cycle must not share one (see :meth:`_record`).
-        self._truth_cycle = [-1] * k
-        self._truth: List[Set[Message]] = [set()] * k
         # The oracle's input changes between two detections of a cycle
         # only when a header is granted a lane or first blocks; the
-        # epoch counts those, so one snapshot serves every cell that
-        # first detects before the next change.
+        # epoch counts those, so one snapshot grades every detection
+        # before the next change (see :meth:`_record`).
         self._truth_epoch = 0
         self._snapshot_key = (-1, -1)
         self._snapshot: Set[Message] = set()
@@ -615,14 +612,20 @@ class BatchObserver(NewDetectionMechanism):
     def _record(self, sim: Simulator, message: Message, cycle: int, hit: int) -> None:
         """Tally one detection event per hit cell (ascending ranks).
 
-        On-detection classification reproduces each solo run's per-cycle
-        oracle cache: a periodic sweep earlier this cycle primes one
-        snapshot for every cell; otherwise a cell's snapshot is the
-        network at its own first detection of the cycle, shared with
-        the cells first detecting in the same ``_truth_epoch``.
+        A solo run grades its mark against the network at the instant of
+        marking.  Under recovery "none" a mark changes nothing the oracle
+        reads, so every hit cell shares one grade, and the snapshot is
+        taken once per ``(cycle, _truth_epoch)``.
         """
-        classify = sim.config.ground_truth_on_detection
-        swept = classify and sim._truth_cache_cycle == cycle
+        truly: Optional[bool] = None
+        if sim.config.ground_truth_on_detection:
+            key = (cycle, self._truth_epoch)
+            if self._snapshot_key != key:
+                # Looked up on its module per call, so a patch of the
+                # oracle (a call-counting probe) sees these calls too.
+                self._snapshot = deadlock.find_deadlocked(sim.active_messages)
+                self._snapshot_key = key
+            truly = message in self._snapshot
         node = message.header_router()
         if node is None:  # pragma: no cover - blocked headers sit in-network
             node = message.inject_node
@@ -631,18 +634,6 @@ class BatchObserver(NewDetectionMechanism):
             low = mask & -mask
             rank = low.bit_length() - 1
             mask ^= low
-            truly: Optional[bool] = None
-            if swept:
-                truly = message in sim._truth_cache
-            elif classify:
-                if self._truth_cycle[rank] != cycle:
-                    key = (cycle, self._truth_epoch)
-                    if self._snapshot_key != key:
-                        self._snapshot = sim._truth_snapshot()
-                        self._snapshot_key = key
-                    self._truth[rank] = self._snapshot
-                    self._truth_cycle[rank] = cycle
-                truly = message in self._truth[rank]
             # recovery="none": a cell detects a message at most once, so
             # every detection is its message's first.
             self._tally[rank].record_detection(

@@ -150,9 +150,11 @@ class SimulationConfig:
     #: for at most this many cycles so in-flight messages can drain.
     drain_cycles: int = 0
     #: Run the ground-truth deadlock analyzer every N cycles (0 disables the
-    #: periodic sweep; detection-time checks still run when enabled_truth).
+    #: periodic sweep; detections are still graded when
+    #: ``ground_truth_on_detection`` is set).
     ground_truth_interval: int = 200
-    #: Whether to classify each detection event as true/false deadlock.
+    #: Whether to grade each detection event as true/false deadlock, against
+    #: the network at the instant the message is marked.
     ground_truth_on_detection: bool = True
     #: Cap on source queue length per node; generation stalls (and is
     #: counted) when the queue is full.  0 means unbounded.

@@ -28,11 +28,10 @@ writes to network state — the transport is a pure observer):
   routing order, lanes in index order), skipping fault-unusable lanes
   exactly as the ground-truth oracle does.
 
-Probe storms are bounded three ways, all per initiator: a visited-set
-(each message is probed at most once per session), a 64-bit rolling
-*path digest* dedupe (the snippet-classic graph summarization — two
-probes carrying the same digest walked the same edge path), and hard
-``max_hops`` / ``max_outstanding`` caps.  A session whose probes all die
+Probe storms are bounded two ways, both per initiator: a visited-set
+(each message is probed at most once per session, so no two probes of
+a session ever walk the same path) and hard ``max_hops`` /
+``max_outstanding`` caps.  A session whose probes all die
 simply ends; the detector relaunches on its cadence while the initiator
 stays blocked, so a deadlock that forms *later* is still found.
 
@@ -52,29 +51,8 @@ from repro.metrics.stats import PROBE_FIELDS
 from repro.network.message import Message, usable_lanes
 from repro.network.types import MessageStatus
 
-#: 64-bit rolling digest parameters (FNV-1a prime, golden-ratio salt).
-DIGEST_MASK = (1 << 64) - 1
-_DIGEST_PRIME = 0x100000001B3
-_DIGEST_SALT = 0x9E3779B97F4A7C15
-
 #: (stats field, transport attribute) of each behavioural counter.
 _COUNTERS = tuple((name, name[len("probe_"):]) for name in PROBE_FIELDS)
-
-
-def roll_digest(
-    digest: int, channel_index: int, lane_index: int, holder_id: int
-) -> int:
-    """Fold one wait edge into a 64-bit rolling path digest.
-
-    Deterministic and backend-free (no ``hash()``): the digest must be
-    identical across hosts and PYTHONHASHSEED values because it feeds
-    the per-initiator dedupe, whose drops are behavioural (counted in
-    stats and therefore in the engine-equivalence digests).
-    """
-    for value in (channel_index, lane_index, holder_id):
-        digest ^= (value + _DIGEST_SALT) & DIGEST_MASK
-        digest = (digest * _DIGEST_PRIME) & DIGEST_MASK
-    return digest
 
 
 def wait_edges(
@@ -103,21 +81,17 @@ def wait_edges(
 class Probe:
     """One in-flight probe: arrives at ``at`` on the next probe phase."""
 
-    __slots__ = ("at", "digest", "hops", "victim")
+    __slots__ = ("at", "hops", "victim")
 
-    def __init__(self, at: Message, digest: int, hops: int, victim: Message):
+    def __init__(self, at: Message, hops: int, victim: Message):
         self.at = at
-        self.digest = digest
         self.hops = hops
         #: Youngest (highest-id) message on the probe's path so far — the
         #: victim candidate if this probe closes the cycle.
         self.victim = victim
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Probe(at={self.at.id}, hops={self.hops}, "
-            f"digest={self.digest:#018x})"
-        )
+        return f"Probe(at={self.at.id}, hops={self.hops})"
 
 
 class ProbeSession:
@@ -127,7 +101,6 @@ class ProbeSession:
         "initiator",
         "episode",
         "visited",
-        "digests",
         "probes",
         "has_returning",
     )
@@ -140,8 +113,6 @@ class ProbeSession:
         #: Per-initiator dedupe: message ids already carrying a probe of
         #: this session (insertion-ordered dict used as an ordered set).
         self.visited: Dict[int, None] = {}
-        #: Path digests already seen in this session.
-        self.digests: Dict[int, None] = {}
         self.probes: List[Probe] = []
         #: Whether a returning probe (next hop = initiator) is in flight.
         #: One suffices — it ends the session on arrival — so further
@@ -228,14 +199,14 @@ class ProbeTransport:
             self.deadend_detections += 1
             return m
         session = ProbeSession(m)
-        for channel_index, lane_index, holder in edges:
+        for _, _, holder in edges:
             if holder is m:
                 # Self-wait (a lane the initiator itself still holds):
                 # not a cycle through another message; skip, as the
                 # exemplar protocol does.
                 self.dropped_dedupe += 1
                 continue
-            self._forward(session, 0, 0, channel_index, lane_index, holder, m)
+            self._forward(session, 0, holder, m)
         self.launches += 1
         if not session.probes:
             # Everything deduped away at launch: nothing in flight.
@@ -311,20 +282,11 @@ class ProbeTransport:
             if escape:
                 self.dropped_progress += 1
                 continue
-            for channel_index, lane_index, holder in edges:
+            for _, _, holder in edges:
                 if holder is x:
                     self.dropped_dedupe += 1
                     continue
-                self._forward(
-                    session,
-                    probe.digest,
-                    probe.hops,
-                    channel_index,
-                    lane_index,
-                    holder,
-                    probe.victim,
-                    out,
-                )
+                self._forward(session, probe.hops, holder, probe.victim, out)
         session.probes = out
         if len(out) > self.peak_outstanding:
             self.peak_outstanding = len(out)
@@ -333,10 +295,7 @@ class ProbeTransport:
     def _forward(
         self,
         session: ProbeSession,
-        digest: int,
         hops: int,
-        channel_index: int,
-        lane_index: int,
         holder: Message,
         victim: Message,
         out: Optional[List[Probe]] = None,
@@ -344,9 +303,8 @@ class ProbeTransport:
         """Create (or drop) one child probe along a wait edge."""
         sink = session.probes if out is None else out
         returning = holder is session.initiator
-        next_digest = roll_digest(digest, channel_index, lane_index, holder.id)
         if returning:
-            # Returning probes bypass the visited/digest dedupe and the
+            # Returning probes bypass the visited-set dedupe and the
             # outstanding cap: dropping one would lose the very detection
             # the session exists for.  One in flight is enough, though —
             # it ends the session on arrival — so further returns dedupe
@@ -355,7 +313,7 @@ class ProbeTransport:
             if session.has_returning:
                 self.dropped_dedupe += 1
                 return
-        elif holder.id in session.visited or next_digest in session.digests:
+        elif holder.id in session.visited:
             self.dropped_dedupe += 1
             return
         if hops + 1 > self.max_hops:
@@ -368,7 +326,6 @@ class ProbeTransport:
             session.has_returning = True
         else:
             session.visited[holder.id] = None
-            session.digests[next_digest] = None
         if holder.id > victim.id:
             victim = holder
-        sink.append(Probe(holder, next_digest, hops + 1, victim))
+        sink.append(Probe(holder, hops + 1, victim))

@@ -10,7 +10,9 @@ Synchronous cycle model.  Each cycle runs, in order:
 2. source-side detector checks (timeout mechanisms only);
 3. **routing**: every pending header (newly arrived or blocked) attempts to
    acquire an output virtual channel; failed attempts feed the detection
-   mechanism, which may mark the message and trigger recovery;
+   mechanism, which may mark the message and trigger recovery (a mark is
+   graded by the ground-truth oracle against the network at that instant,
+   after any earlier mark's recovery);
 4. **movement**: one flit per physical channel per cycle advances, worms
    chain-advance front-to-back, tails release channels, deliveries finish;
 5. **injection**: queued messages grab free injection-port VCs, subject to
@@ -212,8 +214,6 @@ class Simulator:
         self.injection_limits: List[Optional[int]] = [
             config.injection_limit(r.total_network_vcs()) for r in self.routers
         ]
-        self._truth_cache_cycle = -1
-        self._truth_cache: Set[Message] = set()
         self._ever_deadlocked: Set[int] = set()
         # (ready_cycle, seq, message) heap of recovery-lane deliveries.
         self._recovery_deliveries: List[Tuple[int, int, Message]] = []
@@ -350,7 +350,7 @@ class Simulator:
     def _checks_phase(self, cycle: int) -> None:
         interval = self.config.ground_truth_interval
         if interval and cycle and cycle % interval == 0:
-            self._truth_sweep(cycle)
+            self._truth_sweep()
 
         if self._recovery_deliveries:
             self._complete_recovery_deliveries(cycle)
@@ -966,9 +966,11 @@ class Simulator:
     # Detection & recovery plumbing
     # ------------------------------------------------------------------
     def _handle_detection(self, m: Message, cycle: int) -> None:
+        """Mark ``m``, grade the mark against the network as it is now,
+        and hand ``m`` to recovery."""
         truly: Optional[bool] = None
         if self.config.ground_truth_on_detection:
-            truly = m in self._truth_at(cycle)
+            truly = m in find_deadlocked(self.active_messages)
         node = m.header_router()
         event = DetectionEvent(
             cycle=cycle,
@@ -1069,19 +1071,8 @@ class Simulator:
     # ------------------------------------------------------------------
     # Ground truth
     # ------------------------------------------------------------------
-    def _truth_at(self, cycle: int) -> Set[Message]:
-        """Deadlocked-message set for this cycle (cached per cycle)."""
-        if self._truth_cache_cycle != cycle:
-            self._truth_cache = self._truth_snapshot()
-            self._truth_cache_cycle = cycle
-        return self._truth_cache
-
-    def _truth_snapshot(self) -> Set[Message]:
-        """Deadlocked-message set of the network as it is right now."""
-        return find_deadlocked(self.active_messages)
-
-    def _truth_sweep(self, cycle: int) -> None:
-        deadlocked = self._truth_at(cycle)
+    def _truth_sweep(self) -> None:
+        deadlocked = find_deadlocked(self.active_messages)
         st = self.stats
         st.truth_sweeps += 1
         if deadlocked:

@@ -152,9 +152,8 @@ def _encode_probe_state(inst: Instance, cycle: int) -> Encoded:
                 initiator_id,
                 session.initiator.blocked_since == session.episode,
                 tuple(sorted(session.visited)),
-                tuple(sorted(session.digests)),
                 tuple(
-                    (p.at.id, p.digest, p.hops, p.victim.id)
+                    (p.at.id, p.hops, p.victim.id)
                     for p in session.probes
                 ),
                 session.has_returning,

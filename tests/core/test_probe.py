@@ -3,7 +3,7 @@
 Exercises the probe family on the paper's hand-built figure scenarios —
 figure 2 is a dependency chain behind an advancing message (no deadlock,
 so a precise detector must stay silent), figure 3 closes a true cycle —
-plus digest/cadence/storm-guard mechanics on the transport directly.
+plus cadence/storm-guard mechanics on the transport directly.
 """
 
 import pytest
@@ -14,33 +14,6 @@ from repro.core.registry import make_detector
 from repro.figures.scenarios import build_figure2, build_figure3
 from repro.network.config import DetectorConfig
 from repro.network.message import Message
-from repro.network.probes import DIGEST_MASK, roll_digest
-
-
-# ----------------------------------------------------------------------
-# Digest
-# ----------------------------------------------------------------------
-class TestRollDigest:
-    def test_deterministic_and_64_bit(self):
-        d1 = roll_digest(0, 3, 1, 42)
-        d2 = roll_digest(0, 3, 1, 42)
-        assert d1 == d2
-        assert 0 <= d1 <= DIGEST_MASK
-
-    def test_sensitive_to_every_component_and_order(self):
-        base = roll_digest(0, 3, 1, 42)
-        assert roll_digest(0, 4, 1, 42) != base
-        assert roll_digest(0, 3, 2, 42) != base
-        assert roll_digest(0, 3, 1, 43) != base
-        ab = roll_digest(roll_digest(0, 1, 0, 5), 2, 0, 6)
-        ba = roll_digest(roll_digest(0, 2, 0, 6), 1, 0, 5)
-        assert ab != ba
-
-    def test_chains_stay_in_range(self):
-        digest = 0
-        for step in range(100):
-            digest = roll_digest(digest, step, step % 3, step * 7)
-            assert 0 <= digest <= DIGEST_MASK
 
 
 # ----------------------------------------------------------------------

@@ -164,7 +164,7 @@ class TestLatencyCommand:
         from repro.experiments import cli as cli_module
 
         # Shrink the sweep: tiny base config, few steps.
-        def tiny_base(full=None):
+        def tiny_base(full=False):
             from tests.conftest import small_config
 
             config = small_config()
@@ -175,7 +175,7 @@ class TestLatencyCommand:
         monkeypatch.setattr(cli_module, "base_config", tiny_base)
         monkeypatch.setattr(
             "repro.experiments.runner.calibrated_saturation",
-            lambda full=None: {"uniform": 1.0},
+            lambda full=False: {"uniform": 1.0},
         )
         assert cli.main(["latency", "--steps", "3"]) == 0
         out = capsys.readouterr().out
@@ -331,7 +331,7 @@ class TestDefaultSeed:
             thresholds=(32,),
             saturated_loads=(),
         )
-        monkeypatch.setattr(cli, "table_spec", lambda table_id, full=None: one_cell)
+        monkeypatch.setattr(cli, "table_spec", lambda table_id, full=False: one_cell)
         seen = []
 
         def spy(*args, **kwargs):

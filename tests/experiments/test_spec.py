@@ -10,6 +10,7 @@ from repro.experiments.spec import (
     base_config,
     calibrated_saturation,
     quick_spec,
+    table_spec,
 )
 
 
@@ -86,6 +87,12 @@ class TestQuickSpec:
 class TestBaseConfig:
     def test_quick_base_is_64_nodes(self):
         assert base_config(full=False).build_topology().num_nodes == 64
+
+    def test_quick_is_the_default(self):
+        """Only ``full=True`` (the CLI's ``--full``) selects paper scale."""
+        assert base_config().build_topology().num_nodes == 64
+        assert table_spec(2) == quick_spec(TABLE_SPECS[2])
+        assert calibrated_saturation() == CALIBRATED_SATURATION_QUICK
 
     def test_full_base_is_512_nodes(self):
         assert base_config(full=True).build_topology().num_nodes == 512

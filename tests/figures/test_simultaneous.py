@@ -3,6 +3,8 @@
 When two members of a deadlock both blocked on still-advancing roots, both
 carry G and both detect: recovery overhead doubles, which the paper argues
 is acceptable because the case is infrequent in congested networks.
+With recovery on, the second of the two marks is redundant: the first
+mark's recovery has already dissolved the deadlock when the second is made.
 """
 
 import pytest
@@ -39,6 +41,25 @@ class TestSimultaneousBlocking:
         stats = scenario.sim.stats
         assert stats.true_detections == 2
         assert stats.false_detections == 0
+
+    @pytest.mark.parametrize("threshold", [8, 16, 32])
+    @pytest.mark.parametrize(
+        "recovery", ["progressive", "progressive-reinject", "regressive"]
+    )
+    def test_second_mark_graded_after_first_recovery(self, recovery, threshold):
+        """B and D are marked in one cycle, B first.  B's recovery
+        dissolves {B, D, E, F} before D is marked, so the oracle, asked
+        about the network at D's mark, grades it false."""
+        scenario = build_simultaneous_blocking(
+            "ndm", threshold, recovery=recovery
+        )
+        scenario.run(400)
+        events = scenario.sim.stats.detection_events
+        graded = [
+            (scenario.name_of(e.message_id), e.truly_deadlocked) for e in events
+        ]
+        assert graded == [("B", True), ("D", False)]
+        assert events[0].cycle == events[1].cycle
 
     def test_recovery_invoked_twice_but_resolves(self):
         scenario = build_simultaneous_blocking(

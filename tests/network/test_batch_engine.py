@@ -490,28 +490,35 @@ def test_random_mixed_groups_fold_bit_identical(cells, seed, rate):
 # On-detection ground truth: each cell classifies like its solo run
 # ----------------------------------------------------------------------
 
+_ROUTING_THEN_ROUTING = [
+    _cell(mechanism="pdm", threshold=2),
+    _cell(mechanism="timeout", threshold=128),
+]
+
+
 @pytest.mark.parametrize(
-    "cells",
+    "cells, interval, seed",
     [
         # The stall cell detects in the checks phase, the ndm cell
-        # mid-routing: classifying ndm against the earlier snapshot turns
-        # its solo 1 true / 136 false into 0 / 137.
-        [_cell(mechanism="ndm", threshold=2),
-         _cell(mechanism="injection-stall", threshold=128)],
+        # mid-routing.
+        ([_cell(mechanism="ndm", threshold=2),
+          _cell(mechanism="injection-stall", threshold=128)], 0, 803),
         # Both detect inside the routing phase, at different instants.
-        [_cell(mechanism="pdm", threshold=2),
-         _cell(mechanism="timeout", threshold=128)],
+        (_ROUTING_THEN_ROUTING, 0, 803),
+        # A sweep every cycle, taken before any detection of the cycle:
+        # grading pdm's marks against it turns 18 of them over.
+        (_ROUTING_THEN_ROUTING, 1, 7),
     ],
-    ids=["checks-then-routing", "routing-then-routing"],
+    ids=["checks-then-routing", "routing-then-routing", "swept-every-cycle"],
 )
-def test_on_detection_truth_matches_solo_run(cells):
-    """``Simulator._truth_at`` caches the deadlocked set per cycle, taken
-    at the run's first detection of that cycle; on a shared trajectory
-    another cell's earlier detection must not stand in for it."""
+def test_on_detection_truth_matches_solo_run(cells, interval, seed):
+    """A solo run grades each mark against the network at the instant it
+    is made; on a shared trajectory another cell's earlier detection, or
+    the cycle's sweep, must not stand in for that instant."""
     config = SimulationConfig(
         radix=8, dimensions=2, vcs_per_channel=1,
-        warmup_cycles=0, measure_cycles=1000, seed=803,
-        recovery="none", ground_truth_interval=0,
+        warmup_cycles=0, measure_cycles=1000, seed=seed,
+        recovery="none", ground_truth_interval=interval,
         ground_truth_on_detection=True,
     )
     config.traffic.injection_rate = 0.6

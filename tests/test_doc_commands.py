@@ -136,7 +136,7 @@ def test_collector_reads_every_form():
         [
             "repro faults conformance --quick   # prose, not a fenced block",
             "```bash",
-            "REPRO_FULL=1 repro-experiments table 2   # paper scale",
+            "PYTHONHASHSEED=0 repro-experiments table 2 --full   # paper scale",
             "PYTHONPATH=src python -m repro.faults conformance --quick \\",
             "    --out report.json",
             "$ repro verify run --out verdicts.json",
@@ -145,7 +145,7 @@ def test_collector_reads_every_form():
         ]
     )
     assert doc_commands(text) == [
-        (3, ["REPRO_FULL=1", "repro-experiments", "table", "2"]),
+        (3, ["PYTHONHASHSEED=0", "repro-experiments", "table", "2", "--full"]),
         (
             4,
             ["PYTHONPATH=src", "python", "-m", "repro.faults", "conformance",
