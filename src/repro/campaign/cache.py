@@ -16,6 +16,10 @@ import warnings
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional
 
+#: Every cache file and manifest line: ``json.dumps(record,
+#: sort_keys=True)`` without building an encoder per record.
+RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
+
 
 def default_cache_dir() -> str:
     """Cache location used by the CLI: ``$REPRO_CACHE_DIR`` or a local dir."""
@@ -35,9 +39,15 @@ class ResultCache:
         self.misses = 0
 
     def path_for(self, key: str) -> Path:
+        """``key``'s entry as a ``Path``; ``get`` uses the string form."""
+        return Path(self._file(key))
+
+    def _file(self, key: str) -> str:
+        # A plain string join: ``get`` runs once per served cell, and two
+        # ``Path`` joins cost it more than the read.
         if len(key) < 3:
             raise ValueError(f"cache key too short: {key!r}")
-        return self.root / key[:2] / f"{key}.json"
+        return os.path.join(self.root, key[:2], key + ".json")
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The stored payload for ``key``, or ``None`` on a miss.
@@ -47,14 +57,15 @@ class ResultCache:
         disk corruption) is also a miss, with a warning so a recurring
         one is noticed — it will be overwritten by the re-run's ``put``.
         """
-        path = self.path_for(key)
+        path = self._file(key)
         try:
-            text = path.read_text()
+            with open(path, "rb") as handle:
+                data = handle.read()
         except OSError:
             self.misses += 1
             return None
         try:
-            payload = json.loads(text)
+            payload = json.loads(data)
         except ValueError:
             warnings.warn(
                 f"cache entry {path} is corrupt (torn or truncated JSON); "
@@ -81,7 +92,7 @@ class ResultCache:
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp-{os.getpid()}")
-        tmp.write_text(json.dumps(payload, sort_keys=True))
+        tmp.write_text(RECORD_ENCODER.encode(payload))
         os.replace(tmp, path)
         return path
 

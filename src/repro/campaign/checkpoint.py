@@ -17,9 +17,12 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, TextIO
+
+from repro.campaign.cache import RECORD_ENCODER
 
 
 class CampaignCheckpoint:
@@ -36,6 +39,9 @@ class CampaignCheckpoint:
         if fresh and self.path.exists():
             self.path.unlink()
         self._check_tail = not fresh  # first append: look for a torn tail
+        #: Open ``appending()`` blocks, and the handle they share.
+        self._spans = 0
+        self._handle: Optional[TextIO] = None
         #: ``completed()``'s map, parsed on its first call and then kept
         #: current by this checkpoint's own appends.
         self._done: Optional[Dict[str, Dict[str, Any]]] = None
@@ -78,24 +84,58 @@ class CampaignCheckpoint:
         if self._done is not None:
             self._done[config_hash] = record
 
+    @contextmanager
+    def appending(self) -> Iterator[None]:
+        """Hold one append handle for the span of the block.
+
+        Every line written inside goes through the same open file, still
+        flushed one line at a time, and the handle is closed when the
+        block ends, by return or by raise.  A nested block shares the
+        outer block's handle.  A line written outside any block is its
+        own one-line block: it opens, writes and closes the file.
+        """
+        self._spans += 1
+        try:
+            yield
+        finally:
+            self._spans -= 1
+            if not self._spans and self._handle is not None:
+                handle, self._handle = self._handle, None
+                handle.close()
+
     def _append(self, record: Dict[str, Any]) -> None:
-        line = json.dumps(record, sort_keys=True) + "\n"
+        line = RECORD_ENCODER.encode(record) + "\n"
+        with self.appending():
+            handle = self._handle
+            if handle is not None and os.fstat(handle.fileno()).st_nlink == 0:
+                # The manifest was unlinked under the held handle (say, its
+                # directory cleared mid-campaign): start a new one rather
+                # than write where no reader will look.
+                self._handle = None
+                handle.close()
+            if self._handle is None:
+                self._handle = self._open()
+            self._handle.write(line)
+            self._handle.flush()
+
+    def _open(self) -> TextIO:
+        """An append handle whose next write starts a line of its own."""
+        torn = False
         if self._check_tail and self.path.exists():
             # A crashed writer can leave a half-written last line: start on a
             # fresh one, or this record is glued to the fragment and lost too.
-            with self.path.open("rb") as handle:
-                handle.seek(max(handle.seek(0, os.SEEK_END) - 1, 0))
-                if handle.read(1) not in (b"", b"\n"):
-                    line = "\n" + line
+            with self.path.open("rb") as tail:
+                tail.seek(max(tail.seek(0, os.SEEK_END) - 1, 0))
+                torn = tail.read(1) not in (b"", b"\n")
         self._check_tail = False  # every later line is this writer's own
         try:
             handle = self.path.open("a")
-        except FileNotFoundError:  # first line, or the directory vanished
+        except FileNotFoundError:  # first open, or the directory vanished
             self.path.parent.mkdir(parents=True, exist_ok=True)
             handle = self.path.open("a")
-        with handle:
-            handle.write(line)
-            handle.flush()
+        if torn:
+            handle.write("\n")
+        return handle
 
     # ------------------------------------------------------------------
     # Reading

@@ -16,6 +16,7 @@ from this module at call time, so patching them here reaches every path.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.campaign.cache import ResultCache
@@ -76,23 +77,25 @@ def run_campaign(
     """
     planned: List[Tuple[TableSpec, Tuple[float, ...]]] = []
     cell_jobs: List[CellJob] = []
-    for spec in specs:
-        saturation = (saturations or {}).get(spec.pattern)
-        if saturation is None:
-            saturation = saturation_rate(base, spec)
-        rates, table_jobs = enumerate_table_jobs(spec, base, saturation)
-        if checkpoint is not None:
-            checkpoint.start(spec.table_id, total=len(table_jobs))
-        planned.append((spec, rates))
-        cell_jobs += table_jobs
-    outcomes = execute_jobs(
-        cell_jobs,
-        num_workers=jobs,
-        cache=cache,
-        checkpoint=checkpoint,
-        resume=resume,
-        progress=progress,
-    )
+    # One manifest handle for the headers and every cell line.
+    with checkpoint.appending() if checkpoint is not None else nullcontext():
+        for spec in specs:
+            saturation = (saturations or {}).get(spec.pattern)
+            if saturation is None:
+                saturation = saturation_rate(base, spec)
+            rates, table_jobs = enumerate_table_jobs(spec, base, saturation)
+            if checkpoint is not None:
+                checkpoint.start(spec.table_id, total=len(table_jobs))
+            planned.append((spec, rates))
+            cell_jobs += table_jobs
+        outcomes = execute_jobs(
+            cell_jobs,
+            num_workers=jobs,
+            cache=cache,
+            checkpoint=checkpoint,
+            resume=resume,
+            progress=progress,
+        )
     return {
         spec.table_id: assemble_table(spec, rates, outcomes)
         for spec, rates in planned

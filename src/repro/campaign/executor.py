@@ -47,6 +47,7 @@ from __future__ import annotations
 import os
 import time
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -197,6 +198,20 @@ def execute_jobs(
         num_workers = default_num_workers()
     if num_workers < 1:
         raise ValueError(f"num_workers must be >= 1, got {num_workers}")
+    # One manifest handle for the whole call, closed on return or raise.
+    with checkpoint.appending() if checkpoint is not None else nullcontext():
+        return _resolve(jobs, num_workers, cache, checkpoint, resume, progress)
+
+
+def _resolve(
+    jobs: Sequence[CellJob],
+    num_workers: int,
+    cache: Optional[ResultCache],
+    checkpoint: Optional[CampaignCheckpoint],
+    resume: bool,
+    progress: Optional[ProgressFn],
+) -> Dict[str, JobOutcome]:
+    """``execute_jobs``'s body: resume, cache, then run."""
     total = len(jobs)
     outcomes: Dict[str, JobOutcome] = {}
     completed = checkpoint.completed() if (resume and checkpoint) else {}

@@ -24,11 +24,14 @@ from repro.experiments.spec import TableSpec
 from repro.network.config import SimulationConfig
 
 
+#: One encoder for every config hash: ``json.dumps`` with keyword
+#: arguments builds a new encoder on every call.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_config_json(config: SimulationConfig) -> str:
     """Canonical JSON text of a config (sorted keys, no whitespace)."""
-    return json.dumps(
-        config.to_dict(), sort_keys=True, separators=(",", ":")
-    )
+    return _CANONICAL.encode(config.to_dict())
 
 
 def config_hash(config: SimulationConfig) -> str:
@@ -147,9 +150,14 @@ def cell_record(
     return record
 
 
+#: ``CellResult``'s fields, in declaration order.
+_CELL_FIELDS = tuple(f.name for f in dataclasses.fields(CellResult))
+
+
 def cell_to_dict(cell: CellResult) -> Dict[str, Any]:
-    """JSON-serializable form of one cell result."""
-    return dataclasses.asdict(cell)
+    """JSON-serializable form of one cell result: its nine scalars, the
+    same dict ``dataclasses.asdict`` builds without its recursive walk."""
+    return {name: getattr(cell, name) for name in _CELL_FIELDS}
 
 
 def cell_from_dict(payload: Dict[str, Any]) -> CellResult:

@@ -233,7 +233,7 @@ class SimulationConfig:
     def to_dict(self) -> Dict[str, Any]:
         """Plain-dict form (JSON-serializable) for results provenance:
         ``dataclasses.asdict`` without its deep copy of every scalar leaf."""
-        data = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        data = {name: getattr(self, name) for name in _FIELD_NAMES}
         data["traffic"] = _copied(vars(self.traffic))
         data["detector"] = dict(vars(self.detector))
         data["faults"] = _copied(self.faults)
@@ -271,7 +271,8 @@ class SimulationConfig:
         return clone
 
 
-_FIELD_NAMES = frozenset(f.name for f in dataclasses.fields(SimulationConfig))
+#: ``SimulationConfig``'s fields, in declaration order.
+_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(SimulationConfig))
 
 
 def _attribute_copy(obj: Any) -> Any:

@@ -57,25 +57,24 @@ _COUNTERS = tuple((name, name[len("probe_"):]) for name in PROBE_FIELDS)
 
 def wait_edges(
     m: Message, messages: Mapping[int, Message]
-) -> Tuple[bool, List[Tuple[int, int, Message]]]:
-    """Escape test plus ordered wait edges of the blocked message ``m``.
+) -> Tuple[bool, List[Message]]:
+    """Escape test plus the ordered holders the blocked message ``m`` waits on.
 
-    Returns ``(has_escape, edges)`` where ``edges`` is the ordered list
-    of ``(channel_index, lane_index, holder)`` over ``m``'s usable
-    lanes, holders looked up by id in ``messages`` (the network's
-    in-flight map) — the relation
+    Returns ``(has_escape, holders)`` where ``holders`` lists the
+    occupant of each of ``m``'s usable lanes in lane order, looked up by
+    id in ``messages`` (the network's in-flight map) — the relation
     :func:`repro.analysis.deadlock.find_deadlocked` reduces.  A free
     usable lane is an escape: the caller should drop the probe (the
-    message can advance), so ``edges`` is not meaningful when
+    message can advance), so ``holders`` is not meaningful when
     ``has_escape`` is True.
     """
-    edges: List[Tuple[int, int, Message]] = []
+    holders: List[Message] = []
     for vc in usable_lanes(m.feasible_vcs):
         occupant = vc.occupant
         if occupant is None:
-            return True, edges
-        edges.append((vc.pc.index, vc.index, messages[occupant]))
-    return False, edges
+            return True, holders
+        holders.append(messages[occupant])
+    return False, holders
 
 
 class Probe:
@@ -187,11 +186,11 @@ class ProbeTransport:
         escape through), ``None`` otherwise.  A launch finding an escape
         starts nothing — the message can still advance.
         """
-        escape, edges = wait_edges(m, messages)
+        escape, holders = wait_edges(m, messages)
         if escape:
             self.dropped_progress += 1
             return None
-        if not edges:
+        if not holders:
             # Every alternative is fault-unusable: the header can never
             # advance under the current fault state, and no probe could
             # chase a cycle back to it.  Declare directly.
@@ -199,7 +198,7 @@ class ProbeTransport:
             self.deadend_detections += 1
             return m
         session = ProbeSession(m)
-        for _, _, holder in edges:
+        for holder in holders:
             if holder is m:
                 # Self-wait (a lane the initiator itself still holds):
                 # not a cycle through another message; skip, as the
@@ -278,11 +277,11 @@ class ProbeTransport:
                 # lower-id initiator's own session.
                 self.dropped_election += 1
                 continue
-            escape, edges = wait_edges(x, messages)
+            escape, holders = wait_edges(x, messages)
             if escape:
                 self.dropped_progress += 1
                 continue
-            for _, _, holder in edges:
+            for holder in holders:
                 if holder is x:
                     self.dropped_dedupe += 1
                     continue

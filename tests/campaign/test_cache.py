@@ -51,6 +51,14 @@ class TestResultCache:
         with pytest.warns(RuntimeWarning, match="corrupt"):
             assert cache.get(KEY) is None
 
+    def test_undecodable_entry_is_a_miss(self, cache):
+        """Bytes that are not UTF-8 (disk corruption) are a warned miss,
+        not an exception out of ``get``."""
+        path = cache.put(KEY, {"x": 1})
+        path.write_bytes(b'{"x": "\xff\xfe"}')
+        with pytest.warns(RuntimeWarning, match="corrupt"):
+            assert cache.get(KEY) is None
+
     def test_wrong_shape_entry_is_a_miss(self, cache):
         path = cache.put(KEY, {"x": 1})
         path.write_text("[1, 2, 3]")  # valid JSON, not an object

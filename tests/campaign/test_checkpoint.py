@@ -101,6 +101,19 @@ class TestCampaignCheckpoint:
         record(ck, key="table2/th32/load0/s", config_hash=HASH_B)
         assert [r["config_hash"] for r in ck.records()] == [HASH_B]
 
+    def test_held_handle_recreates_a_vanished_directory(self, tmp_path):
+        """Clearing the directory mid-campaign unlinks the manifest under
+        the held handle; the next line starts a new manifest."""
+        path = tmp_path / "run" / "m.jsonl"
+        ck = CampaignCheckpoint(path)
+        with ck.appending():
+            ck.start(table_id=2, total=2)
+            record(ck)
+            shutil.rmtree(path.parent)
+            record(ck, key="table2/th32/load0/s", config_hash=HASH_B)
+            record(ck, key="table2/th32/load1/s", config_hash="c" * 64)
+        assert [r["config_hash"] for r in ck.records()] == [HASH_B, "c" * 64]
+
     def test_fresh_truncates(self, tmp_path):
         path = tmp_path / "m.jsonl"
         record(CampaignCheckpoint(path))
