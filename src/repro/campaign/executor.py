@@ -24,15 +24,31 @@ worker, engine, phase times), which is what a cache file holds and what
 a manifest line holds next to its config hash and source.
 :meth:`JobOutcome.from_record` is the one parser of that record.
 
-Live work is scheduled in *units* — lists of jobs that share one run.
-Cache-miss cells that are ``batch_eligible`` (no recovery, no faults, a
-pure-observer detector, not the ``"scan"`` reference) and equal modulo
-their detector cell — mechanism, threshold, probe caps — form one unit
-per group and advance on one shared trajectory (see
-``repro.network.batch``); every other cell is a unit of one.  Grouping
-is a pure optimization: fold results are bit-identical to per-cell runs
-and do not depend on the partition, so ``--resume`` re-grouping after a
-partial run reproduces the same per-cell records byte for byte.
+Live work is scheduled in *units* of three kinds, named in the unit's
+payload:
+
+* **fold** — cache-miss cells that are ``batch_eligible`` (no recovery,
+  no faults, a pure-observer detector, not the ``"scan"`` reference)
+  and equal modulo their detector cell — mechanism, threshold, probe
+  caps — advance on one shared trajectory (see ``repro.network.batch``);
+* **chain** — the remaining cells that are equal modulo their threshold
+  and whose mechanism is ``threshold_monotone`` (its threshold acts only
+  through ``score > threshold``: pdm, ndm, the three timeouts) run one
+  by one in ascending threshold; once a run marks nothing in its whole
+  run (``stats.detections == 0``, warm-up included: a warm-up mark
+  changes the trajectory too), it *is* the run at every higher
+  threshold, and the cells above it are not simulated;
+* **cell** — every other cell runs alone.
+
+Both sharing kinds are pure optimizations: a folded or skipped cell's
+``CellResult`` is bit-identical to its solo run and does not depend on
+the partition, so ``--resume`` re-planning after a partial run
+reproduces the same per-cell results byte for byte.  A skipped cell's
+record is its solo record with ``wall_time`` 0.0 (and every phase time
+0.0 when profiled): no simulation time was spent on it, so
+``campaign summary`` totals stay the real simulation time.  A fold or a
+chain is recorded when the whole unit returns; a kill mid-unit re-runs
+the unit on ``--resume``.
 
 Cells run out of order under the pool, but records are keyed, so
 callers reassemble tables in canonical order and the output is
@@ -44,17 +60,20 @@ process boundary.
 
 from __future__ import annotations
 
+import json
 import os
 import time
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.campaign.cache import ResultCache
 from repro.campaign.checkpoint import CampaignCheckpoint
 from repro.campaign.jobs import CellJob, cell_from_dict, cell_record, unit_payload
+from repro.core.registry import threshold_monotone
 from repro.experiments.runner import CellResult, cell_from_stats
+from repro.metrics.stats import SimulationStats
 from repro.network import batch as batch_backend
 from repro.network.config import DetectorConfig, SimulationConfig
 from repro.network.simulator import Simulator
@@ -126,46 +145,117 @@ class JobOutcome:
         )
 
 
+class _Unit(NamedTuple):
+    """One unit of live work: its kind and its jobs, in run order."""
+
+    kind: str  # "cell", "fold" or "chain"
+    jobs: List[CellJob]
+
+
 def _run_unit(
     payload: Dict[str, Any], worker: Optional[str] = None
 ) -> List[Dict[str, Any]]:
     """Worker entry point: run one unit, return one record per cell.
 
     Top-level (picklable) and dict-in/dicts-out, so the same function
-    backs the serial loop and the process pool.  One key runs its own
-    ``Simulator``; several share a single trajectory (see
-    ``repro.network.batch``), whose wall time is attributed evenly
-    across the cells — the shared run is one indivisible advance, and an
-    even split keeps campaign-level wall-time sums meaningful.
+    backs the serial loop and the process pool.  A fold runs one shared
+    trajectory (see ``repro.network.batch``), whose wall time is
+    attributed evenly across the cells — the shared run is one
+    indivisible advance, and an even split keeps campaign-level
+    wall-time sums meaningful.  A cell is a chain of one: a chain runs
+    its own ``Simulator`` per cell, in payload order, until a run marks
+    nothing, and hands that run's result to every cell after it, with no
+    wall time.
     """
-    start = time.perf_counter()
     config = SimulationConfig.from_dict(payload["config"])
-    keys = payload["keys"]
-    if len(keys) == 1:
-        stats_list = [Simulator(config).run()]
-    else:
-        cells = [DetectorConfig(**cell) for cell in payload["detectors"]]
-        stats_list = batch_backend.BatchSimulator(config, cells).run()
-    per_cell = (time.perf_counter() - start) / len(keys)
+    profiled = config.profile_phases
     who = worker or f"pid{os.getpid()}"
-    return [
-        cell_record(
-            key,
-            cell_from_stats(stats, rate),
-            per_cell,
-            who,
-            stats.engine,
-            stats.phase_time if config.profile_phases else {},
+
+    def record(
+        key: str,
+        rate: float,
+        stats: SimulationStats,
+        wall: float,
+        phase_time: Dict[str, float],
+    ) -> Dict[str, Any]:
+        return cell_record(
+            key, cell_from_stats(stats, rate), wall, who, stats.engine, phase_time
         )
-        for key, rate, stats in zip(keys, payload["rates"], stats_list)
-    ]
+
+    keys, rates, detectors = payload["keys"], payload["rates"], payload["detectors"]
+    if payload["kind"] == "fold":
+        start = time.perf_counter()
+        cells = [DetectorConfig(**cell) for cell in detectors]
+        stats_list = batch_backend.BatchSimulator(config, cells).run()
+        per_cell = (time.perf_counter() - start) / len(keys)
+        return [
+            record(key, rate, stats, per_cell, stats.phase_time if profiled else {})
+            for key, rate, stats in zip(keys, rates, stats_list)
+        ]
+
+    records: List[Dict[str, Any]] = []
+    quiet: Optional[SimulationStats] = None  # a chain run that marked nothing
+    for key, rate, cell in zip(keys, rates, detectors):
+        if quiet is not None:
+            idle = dict.fromkeys(quiet.phase_time, 0.0) if profiled else {}
+            records.append(record(key, rate, quiet, 0.0, idle))
+            continue
+        start = time.perf_counter()
+        stats = Simulator(config.replace(detector=DetectorConfig(**cell))).run()
+        wall = time.perf_counter() - start
+        records.append(
+            record(key, rate, stats, wall, stats.phase_time if profiled else {})
+        )
+        if stats.detections == 0:
+            quiet = stats
+    return records
 
 
-def _predicted_cost(unit: Sequence[CellJob]) -> float:
-    """A unit's run cost up to a constant: cycles x nodes x offered load."""
-    config = unit[0].config
+def _predicted_cost(unit: _Unit) -> float:
+    """A unit's run cost up to a constant: cycles x nodes x offered load,
+    per run — a chain is charged every cell (an upper bound)."""
+    config = unit.jobs[0].config
     cycles = config.warmup_cycles + config.measure_cycles
-    return cycles * config.radix**config.dimensions * config.traffic.injection_rate
+    runs = 1 if unit.kind == "fold" else len(unit.jobs)
+    nodes = config.radix**config.dimensions
+    return runs * cycles * nodes * config.traffic.injection_rate
+
+
+def _chain_key(config: SimulationConfig) -> str:
+    """Canonical identity of a config modulo its detection threshold."""
+    payload = config.to_dict()
+    payload["detector"]["threshold"] = None
+    return json.dumps(payload, sort_keys=True)
+
+
+def _plan_chains(jobs: Sequence[CellJob]) -> List[_Unit]:
+    """Split the cells no fold took into chains and solo cells.
+
+    Cells whose mechanism is ``threshold_monotone``, that could not fold
+    (``batch_eligible`` ones fold: one run beats a chain) and that are
+    equal modulo their threshold form one ``"chain"`` unit in ascending
+    threshold; a lone one and every other cell is a ``"cell"``.  Units
+    keep the input order of their first member.
+    """
+    groups: List[List[CellJob]] = []
+    chains: Dict[str, List[CellJob]] = {}
+    for job in jobs:
+        config = job.config
+        monotone = threshold_monotone(config.detector)
+        if monotone and not batch_backend.batch_eligible(config):
+            key = _chain_key(config)
+            if key not in chains:
+                chains[key] = []
+                groups.append(chains[key])
+            chains[key].append(job)
+        else:
+            groups.append([job])
+    return [
+        _Unit("chain", sorted(group, key=lambda job: job.config.detector.threshold))
+        if len(group) > 1
+        else _Unit("cell", group)
+        for group in groups
+    ]
 
 
 def default_num_workers() -> int:
@@ -267,22 +357,23 @@ def _resolve(
         job.config.validate()
 
     # Layer 3: simulate the rest, unit by unit — the cells nothing can
-    # share with as units of one, then the shared-trajectory groups.
+    # share with and the threshold chains, then the shared-trajectory
+    # groups.
     groups, singles = batch_backend.plan_batches(
         [job.config for job in pending]
     )
-    units = [[pending[i]] for i in singles]
-    units += [[pending[i] for i in group] for group in groups]
+    units = _plan_chains([pending[i] for i in singles])
+    units += [_Unit("fold", [pending[i] for i in group]) for group in groups]
 
-    def finish_unit(unit: List[CellJob], records: List[Dict[str, Any]]) -> None:
-        for job, record in zip(unit, records):
+    def finish_unit(unit: _Unit, records: List[Dict[str, Any]]) -> None:
+        for job, record in zip(unit.jobs, records):
             if not finish(JobOutcome.from_record(job, record, "run")):
                 raise RuntimeError(f"worker returned no usable record for {job.key}")
 
     # A pool pays off only with two units to overlap.
     if num_workers == 1 or len(units) < 2:
         for unit in units:
-            finish_unit(unit, _run_unit(unit_payload(unit), "serial"))
+            finish_unit(unit, _run_unit(unit_payload(unit.kind, unit.jobs), "serial"))
     else:
         # Imported here: a serial campaign never loads the pool machinery
         # (multiprocessing and its queues, 1.7 MB resident on CPython 3.11).
@@ -293,7 +384,7 @@ def _resolve(
         pool = ProcessPoolExecutor(max_workers=min(num_workers, len(units)))
         try:
             futures = {
-                pool.submit(_run_unit, unit_payload(unit)): unit
+                pool.submit(_run_unit, unit_payload(unit.kind, unit.jobs)): unit
                 for unit in sorted(units, key=_predicted_cost, reverse=True)
             }
             for future in as_completed(futures):

@@ -68,16 +68,19 @@ class CellJob:
     config_hash: str
 
 
-def unit_payload(jobs: Sequence[CellJob]) -> Dict[str, Any]:
-    """Pickle-light dict form of one unit of work (jobs sharing one run).
+def unit_payload(kind: str, jobs: Sequence[CellJob]) -> Dict[str, Any]:
+    """Pickle-light dict form of one unit of work.
 
-    A unit of one is a solo cell.  A larger unit is equal modulo its
-    detector cell (``batch_group_key`` masks exactly those fields), so
-    any member's config describes the shared run and the per-cell
-    detector configs say what to fold — groups span mechanisms and
-    probe caps, not just thresholds.
+    ``kind`` says how the unit runs (see ``repro.campaign.executor``):
+    ``"cell"`` is one solo cell; ``"fold"`` is a group equal modulo its
+    detector cell (``batch_group_key`` masks exactly those fields) that
+    shares one trajectory; ``"chain"`` is a group equal modulo its
+    threshold, in ascending threshold order.  The first job's config
+    describes the rest once the per-cell detector configs are swapped in
+    — fold groups span mechanisms and probe caps, not just thresholds.
     """
     return {
+        "kind": kind,
         "keys": [job.key for job in jobs],
         "rates": [job.rate for job in jobs],
         "detectors": [dataclasses.asdict(job.config.detector) for job in jobs],

@@ -59,6 +59,19 @@ def batch_shareable(config: DetectorConfig) -> bool:
     return cls is not None and cls.folds(config)
 
 
+def threshold_monotone(config: DetectorConfig) -> bool:
+    """True when this cell's threshold acts only through ``score >
+    threshold`` — its class overrides ``DeadlockDetector.score`` (pdm, ndm
+    under either promotion, the three timeouts).  Until such a detector
+    marks, nothing the trajectory reads depends on the threshold, so a run
+    that marks nothing at one threshold is the run at every higher one;
+    the campaign executor chains those cells (see
+    ``repro.campaign.executor``).
+    """
+    cls = _DETECTOR_CLASSES.get(config.mechanism)
+    return cls is not None and cls.score is not DeadlockDetector.score
+
+
 def batch_shareable_names() -> Tuple[str, ...]:
     """Mechanism names whose cells the batch backend may fold."""
     return tuple(

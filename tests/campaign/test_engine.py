@@ -214,7 +214,7 @@ class TestOnePlanPerCampaign:
         specs = [tiny_spec(table_id=2), tiny_spec(table_id=3)]
         results = run_campaign(specs, short_base(),
                                saturations={"uniform": 1.0}, jobs=1)
-        assert len(ran) == specs[0].cell_count()
+        assert sum(len(keys) for keys in ran) == specs[0].cell_count()
         assert render_table(results[2]).splitlines()[2:] == \
             render_table(results[3]).splitlines()[2:]
 
@@ -250,8 +250,9 @@ class TestOnePlanPerCampaign:
 
     def test_resume_after_partial_multi_table_campaign(self, tmp_path,
                                                        monkeypatch):
-        """A campaign killed after 5 of its 12 units resumes on a pool:
-        only the other 7 run, and the tables equal a clean run's."""
+        """A campaign killed after 4 of its 6 units (one threshold chain
+        per table and load) resumes on a pool: only the other 2 run, and
+        the tables equal a clean run's."""
         specs, base = three_specs(), short_base()
         reference = run_campaign(specs, base, saturations={"uniform": 1.0},
                                  jobs=1)
@@ -259,17 +260,18 @@ class TestOnePlanPerCampaign:
         run_unit = executor_module._run_unit
         ran = []
 
-        def dies_after_five(payload, worker=None):
-            if len(ran) == 5:
+        def dies_after_four(payload, worker=None):
+            if len(ran) == 4:
                 raise KeyboardInterrupt
             ran.append(payload["keys"])
             return run_unit(payload, worker)
 
-        monkeypatch.setattr(executor_module, "_run_unit", dies_after_five)
+        monkeypatch.setattr(executor_module, "_run_unit", dies_after_four)
         with pytest.raises(KeyboardInterrupt):
             run_campaign(specs, base, saturations={"uniform": 1.0}, jobs=1,
                          checkpoint=CampaignCheckpoint(path))
         monkeypatch.setattr(executor_module, "_run_unit", run_unit)
+        assert [len(keys) for keys in ran] == [2] * 4
 
         resumed = run_campaign(specs, base, saturations={"uniform": 1.0},
                                jobs=2, checkpoint=CampaignCheckpoint(path),

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from concurrent.futures import Future
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,9 +14,12 @@ import pytest
 import repro.campaign.executor as executor_module
 from repro.campaign.cache import ResultCache
 from repro.campaign.checkpoint import CampaignCheckpoint
+from repro.campaign.engine import run_campaign
 from repro.campaign.executor import JobOutcome, execute_jobs
-from repro.campaign.jobs import cell_to_dict, enumerate_table_jobs, unit_payload
+from repro.campaign.jobs import cell_to_dict, config_hash, enumerate_table_jobs
+from repro.experiments.report import table_to_json
 from repro.experiments.runner import cell_from_stats, run_cell
+from repro.experiments.spec import TABLE_SPECS, base_config, quick_spec
 from repro.network.simulator import Simulator
 from tests.campaign.conftest import tiny_base, tiny_spec
 
@@ -77,6 +81,18 @@ class TestDeterminism:
             assert first[key].cell == second[key].cell
 
 
+def threshold_chains(jobs):
+    """The key lists of ``jobs``' threshold chains (one per table and
+    traffic point, ascending threshold) in the order of their first cell."""
+    chains = {}
+    for job in jobs:
+        chains.setdefault((job.table_id, job.load_index, job.size), []).append(job)
+    return [
+        [j.key for j in sorted(chain, key=lambda j: j.threshold)]
+        for chain in chains.values()
+    ]
+
+
 def inline_pool(monkeypatch):
     """Replace the process pool with one that runs each unit as it is
     submitted; returns the live list of submitted key lists."""
@@ -114,21 +130,33 @@ class TestPoolSubmission:
         submitted = inline_pool(monkeypatch)
         execute_jobs(jobs, num_workers=2)
 
-        def keys(table_id, load_index):
-            return [
-                [j.key] for j in jobs
+        def chain(table_id, load_index):
+            return [[
+                j.key for j in jobs
                 if (j.table_id, j.load_index) == (table_id, load_index)
-            ]
+            ]]
 
-        # 900 cycles beat 500, then the higher load; equal costs keep
-        # their input order (the two thresholds of one load).
-        assert submitted == keys(3, 1) + keys(3, 0) + keys(2, 1) + keys(2, 0)
+        # Each load's two thresholds are one chain.  900 cycles beat
+        # 500, then the higher load.
+        assert submitted == chain(3, 1) + chain(3, 0) + chain(2, 1) + chain(2, 0)
 
     def test_serial_loop_keeps_input_order(self, monkeypatch):
         jobs = self.two_lengths()
         units = spy_on_units(monkeypatch)
         execute_jobs(jobs, num_workers=1)
-        assert units == [[j.key] for j in jobs]
+        assert units == threshold_chains(jobs)
+
+    def test_chain_is_charged_per_cell(self):
+        """A chain costs its cell count times one run, a fold one run."""
+        jobs = tiny_jobs()
+        one = executor_module._predicted_cost(executor_module._Unit("cell", jobs[:1]))
+        pair = jobs[0::2]
+        assert executor_module._predicted_cost(
+            executor_module._Unit("chain", pair)
+        ) == 2 * one
+        assert executor_module._predicted_cost(
+            executor_module._Unit("fold", pair)
+        ) == one
 
     def test_pool_records_equal_serial_records(self):
         def records(outcomes):
@@ -196,11 +224,18 @@ class TestProgressAndTelemetry:
         assert seen == [(i + 1, len(jobs)) for i in range(len(jobs))]
 
     def test_outcome_telemetry(self):
-        outcomes = execute_jobs(tiny_jobs(), num_workers=1)
+        jobs = tiny_jobs()
+        outcomes = execute_jobs(jobs, num_workers=1)
         for outcome in outcomes.values():
             assert outcome.source == "run"
             assert outcome.worker == "serial"
-            assert outcome.wall_time > 0
+            assert outcome.wall_time >= 0
+        # The bottom of each threshold chain is always simulated; a cell
+        # its chain skipped records no wall time.
+        lowest = min(job.threshold for job in jobs)
+        assert all(
+            outcomes[job.key].wall_time > 0 for job in jobs if job.threshold == lowest
+        )
 
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ValueError, match="num_workers"):
@@ -269,7 +304,8 @@ class TestResume:
         resumed = execute_jobs(jobs, num_workers=1, checkpoint=ck,
                                resume=True)
 
-        assert executed == [[j.key] for j in jobs[1:]]
+        # The unfinished cells re-plan: one chain and a lone cell.
+        assert executed == threshold_chains(jobs[1:])
         assert resumed[jobs[0].key].source == "resume"
         assert resumed[jobs[0].key].cell == first[jobs[0].key].cell
 
@@ -573,5 +609,207 @@ class TestOneRecord:
         assert len(outcomes) == len(jobs)
         assert {o.engine for o in outcomes.values()} == {"event", "batch"}
         if units is not None:
-            # Units of one first, then the groups — one entry point.
-            assert [len(keys) for keys in units] == [1, 1, 1, 1, 2, 2]
+            # Threshold chains first, then the groups — one entry point.
+            assert [len(keys) for keys in units] == [2, 2, 2, 2]
+
+
+#: Quick-shaped Tables 1-2 on a 4x4 torus, recovery on, at 200 + 200
+#: cycles with the uniform saturation rate set to 1.5 flits/cycle/node:
+#: of the 12 threshold chains (one per table and traffic point), some
+#: run one cell, some two or more, and some have a lowest cell whose only
+#: marks fall in warm-up.
+DOMINANCE_SATURATIONS = {"uniform": 1.5}
+
+
+def dominance_campaign():
+    base = base_config(full=False)
+    base.radix = 4
+    base.warmup_cycles, base.measure_cycles = 200, 200
+    return [quick_spec(TABLE_SPECS[1]), quick_spec(TABLE_SPECS[2])], base
+
+
+def dominance_jobs():
+    specs, base = dominance_campaign()
+    return [
+        job
+        for spec in specs
+        for job in enumerate_table_jobs(
+            spec, base, DOMINANCE_SATURATIONS[spec.pattern]
+        )[1]
+    ]
+
+
+def count_simulations(monkeypatch):
+    """The live list of config hashes ``Simulator.run`` is called on."""
+    ran = []
+    original = Simulator.run
+
+    def spy(self, *args, **kwargs):
+        ran.append(config_hash(self.config))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Simulator, "run", spy)
+    return ran
+
+
+def spy_on_kinds(monkeypatch):
+    """The live list of ``(kind, keys)`` of every unit run in-process."""
+    units = []
+    original = executor_module._run_unit
+
+    def spy(payload, worker=None):
+        units.append((payload["kind"], list(payload["keys"])))
+        return original(payload, worker)
+
+    monkeypatch.setattr(executor_module, "_run_unit", spy)
+    return units
+
+
+@pytest.fixture(scope="module")
+def dominance():
+    """The serial campaign (tables, simulated config hashes) and every
+    cell's solo ``run_cell``."""
+    specs, base = dominance_campaign()
+    with pytest.MonkeyPatch.context() as mp:
+        ran = count_simulations(mp)
+        tables = run_campaign(specs, base, DOMINANCE_SATURATIONS, jobs=1)
+    spec_of = {spec.table_id: spec for spec in specs}
+    solo = {
+        job.key: run_cell(base, spec_of[job.table_id], job.threshold, job.size, job.rate)
+        for job in dominance_jobs()
+    }
+    return tables, ran, solo
+
+
+class TestThresholdDominance:
+    """A chain run that marks nothing is every higher threshold's run."""
+
+    def test_cells_above_a_quiet_run_are_not_simulated(self, dominance):
+        tables, ran, solo = dominance
+        jobs = dominance_jobs()
+        assert len(ran) == len(set(ran)) < len(jobs)
+        for job in jobs:
+            table = tables[job.table_id]
+            assert table.cell(job.threshold, job.load_index, job.size) == (
+                solo[job.key]
+            ), job.key
+
+    def test_pool_tables_byte_identical(self, dominance):
+        tables, _, _ = dominance
+        specs, base = dominance_campaign()
+        pooled = run_campaign(specs, base, DOMINANCE_SATURATIONS, jobs=2)
+        for spec in specs:
+            assert table_to_json(pooled[spec.table_id]) == table_to_json(
+                tables[spec.table_id]
+            )
+
+    def test_warm_up_mark_does_not_end_a_chain(self, dominance):
+        """A lowest cell that marks only in warm-up (``detections`` > 0,
+        ``detections_measured`` == 0) changed its trajectory: the next
+        threshold still runs."""
+        _, ran, _ = dominance
+        chains = {}
+        for job in dominance_jobs():
+            chains.setdefault((job.table_id, job.load_index, job.size), []).append(job)
+        warm_only = 0
+        for chain in chains.values():
+            lowest, above = sorted(chain, key=lambda job: job.threshold)[:2]
+            stats = Simulator(lowest.config).run()
+            if stats.detections > 0 and stats.detections_measured == 0:
+                warm_only += 1
+                assert above.config_hash in ran, above.key
+        assert warm_only > 0
+
+    def test_skipped_cell_records_its_solo_record_with_no_wall_time(
+        self, tmp_path, monkeypatch
+    ):
+        jobs = dominance_jobs()
+        cache = ResultCache(tmp_path / "cache")
+        ck = CampaignCheckpoint(tmp_path / "m.jsonl")
+        ran = count_simulations(monkeypatch)
+        execute_jobs(jobs, num_workers=1, cache=cache, checkpoint=ck)
+        skipped = [job for job in jobs if job.config_hash not in ran]
+        assert skipped
+        lines = {r["key"]: r for r in ck.records() if r["kind"] == "cell"}
+        for job in skipped:
+            solo_cache = ResultCache(tmp_path / job.config_hash)
+            execute_jobs([job], num_workers=1, cache=solo_cache)
+            solo = json.loads(solo_cache.path_for(job.config_hash).read_text())
+            stored = json.loads(cache.path_for(job.config_hash).read_text())
+            assert stored.pop("wall_time") == 0.0
+            assert solo.pop("wall_time") > 0
+            assert stored == solo, job.key
+            line = dict(lines[job.key])
+            assert (line.pop("kind"), line.pop("source")) == ("cell", "run")
+            assert line.pop("config_hash") == job.config_hash
+            assert line.pop("wall_time") == 0.0
+            assert line == stored
+
+    def test_skipped_cell_of_a_profiled_chain_records_zero_phase_times(self):
+        jobs = [
+            replace(job, config=job.config.replace(profile_phases=True))
+            for job in dominance_jobs()
+        ]
+        outcomes = execute_jobs(jobs, num_workers=1)
+        idle = [o for o in outcomes.values() if o.wall_time == 0.0]
+        assert idle
+        phases = set(next(iter(outcomes.values())).phase_time)
+        for outcome in idle:
+            assert set(outcome.phase_time) == phases
+            assert set(outcome.phase_time.values()) == {0.0}
+
+    def test_campaign_killed_mid_chain_resumes_to_the_reference(
+        self, dominance, tmp_path, monkeypatch
+    ):
+        """A chain is recorded when the whole unit returns: killed inside
+        one, the resume re-runs that chain and ends on the same tables."""
+        tables, _, _ = dominance
+        specs, base = dominance_campaign()
+        path = tmp_path / "m.jsonl"
+        lowest = min(spec.thresholds[0] for spec in specs)
+        run = Simulator.run
+        chain_bottoms = []
+
+        def dies_mid_chain(self, *args, **kwargs):
+            threshold = self.config.detector.threshold
+            if threshold != lowest and len(chain_bottoms) >= 3:
+                raise KeyboardInterrupt
+            if threshold == lowest:
+                chain_bottoms.append(config_hash(self.config))
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "run", dies_mid_chain)
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(specs, base, DOMINANCE_SATURATIONS, jobs=1,
+                         checkpoint=CampaignCheckpoint(path))
+        monkeypatch.setattr(Simulator, "run", run)
+        # The chain it died in had simulated its lowest cell, which is
+        # not on disk.
+        recorded = {r["config_hash"] for r in CampaignCheckpoint(path).records()
+                    if r["kind"] == "cell"}
+        assert chain_bottoms[-1] not in recorded
+        resumed = run_campaign(specs, base, DOMINANCE_SATURATIONS, jobs=2,
+                               checkpoint=CampaignCheckpoint(path), resume=True)
+        for spec in specs:
+            assert table_to_json(resumed[spec.table_id]) == table_to_json(
+                tables[spec.table_id]
+            )
+
+    def test_probe_precise_and_foldable_cells_never_chain(self, monkeypatch):
+        """Only ``threshold_monotone`` mechanisms chain, and a cell that
+        can fold folds; selective promotion, which never folds, chains."""
+        selective = tiny_base()
+        selective.recovery = "none"
+        selective.detector.selective_promotion = True
+        jobs = (
+            tiny_jobs(tiny_spec(table_id=3, mechanism="probe"))
+            + tiny_jobs(tiny_spec(table_id=4, mechanism="ndm-precise"))
+            + tiny_jobs(tiny_spec(table_id=5), batch_base())
+            + tiny_jobs(tiny_spec(table_id=6), selective)
+        )
+        units = spy_on_kinds(monkeypatch)
+        execute_jobs(jobs, num_workers=1)
+        kinds = {key: kind for kind, keys in units for key in keys}
+        tables = {3: "cell", 4: "cell", 5: "fold", 6: "chain"}
+        for job in jobs:
+            assert kinds[job.key] == tables[job.table_id], job.key

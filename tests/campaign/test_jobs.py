@@ -89,14 +89,16 @@ class TestEnumerateTableJobs:
         from repro.network.config import DetectorConfig, SimulationConfig
 
         _, jobs = enumerate_table_jobs(spec, base, 1.0)
-        solo = unit_payload(jobs[:1])
+        solo = unit_payload("cell", jobs[:1])
+        assert solo["kind"] == "cell"
         assert solo["keys"] == [jobs[0].key]
         assert solo["rates"] == [jobs[0].rate]
         rebuilt = SimulationConfig.from_dict(solo["config"])
         assert config_hash(rebuilt) == jobs[0].config_hash
 
         # A larger unit carries every member's own detector cell.
-        pair = unit_payload(jobs[:2])
+        pair = unit_payload("fold", jobs[:2])
+        assert pair["kind"] == "fold"
         assert pair["keys"] == [j.key for j in jobs[:2]]
         assert [DetectorConfig(**d) for d in pair["detectors"]] == [
             j.config.detector for j in jobs[:2]

@@ -12,6 +12,7 @@ from repro.core.registry import (
     detector_class,
     detector_names,
     make_detector,
+    threshold_monotone,
 )
 from repro.core.timeout import (
     HeaderBlockedTimeout,
@@ -90,6 +91,19 @@ class TestFactory:
             ), cell.threshold
         # Not vacuous: the ladder's rungs see different detection counts.
         assert folded[0].detections > folded[2].detections > 0
+
+    def test_threshold_monotone_names_the_score_mechanisms(self):
+        """The mechanisms whose threshold acts only through ``score`` —
+        the ones a campaign may chain — under either NDM promotion."""
+        monotone = {
+            name for name in detector_names()
+            if threshold_monotone(DetectorConfig(mechanism=name))
+        }
+        assert monotone == {"ndm", "pdm", "timeout", "source-age", "injection-stall"}
+        assert threshold_monotone(
+            DetectorConfig(mechanism="ndm", selective_promotion=True)
+        )
+        assert not threshold_monotone(DetectorConfig(mechanism="no-such"))
 
     def test_zero_threshold_rejected(self):
         with pytest.raises(ValueError):
