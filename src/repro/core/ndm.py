@@ -7,7 +7,9 @@ Hardware model (paper Fig. 6), mapped onto our lazy channel monitors:
   the tuned detection threshold).  We never materialize the flags: they are
   computed from :meth:`PhysicalChannel.inactivity` on demand.
 * Per physical **input** channel: one ``G/P`` (Generate/Propagate) flag,
-  stored on the channel object.
+  kept by the detector that owns it in :attr:`NewDetectionMechanism.gp`,
+  indexed by channel index, as a mask of the cells that see ``G`` (a solo
+  run is one cell; the batch fold is one cell per ndm threshold).
 
 Protocol, exactly as described in the paper:
 
@@ -15,17 +17,17 @@ Protocol, exactly as described in the paper:
    input channel ``in``:
 
    * if ``in`` still has a free virtual channel, the message cannot be the
-     last arriver and cannot yet produce deadlock: ``in.gp = P``;
+     last arriver and cannot yet produce deadlock: ``gp[in] = P``;
    * else test the ``I`` flags of all feasible outputs — if *any* is clear
      (someone is still advancing and could be the tree root) set
-     ``in.gp = G``, otherwise (everyone already blocked; the current
-     message is not waiting on the root) set ``in.gp = P``.
+     ``gp[in] = G``, otherwise (everyone already blocked; the current
+     message is not waiting on the root) set ``gp[in] = P``.
 
 2. **Every subsequent unsuccessful attempt**: the message is presumed
    deadlocked iff *all* feasible outputs have ``DT`` set *and*
-   ``in.gp == G``.
+   ``gp[in] == G``.
 
-3. ``in.gp`` resets to ``P`` whenever a message occupying ``in`` is
+3. ``gp[in]`` resets to ``P`` whenever a message occupying ``in`` is
    successfully routed or one of ``in``'s virtual channels is freed.
 
 4. Whenever a flit transmission clears a set ``I`` flag (a previously
@@ -43,14 +45,11 @@ from typing import TYPE_CHECKING, Any, List, Optional
 from repro.core.detector import CounterDetector
 from repro.network.channel import PhysicalChannel, VirtualChannel
 from repro.network.message import Message
-from repro.network.types import GPState, PortKind
+from repro.network.types import PortKind
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.network.config import DetectorConfig
     from repro.network.simulator import Simulator
-
-_G = GPState.GENERATE
-_P = GPState.PROPAGATE
 
 
 class NewDetectionMechanism(CounterDetector):
@@ -83,11 +82,15 @@ class NewDetectionMechanism(CounterDetector):
             )
         self.t1 = t1
         self.selective_promotion = selective_promotion
-        #: Output channel index -> the inputs its reactivation promotes
-        #: (armed by :meth:`attach`): the owning router's inputs, or under
-        #: selective promotion the inputs whose blocked headers request
-        #: the channel, refcounted.  On the detector, not the channel: a
-        #: channel that held channels would close reference cycles.
+        #: Input channel index -> the cells seeing G there, as a bit mask
+        #: (sized all-P by :meth:`attach`).  A solo run is one cell.
+        self.gp: List[int] = []
+        #: Every cell this detector keeps G/P for.
+        self.gp_all = 1
+        #: Output channel index -> the input channel indices its
+        #: reactivation promotes (armed by :meth:`attach`): the owning
+        #: router's inputs, or under selective promotion the inputs whose
+        #: blocked headers request the channel, refcounted.
         self.reset_targets: List[Any] = []
 
     @classmethod
@@ -106,13 +109,16 @@ class NewDetectionMechanism(CounterDetector):
 
     # ------------------------------------------------------------------
     def attach(self, sim: "Simulator") -> None:
-        """Arm every router-output channel's I flag (channels are built
-        with their G/P flag at P)."""
+        """Set every G/P flag to P and arm every router-output channel's
+        I flag."""
         # The paper's simple variant promotes a fixed set — every input
         # of the owning router, resolved once here because the hook fires
         # on every flit that clears a set I flag; the selective variant
         # promotes the channel's refcounted waiters.
-        router_inputs = [tuple(r.header_input_pcs()) for r in sim.routers]
+        self.gp = [0] * len(sim.channels)
+        router_inputs = [
+            tuple(pc.index for pc in r.header_input_pcs()) for r in sim.routers
+        ]
         targets: List[Any] = [()] * len(sim.channels)
         t1, selective = self.t1, self.selective_promotion
         injection = PortKind.INJECTION
@@ -136,7 +142,7 @@ class NewDetectionMechanism(CounterDetector):
         if first_attempt:
             self._first_attempt(sim, message, input_pc, cycle)
             return False
-        if input_pc.gp is not _G:
+        if not self.gp[input_pc.index]:
             return False
         return self.score(message, cycle) > self.threshold  # every DT flag set
 
@@ -159,13 +165,17 @@ class NewDetectionMechanism(CounterDetector):
         message: Message,
         input_pc: PhysicalChannel,
         cycle: int,
+        cells: int = 1,
     ) -> None:
+        """Apply the first-attempt rule in ``cells``: the cells whose run
+        makes this call (a run that has marked the message skips it)."""
+        i = input_pc.index
         if self.selective_promotion:
-            self._register_waiter(message, input_pc)
+            self._register_waiter(message, i)
         if self.first_attempt_generates(message, input_pc, cycle):
-            self._promote(sim, input_pc)
+            self._promote(sim, i, cells)
         else:
-            input_pc.gp = _P
+            self.gp[i] &= ~cells
 
     def blocked_deadline(self, message: Message, cycle: int) -> Optional[int]:
         """Earliest cycle the G + all-DT predicate can first hold.
@@ -178,7 +188,7 @@ class NewDetectionMechanism(CounterDetector):
         re-occupation, which is itself a wakeup event.
         """
         input_pc = message.input_pc
-        if input_pc is None or input_pc.gp is not _G:
+        if input_pc is None or not self.gp[input_pc.index]:
             return None
         return self.deadline(message, cycle, self.threshold)
 
@@ -189,13 +199,13 @@ class NewDetectionMechanism(CounterDetector):
         """Routing success at an input channel resets its flag to P."""
         input_pc = message.input_pc
         if input_pc is not None:
-            input_pc.gp = _P
+            self.gp[input_pc.index] = 0
         if self.selective_promotion:
             self._unregister_waiter(message)
 
     def on_vc_released(self, vc: VirtualChannel, cycle: int) -> None:
         """Freeing any lane of an input channel resets its flag to P."""
-        vc.pc.gp = _P
+        self.gp[vc.pc.index] = 0
 
     def on_message_removed(self, message: Message, cycle: int) -> None:
         """Recovery teardown: drop the worm's waiter registrations."""
@@ -205,31 +215,34 @@ class NewDetectionMechanism(CounterDetector):
     def on_i_reset(self, sim: "Simulator", pc: PhysicalChannel, cycle: int) -> None:
         """A stalled output channel advanced again: relabel tree roots.
 
-        Changes the P flags of the inputs this output reactivates to G.
-        The already-G check is inlined: the hook fires on every flit that
-        clears a set I flag, and most inputs are already G by then.
+        Changes the P flags of the inputs this output reactivates to G,
+        in every cell.  The already-G check is inlined: the hook fires on
+        every flit that clears a set I flag, and most inputs are already
+        G by then.
         """
-        for input_pc in self.reset_targets[pc.index]:
-            if input_pc.gp is not _G:
-                self._promote(sim, input_pc)
+        gp, full = self.gp, self.gp_all
+        for i in self.reset_targets[pc.index]:
+            if gp[i] != full:
+                self._promote(sim, i, full)
 
-    @staticmethod
-    def _promote(sim: "Simulator", input_pc: PhysicalChannel) -> None:
-        """Set an input channel's flag to G, waking parked headers on a
-        P -> G transition (their detection predicate may now hold)."""
-        if input_pc.gp is not _G:
-            input_pc.gp = _G
-            waiters = input_pc.header_waiters
+    def _promote(self, sim: "Simulator", i: int, cells: int) -> None:
+        """Set input channel ``i``'s flag to G in ``cells``, waking its
+        parked headers if some cell goes P -> G (their detection
+        predicate may now hold)."""
+        gp = self.gp
+        if cells & ~gp[i]:
+            gp[i] |= cells
+            waiters = sim.channels[i].header_waiters
             if waiters:
                 sim.wake(waiters)
 
     # ------------------------------------------------------------------
     # Selective-promotion bookkeeping
     # ------------------------------------------------------------------
-    def _register_waiter(self, message: Message, input_pc: PhysicalChannel) -> None:
+    def _register_waiter(self, message: Message, i: int) -> None:
         for pc in message.feasible_pcs:
             waiters = self.reset_targets[pc.index]
-            waiters[input_pc] = waiters.get(input_pc, 0) + 1
+            waiters[i] = waiters.get(i, 0) + 1
 
     def _unregister_waiter(self, message: Message) -> None:
         if not message.first_attempt_done:
@@ -237,13 +250,14 @@ class NewDetectionMechanism(CounterDetector):
         input_pc = message.input_pc
         if input_pc is None:
             return
+        i = input_pc.index
         for pc in message.feasible_pcs:
             waiters = self.reset_targets[pc.index]
-            count = waiters.get(input_pc, 0)
+            count = waiters.get(i, 0)
             if count <= 1:
-                waiters.pop(input_pc, None)
+                waiters.pop(i, None)
             else:
-                waiters[input_pc] = count - 1
+                waiters[i] = count - 1
 
     def describe(self) -> str:
         """Short human-readable form including the promotion variant."""

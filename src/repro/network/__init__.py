@@ -23,7 +23,6 @@ from repro.network.topology import KAryNCube, Mesh, Topology
 from repro.network.tracing import Tracer, format_event
 from repro.network.types import (
     DetectionEvent,
-    GPState,
     MessageStatus,
     PortKind,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "DetectorConfig",
     "DimensionOrder",
     "DuatoAdaptive",
-    "GPState",
     "KAryNCube",
     "Mesh",
     "Message",

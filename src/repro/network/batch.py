@@ -26,7 +26,8 @@ are marked when differs per cell.  :class:`BatchObserver` therefore
 keeps all marking-coupled state per cell:
 
 * the NDM G/P flag per input channel as a K-bit mask (bit r set == cell
-  r sees G), updated under the reference's exact suppression rule;
+  r sees G) in the inherited ``NewDetectionMechanism.gp``, updated under
+  the reference's exact suppression rule;
 * one pending mask per message (bit r clear == cell r has detected it),
   which gates every family's predicate and every probe cell's cadence;
 * per-cell probe launch heaps and transports whose "already marked"
@@ -80,12 +81,11 @@ from repro.analysis import deadlock
 from repro.core.ndm import NewDetectionMechanism
 from repro.core.probe import ProbeDetection
 from repro.metrics.stats import DetectionTally, SimulationStats
-from repro.network.channel import PhysicalChannel, VirtualChannel
 from repro.network.config import DetectorConfig, SimulationConfig
 from repro.network.message import Message
 from repro.network.probes import ProbeTransport
 from repro.network.simulator import Simulator
-from repro.network.types import DetectionEvent, GPState, MessageStatus, PortKind
+from repro.network.types import DetectionEvent, MessageStatus, PortKind
 
 #: Constant: the fold needs no numpy.  The name stays because the frozen
 #: benchmark (benchmarks/spine) reads it.
@@ -96,9 +96,6 @@ HAVE_NUMPY = True
 #: limit — it bounds observer state and keeps per-group wall time (and
 #: therefore pool scheduling granularity) reasonable.
 MAX_CELLS = 64
-
-_G = GPState.GENERATE
-_P = GPState.PROPAGATE
 
 
 def detector_cell_key(detector: DetectorConfig) -> Tuple[Any, ...]:
@@ -226,14 +223,15 @@ class BatchObserver(NewDetectionMechanism):
     Cells are canonicalized (deduplicated by :func:`detector_cell_key`,
     sorted family-first then ascending threshold) so each mechanism
     family owns a contiguous bit range of the per-message pending masks.
-    The NDM G/P flag of each input channel is kept per cell as a K-bit
-    mask, because the reference runs disagree on it: once cell r marks a
+    The NDM G/P flag of each input channel is kept per cell — the
+    inherited ``gp`` masks over the ndm family's bits (``gp_all``) —
+    because the reference runs disagree on it: once cell r marks a
     message, that run skips the message's later detector calls, so its
     first-attempt G/P writes at subsequent hops never happen *in that
-    run*.  The mask update rule mirrors this exactly — a first-attempt
-    write by message ``m`` lands only in the cells still pending on
-    ``m``, while channel-level events (routing success, lane release,
-    reactivation promotion) land in all cells.  Every family's detection
+    run*.  So a first-attempt write by message ``m`` lands only in the
+    ndm cells still pending on ``m``, while channel-level events
+    (routing success, lane release, reactivation promotion) land in all
+    cells, through the parent's own hooks.  Every family's detection
     predicate is then tested per pending cell against the shared state,
     and detections are *recorded* per cell instead of marking the
     message: :meth:`on_blocked_attempt` always returns False, so the
@@ -309,8 +307,8 @@ class BatchObserver(NewDetectionMechanism):
         #: The ladders evaluated on routing attempts and those evaluated
         #: in the checks phase — each a contiguous bit range of the
         #: pending masks; the ndm ladder's range (0 without ndm cells)
-        #: is also the range of the G/P masks.
-        self._ndm_mask = 0
+        #: is also the range of the G/P masks, ``gp_all``.
+        self.gp_all = 0
         self._attempt_families: List[_Family] = []
         self._periodic_families: List[_Family] = []
         #: rank -> per-cell probe unit (rank order), driven from the hooks.
@@ -338,7 +336,7 @@ class BatchObserver(NewDetectionMechanism):
             else:
                 self._attempt_families.append(family)
             if cls is NewDetectionMechanism:
-                self._ndm_mask = family.mask
+                self.gp_all = family.mask
         #: (cycle, message id) heap: when an in-flight message can next
         #: fire for a pending periodic cell (see :meth:`_schedule`).
         self._due: List[Tuple[int, int]] = []
@@ -354,88 +352,26 @@ class BatchObserver(NewDetectionMechanism):
         self._truth_epoch = 0
         self._snapshot_key = (-1, -1)
         self._snapshot: Set[Message] = set()
-        #: channel index -> K-bit per-cell G/P mask (bits within the ndm
-        #: family range; bit r set == G in cell r); sized in
-        #: :meth:`attach`, all-P like the reference.
-        self._gp_mask: List[int] = []
 
     def rank_of_cell(self, detector: DetectorConfig) -> int:
         """Canonical rank of a cell (raises if absent from the group)."""
         return self._rank_by_key[detector_cell_key(detector)]
 
     def attach(self, sim: Simulator) -> None:
-        self._gp_mask = [0] * len(sim.channels)
-        if self._ndm_mask:
-            super().attach(sim)  # arm the I flags (flags are built all-P)
-
-    # ------------------------------------------------------------------
-    # Per-cell G/P flag maintenance (ndm family)
-    # ------------------------------------------------------------------
-    def _first_attempt_cells(
-        self,
-        sim: Simulator,
-        message: Message,
-        input_pc: PhysicalChannel,
-        cycle: int,
-        live: int,
-    ) -> None:
-        """First-attempt G/P write, suppressed per cell like the reference.
-
-        A reference run whose cell has already marked ``message`` skips
-        this call entirely, so the write lands only in ``live``, the ndm
-        cells still pending on the message.  The rule's outcome depends
-        only on shared trajectory state and is therefore the same in
-        every cell.  The shared ``input_pc.gp`` keeps the never-marked
-        dynamics so channel-level hooks can cheaply skip all-G channels.
-        """
-        if self.first_attempt_generates(message, input_pc, cycle):
-            # Promotion for the unsuppressed cells; the wake is a
-            # superset of each reference's (spurious wakes re-park).
-            self._gp_mask[input_pc.index] |= live
-            input_pc.gp = _G
-            waiters = input_pc.header_waiters
-            if waiters:
-                sim.wake(waiters)
+        if self.gp_all:
+            super().attach(sim)  # all-P masks, armed I flags
         else:
-            self._gp_mask[input_pc.index] &= ~live
-            input_pc.gp = _P
-
-    def _promote(  # type: ignore[override]
-        self, sim: Simulator, input_pc: PhysicalChannel
-    ) -> None:
-        """Channel-level promotion (I-flag reset hook): every cell to G."""
-        self._gp_mask[input_pc.index] = self._ndm_mask
-        input_pc.gp = _G
-        waiters = input_pc.header_waiters
-        if waiters:
-            sim.wake(waiters)
-
-    def on_i_reset(self, sim: Simulator, pc: PhysicalChannel, cycle: int) -> None:
-        """As the parent's, but also fires when only a *cell's* flag is P:
-        the shared flag being G does not cover the cells whose suppressed
-        first-attempt writes diverged from it."""
-        gp_mask, full = self._gp_mask, self._ndm_mask
-        for input_pc in self.reset_targets[pc.index]:
-            if input_pc.gp is not _G or gp_mask[input_pc.index] != full:
-                self._promote(sim, input_pc)
+            self.gp = [0] * len(sim.channels)
 
     def on_message_routed(self, message: Message, cycle: int) -> None:
-        """Routing success resets the input flag to P in every cell
-        (the reference calls this hook even for marked messages)."""
+        """The parent's reset to P in every cell (the reference calls this
+        hook even for marked messages), plus the fold's bookkeeping."""
         self._truth_epoch += 1
+        super().on_message_routed(message, cycle)
         input_pc = message.input_pc
-        if self._ndm_mask and input_pc is not None:
-            self._gp_mask[input_pc.index] = 0
-            input_pc.gp = _P
         if input_pc is not None and input_pc.kind is PortKind.INJECTION:
             if not message.first_attempt_done:  # else scheduled when it blocked
                 self._schedule(message, cycle)
-
-    def on_vc_released(self, vc: VirtualChannel, cycle: int) -> None:
-        """Lane release resets the flag to P in every cell."""
-        if self._ndm_mask:
-            self._gp_mask[vc.pc.index] = 0
-            vc.pc.gp = _P
 
     # ------------------------------------------------------------------
     # Routing-attempt families (ndm / pdm / header timeout / probe arm)
@@ -452,18 +388,20 @@ class BatchObserver(NewDetectionMechanism):
                 self._schedule(message, cycle)
         pending = self._pending.get(message.id, self._full_mask)
         gate = self._full_mask
-        ndm_mask = self._ndm_mask
+        ndm_mask = self.gp_all
         if ndm_mask:
             # Unlike pdm and the timeout, the reference applies the G/P
             # rule instead of detecting on *first* attempts, and only
-            # cells seeing G can detect on later ones.
+            # cells seeing G can detect on later ones.  The rule's
+            # outcome reads only shared state; the write lands in the
+            # cells still pending on the message.
             gate ^= ndm_mask
             if first_attempt:
-                self._first_attempt_cells(
-                    sim, message, input_pc, cycle, pending & ndm_mask
-                )
+                live = pending & ndm_mask
+                if live:
+                    self._first_attempt(sim, message, input_pc, cycle, live)
             else:
-                gate |= self._gp_mask[input_pc.index]
+                gate |= self.gp[input_pc.index]
         self._sweep(sim, self._attempt_families, (message,), cycle, gate)
         if first_attempt:
             for unit in self._probe_units.values():
@@ -528,8 +466,8 @@ class BatchObserver(NewDetectionMechanism):
         if input_pc is None:
             return None
         live = self._pending.get(message.id, self._full_mask)
-        if self._ndm_mask:
-            live &= ~self._ndm_mask | self._gp_mask[input_pc.index]
+        if self.gp_all:
+            live &= ~self.gp_all | self.gp[input_pc.index]
         return self._earliest(self._attempt_families, message, cycle, live)
 
     @staticmethod

@@ -29,7 +29,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.network.types import GPState, NodeId, PortKind
+from repro.network.types import NodeId, PortKind
 from repro.network.topology import Direction
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
@@ -38,10 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 #: Sentinel meaning "never": far enough in the past that any difference with a
 #: real cycle number exceeds every practical threshold.
 NEVER = -(1 << 60)
-
-#: Every channel built starts at P; bound once because an Enum member
-#: lookup costs ~0.1 µs.
-_P = GPState.PROPAGATE
 
 
 @lru_cache(maxsize=None)
@@ -105,16 +101,19 @@ class PhysicalChannel:
     through the downstream router's crossbar (stamped only when
     ``crossbar_input_limit``, its sole reader, is on).
 
-    The channel also carries the state the detection hardware of the paper
-    associates with it:
+    The channel also carries the detection hardware's per-channel
+    monitor state:
 
     * the inactivity monitor (see module docstring) read by the I/DT/IF
       flags of the detectors;
-    * the per-*input*-channel Generate/Propagate flag (``gp``) used by the
-      new detection mechanism (NDM);
     * an optional ``i_threshold``: a flit transmission that clears an I
       flag set beyond it fires the detector's ``on_i_reset`` hook, which
       NDM uses to promote P flags back to G (paper, Fig. 5 situation).
+
+    The new detection mechanism's per-input-channel Generate/Propagate
+    flags are not here: the detector owns them
+    (``NewDetectionMechanism.gp``, by channel index), so two detectors
+    on one network keep two sets.
     """
 
     __slots__ = (
@@ -131,7 +130,6 @@ class PhysicalChannel:
         "last_flit_cycle",
         "active_since",
         "last_drain_cycle",
-        "gp",
         "i_threshold",
         "route_waiters",
         "header_waiters",
@@ -176,7 +174,6 @@ class PhysicalChannel:
         self.last_flit_cycle = NEVER
         self.active_since = NEVER
         self.last_drain_cycle = NEVER
-        self.gp = _P
         self.i_threshold: Optional[int] = None
         # Ids of the parked headers waiting on this output channel and of
         # those whose header sits on this input channel (Simulator.wake).

@@ -28,7 +28,7 @@ from typing import Dict, FrozenSet
 # The effect *domain* is the behavioural state shared by both
 # engines: every attribute of Message / VirtualChannel / PhysicalChannel
 # / Router that feeds the trajectory or the behavioural digest, and the
-# NDM's reset targets, which it keeps by channel index.  The
+# NDM's G/P masks and reset targets, which it keeps by channel index.  The
 # groups below partition it; each phase, hook and recovery scheme
 # declares which groups it may write, and a write made while it runs
 # must fall inside its contract and every enclosing one.  Domain values
@@ -46,8 +46,9 @@ EFFECT_GROUPS: Dict[str, FrozenSet[str]] = {
             "header_waiters",
         }
     ),
-    # NDM Generate/Propagate flags and the reset targets (selective
-    # promotion's waiter refcounts) that drive them.
+    # The NDM's Generate/Propagate cell masks (one int per input channel
+    # index; the batch fold's per-cell bits included) and the reset
+    # targets (selective promotion's waiter refcounts) that drive them.
     "gp": frozenset({"gp", "reset_targets"}),
     # Channel occupancy: lane ownership, buffered flits, free-lane masks
     # and the inactivity-monitor activation state derived from them.

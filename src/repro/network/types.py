@@ -29,21 +29,6 @@ class PortKind(enum.Enum):
     EJECTION = "ejection"
 
 
-class GPState(enum.Enum):
-    """Value of the per-input-channel Generate/Propagate flag (paper, Sec. 3).
-
-    ``PROPAGATE`` suppresses deadlock detection for messages whose header
-    waits at that input channel; ``GENERATE`` enables it (the waiting message
-    may be the first of a branch in the tree of blocked messages).
-    """
-
-    PROPAGATE = "P"
-    GENERATE = "G"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
-
 class MessageStatus(enum.Enum):
     """Lifecycle of a message from generation to delivery."""
 

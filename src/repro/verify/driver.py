@@ -22,11 +22,12 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.analysis.deadlock import find_deadlocked
 from repro.core.detector import DeadlockDetector
+from repro.core.ndm import NewDetectionMechanism
 from repro.core.probe import ProbeDetection
 from repro.core.registry import detector_class
 from repro.network.message import Message
 from repro.network.simulator import Simulator
-from repro.network.types import GPState, MessageStatus
+from repro.network.types import MessageStatus
 from repro.verify.choices import ChoiceLog, ScriptedRNG
 from repro.verify.recording import RecordingNDM, check_gp_writes
 from repro.verify.scenario import VerifyCase
@@ -112,10 +113,12 @@ class Instance:
     # Per-state oracles and structural checks
     # ------------------------------------------------------------------
     def gp_vector(self) -> Tuple[bool, ...]:
-        """Per-channel G/P flags (True = GENERATE), by channel index."""
-        return tuple(
-            pc.gp is GPState.GENERATE for pc in self.sim.channels
-        )
+        """Per-channel G/P flags (True = GENERATE), by channel index;
+        all P for a detector that keeps none."""
+        detector = self.detector
+        if isinstance(detector, NewDetectionMechanism):
+            return tuple(map(bool, detector.gp))
+        return (False,) * len(self.sim.channels)
 
     def oracle_deadlocked(self) -> FrozenSet[int]:
         """Message ids in the fault-aware OR-wait knot right now."""
@@ -165,8 +168,8 @@ class Instance:
         actual: Dict[Tuple[int, int], int] = {}
         targets = self.detector.reset_targets  # type: ignore[attr-defined]
         for index, waiters in enumerate(targets):
-            for input_pc, count in dict(waiters).items():
-                actual[(index, input_pc.index)] = count
+            for i, count in dict(waiters).items():
+                actual[(index, i)] = count
         if expected != actual:
             raise WaiterViolation(
                 f"selective waiter maps diverged: expected {sorted(expected.items())}, "

@@ -48,7 +48,6 @@ from typing import Any, List, Optional, Tuple
 from repro.core.probe import ProbeDetection
 from repro.network.channel import PhysicalChannel
 from repro.network.message import Message
-from repro.network.types import GPState, MessageStatus
 from repro.verify.driver import Instance
 
 Encoded = Tuple[Any, ...]
@@ -64,7 +63,7 @@ def _clamp_rel(value: int, cap: int, period: int = 1) -> int:
 
 
 def _encode_channel(
-    inst: Instance, pc: PhysicalChannel, cycle: int, cap: int
+    inst: Instance, pc: PhysicalChannel, gp: bool, cycle: int, cap: int
 ) -> Encoded:
     occupancy = tuple(
         (vc.occupant if vc.occupant is not None else -1, vc.flits)
@@ -81,10 +80,10 @@ def _encode_channel(
     waiters: Tuple[Tuple[int, int], ...] = ()
     if inst.case.selective_promotion:  # its refcounts live on the NDM
         targets = dict(inst.detector.reset_targets[pc.index])  # type: ignore
-        waiters = tuple(sorted((i.index, n) for i, n in targets.items()))
+        waiters = tuple(sorted(targets.items()))
     return (
         occupancy,
-        pc.gp is GPState.GENERATE,
+        gp,
         inactivity,
         pc.fault_down,
         pc.stuck_mask,
@@ -175,7 +174,10 @@ def encode_state(inst: Instance, include_engine: bool = True) -> Encoded:
     cycle = sim.cycle
     cap = case.counter_cap
     period = case.blocked_period
-    channels = tuple(_encode_channel(inst, pc, cycle, cap) for pc in sim.channels)
+    channels = tuple(
+        _encode_channel(inst, pc, gp, cycle, cap)
+        for pc, gp in zip(sim.channels, inst.gp_vector())
+    )
     active = tuple(
         _encode_message(m, cycle, cap, period, include_engine)
         for m in sim.active_messages

@@ -29,13 +29,9 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 from repro.core.ndm import NewDetectionMechanism
 from repro.network.channel import PhysicalChannel, VirtualChannel
 from repro.network.message import Message
-from repro.network.types import GPState
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.network.simulator import Simulator
-
-_G = GPState.GENERATE
-_P = GPState.PROPAGATE
 
 #: One recorded flag write: (channel index, new value is GENERATE).
 GPEvent = Tuple[int, bool]
@@ -81,33 +77,33 @@ class RecordingNDM(NewDetectionMechanism):
         message: Message,
         input_pc: PhysicalChannel,
         cycle: int,
+        cells: int = 1,
     ) -> None:
-        if input_pc.occupied_count < input_pc.num_vcs:
-            expected = _P
-        else:
-            expected = _P
+        expected = False
+        if input_pc.occupied_count >= input_pc.num_vcs:
             for pc in message.feasible_pcs:
                 if raw_inactivity(pc, cycle) <= self.t1:
-                    expected = _G
+                    expected = True
                     break
         self._ctx = "first-attempt"
         try:
-            super()._first_attempt(sim, message, input_pc, cycle)
+            super()._first_attempt(sim, message, input_pc, cycle, cells)
         finally:
             self._ctx = None
-        if input_pc.gp is not expected:
+        i = input_pc.index
+        if bool(self.gp[i]) is not expected:
             raise GPViolation(
                 f"first-attempt rule: message {message.id} at input channel "
-                f"{input_pc.index} should set {expected.value}, "
-                f"implementation set {input_pc.gp.value} (cycle {cycle})"
+                f"{i} should set {'G' if expected else 'P'}, "
+                f"implementation set {'G' if self.gp[i] else 'P'} (cycle {cycle})"
             )
-        self.events.append((input_pc.index, expected is _G))
+        self.events.append((i, expected))
 
     def on_message_routed(self, message: Message, cycle: int) -> None:
         input_pc = message.input_pc
         super().on_message_routed(message, cycle)
         if input_pc is not None:
-            if input_pc.gp is not _P:
+            if self.gp[input_pc.index]:
                 raise GPViolation(
                     f"routed-reset rule: input channel {input_pc.index} not "
                     f"reset to P after message {message.id} routed"
@@ -116,7 +112,7 @@ class RecordingNDM(NewDetectionMechanism):
 
     def on_vc_released(self, vc: VirtualChannel, cycle: int) -> None:
         super().on_vc_released(vc, cycle)
-        if vc.pc.gp is not _P:
+        if self.gp[vc.pc.index]:
             raise GPViolation(
                 f"release-reset rule: input channel {vc.pc.index} not reset "
                 f"to P after lane {vc.index} freed"
@@ -126,18 +122,16 @@ class RecordingNDM(NewDetectionMechanism):
     # ------------------------------------------------------------------
     # Promotion sites
     # ------------------------------------------------------------------
-    def _promote(  # type: ignore[override]
-        self, sim: "Simulator", input_pc: PhysicalChannel
-    ) -> None:
+    def _promote(self, sim: "Simulator", i: int, cells: int) -> None:
         if self._ctx is None:
             raise GPViolation(
-                f"promotion of input channel {input_pc.index} outside any "
+                f"promotion of input channel {i} outside any "
                 "sanctioned rule site"
             )
-        was = input_pc.gp
-        NewDetectionMechanism._promote(sim, input_pc)
-        if was is not _G:
-            self.events.append((input_pc.index, True))
+        was = self.gp[i]
+        super()._promote(sim, i, cells)
+        if not was:
+            self.events.append((i, True))
 
     def on_i_reset(self, sim: "Simulator", pc: PhysicalChannel, cycle: int) -> None:
         self._check_i_reset(pc, cycle)

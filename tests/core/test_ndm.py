@@ -7,6 +7,7 @@ rules of Section 3 through controlled micro-scenarios.
 
 import pytest
 
+from repro.core.detector import DeadlockDetector
 from repro.core.ndm import NewDetectionMechanism
 from repro.figures.scenarios import (
     Scenario,
@@ -17,12 +18,16 @@ from repro.figures.scenarios import (
 from repro.network.batch import BatchSimulator
 from repro.network.config import DetectorConfig
 from repro.network.simulator import Simulator
-from repro.network.types import GPState
 from tests.network.test_engine_equivalence import _config
 
 
 def fresh_scenario(mechanism="ndm", threshold=16, **kwargs) -> Scenario:
     return Scenario(Simulator(scenario_config(mechanism, threshold, **kwargs)))
+
+
+def gp_of(sim, pc) -> str:
+    """The NDM's G/P flag of input channel ``pc``, as the paper writes it."""
+    return "G" if sim.detector.gp[pc.index] else "P"
 
 
 class TestConstruction:
@@ -53,7 +58,7 @@ class TestFirstAttemptRule:
         b = place_worm(sim, (3, 1), [(1, -1)], (4, 0), length=16)
         scenario.run(2)
         assert b.is_blocked()
-        assert b.input_pc.gp is GPState.GENERATE
+        assert gp_of(sim, b.input_pc) == "G"
 
     def test_p_when_requested_channel_already_blocked(self):
         # C blocks on a channel whose occupant (B) was already blocked -> P.
@@ -61,7 +66,7 @@ class TestFirstAttemptRule:
         scenario.run(2)
         c = scenario.messages["C"]
         assert c.is_blocked()
-        assert c.input_pc.gp is GPState.PROPAGATE
+        assert gp_of(scenario.sim, c.input_pc) == "P"
 
     def test_p_when_input_channel_has_free_lane(self):
         # With several VCs per input channel, an arriver that is not the
@@ -79,7 +84,7 @@ class TestFirstAttemptRule:
         scenario.run(2)
         assert b.is_blocked()
         assert b.input_pc.occupied_count < b.input_pc.num_vcs
-        assert b.input_pc.gp is GPState.PROPAGATE
+        assert gp_of(sim, b.input_pc) == "P"
 
 
 class TestDetectionRule:
@@ -99,7 +104,7 @@ class TestDetectionRule:
         c = scenario.messages["C"]
         scenario.run(12)  # beyond t2=8; C's waited channel has been silent
         assert c.is_blocked()
-        assert c.input_pc.gp is GPState.PROPAGATE
+        assert gp_of(scenario.sim, c.input_pc) == "P"
         assert not c.marked_deadlocked
 
     def test_detection_needs_g_and_all_dt(self):
@@ -128,21 +133,21 @@ class TestGPResets:
         b = place_worm(sim, (3, 1), [(1, -1)], (4, 0), length=16)
         scenario.run(2)
         input_pc = b.input_pc
-        assert input_pc.gp is GPState.GENERATE
+        assert gp_of(sim, input_pc) == "G"
         # When A's tail frees the channel B routes into it; the routing
         # success must reset B's input channel flag to P.
         ok = scenario.run_until(lambda s: len(b.spans) > 2, limit=400)
         assert ok  # B advanced into the freed channel
-        assert input_pc.gp is GPState.PROPAGATE
+        assert gp_of(sim, input_pc) == "P"
 
     def test_vc_release_resets_to_p(self):
         scenario = fresh_scenario()
         sim = scenario.sim
         a = place_worm(sim, (3, 0), [(0, +1)], (6, 0), length=8)
         pc = a.spans[-1].pc
-        pc.gp = GPState.GENERATE
+        sim.detector.gp[pc.index] = 1
         sim.free_worm(a, sim.cycle)
-        assert pc.gp is GPState.PROPAGATE
+        assert gp_of(sim, pc) == "P"
 
 
 class TestPromotionVariants:
@@ -165,7 +170,7 @@ class TestPromotionVariants:
         b = place_worm(sim, (3, 1), [(1, -1)], (4, 0), length=16)
         scenario.run(2)
         (requested,) = b.feasible_pcs
-        assert b.input_pc in sim.detector.reset_targets[requested.index]
+        assert b.input_pc.index in sim.detector.reset_targets[requested.index]
 
     def test_selective_waiter_cleanup_on_route(self):
         scenario = fresh_scenario(selective_promotion=True)
@@ -197,3 +202,82 @@ class TestGPRuleOnlyRemovesDetections:
         pdm_ids = {event.message_id for event in pdm.detection_events}
         assert ndm_ids, "NDM detected nothing: the subset would hold vacuously"
         assert ndm_ids <= pdm_ids
+
+
+#: A threshold no message of a 400-cycle run reaches.
+UNREACHED = 10**6
+
+
+class _TwinNDM(DeadlockDetector):
+    """A simple- and a selective-promotion NDM on one network: every hook
+    is forwarded to both, and a header sleeps until either could fire."""
+
+    name = "twin-ndm"
+
+    def __init__(self, threshold: int) -> None:
+        super().__init__(threshold)
+        self.parts = (
+            NewDetectionMechanism(threshold),
+            NewDetectionMechanism(threshold, selective_promotion=True),
+        )
+
+    def attach(self, sim):
+        for part in self.parts:
+            part.attach(sim)
+
+    def on_blocked_attempt(self, sim, message, cycle, first_attempt):
+        for part in self.parts:
+            assert not part.on_blocked_attempt(sim, message, cycle, first_attempt)
+        return False
+
+    def blocked_deadline(self, message, cycle):
+        deadlines = [part.blocked_deadline(message, cycle) for part in self.parts]
+        return min((d for d in deadlines if d is not None), default=None)
+
+    def on_message_routed(self, message, cycle):
+        for part in self.parts:
+            part.on_message_routed(message, cycle)
+
+    def on_vc_released(self, vc, cycle):
+        for part in self.parts:
+            part.on_vc_released(vc, cycle)
+
+    def on_message_removed(self, message, cycle):
+        for part in self.parts:
+            part.on_message_removed(message, cycle)
+
+    def on_i_reset(self, sim, pc, cycle):
+        for part in self.parts:
+            part.on_i_reset(sim, pc, cycle)
+
+
+def _gp_per_cycle(sim, detectors, cycles=400):
+    """Each detector's G/P list after every cycle."""
+    seen = [[] for _ in detectors]
+    for _ in range(cycles):
+        sim.step()
+        for trace, detector in zip(seen, detectors):
+            trace.append(list(detector.gp))
+    return seen
+
+
+def test_two_ndms_on_one_network_keep_their_own_flags():
+    """Each instance owns its G/P flags: on one wedging recovery-none run
+    a simple- and a selective-promotion NDM each match, cycle by cycle,
+    a lone run of their variant."""
+    twin = _TwinNDM(UNREACHED)
+    config = _config(mechanism="ndm", threshold=UNREACHED, recovery="none")
+    shared = _gp_per_cycle(Simulator(config, detector=twin), twin.parts)
+    for part, together in zip(twin.parts, shared):
+        config = _config(
+            mechanism="ndm",
+            threshold=UNREACHED,
+            recovery="none",
+            selective_promotion=part.selective_promotion,
+        )
+        lone = Simulator(config)
+        (alone,) = _gp_per_cycle(lone, [lone.detector])
+        assert together == alone
+    simple, selective = shared
+    assert any(map(any, simple)), "no G flag ever set: the check is vacuous"
+    assert simple != selective, "the variants never disagreed"

@@ -4,8 +4,8 @@ Two layers of bookkeeping hang off blocked messages and must stay exactly
 in sync with the network state:
 
 * the *selective-promotion* maps (``ndm.reset_targets``: for each output
-  channel, which input channels host blocked headers requesting it, with
-  multiplicity) that :meth:`NewDetectionMechanism.on_i_reset` consults;
+  channel, the indices of the input channels hosting blocked headers that
+  request it, with multiplicity) that :meth:`NewDetectionMechanism.on_i_reset` consults;
 * the *event-engine* wakeup sets (``pc.route_waiters`` /
   ``pc.header_waiters``, by message id) that re-awaken parked headers.
 
@@ -50,7 +50,8 @@ def expected_selective_waiters(sim: Simulator, marked: bool = False):
             continue
         for pc in m.feasible_pcs:
             counts = expected[pc]
-            counts[m.input_pc] = counts.get(m.input_pc, 0) + 1
+            i = m.input_pc.index
+            counts[i] = counts.get(i, 0) + 1
     return expected
 
 
@@ -127,20 +128,20 @@ class TestWaiterCounts:
     def test_register_increments_per_feasible_channel(self):
         ndm, (out_a, out_b, inp) = _stub_ndm("a", "b", "in")
         m = _stub_message(inp, [out_a, out_b])
-        ndm._register_waiter(m, inp)
-        assert ndm.reset_targets[out_a.index] == {inp: 1}
-        assert ndm.reset_targets[out_b.index] == {inp: 1}
+        ndm._register_waiter(m, inp.index)
+        assert ndm.reset_targets[out_a.index] == {inp.index: 1}
+        assert ndm.reset_targets[out_b.index] == {inp.index: 1}
 
     def test_two_messages_same_input_count_to_two(self):
         ndm, (out, inp) = _stub_ndm("out", "in")
         waiters = ndm.reset_targets[out.index]
         m1 = _stub_message(inp, [out])
         m2 = _stub_message(inp, [out])
-        ndm._register_waiter(m1, inp)
-        ndm._register_waiter(m2, inp)
-        assert waiters == {inp: 2}
+        ndm._register_waiter(m1, inp.index)
+        ndm._register_waiter(m2, inp.index)
+        assert waiters == {inp.index: 2}
         ndm._unregister_waiter(m1)
-        assert waiters == {inp: 1}
+        assert waiters == {inp.index: 1}
         ndm._unregister_waiter(m2)
         assert waiters == {}
 
@@ -155,10 +156,10 @@ class TestWaiterCounts:
         ndm, (out, in1, in2) = _stub_ndm("out", "in1", "in2")
         m1 = _stub_message(in1, [out])
         m2 = _stub_message(in2, [out])
-        ndm._register_waiter(m1, in1)
-        ndm._register_waiter(m2, in2)
+        ndm._register_waiter(m1, in1.index)
+        ndm._register_waiter(m2, in2.index)
         ndm._unregister_waiter(m1)
-        assert ndm.reset_targets[out.index] == {in2: 1}
+        assert ndm.reset_targets[out.index] == {in2.index: 1}
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +182,7 @@ class TestScenarioBookkeeping:
         sim, a, b = self._blocked_pair()
         assert_selective_waiters_consistent(sim)
         assert any(
-            b.input_pc in sim.detector.reset_targets[pc.index]
+            b.input_pc.index in sim.detector.reset_targets[pc.index]
             for pc in b.feasible_pcs
         )
         # Run until B is no longer blocked at this router (A's tail passes).

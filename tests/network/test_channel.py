@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.detector import CounterDetector
 from repro.network.channel import NEVER, PhysicalChannel
-from repro.network.types import GPState, PortKind
+from repro.network.types import PortKind
 
 
 def make_pc(num_vcs=3, depth=4, kind=PortKind.NETWORK):
@@ -260,16 +260,6 @@ class TestBookkeepingGuards:
 
     def test_never_sentinel_is_far_past(self):
         assert NEVER < -(10**15)
-
-    def test_gp_starts_propagate(self):
-        assert make_pc()[0].gp is GPState.PROPAGATE
-
-    def test_gp_flag_reads_back_what_was_set(self):
-        pc, lanes = make_pc()
-        pc.gp = GPState.GENERATE
-        assert pc.gp is GPState.GENERATE
-        pc.gp = GPState.PROPAGATE
-        assert pc.gp is GPState.PROPAGATE
 
     def test_describe_kinds(self):
         assert "net" in make_pc()[0].describe()

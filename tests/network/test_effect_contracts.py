@@ -56,15 +56,20 @@ from tests.network.test_engine_equivalence import CASES, _config
 
 DOMAIN: FrozenSet[str] = frozenset().union(*EFFECT_GROUPS.values())
 #: Domain attributes holding a list or dict that code changes in place.
-CONTAINERS = frozenset({"spans", "route_waiters", "header_waiters", "reset_targets"})
+CONTAINERS = frozenset(
+    {"spans", "route_waiters", "header_waiters", "reset_targets", "gp"}
+)
+#: Of those, the detector lists kept by channel index.
+BY_CHANNEL_INDEX = frozenset({"reset_targets", "gp"})
 STORED_CLASSES = (Message, VirtualChannel, PhysicalChannel, Router, DeadlockDetector)
 _spans = attrgetter("spans")
 
 
 def _frozen(value: Any) -> Any:
     """Comparable copy of a domain dict, or of a list and the dicts in it
-    (selective promotion keeps a refcount dict per channel)."""
-    if value is None or value.__class__ is tuple:
+    (selective promotion keeps a refcount dict per channel; the NDM's G/P
+    masks are ints, which pass through)."""
+    if value is None or value.__class__ is tuple or value.__class__ is int:
         return value
     if value.__class__ is dict:
         return tuple(value.items())
@@ -113,7 +118,7 @@ class ContractMonitor:
         for attr in attrs:
             if attr == "spans":
                 found[attr] = tuple(getattr(handed, "spans", ()))
-            elif attr == "reset_targets":
+            elif attr in BY_CHANNEL_INDEX:
                 found[attr] = [
                     [_frozen(targets[pc.index]) for pc in channels]
                     for targets in self.containers.get(attr, {}).values()

@@ -487,7 +487,7 @@ def test_doc_references_resolve(doc):
         ("`repro/network/rotating.py` and `src/repro/core/ndm.py`", []),
         ("see\n`repro/network/node.py`", ["x.md:2: repro/network/node.py"]),
         ("`Router.route_rows[dim][dest]`, `Simulator.messages`", []),
-        ("`SimulationConfig.injection_limit`, `GPState.PROPAGATE`", []),
+        ("`SimulationConfig.injection_limit`, `PortKind.INJECTION`", []),
         ("`Router.build_route_rows`", ["x.md:1: Router.build_route_rows"]),
         ("`PhysicalChannel.on_i_reset`", ["x.md:1: PhysicalChannel.on_i_reset"]),
         ("`random.Random.choice`, `ProcessPoolExecutor.submit`", []),

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.network.types import GPState
 from repro.verify.checker import explore
 from repro.verify.driver import Instance
 from repro.verify.library import ring2_promotion
@@ -57,9 +56,7 @@ def test_promotion_family_exercises_rule_sites(selective: bool) -> None:
     for _ in range(14):
         inst.step_cycle()
         g_events += sum(1 for _, is_g in inst.detector.events if is_g)
-        g_states += sum(
-            1 for pc in inst.sim.channels if pc.gp is GPState.GENERATE
-        )
+        g_states += sum(inst.gp_vector())
         if selective:
             waiter_states += sum(1 for w in inst.detector.reset_targets if w)
     assert inst.all_delivered()
