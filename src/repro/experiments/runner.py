@@ -103,11 +103,21 @@ def cell_from_stats(stats: SimulationStats, rate: float) -> CellResult:
 
 def saturation_rate(base: SimulationConfig, spec: TableSpec) -> float:
     """Calibrated saturation rate for the spec's pattern on the base
-    configuration's scale (the 64-node quick or the 512-node paper grid).
+    configuration's shape: the 64-node quick or the 512-node paper torus.
 
     ``repro-experiments saturation`` measures the values in the table.
+    Any other shape raises ``ValueError``: a rate calibrated on another
+    network would put its "saturated" column somewhere else.
     """
-    return calibrated_saturation(full=base.dimensions >= 3)[spec.pattern]
+    shape = (base.topology, base.radix, base.dimensions)
+    if shape not in (("torus", 8, 2), ("torus", 8, 3)):
+        raise ValueError(
+            f"no calibrated saturation rate for a {base.radix}-ary "
+            f"{base.dimensions}-cube {base.topology}: pass the rate as "
+            "saturation= (saturations= for a campaign), or measure it "
+            "with `repro-experiments saturation`"
+        )
+    return calibrated_saturation(full=base.dimensions == 3)[spec.pattern]
 
 
 def run_table(

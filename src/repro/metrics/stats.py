@@ -165,8 +165,8 @@ class SimulationStats(DetectionTally):
         """JSON-serializable form of every counter.
 
         Set ``include_events=False`` to drop the (potentially large)
-        per-detection event log; all derived metrics except
-        :meth:`false_detection_percentage` work on the reloaded stats.
+        per-detection event log; every derived metric works on the
+        reloaded stats.
         ``include_perf=False`` additionally drops the engine telemetry,
         leaving exactly the simulated behaviour — the form compared by
         the engine-equivalence tests.
@@ -200,17 +200,6 @@ class SimulationStats(DetectionTally):
         if self.injected_measured == 0:
             return 0.0
         return 100.0 * self.messages_detected_measured / self.injected_measured
-
-    def false_detection_percentage(self) -> float:
-        """% of injected messages marked although not truly deadlocked."""
-        if self.injected_measured == 0:
-            return 0.0
-        false_measured = sum(
-            1
-            for e in self.detection_events
-            if e.truly_deadlocked is False and e.cycle >= self.warmup_cycles
-        )
-        return 100.0 * false_measured / self.injected_measured
 
     def oracle_mean_latency(self) -> Optional[float]:
         """Mean true-positive detection latency (conformance runs only)."""

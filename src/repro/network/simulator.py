@@ -41,7 +41,7 @@ executed (the effect contracts the phases are held to are declared in
   out); worms with no structurally movable flit likewise park until
   routing grants their header a channel.
 
-Both keep the same message lists in the same (rotating) order
+Both keep the same message lists in the same rotated order
 and consume the same RNG stream — failed routing attempts draw nothing —
 so runs are *bit-identical*: same stats, same traces, same detection
 cycles (asserted by ``tests/network/test_engine_equivalence.py``).  The
@@ -75,7 +75,6 @@ from repro.network.channel import PhysicalChannel, VirtualChannel
 from repro.network.config import SimulationConfig
 from repro.network.kernel import PHASE_METHODS
 from repro.network.message import Message, usable_lanes
-from repro.network.rotating import RotatingList
 from repro.network.router import Router
 from repro.network.routing import make_routing_function
 from repro.network.topology import shared_wiring
@@ -179,12 +178,6 @@ class Simulator:
         #: detector predicate can first become true at deadline_cycle.
         self._route_deadlines: List[Tuple[int, int, Message]] = []
         self._deadline_seq = 0
-        #: Count of route-parked messages (see :meth:`wake`), so the routing
-        #: phase can tell in O(1) when its entire pending list is asleep.
-        self._route_parked = 0
-        #: Count of currently move-parked worms (simulator-internal: the
-        #: only wake sites are routing grants and worm teardown).
-        self._move_parked = 0
         # Work counters (flushed to stats.engine_counters by run()).
         self._n_route_attempts = 0
         self._n_route_skips = 0
@@ -202,11 +195,11 @@ class Simulator:
         self.tracer: Optional[Tracer] = None
         self.generation_enabled = True
         self._next_message_id = 0
-        # Rotating structures: the conceptual (reference-engine) order is
-        # ``items[rot:] + items[:rot] + tail``; the phase loops advance
-        # the cursor instead of materializing the per-cycle rotation.
-        self.active_messages = RotatingList()
-        self.pending_route = RotatingList()
+        # Plain lists in visit order: each routing and movement phase
+        # visits its list rotated by ``cycle % len`` and keeps that order
+        # (minus the messages it drops) for the next cycle.
+        self.active_messages: List[Message] = []
+        self.pending_route: List[Message] = []
         self.source_queues: List[Deque[Message]] = [
             deque() for _ in range(self.topology.num_nodes)
         ]
@@ -389,28 +382,12 @@ class Simulator:
             m = heapq.heappop(deadlines)[2]
             if m.route_asleep:
                 m.route_asleep = False
-                self._route_parked -= 1
                 self._n_deadline_wakeups += 1
-        plist = self.pending_route
-        if plist.tail:
-            # Headers appended by the last movement phase: splice them in
-            # at the conceptual end before this cycle's rotated visit.
-            plist.fold()
-        items = plist.items
+        items = self.pending_route
         n = len(items)
         if not n:
             return
-        start = plist.rot + cycle % n
-        if start >= n:
-            start -= n
-        if self._route_parked == n:
-            # Every pending header is asleep (and therefore IN_NETWORK —
-            # any status change wakes it): the reference scan would fail
-            # every attempt and rebuild the list in rotated order.  The
-            # cursor advance IS that rotation: O(1), no copy, no visits.
-            plist.rot = start
-            self._n_route_skips += n
-            return
+        start = cycle % n
         if start:
             order = items[start:]
             order += items[:start]
@@ -446,10 +423,9 @@ class Simulator:
                     sappend = survivors.append
             elif sappend is not None:
                 sappend(m)
-        # Nothing dropped: the visit order itself is the new conceptual
+        # Nothing dropped: the visit order itself is the next cycle's
         # order — adopt it wholesale, no per-message rebuild.
-        plist.items = order if survivors is None else survivors
-        plist.rot = 0
+        self.pending_route = order if survivors is None else survivors
         self._n_route_attempts += n_attempts
         self._n_route_skips += n_skips
 
@@ -482,7 +458,6 @@ class Simulator:
         if m.marked_deadlocked:
             # Already detected (recovery "none"): only a VC release matters.
             m.route_asleep = True
-            self._route_parked += 1
             self._n_route_parks += 1
             return
         deadline = self.detector.blocked_deadline(m, cycle)
@@ -496,7 +471,6 @@ class Simulator:
             )
         else:
             return  # inconsistent deadline; stay awake (reference behaviour)
-        self._route_parked += 1
         self._n_route_parks += 1
 
     def wake_all_parked(self) -> None:
@@ -511,24 +485,15 @@ class Simulator:
         Waiter registrations and queued heap deadlines stay in place
         (stale heap entries are skipped when they pop).
         """
-        moves = 0
         for m in self.active_messages:
-            if m.route_asleep:
-                m.route_asleep = False
-                self._route_parked -= 1
-            if m.move_asleep:
-                m.move_asleep = False
-                moves += 1
-        self._move_parked -= moves
+            m.route_asleep = False
+            m.move_asleep = False
 
     def wake(self, waiters: Dict[int, None]) -> None:
         """Clear the routing park of every message in a channel's waiters."""
         messages = self.messages
         for message_id in waiters:
-            m = messages[message_id]
-            if m.route_asleep:
-                m.route_asleep = False
-                self._route_parked -= 1
+            messages[message_id].route_asleep = False
 
     def _unregister_parked(self, m: Message) -> None:
         """Drop ``m`` from all waiter maps (before feasible_pcs is cleared)."""
@@ -605,8 +570,6 @@ class Simulator:
             self.detector.on_message_routed(m, cycle)
             if m.wait_registered:
                 self._unregister_parked(m)
-            if m.move_asleep:
-                self._move_parked -= 1
             m.reset_routing_state()
             if self.tracer is not None:
                 self.tracer.record(("route", cycle, m.id, node, vc.pc.index))
@@ -648,25 +611,11 @@ class Simulator:
         engine parks it (equivalent to :meth:`_worm_immovable`, which the
         invariant checker uses as the independent specification).
         """
-        alist = self.active_messages
-        if alist.tail:
-            # Messages injected last cycle: splice at the conceptual end.
-            alist.fold()
-        items = alist.items
+        items = self.active_messages
         n = len(items)
         if not n:
             return
-        start = alist.rot + cycle % n
-        if start >= n:
-            start -= n
-        if self._move_parked == n:
-            # Every worm is frozen (hence IN_NETWORK — teardown and
-            # routing grants both unpark): the reference scan would move
-            # nothing and rebuild the list in rotated order, which the
-            # cursor advance expresses in O(1).
-            alist.rot = start
-            self._n_move_skips += n
-            return
+        start = cycle % n
         if start:
             order = items[start:]
             order += items[:start]
@@ -824,14 +773,12 @@ class Simulator:
                     continue
             if park and frozen and spans:
                 m.move_asleep = True
-                self._move_parked += 1
                 self._n_move_parks += 1
         if n_gone or delivered:
             # Only a worm's own visit ends its IN_NETWORK status here, so
             # the survivors, in visit order, are those still in flight.
             order = [m for m in order if m.status is in_network]
-        alist.items = order
-        alist.rot = 0
+        self.active_messages = order
         self._n_move_visits += n - n_skips - n_gone
         self._n_move_skips += n_skips
 
@@ -1000,12 +947,8 @@ class Simulator:
             # Before releasing: the releases below would "wake" the dying
             # worm, and reset_for_reinjection clears feasible_pcs.
             self._unregister_parked(m)
-        if m.route_asleep:
-            m.route_asleep = False
-            self._route_parked -= 1
-        if m.move_asleep:
-            m.move_asleep = False
-            self._move_parked -= 1
+        m.route_asleep = False
+        m.move_asleep = False
         vcs = list(m.spans)
         if m.allocated_vc is not None:
             vcs.append(m.allocated_vc)
@@ -1147,17 +1090,6 @@ class Simulator:
                 raise AssertionError(f"{pc}: an ejection lane buffers flits")
             if pc.i_threshold is not None and pc.i_threshold < 1:
                 raise AssertionError(f"{pc}: armed with i_threshold < 1")
-        n_route = sum(1 for m in self.active_messages if m.route_asleep)
-        if n_route != self._route_parked:
-            raise AssertionError(
-                f"route-parked count {self._route_parked} != actual "
-                f"{n_route} (a stale count defeats the all-asleep fast path)"
-            )
-        n_move = sum(1 for m in self.active_messages if m.move_asleep)
-        if n_move != self._move_parked:
-            raise AssertionError(
-                f"move-parked count {self._move_parked} != actual {n_move}"
-            )
 
     def _check_parked_state(self, m: Message) -> None:
         """Event-engine safety: a parked message must have no way forward.

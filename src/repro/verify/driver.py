@@ -122,12 +122,12 @@ class Instance:
 
     def oracle_deadlocked(self) -> FrozenSet[int]:
         """Message ids in the fault-aware OR-wait knot right now."""
-        knot = find_deadlocked(self.sim.active_messages.to_list())
+        knot = find_deadlocked(self.sim.active_messages)
         return frozenset(m.id for m in knot)
 
     def undetected_deadlocked(self) -> FrozenSet[int]:
         """Oracle-deadlocked message ids no mechanism has marked yet."""
-        knot = find_deadlocked(self.sim.active_messages.to_list())
+        knot = find_deadlocked(self.sim.active_messages)
         return frozenset(m.id for m in knot if not m.marked_deadlocked)
 
     def check_structure(self) -> None:

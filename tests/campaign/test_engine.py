@@ -17,7 +17,12 @@ from repro.campaign.checkpoint import (
 from repro.campaign.engine import run_campaign
 from repro.experiments.report import render_table, table_to_json
 from repro.experiments.runner import run_cell, run_table
-from repro.experiments.spec import TABLE_SPECS, base_config, quick_spec
+from repro.experiments.spec import (
+    CALIBRATED_SATURATION_QUICK,
+    TABLE_SPECS,
+    base_config,
+    quick_spec,
+)
 from repro.network import batch as batch_backend
 from tests.campaign.conftest import tiny_base, tiny_spec
 
@@ -235,7 +240,10 @@ class TestOnePlanPerCampaign:
             return plans[-1]
 
         monkeypatch.setattr(batch_backend, "plan_batches", spy)
-        tables = run_campaign(specs, base, jobs=1)
+        # A 4x4 torus has no calibrated rate: run at the 64-node one.
+        uniform = CALIBRATED_SATURATION_QUICK["uniform"]
+        tables = run_campaign(specs, base, saturations={"uniform": uniform},
+                              jobs=1)
         ((groups, singles),) = plans
         points = {(load, size) for _, load, size in specs[0].cell_coords()}
         assert singles == []

@@ -16,8 +16,15 @@ from repro.campaign.checkpoint import CampaignCheckpoint
 from repro.campaign.engine import run_campaign
 from repro.campaign.executor import execute_jobs
 from repro.campaign.jobs import cell_to_dict, enumerate_table_jobs
-from repro.experiments.runner import saturation_rate
-from repro.experiments.spec import TABLE_SPECS, base_config, quick_spec
+from repro.experiments.spec import (
+    CALIBRATED_SATURATION_QUICK,
+    TABLE_SPECS,
+    base_config,
+    quick_spec,
+)
+
+#: A 4x4 torus has no calibrated rate; these tests run at the 64-node one.
+SATURATIONS = {"uniform": CALIBRATED_SATURATION_QUICK["uniform"]}
 
 
 def two_quick_tables():
@@ -33,7 +40,7 @@ def planned_jobs(specs, base):
     return [
         job
         for spec in specs
-        for job in enumerate_table_jobs(spec, base, saturation_rate(base, spec))[1]
+        for job in enumerate_table_jobs(spec, base, SATURATIONS[spec.pattern])[1]
     ]
 
 
@@ -72,7 +79,8 @@ def warm_store(tmp_path_factory):
     """Tables 1 and 2 simulated once into a store every test reads."""
     specs, base = two_quick_tables()
     root = tmp_path_factory.mktemp("store")
-    run_campaign(specs, base, jobs=1, cache=ResultCache(str(root)))
+    run_campaign(specs, base, saturations=SATURATIONS, jobs=1,
+                 cache=ResultCache(str(root)))
     return specs, base, root
 
 
@@ -86,7 +94,7 @@ class TestOneHandlePerCall:
         modes = count_opens(monkeypatch, path)
 
         cache = ResultCache(str(root))
-        run_campaign(specs, base, jobs=1, cache=cache,
+        run_campaign(specs, base, saturations=SATURATIONS, jobs=1, cache=cache,
                      checkpoint=CampaignCheckpoint(path, fresh=True))
         assert (cache.hits, cache.misses) == (total, 0)
         # One append handle for 2 headers and 48 cell lines.
@@ -95,7 +103,7 @@ class TestOneHandlePerCall:
         # A resumed call reads the manifest, looks at its last byte and
         # appends its headers through one handle.
         del modes[:]
-        run_campaign(specs, base, jobs=1,
+        run_campaign(specs, base, saturations=SATURATIONS, jobs=1,
                      checkpoint=CampaignCheckpoint(path), resume=True)
         assert modes.count("a") == 1
         assert len(modes) <= 3
@@ -120,7 +128,8 @@ class TestOneHandlePerCall:
     ):
         specs, base, root = warm_store
         path = tmp_path / "m.jsonl"
-        tables = run_campaign(specs, base, jobs=1, cache=ResultCache(str(root)),
+        tables = run_campaign(specs, base, saturations=SATURATIONS, jobs=1,
+                              cache=ResultCache(str(root)),
                               checkpoint=CampaignCheckpoint(path, fresh=True))
         lines = path.read_text().split("\n")
         assert lines.pop() == ""  # every line ends in a newline
@@ -177,7 +186,8 @@ class TestHandleClosedOnRaise:
         # open is not closed by the checkpoint being collected.
         checkpoint = CampaignCheckpoint(path)
         with pytest.raises(KeyboardInterrupt):
-            run_campaign(specs, base, jobs=1, checkpoint=checkpoint)
+            run_campaign(specs, base, saturations=SATURATIONS, jobs=1,
+                         checkpoint=checkpoint)
         assert held == [1] * 5
         # Each unit is a threshold chain: all its cells land together.
         assert on_disk == [sum(map(len, ran[:i])) for i in range(5)]

@@ -173,10 +173,8 @@ class TestLatencyCommand:
             return config
 
         monkeypatch.setattr(cli_module, "base_config", tiny_base)
-        monkeypatch.setattr(
-            "repro.experiments.runner.calibrated_saturation",
-            lambda full=False: {"uniform": 1.0},
-        )
+        # A 4x4 torus has no calibrated rate: the sweep scales from 1.0.
+        monkeypatch.setattr(cli_module, "saturation_rate", lambda base, spec: 1.0)
         assert cli.main(["latency", "--steps", "3"]) == 0
         out = capsys.readouterr().out
         assert "offered" in out

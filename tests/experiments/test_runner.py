@@ -119,3 +119,9 @@ class TestSaturationRate:
                 spec = TableSpec(table_id=1, title="any", mechanism="ndm",
                                  pattern=pattern)
                 assert saturation_rate(base_config(full=full), spec) > 0
+
+    def test_uncalibrated_shape_raises(self):
+        """A 4x4 torus has no calibration: the 64-node rate would put its
+        "saturated" column far below saturation."""
+        with pytest.raises(ValueError, match="4-ary 2-cube torus.*saturation="):
+            saturation_rate(tiny_base(), TABLE_SPECS[2])

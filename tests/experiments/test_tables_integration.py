@@ -33,7 +33,8 @@ class TestRegenerate:
         assert cell.injected > 0
 
     def test_regenerate_all(self):
-        results = run_campaign(tiny_specs().values(), small_config(), jobs=1)
+        results = run_campaign(tiny_specs().values(), small_config(),
+                               saturations={"uniform": 1.0}, jobs=1)
         assert sorted(results) == [1, 2]
         assert results[1].spec.mechanism == "pdm"
         assert results[2].spec.mechanism == "ndm"

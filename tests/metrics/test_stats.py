@@ -28,15 +28,6 @@ class TestDetectionPercentage:
         )
         assert stats.detection_percentage() == 1.0
 
-    def test_false_detection_percentage_filters_warmup(self):
-        stats = make_stats(injected_measured=100)
-        stats.detection_events = [
-            DetectionEvent(500, 1, 0, "ndm", truly_deadlocked=False),   # warmup
-            DetectionEvent(2000, 2, 0, "ndm", truly_deadlocked=False),  # counted
-            DetectionEvent(2500, 3, 0, "ndm", truly_deadlocked=True),   # true
-        ]
-        assert stats.false_detection_percentage() == 1.0
-
 
 class TestThroughputAndLatency:
     def test_throughput_flits_per_cycle_per_node(self):

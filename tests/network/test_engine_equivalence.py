@@ -151,6 +151,15 @@ CASES = {
             for ch in range(0, 64, 4)
         ],
     ),
+    # Fully wedged: the 1-lane 8x8 torus jams early and nothing recovers,
+    # so on ~700 of the 1,000 cycles every pending header and every worm
+    # is parked and each phase loop skips its whole list by flag.
+    "wedged": dict(
+        mechanism="ndm", threshold=64, radix=8, vcs_per_channel=1,
+        injection_rate=0.6, injection_limit_fraction=0.4, recovery="none",
+        seed=7, warmup_cycles=0, measure_cycles=1000,
+        ground_truth_interval=0,
+    ),
 }
 
 #: case -> (delivered, sha256 of the traced event stream[, the event
@@ -206,6 +215,19 @@ PINNED = {
             "move_parked_skips": 11720,
             "move_parks": 194,
             "deadline_wakeups": 525,
+        },
+    ),
+    "wedged": (
+        260,
+        "6cda724b52dbe50a360490ef82832dc765ef7044a7dca54fb9d267f4886323c3",
+        {
+            "route_attempts": 2381,
+            "route_parked_skips": 78566,
+            "route_parks": 877,
+            "move_visits": 8409,
+            "move_parked_skips": 76788,
+            "move_parks": 323,
+            "deadline_wakeups": 236,
         },
     ),
 }

@@ -484,7 +484,7 @@ def test_doc_references_resolve(doc):
         ("`repro.network.node`", ["x.md:1: repro.network.node"]),
         ("`repro.network.simulator.Simulator.no_such_phase`",
          ["x.md:1: repro.network.simulator.Simulator.no_such_phase"]),
-        ("`repro/network/rotating.py` and `src/repro/core/ndm.py`", []),
+        ("`repro/network/router.py` and `src/repro/core/ndm.py`", []),
         ("see\n`repro/network/node.py`", ["x.md:2: repro/network/node.py"]),
         ("`Router.route_rows[dim][dest]`, `Simulator.messages`", []),
         ("`SimulationConfig.injection_limit`, `PortKind.INJECTION`", []),
