@@ -96,9 +96,6 @@ class ResultCache:
         os.replace(tmp, path)
         return path
 
-    def __contains__(self, key: str) -> bool:
-        return self.path_for(key).exists()
-
     def keys(self) -> Iterator[str]:
         """All stored hashes (walks the shard directories)."""
         if not self.root.is_dir():
@@ -111,14 +108,6 @@ class ResultCache:
 
     def size(self) -> int:
         return sum(1 for _ in self.keys())
-
-    def clear(self) -> int:
-        """Delete every cached result; returns the number removed."""
-        removed = 0
-        for key in list(self.keys()):
-            self.path_for(key).unlink()
-            removed += 1
-        return removed
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

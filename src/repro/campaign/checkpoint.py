@@ -56,33 +56,15 @@ class CampaignCheckpoint:
         )
 
     def record_cell(
-        self,
-        key: str,
-        config_hash: str,
-        cell: Dict[str, Any],
-        wall_time: float,
-        worker: str,
-        source: str,
-        engine: str = "",
-        phase_time: Optional[Dict[str, float]] = None,
+        self, record: Dict[str, Any], config_hash: str, source: str
     ) -> None:
-        """Persist one finished cell (flushed immediately)."""
-        record = {
-            "kind": "cell",
-            "key": key,
-            "config_hash": config_hash,
-            "cell": cell,
-            "wall_time": wall_time,
-            "worker": worker,
-            "source": source,
-        }
-        if engine:
-            record["engine"] = engine
-        if phase_time:
-            record["phase_time"] = phase_time
-        self._append(record)
+        """Persist one finished cell (flushed immediately): its stored
+        ``record`` (see ``repro.campaign.jobs.cell_record``) plus
+        ``kind``, ``config_hash`` and ``source``."""
+        line = {**record, "kind": "cell", "config_hash": config_hash, "source": source}
+        self._append(line)
         if self._done is not None:
-            self._done[config_hash] = record
+            self._done[config_hash] = line
 
     @contextmanager
     def appending(self) -> Iterator[None]:

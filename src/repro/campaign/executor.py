@@ -60,7 +60,6 @@ process boundary.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 import warnings
@@ -221,13 +220,6 @@ def _predicted_cost(unit: _Unit) -> float:
     return runs * cycles * nodes * config.traffic.injection_rate
 
 
-def _chain_key(config: SimulationConfig) -> str:
-    """Canonical identity of a config modulo its detection threshold."""
-    payload = config.to_dict()
-    payload["detector"]["threshold"] = None
-    return json.dumps(payload, sort_keys=True)
-
-
 def _plan_chains(jobs: Sequence[CellJob]) -> List[_Unit]:
     """Split the cells no fold took into chains and solo cells.
 
@@ -243,7 +235,7 @@ def _plan_chains(jobs: Sequence[CellJob]) -> List[_Unit]:
         config = job.config
         monotone = threshold_monotone(config.detector)
         if monotone and not batch_backend.batch_eligible(config):
-            key = _chain_key(config)
+            key = batch_backend.batch_group_key(config, masked=("threshold",))
             if key not in chains:
                 chains[key] = []
                 groups.append(chains[key])
@@ -319,9 +311,7 @@ def _resolve(
             if outcome.source == "run" and cache is not None:
                 cache.put(job.config_hash, record)
             if checkpoint is not None:
-                checkpoint.record_cell(
-                    config_hash=job.config_hash, source=outcome.source, **record
-                )
+                checkpoint.record_cell(record, job.config_hash, outcome.source)
         if progress is not None:
             progress(len(outcomes), total)
         return True

@@ -139,15 +139,17 @@ def cell_record(
 
     A worker returns it, a cache file holds it, and a manifest line
     holds it next to ``kind`` / ``config_hash`` / ``source``.  Only a
-    profiled run has ``phase_time``.
+    profiled run has ``phase_time``, and a record that names no engine
+    (one stored before engines were recorded) has no ``engine``.
     """
     record: Dict[str, Any] = {
         "key": key,
         "cell": cell_to_dict(cell),
         "wall_time": wall_time,
         "worker": worker,
-        "engine": engine,
     }
+    if engine:
+        record["engine"] = engine
     if phase_time:
         record["phase_time"] = phase_time
     return record

@@ -18,7 +18,7 @@ original source for regressive recovery (as a normal new message).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Dict, Type
 
 from repro.network.message import Message
 
@@ -109,7 +109,7 @@ class RegressiveRecovery(RecoveryManager):
         sim.free_worm(message, cycle)
         message.retries += 1
         message.reset_for_reinjection(message.source, cycle)
-        sim.enqueue_source(message, message.source, front=False)
+        sim.enqueue_source(message, message.source)
         sim.stats.aborts += 1
         if sim.measuring:
             sim.stats.aborts_measured += 1
@@ -130,17 +130,24 @@ class NoRecovery(RecoveryManager):
         return
 
 
+#: Every recovery scheme, by config name.
+RECOVERY_SCHEMES: Dict[str, Type[RecoveryManager]] = {
+    scheme.name: scheme
+    for scheme in (
+        ProgressiveRecovery,
+        ProgressiveReinjection,
+        RegressiveRecovery,
+        NoRecovery,
+    )
+}
+
+
 def make_recovery(name: str) -> RecoveryManager:
     """Instantiate a recovery scheme by config name."""
-    schemes = {
-        ProgressiveRecovery.name: ProgressiveRecovery,
-        ProgressiveReinjection.name: ProgressiveReinjection,
-        RegressiveRecovery.name: RegressiveRecovery,
-        NoRecovery.name: NoRecovery,
-    }
     try:
-        return schemes[name]()
+        return RECOVERY_SCHEMES[name]()
     except KeyError:
         raise ValueError(
-            f"unknown recovery scheme {name!r}; choose from {sorted(schemes)}"
+            f"unknown recovery scheme {name!r}; "
+            f"choose from {sorted(RECOVERY_SCHEMES)}"
         ) from None

@@ -51,6 +51,9 @@ DEFAULT_DETECTORS = ("ndm", "pdm", "timeout", "probe")
 #: gate for the whole fault subsystem.
 ENGINES = ("scan", "event")
 
+#: Fault windows in each generated schedule.
+FAULTS_PER_SCHEDULE = 6
+
 
 def quick_base_config() -> SimulationConfig:
     """The harness's quick regime: a 4x4 torus that actually wedges.
@@ -88,7 +91,6 @@ def make_cases(
     config: SimulationConfig,
     num_schedules: int,
     base_seed: int = 0,
-    faults_per_schedule: int = 6,
 ) -> List[Dict[str, Any]]:
     """Deterministic (seed, schedule) cases for ``config``'s topology."""
     horizon = config.warmup_cycles + config.measure_cycles
@@ -107,7 +109,7 @@ def make_cases(
                     num_nodes=topo.num_nodes,
                     num_vcs=config.vcs_per_channel,
                     horizon=horizon,
-                    count=faults_per_schedule,
+                    count=FAULTS_PER_SCHEDULE,
                     max_window=max(2, horizon // 2),
                 ),
             }
@@ -266,15 +268,14 @@ def run_conformance(
                         cache.put(key, cell)
                 per_engine[engine] = cell
                 if manifest is not None:
-                    manifest.record_cell(
-                        key=f"faults/{detector}/{case['id']}/{engine}",
-                        config_hash=key,
-                        cell=cell["conformance"],
-                        wall_time=perf_counter() - t0,
-                        worker="conformance",
-                        source=source,
-                        engine=engine,
-                    )
+                    record = {
+                        "key": f"faults/{detector}/{case['id']}/{engine}",
+                        "cell": cell["conformance"],
+                        "wall_time": perf_counter() - t0,
+                        "worker": "conformance",
+                        "engine": engine,
+                    }
+                    manifest.record_cell(record, key, source)
             digests = {cell["digest"] for cell in per_engine.values()}
             match = len(digests) == 1
             if not match:

@@ -34,6 +34,9 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
+#: Largest counter lag ``random_faults`` draws, in cycles.
+MAX_LAG = 32
+
 #: Recognized fault kinds, in documentation order.
 FAULT_KINDS = (
     "link-down",
@@ -119,7 +122,6 @@ def random_faults(
     count: int = 4,
     kinds: Sequence[str] = FAULT_KINDS,
     max_window: int = 200,
-    max_lag: int = 32,
 ) -> List[Dict[str, Any]]:
     """A deterministic pseudo-random fault schedule (dict form).
 
@@ -146,7 +148,7 @@ def random_faults(
             ),
             lane=rng.randrange(num_vcs) if kind == "vc-stuck" else None,
             node=rng.randrange(num_nodes) if kind == "router-stall" else None,
-            lag=rng.randrange(1, max_lag + 1) if kind == "counter-lag" else 0,
+            lag=rng.randrange(1, MAX_LAG + 1) if kind == "counter-lag" else 0,
         )
         spec.validate()
         faults.append(spec.to_dict())

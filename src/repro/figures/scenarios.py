@@ -41,6 +41,10 @@ B_NODE = (4, 0)
 C_NODE = (4, 1)
 D_NODE = (3, 1)
 
+#: Length in flits of message A, which advances in Figure 2 and leaves
+#: in Figure 3.
+A_LENGTH = 36
+
 
 def scenario_config(
     mechanism: str = "ndm",
@@ -236,7 +240,6 @@ def build_figure2(
     mechanism: str = "ndm",
     threshold: int = 16,
     recovery: str = "none",
-    a_length: int = 36,
     selective_promotion: bool = False,
 ) -> Scenario:
     """Figure 2: B, C, D blocked behind the advancing message A.
@@ -252,7 +255,7 @@ def build_figure2(
     # A: injected at a, heading straight +x to (6,0); holds ch(a->b) and
     # keeps transmitting across it while it drains.
     scenario.messages["A"] = place_worm(
-        sim, A_NODE, [(0, +1)], (6, 0), length=a_length
+        sim, A_NODE, [(0, +1)], (6, 0), length=A_LENGTH
     )
     scenario.run(2)  # let A's flits flow so ch(a->b) looks active
 
@@ -288,10 +291,7 @@ def build_figure3(
     Cycle after setup: B -> ch(a->b) held by E -> ch(b->c) held by D ->
     ch(c->d) held by C -> ch(d->a) held by B.
     """
-    scenario = build_figure2(
-        mechanism, threshold, recovery, a_length=36,
-        selective_promotion=selective_promotion,
-    )
+    scenario = build_figure2(mechanism, threshold, recovery, selective_promotion)
     sim = scenario.sim
     ab = channel_between(sim, A_NODE, B_NODE)
 

@@ -91,12 +91,6 @@ from repro.network.types import DetectionEvent, MessageStatus, PortKind
 #: benchmark (benchmarks/spine) reads it.
 HAVE_NUMPY = True
 
-#: Cap on cells folded onto one shared trajectory.  The pending-cell
-#: bitmasks are arbitrary-precision ints, so this is not a correctness
-#: limit — it bounds observer state and keeps per-group wall time (and
-#: therefore pool scheduling granularity) reasonable.
-MAX_CELLS = 64
-
 
 def detector_cell_key(detector: DetectorConfig) -> Tuple[Any, ...]:
     """Hashable identity of one cell within a batch group.
@@ -138,22 +132,32 @@ def batch_eligible(config: SimulationConfig) -> bool:
     return batch_shareable(config.detector)
 
 
-def batch_group_key(config: SimulationConfig) -> str:
-    """Canonical identity of a config modulo its detector cell.
+#: The detector fields one fold group's cells may differ in.
+_CELL_FIELDS = (
+    "mechanism",
+    "threshold",
+    "selective_promotion",
+    "probe_max_hops",
+    "probe_max_outstanding",
+)
 
-    Two eligible configs with equal keys differ at most in the detection
-    mechanism, its threshold, and the probe storm-guard caps, and may
-    therefore join one :class:`BatchSimulator` group.  ``t1`` is *not*
-    masked: the shared G/P dynamics are armed with one t1, so cells
-    disagreeing on it must not share a trajectory.
+
+def batch_group_key(
+    config: SimulationConfig, masked: Sequence[str] = _CELL_FIELDS
+) -> str:
+    """Canonical identity of a config modulo the ``masked`` detector fields.
+
+    By default those are its detector cell: two eligible configs with
+    equal keys differ at most in the detection mechanism, its threshold,
+    and the probe storm-guard caps, and may therefore join one
+    :class:`BatchSimulator` group.  ``t1`` is *not* masked: the shared
+    G/P dynamics are armed with one t1, so cells disagreeing on it must
+    not share a trajectory.
     """
     payload = config.to_dict()
-    payload["detector"] = dict(payload["detector"])
-    payload["detector"]["mechanism"] = None
-    payload["detector"]["threshold"] = None
-    payload["detector"]["selective_promotion"] = None
-    payload["detector"]["probe_max_hops"] = None
-    payload["detector"]["probe_max_outstanding"] = None
+    detector = payload["detector"] = dict(payload["detector"])
+    for name in masked:
+        detector[name] = None
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -266,11 +270,6 @@ class BatchObserver(NewDetectionMechanism):
             canonical.setdefault(detector_cell_key(cell), cell)
         if not canonical:
             raise ValueError("need at least one detector cell")
-        if len(canonical) > MAX_CELLS:
-            raise ValueError(
-                f"{len(canonical)} cells exceed MAX_CELLS={MAX_CELLS}; chunk "
-                "the group (the campaign executor does this automatically)"
-            )
         # Canonical rank order: family (registry order — ndm first keeps
         # the G/P masks' bit range anchored at the low bits), ascending
         # threshold, probe caps.  It is the fixed reduction order that
@@ -663,11 +662,11 @@ def plan_batches(
     """Group config indices into shareable batches (plus leftovers).
 
     Returns ``(groups, singles)`` of indices into ``configs``: each
-    group holds >= 2 configs that are :func:`batch_eligible` and equal
-    modulo their detector cell (chunked to :data:`MAX_CELLS` *distinct*
-    cells); everything else — unshareable configs, lone group members —
-    lands in ``singles``.  The choice is read off the cells; no caller
-    asks for it.
+    group holds all of the >= 2 :func:`batch_eligible` configs that are
+    equal modulo their detector cell, however many cells that is: one
+    traffic point, one shared trajectory.  Everything else — unshareable
+    configs, lone group members — lands in ``singles``.  The choice is
+    read off the cells; no caller asks for it.
     Order within groups and singles follows the input, so
     planning is deterministic — and because fold results are
     bit-identical to per-cell runs regardless of which cells share a
@@ -686,20 +685,7 @@ def plan_batches(
         members = by_key[key]
         if len(members) < 2:
             singles.extend(members)
-            continue
-        # Chunk by distinct cells; duplicates ride with their cell.
-        chunk: List[int] = []
-        seen: set = set()
-        for i in members:
-            ck = detector_cell_key(configs[i].detector)
-            if ck not in seen and len(seen) == MAX_CELLS:
-                groups.append(chunk)
-                chunk, seen = [], set()
-            seen.add(ck)
-            chunk.append(i)
-        if len(chunk) >= 2:
-            groups.append(chunk)
         else:
-            singles.extend(chunk)
+            groups.append(members)
     singles.sort()
     return groups, singles

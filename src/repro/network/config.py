@@ -207,17 +207,14 @@ class SimulationConfig:
             raise ValueError(
                 f"unknown engine {self.engine!r}; choose 'event' or 'scan'"
             )
-        if self.recovery not in (
-            "progressive",
-            "progressive-reinject",
-            "regressive",
-            "none",
-        ):
-            raise ValueError(f"unknown recovery scheme {self.recovery!r}")
-        # Registry lookups (imported here: repro.traffic imports this module).
+        # Registry lookups (imported here: repro.core and repro.traffic
+        # import this module).
+        from repro.core.recovery import RECOVERY_SCHEMES
         from repro.traffic.lengths import check_length_spec_name
         from repro.traffic.patterns import pattern_class
 
+        if self.recovery not in RECOVERY_SCHEMES:
+            raise ValueError(f"unknown recovery scheme {self.recovery!r}")
         routing_function_class(self.routing)
         pattern_class(self.traffic.pattern)
         check_length_spec_name(self.traffic.lengths)

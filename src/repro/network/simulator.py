@@ -1004,12 +1004,9 @@ class Simulator:
             self.recovery_queues[node] = queue
         queue.append(m)
 
-    def enqueue_source(self, m: Message, node: NodeId, front: bool = False) -> None:
-        """Queue a message at a node's normal source queue."""
-        if front:
-            self.source_queues[node].appendleft(m)
-        else:
-            self.source_queues[node].append(m)
+    def enqueue_source(self, m: Message, node: NodeId) -> None:
+        """Queue a message at the back of a node's normal source queue."""
+        self.source_queues[node].append(m)
 
     # ------------------------------------------------------------------
     # Ground truth

@@ -40,8 +40,6 @@ class MessageStatus(enum.Enum):
     RECOVERING = "recovering"
     #: Every flit has been ejected at the destination.
     DELIVERED = "delivered"
-    #: Killed by regressive recovery; a retry clone was queued at the source.
-    ABORTED = "aborted"
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ aborts the run rather than producing a verdict.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.verify.choices import ChoiceError, next_vector
@@ -67,15 +67,6 @@ class Violation:
     loop: Optional[Trace] = None
     #: For false negatives: the message that stays undetected.
     message_id: Optional[int] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "detail": self.detail,
-            "trace": [list(v) for v in self.trace],
-            "loop": None if self.loop is None else [list(v) for v in self.loop],
-            "message_id": self.message_id,
-        }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "Violation":
@@ -133,9 +124,9 @@ class Verdict:
             "statically_deadlock_free": self.statically_deadlock_free,
             "stopped_on": self.stopped_on,
             "violation": (
-                None if self.violation is None else self.violation.to_dict()
+                None if self.violation is None else asdict(self.violation)
             ),
-            "case": self.case.to_dict(),
+            "case": asdict(self.case),
         }
 
 

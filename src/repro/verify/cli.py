@@ -26,11 +26,10 @@ from typing import Dict, List, Optional
 from repro.verify.checker import Verdict, explore
 from repro.verify.counterexample import (
     check_counterexample,
-    counterexample_payload,
     load_counterexample,
+    write_counterexample,
 )
 from repro.verify.library import all_cases, refutation_selftest_case
-from repro.verify.scenario import VerifyCase
 
 #: Cells whose refutation is the *expected* honest outcome.  The
 #: inactivity-counter mechanisms watch channel counters that a dead,
@@ -54,12 +53,9 @@ EXPECTED_REFUTED = frozenset(
 def sweep(
     max_states: int = 200_000,
     max_cycles: int = 10_000,
-    selftest: bool = True,
 ) -> List[Verdict]:
     """Run the full grid (plus the refutation self-test) and collect verdicts."""
-    cases: List[VerifyCase] = list(all_cases())
-    if selftest:
-        cases.append(refutation_selftest_case())
+    cases = list(all_cases()) + [refutation_selftest_case()]
     return [
         explore(case, max_states=max_states, max_cycles=max_cycles)
         for case in cases
@@ -117,11 +113,7 @@ def write_verdicts(verdicts: List[Verdict], path: Path) -> None:
 
 def run(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    verdicts = sweep(
-        max_states=args.max_states,
-        max_cycles=args.max_cycles,
-        selftest=not args.no_selftest,
-    )
+    verdicts = sweep(max_states=args.max_states, max_cycles=args.max_cycles)
     print(render_report(verdicts))
     elapsed = time.monotonic() - started
     total_states = sum(v.states for v in verdicts)
@@ -138,13 +130,7 @@ def run(args: argparse.Namespace) -> int:
             if v.violation is None:
                 continue
             name = v.case.label().replace("/", "__") + ".json"
-            directory.mkdir(parents=True, exist_ok=True)
-            (directory / name).write_text(
-                json.dumps(
-                    counterexample_payload(v), indent=2, sort_keys=True
-                )
-                + "\n"
-            )
+            write_counterexample(v, directory / name)
         print(f"counterexamples written to {directory}")
     problems = unexpected_outcomes(verdicts)
     if problems:
@@ -213,11 +199,6 @@ def build_parser(
         default=10_000,
         help="depth cap per cell before declaring inconclusive "
         "(default: %(default)s)",
-    )
-    runp.add_argument(
-        "--no-selftest",
-        action="store_true",
-        help="skip the null-detector refutation self-test cell",
     )
     runp.add_argument(
         "--out",

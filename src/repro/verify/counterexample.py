@@ -18,6 +18,7 @@ test by committing its JSON file.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Dict, Iterator, Tuple
 
@@ -41,8 +42,8 @@ def counterexample_payload(verdict: Verdict) -> Dict[str, Any]:
     return {
         "format": FORMAT_VERSION,
         "label": verdict.case.label(),
-        "case": verdict.case.to_dict(),
-        "violation": verdict.violation.to_dict(),
+        "case": asdict(verdict.case),
+        "violation": asdict(verdict.violation),
     }
 
 

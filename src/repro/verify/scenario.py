@@ -15,8 +15,9 @@ needs to enumerate a configuration's reachable state space:
 * the detector cell under test (mechanism / threshold / promotion
   variant) and the recovery scheme.
 
-Scenarios serialize to plain JSON (:meth:`VerifyCase.to_dict`) so refuted
-invariants can be written out as replayable counterexample files.
+Scenarios serialize to plain JSON (``dataclasses.asdict``) so refuted
+invariants can be written out as replayable counterexample files, which
+the ``from_dict`` methods read back field by field.
 """
 
 from __future__ import annotations
@@ -49,15 +50,6 @@ class MessageSpec:
     length: int
     earliest: int = 0
     latest: Optional[int] = 0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "source": self.source,
-            "dest": self.dest,
-            "length": self.length,
-            "earliest": self.earliest,
-            "latest": self.latest,
-        }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "MessageSpec":
@@ -93,19 +85,6 @@ class VerifyScenario:
     @property
     def num_nodes(self) -> int:
         return self.radix**self.dimensions
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "messages": [m.to_dict() for m in self.messages],
-            "topology": self.topology,
-            "radix": self.radix,
-            "dimensions": self.dimensions,
-            "vcs_per_channel": self.vcs_per_channel,
-            "buffer_depth": self.buffer_depth,
-            "faults": [dict(f) for f in self.faults],
-            "fault_class": self.fault_class,
-        }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "VerifyScenario":
@@ -250,18 +229,6 @@ class VerifyCase:
             if end < PERMANENT:
                 last = max(last, end)
         return last + 1
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "scenario": self.scenario.to_dict(),
-            "mechanism": self.mechanism,
-            "threshold": self.threshold,
-            "t1": self.t1,
-            "selective_promotion": self.selective_promotion,
-            "probe_max_hops": self.probe_max_hops,
-            "probe_max_outstanding": self.probe_max_outstanding,
-            "recovery": self.recovery,
-        }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "VerifyCase":

@@ -15,12 +15,10 @@ HASH_B = "b" * 64
 def record(ck, key="table2/th8/load0/s", config_hash=HASH_A, wall=0.5,
            worker="serial", source="run"):
     ck.record_cell(
-        key=key,
-        config_hash=config_hash,
-        cell={"percentage": 1.0},
-        wall_time=wall,
-        worker=worker,
-        source=source,
+        {"key": key, "cell": {"percentage": 1.0}, "wall_time": wall,
+         "worker": worker},
+        config_hash,
+        source,
     )
 
 
@@ -162,15 +160,17 @@ class TestSummary:
         measurements."""
         path = tmp_path / "m.jsonl"
         ck = CampaignCheckpoint(path)
-        ck.record_cell(key="table2/th8/load0/s", config_hash=HASH_A,
-                       cell={"percentage": 1.0}, wall_time=0.5,
-                       worker="serial", source="run",
-                       phase_time={"checks": 0.0, "routing": 0.0})
+        ck.record_cell({"key": "table2/th8/load0/s",
+                        "cell": {"percentage": 1.0}, "wall_time": 0.5,
+                        "worker": "serial",
+                        "phase_time": {"checks": 0.0, "routing": 0.0}},
+                       HASH_A, "run")
         assert "phase wall time" not in render_summary(summarize_manifest(path))
-        ck.record_cell(key="table2/th32/load0/s", config_hash=HASH_B,
-                       cell={"percentage": 1.0}, wall_time=0.5,
-                       worker="serial", source="run",
-                       phase_time={"checks": 0.25, "routing": 0.5})
+        ck.record_cell({"key": "table2/th32/load0/s",
+                        "cell": {"percentage": 1.0}, "wall_time": 0.5,
+                        "worker": "serial",
+                        "phase_time": {"checks": 0.25, "routing": 0.5}},
+                       HASH_B, "run")
         text = render_summary(summarize_manifest(path))
         assert "phase wall time       : checks=0.25s, routing=0.50s" in text
 

@@ -314,15 +314,12 @@ class TestResume:
         different seed) must not be reused."""
         jobs = tiny_jobs()
         ck = CampaignCheckpoint(tmp_path / "m.jsonl")
+        cell = execute_jobs(jobs[:1], num_workers=1)[jobs[0].key].cell
         ck.record_cell(
-            key=jobs[0].key,
-            config_hash="f" * 64,  # some other configuration
-            cell=cell_to_dict(
-                execute_jobs(jobs[:1], num_workers=1)[jobs[0].key].cell
-            ),
-            wall_time=0.1,
-            worker="serial",
-            source="run",
+            {"key": jobs[0].key, "cell": cell_to_dict(cell),
+             "wall_time": 0.1, "worker": "serial"},
+            "f" * 64,  # some other configuration
+            "run",
         )
         outcomes = execute_jobs(jobs, num_workers=1, checkpoint=ck,
                                 resume=True)
@@ -343,12 +340,11 @@ class TestStoredEntryValidation:
         jobs = tiny_jobs()
         ck = CampaignCheckpoint(tmp_path / "m.jsonl")
         ck.record_cell(
-            key=jobs[0].key,
-            config_hash=jobs[0].config_hash,
-            cell={"percentage": "not-a-number"},  # wrong shape
-            wall_time=0.1,
-            worker="serial",
-            source="run",
+            {"key": jobs[0].key,
+             "cell": {"percentage": "not-a-number"},  # wrong shape
+             "wall_time": 0.1, "worker": "serial"},
+            jobs[0].config_hash,
+            "run",
         )
         with pytest.warns(RuntimeWarning, match="malformed resume entry"):
             outcomes = execute_jobs(

@@ -288,9 +288,10 @@ class TestCampaignCommand:
 
         ck = CampaignCheckpoint(tmp_path / cli.MANIFEST_NAME)
         ck.start(table_id=2, total=1)
-        ck.record_cell(key="table2/th8/load0/s", config_hash="a" * 64,
-                       cell={"percentage": 0.0}, wall_time=0.5,
-                       worker="serial", source="run")
+        ck.record_cell({"key": "table2/th8/load0/s",
+                        "cell": {"percentage": 0.0}, "wall_time": 0.5,
+                        "worker": "serial"},
+                       "a" * 64, "run")
         assert cli.main(["campaign", "summary",
                          "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out

@@ -23,7 +23,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.network.batch as batch_module
 from repro.core.registry import batch_shareable_names
 from repro.network.batch import (
     BatchObserver,
@@ -277,22 +276,26 @@ class TestPlanBatches:
         assert groups == []
         assert singles == [0]
 
-    def test_chunking_respects_max_cells(self, monkeypatch):
-        monkeypatch.setattr(batch_module, "MAX_CELLS", 3)
-        configs = [_eligible_config(threshold=2 + t) for t in range(7)]
-        groups, singles = plan_batches(configs)
-        assert groups == [[0, 1, 2], [3, 4, 5]]
-        assert singles == [6]
-
-    def test_duplicates_ride_with_their_value(self, monkeypatch):
-        monkeypatch.setattr(batch_module, "MAX_CELLS", 2)
+    def test_one_trajectory_per_traffic_point(self):
+        """Every eligible cell of one traffic point shares one trajectory,
+        however many there are: 70 distinct cells plan as one group, and
+        a spread of them folds to their solo runs."""
+        ladders = {"ndm": range(2, 26), "pdm": range(2, 26),
+                   "timeout": range(2, 24)}
         configs = [
-            _eligible_config(threshold=t) for t in (4, 4, 8, 16)
+            _eligible_config(threshold=t, mechanism=mechanism,
+                             warmup_cycles=50, measure_cycles=150)
+            for mechanism, thresholds in ladders.items()
+            for t in thresholds
         ]
-        groups, singles = plan_batches(configs)
-        # 4, 4, 8 share two distinct values; 16 would open a third.
-        assert groups == [[0, 1, 2]]
-        assert singles == [3]
+        assert len({detector_cell_key(c.detector) for c in configs}) == 70
+        assert plan_batches(configs) == ([list(range(70))], [])
+        folded = _fold(configs[0], [c.detector for c in configs])
+        for i in (0, 11, 23, 24, 40, 47, 48, 60, 69):
+            solo = Simulator(configs[i]).run()
+            assert folded[i].to_dict(include_perf=False) == solo.to_dict(
+                include_perf=False
+            ), configs[i].detector
 
 
 # ----------------------------------------------------------------------
@@ -431,22 +434,6 @@ class TestMixedPlanning:
         groups, singles = plan_batches(configs)
         assert groups == [[0, 1, 2, 3]]
         assert singles == []
-
-    def test_chunking_counts_distinct_cells_across_mechanisms(
-        self, monkeypatch
-    ):
-        monkeypatch.setattr(batch_module, "MAX_CELLS", 2)
-        configs = [
-            _eligible_config(threshold=8),
-            _eligible_config(threshold=8, mechanism="pdm"),
-            _eligible_config(threshold=8, mechanism="pdm"),  # duplicate
-            _eligible_config(threshold=24, mechanism="timeout"),
-        ]
-        groups, singles = plan_batches(configs)
-        # ndm:8 + pdm:8 (x2) fill the first chunk; timeout:24 is left
-        # alone and falls back to a single.
-        assert groups == [[0, 1, 2]]
-        assert singles == [3]
 
     def test_cell_key_separates_probe_caps(self):
         a = _cell(mechanism="probe", threshold=16)

@@ -44,6 +44,20 @@ def test_stored_counterexample_still_reproduces(path: Path) -> None:
     check_counterexample(case, violation)
 
 
+@pytest.mark.parametrize(
+    "path", CORPUS, ids=[p.stem for p in CORPUS]
+)
+def test_stored_counterexample_is_what_the_checker_writes(
+    path: Path, tmp_path: Path
+) -> None:
+    """Re-exploring a stored file's case writes that file byte for byte,
+    so the corpus pins the counterexample format, not only its replay."""
+    case, _ = load_counterexample(path)
+    out = tmp_path / path.name
+    write_counterexample(explore(case), out)
+    assert out.read_bytes() == path.read_bytes()
+
+
 def test_round_trip_through_json(tmp_path: Path) -> None:
     verdict = explore(refutation_selftest_case())
     assert verdict.violation is not None
