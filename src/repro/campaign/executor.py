@@ -28,9 +28,9 @@ Live work is scheduled in *units* of three kinds, named in the unit's
 payload:
 
 * **fold** — cache-miss cells that are ``batch_eligible`` (no recovery,
-  no faults, a pure-observer detector, not the ``"scan"`` reference)
-  and equal modulo their detector cell — mechanism, threshold, probe
-  caps — advance on one shared trajectory (see ``repro.network.batch``);
+  no faults, not the ``"scan"`` reference) and equal modulo their
+  detector cell — mechanism, threshold, promotion variant, probe caps —
+  advance on one shared trajectory (see ``repro.network.batch``);
 * **chain** — the remaining cells that are equal modulo their threshold
   and whose mechanism is ``threshold_monotone`` (its threshold acts only
   through ``score > threshold``: pdm, ndm, the three timeouts) run one

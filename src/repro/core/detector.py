@@ -62,19 +62,6 @@ class DeadlockDetector:
     #: detector the phase is skipped entirely.
     has_probe_phase = False
 
-    #: Whether campaign cells running this mechanism may fold onto one
-    #: shared batch trajectory (see ``repro.network.batch``).  Requires
-    #: the mechanism to be a *pure observer* of the wait state: detection
-    #: must be a function of shared trajectory state (channel counters,
-    #: occupancy, blocking instants) plus detector-private bookkeeping,
-    #: with zero feedback into routing or flit movement.  Mechanisms
-    #: whose hooks maintain per-run shared state that marking would
-    #: perturb (the selective-promotion waiter maps, the ndm-precise
-    #: witness) must leave this False; :meth:`folds` is the config-level
-    #: gate.  Outside the probe family the fold reads a shareable
-    #: mechanism's rule off :meth:`score` / :meth:`deadline` alone.
-    batch_shareable = False
-
     def __init__(self, threshold: int) -> None:
         if threshold < 1:
             raise ValueError(f"detection threshold must be >= 1, got {threshold}")
@@ -84,11 +71,6 @@ class DeadlockDetector:
     def from_config(cls, config: "DetectorConfig") -> "DeadlockDetector":
         """Build from a config section; ``ValueError`` on rejected settings."""
         return cls(config.threshold)
-
-    @classmethod
-    def folds(cls, config: "DetectorConfig") -> bool:
-        """Whether a cell with this config may share a batch trajectory."""
-        return cls.batch_shareable
 
     def attach(self, sim: "Simulator") -> None:
         """Arm the detector's state on a built simulator (called once)."""

@@ -63,11 +63,6 @@ class NewDetectionMechanism(CounterDetector):
     """
 
     name = "ndm"
-    #: Simple promotion is a pure observer (hooks touch only G/P flags and
-    #: wake bookkeeping); the selective variant keeps per-run waiter maps
-    #: whose contents diverge once any cell marks, so :meth:`folds`
-    #: excludes ``selective_promotion`` cells.
-    batch_shareable = True
 
     def __init__(
         self, threshold: int, t1: int = 1, selective_promotion: bool = False
@@ -101,11 +96,6 @@ class NewDetectionMechanism(CounterDetector):
             t1=config.t1,
             selective_promotion=config.selective_promotion,
         )
-
-    @classmethod
-    def folds(cls, config: DetectorConfig) -> bool:
-        """Only the simple promotion variant is a pure observer."""
-        return cls.batch_shareable and not config.selective_promotion
 
     # ------------------------------------------------------------------
     def attach(self, sim: "Simulator") -> None:

@@ -41,12 +41,6 @@ class ProbeDetection(DeadlockDetector):
 
     name = "probe"
     has_probe_phase = True
-    #: Probes live entirely out-of-band (dedicated phase, no RNG, no
-    #: routing-state writes), so the transport provably never perturbs
-    #: the physical trajectory; the only marking-dependent reads go
-    #: through the transport's ``_marked`` seam, which the batch backend
-    #: narrows to one cell's pending bit.
-    batch_shareable = True
 
     def __init__(
         self,

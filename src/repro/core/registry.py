@@ -48,17 +48,6 @@ def make_detector(config: DetectorConfig) -> DeadlockDetector:
     return detector_class(config.mechanism).from_config(config)
 
 
-def batch_shareable(config: DetectorConfig) -> bool:
-    """True when this detector cell may fold onto a shared batch run:
-    its class's ``folds`` (see ``DeadlockDetector.batch_shareable`` for
-    the observer contract behind it).  The campaign executor additionally
-    requires ``recovery == "none"`` and a fault-free schedule before
-    grouping (see ``repro.network.batch.plan_batches``).
-    """
-    cls = _DETECTOR_CLASSES.get(config.mechanism)
-    return cls is not None and cls.folds(config)
-
-
 def threshold_monotone(config: DetectorConfig) -> bool:
     """True when this cell's threshold acts only through ``score >
     threshold`` — its class overrides ``DeadlockDetector.score`` (pdm, ndm
@@ -70,13 +59,6 @@ def threshold_monotone(config: DetectorConfig) -> bool:
     """
     cls = _DETECTOR_CLASSES.get(config.mechanism)
     return cls is not None and cls.score is not DeadlockDetector.score
-
-
-def batch_shareable_names() -> Tuple[str, ...]:
-    """Mechanism names whose cells the batch backend may fold."""
-    return tuple(
-        name for name, cls in _DETECTOR_CLASSES.items() if cls.batch_shareable
-    )
 
 
 def detector_names() -> Tuple[str, ...]:

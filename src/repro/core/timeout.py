@@ -33,8 +33,6 @@ class HeaderBlockedTimeout(DeadlockDetector):
     """Mark a message once its header has been blocked for > threshold."""
 
     name = "timeout"
-    #: Pure function of the blocking instant — trivially shareable.
-    batch_shareable = True
 
     @staticmethod
     def score(message: Message, cycle: int) -> int:
@@ -65,8 +63,6 @@ class SourceAgeTimeout(DeadlockDetector):
 
     name = "source-age"
     needs_periodic_check = True
-    #: Pure function of the injection instant — trivially shareable.
-    batch_shareable = True
 
     @staticmethod
     def score(message: Message, cycle: int) -> int:

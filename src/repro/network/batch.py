@@ -2,14 +2,13 @@
 
 A campaign grid (see ``repro.experiments.spec``) re-runs the *same*
 network — topology, workload, seed, windows — once per detector cell.
-For every mechanism that is a pure observer of the wait state
-(``batch_shareable`` in the registry) combined with ``recovery="none"``,
-detection has **zero feedback** into the network:
+With ``recovery="none"`` detection has **zero feedback** into the
+network, whatever the mechanism:
 
 * ``NoRecovery.recover`` is a no-op, so a detected worm keeps its
   channels exactly like an undetected one;
-* G/P flags are read only by the detector — routing and flit movement
-  never consult them — so G/P state cannot steer the trajectory;
+* detector state (G/P flags, waiter maps, witnesses) is read only by
+  the detector — routing and flit movement never consult it;
 * probe sessions live in a dedicated out-of-band phase and never touch
   routing or channel state;
 * failed routing attempts draw nothing from the RNG.
@@ -18,44 +17,43 @@ Hence the *flit-level* trajectory — channel occupancy, inactivity
 counters, RNG stream, ground-truth sweeps — is identical for every
 cell, across thresholds **and mechanisms**, and so is the oracle's grade
 of a detection, which reads only the network at the detection's
-instant.  What is *not* identical is
-the per-run detector bookkeeping: a reference run skips every detector
-call of a marked message, which suppresses that message's later
-first-attempt G/P writes and probe-launch armings, and which messages
-are marked when differs per cell.  :class:`BatchObserver` therefore
-keeps all marking-coupled state per cell:
+instant.  What is *not* identical is the per-run detector bookkeeping:
+a reference run skips every ``on_blocked_attempt`` of a marked message,
+and which messages are marked when differs per cell.
+:class:`BatchObserver` therefore keeps all marking-coupled state per
+cell:
 
-* the NDM G/P flag per input channel as a K-bit mask (bit r set == cell
-  r sees G) in the inherited ``NewDetectionMechanism.gp``, updated under
-  the reference's exact suppression rule;
 * one pending mask per message (bit r clear == cell r has detected it),
-  which gates every family's predicate and every probe cell's cadence;
-* per-cell probe launch heaps and transports whose "already marked"
-  reads go through the ``_marked`` seam narrowed to the cell's bit.
+  which screens each cell's detector calls as ``marked_deadlocked``
+  screens a solo run's;
+* threshold ladders for the cells whose class states a score (see
+  ``DeadlockDetector.score``): a solo detector compares it with its one
+  threshold, ``BatchObserver._sweep`` counts the rungs of each
+  :class:`_Family`'s ladder under it (``bisect_left``).  The NDM G/P
+  flag per input channel is a mask over the ndm ladder's bits (bit r
+  set == cell r sees G) in the inherited ``NewDetectionMechanism.gp``;
+* for every other cell a *unit*: the cell's own detector instance,
+  which sees the hooks its solo run sees.  Probe units read "already
+  marked" through the transport's ``_marked`` seam narrowed to the
+  cell's bit.
 
-Detection predicates are evaluated per family over the shared state:
-each mechanism class states its rule once as a monotone score (see
-``DeadlockDetector.score``), a solo detector compares it with its one
-threshold and ``BatchObserver._sweep`` counts the rungs of each
-:class:`_Family`'s threshold ladder under it (``bisect_left``); probe
-victims come from the per-cell transports.  The source-side families
-sweep a message only once its ``deadline`` at its lowest pending rung
-has come, off a heap, not every in-flight message per cycle.
-:class:`BatchSimulator` advances the network **once** with that observer,
-then folds the shared run's statistics into K per-cell
-:class:`~repro.metrics.stats.SimulationStats` that are bit-identical to
-K independent ``engine="event"`` runs (asserted by
+The source-side ladders sweep a message only once its ``deadline`` at
+its lowest pending rung has come, off a heap, not every in-flight
+message per cycle.  :class:`BatchSimulator` advances the network
+**once** with that observer, then folds the shared run's statistics
+into K per-cell :class:`~repro.metrics.stats.SimulationStats` that are
+bit-identical to K independent ``engine="event"`` runs (asserted by
 ``tests/network/test_batch_engine.py`` over the equivalence corpus and
 checked on every run of the ``detgrid-norecovery`` workload of
 ``benchmarks/spine``).
 
 Cell state is plain integers: per-message and per-channel bitmasks over
-the canonical cell order (family order, then ascending threshold, then
-probe caps — giving each family a contiguous bit range) and per-cell
-counter lists, reduced in that **fixed order**, so results are
-independent of ``PYTHONHASHSEED`` and host.  Nothing here needs an
-array library: the trajectory is the simulator's own, and the per-wake
-reductions are O(feasible channels).
+the canonical cell order (ladder cells, then units; registry order,
+ascending threshold, variant — giving each ladder a contiguous bit
+range) and per-cell counter lists, reduced in that **fixed order**, so
+results are independent of ``PYTHONHASHSEED`` and host.  Nothing here
+needs an array library: the trajectory is the simulator's own, and the
+per-wake reductions are O(feasible channels).
 """
 
 from __future__ import annotations
@@ -78,9 +76,11 @@ from typing import (
 )
 
 from repro.analysis import deadlock
+from repro.core.detector import DeadlockDetector
 from repro.core.ndm import NewDetectionMechanism
 from repro.core.probe import ProbeDetection
 from repro.metrics.stats import DetectionTally, SimulationStats
+from repro.network.channel import PhysicalChannel, VirtualChannel
 from repro.network.config import DetectorConfig, SimulationConfig
 from repro.network.message import Message
 from repro.network.probes import ProbeTransport
@@ -97,39 +97,30 @@ def detector_cell_key(detector: DetectorConfig) -> Tuple[Any, ...]:
 
     Cells equal under this key are behaviourally identical on a shared
     trajectory and fold to one rank: mechanism plus threshold, extended
-    with the storm-guard caps for probe cells (the only mechanism with
-    extra behavioural knobs; ``t1`` is group-uniform by the group key).
+    with the storm-guard caps for probe cells and the promotion variant
+    for ndm cells (the only mechanisms with extra behavioural knobs;
+    ``t1`` is group-uniform by the group key).
     """
+    key: Tuple[Any, ...] = (detector.mechanism, int(detector.threshold))
     if detector.mechanism == ProbeDetection.name:
-        return (
-            detector.mechanism,
-            int(detector.threshold),
-            int(detector.probe_max_hops),
-            int(detector.probe_max_outstanding),
-        )
-    return (detector.mechanism, int(detector.threshold))
+        caps = (detector.probe_max_hops, detector.probe_max_outstanding)
+        return key + tuple(int(cap) for cap in caps)
+    if detector.mechanism == NewDetectionMechanism.name:
+        return key + (bool(detector.selective_promotion),)
+    return key
 
 
 def batch_eligible(config: SimulationConfig) -> bool:
     """True when ``config``'s cell may join a shared trajectory.
 
     Requires every source of detection feedback to be absent: no
-    recovery, a fault-free schedule (fault edges wake parked state
+    recovery and a fault-free schedule (fault edges wake parked state
     conservatively, which is sound but makes per-cell telemetry — and
-    conformance accounting — threshold-coupled) and a mechanism
-    declaring ``batch_shareable`` (every pure observer — ndm with simple
-    promotion, pdm, the three timeouts, probe).  ``engine="scan"`` is
-    the reference the fold is checked against and is never folded.
-    The single-compare tests come first: a paper-table cell (recovery
-    on) costs one string compare.
+    conformance accounting — threshold-coupled).  Any mechanism then
+    folds.  ``engine="scan"`` is the reference the fold is checked
+    against and is never folded.
     """
-    if config.recovery != "none" or config.engine == "scan" or config.faults:
-        return False
-    # Imported here: repro.core.registry imports network.config, and a
-    # module-level import back into repro.network would be cyclic.
-    from repro.core.registry import batch_shareable
-
-    return batch_shareable(config.detector)
+    return config.recovery == "none" and config.engine != "scan" and not config.faults
 
 
 #: The detector fields one fold group's cells may differ in.
@@ -149,7 +140,8 @@ def batch_group_key(
 
     By default those are its detector cell: two eligible configs with
     equal keys differ at most in the detection mechanism, its threshold,
-    and the probe storm-guard caps, and may therefore join one
+    the promotion variant and the probe storm-guard caps, and may
+    therefore join one
     :class:`BatchSimulator` group.  ``t1`` is *not* masked: the shared
     G/P dynamics are armed with one t1, so cells disagreeing on it must
     not share a trajectory.
@@ -198,12 +190,8 @@ class _CellProbeTransport(ProbeTransport):
 
 
 class _BatchProbeCell(ProbeDetection):
-    """One probe cell's launch cadence and transport on the shared run.
+    """A probe unit: its transport's marked test is the cell's pending bit.
 
-    Driven by the owning :class:`BatchObserver`, never by the simulator
-    directly: the owner forwards first-attempt armings gated on the
-    cell's pending bit (the reference skips marked messages' hooks) and
-    records the victims this cell's :meth:`probe_phase` returns.
     Counters stay in the per-cell transport — :meth:`_flush_counters`
     is disabled so the *shared* stats keep their zero defaults, and
     ``BatchObserver.fold_cell`` writes them into the cell's stats.
@@ -214,7 +202,6 @@ class _BatchProbeCell(ProbeDetection):
     ) -> None:
         caps = (cell.probe_max_hops, cell.probe_max_outstanding)
         super().__init__(cell.threshold, *caps)
-        self.rank = rank
         self.transport = _CellProbeTransport(*caps, pending, rank)
 
     def _flush_counters(self, sim: Simulator) -> None:
@@ -225,21 +212,29 @@ class BatchObserver(NewDetectionMechanism):
     """K detector cells — across mechanisms — on one shared trajectory.
 
     Cells are canonicalized (deduplicated by :func:`detector_cell_key`,
-    sorted family-first then ascending threshold) so each mechanism
-    family owns a contiguous bit range of the per-message pending masks.
-    The NDM G/P flag of each input channel is kept per cell — the
-    inherited ``gp`` masks over the ndm family's bits (``gp_all``) —
-    because the reference runs disagree on it: once cell r marks a
-    message, that run skips the message's later detector calls, so its
-    first-attempt G/P writes at subsequent hops never happen *in that
-    run*.  So a first-attempt write by message ``m`` lands only in the
-    ndm cells still pending on ``m``, while channel-level events
-    (routing success, lane release, reactivation promotion) land in all
-    cells, through the parent's own hooks.  Every family's detection
-    predicate is then tested per pending cell against the shared state,
-    and detections are *recorded* per cell instead of marking the
-    message: :meth:`on_blocked_attempt` always returns False, so the
-    simulator never mutates the shared trajectory on behalf of any cell.
+    ladder cells first, then family, then ascending threshold) so each
+    threshold ladder owns a contiguous bit range of the per-message
+    pending masks.  The NDM G/P flag of each input channel is kept per
+    ladder cell — the inherited ``gp`` masks over the ndm ladder's bits
+    (``gp_all``) — because the reference runs disagree on it: once cell r
+    marks a message, that run skips the message's later detector calls,
+    so its first-attempt G/P writes at subsequent hops never happen *in
+    that run*.  So a first-attempt write by message ``m`` lands only in
+    the ndm cells still pending on ``m``, while channel-level events
+    (routing success, lane release, reactivation promotion) land in all.
+
+    Every other cell (probe, ndm with selective promotion, ndm-precise,
+    none) rides as a *unit*, its own detector instance, and sees the
+    hooks its solo run sees: ``on_blocked_attempt`` and
+    ``blocked_deadline`` only while the cell's pending bit is set,
+    ``on_message_routed``, ``on_vc_released`` and ``on_i_reset`` always.
+    No unit needs ``on_message_removed`` (recovery only) or
+    ``periodic_check`` (every periodic mechanism rides a ladder).
+    Parking stays on unless some unit cannot sleep.
+
+    Detections are *recorded* per cell instead of marking the message:
+    :meth:`on_blocked_attempt` always returns False, so the simulator
+    never mutates the shared trajectory on behalf of any cell.
     """
 
     # Recorded detection events carry the *cell's* mechanism name (see
@@ -254,33 +249,40 @@ class BatchObserver(NewDetectionMechanism):
     has_probe_phase = True
 
     def __init__(self, cells: Sequence[DetectorConfig]) -> None:
-        # Imported here to avoid a module-level cycle (see batch_eligible).
+        # Imported here: repro.core.registry imports network.config, and a
+        # module-level import back into repro.network would be cyclic.
         from repro.core.registry import (
-            batch_shareable,
-            batch_shareable_names,
             detector_class,
+            detector_names,
+            make_detector,
+            threshold_monotone,
         )
 
         canonical: Dict[Tuple[Any, ...], DetectorConfig] = {}
         for cell in cells:
-            if not batch_shareable(cell):
-                raise ValueError(
-                    f"detector cell {cell.mechanism!r} is not batch-shareable"
-                )
             canonical.setdefault(detector_cell_key(cell), cell)
         if not canonical:
             raise ValueError("need at least one detector cell")
-        # Canonical rank order: family (registry order — ndm first keeps
-        # the G/P masks' bit range anchored at the low bits), ascending
-        # threshold, probe caps.  It is the fixed reduction order that
-        # makes fold results independent of input ordering and
-        # PYTHONHASHSEED.
-        family_order = {name: i for i, name in enumerate(batch_shareable_names())}
-        ordered = sorted(canonical, key=lambda key: (family_order[key[0]],) + key[1:])
         ndm_name = NewDetectionMechanism.name
-        t1s = {
-            int(canonical[key].t1) for key in ordered if key[0] == ndm_name
+        # A cell rides a ladder when its class states a score, save ndm
+        # under selective promotion, whose waiter maps are per run.
+        on_ladder = {
+            key: threshold_monotone(cell)
+            and not (key[0] == ndm_name and cell.selective_promotion)
+            for key, cell in canonical.items()
         }
+        # Canonical rank order: ladders (ndm first keeps the G/P masks'
+        # bit range anchored at the low bits), then units; registry
+        # order, ascending threshold, variant.  It is the fixed reduction
+        # order that makes fold results independent of input ordering
+        # and PYTHONHASHSEED.
+        family_order = {name: i for i, name in enumerate(detector_names())}
+        ordered = sorted(
+            canonical,
+            key=lambda key: (not on_ladder[key], family_order[key[0]]) + key[1:],
+        )
+        ndm_cells = [cell for cell in canonical.values() if cell.mechanism == ndm_name]
+        t1s = {int(cell.t1) for cell in ndm_cells}
         if len(t1s) > 1:
             raise ValueError(
                 f"ndm cells disagree on t1 ({sorted(t1s)}); the shared G/P "
@@ -291,10 +293,10 @@ class BatchObserver(NewDetectionMechanism):
         # so the ctor's t1 < t2 check covers every ndm cell, and 2 (over
         # the default t1) for an ndm-free group.
         if t1s:
-            super().__init__(threshold=ordered[0][1], t1=t1s.pop())
+            super().__init__(min(cell.threshold for cell in ndm_cells), t1=t1s.pop())
         else:
             super().__init__(threshold=2)
-        #: Canonical cells, rank order (family, then ascending threshold).
+        #: Canonical cells, rank order.
         self.cells: List[DetectorConfig] = [canonical[key] for key in ordered]
         self._rank_by_key: Dict[Tuple[Any, ...], int] = {
             key: rank for rank, key in enumerate(ordered)
@@ -305,28 +307,21 @@ class BatchObserver(NewDetectionMechanism):
         self._pending: Dict[int, int] = {}
         #: The ladders evaluated on routing attempts and those evaluated
         #: in the checks phase — each a contiguous bit range of the
-        #: pending masks; the ndm ladder's range (0 without ndm cells)
-        #: is also the range of the G/P masks, ``gp_all``.
+        #: pending masks; the ndm ladder's range (0 without ndm ladder
+        #: cells) is also the range of the G/P masks, ``gp_all``.
         self.gp_all = 0
         self._attempt_families: List[_Family] = []
         self._periodic_families: List[_Family] = []
-        #: rank -> per-cell probe unit (rank order), driven from the hooks.
-        self._probe_units: Dict[int, _BatchProbeCell] = {}
+        ladder_keys = [key for key in ordered if on_ladder[key]]
         for name in family_order:
-            cls = detector_class(name)
-            ranks = [r for r, key in enumerate(ordered) if key[0] == name]
+            ranks = [r for r, key in enumerate(ladder_keys) if key[0] == name]
             if not ranks:
                 continue
-            if cls is ProbeDetection:
-                for rank in ranks:
-                    self._probe_units[rank] = _BatchProbeCell(
-                        rank, self.cells[rank], self._pending
-                    )
-                continue
+            cls = detector_class(name)
             family = _Family(
                 ((1 << len(ranks)) - 1) << ranks[0],
                 ranks[0],
-                [ordered[r][1] for r in ranks],
+                [ladder_keys[r][1] for r in ranks],
                 cls.score,
                 cls.deadline,
             )
@@ -336,12 +331,43 @@ class BatchObserver(NewDetectionMechanism):
                 self._attempt_families.append(family)
             if cls is NewDetectionMechanism:
                 self.gp_all = family.mask
+        #: rank -> the cell's own detector, for every cell no ladder carries.
+        self._units: Dict[int, DeadlockDetector] = {
+            rank: _BatchProbeCell(rank, cell, self._pending)
+            if cell.mechanism == ProbeDetection.name
+            else make_detector(cell)
+            for rank, cell in enumerate(self.cells)
+            if not on_ladder[ordered[rank]]
+        }
+
+        # (cell bit, unit) of the units whose class overrides ``hook``:
+        # the hot hooks loop over these alone.
+        def hooked(hook: str) -> Tuple[Tuple[int, DeadlockDetector], ...]:
+            base = getattr(DeadlockDetector, hook)
+            return tuple(
+                (1 << rank, unit)
+                for rank, unit in self._units.items()
+                if getattr(type(unit), hook) is not base
+            )
+
+        self._attempt_units = hooked("on_blocked_attempt")
+        # A probe unit detects in the probe phase: its cadence deadline
+        # wakes only behaviour-free attempts, so it stays out of the
+        # composite deadline.
+        self._deadline_units = tuple(
+            (b, u) for b, u in hooked("blocked_deadline") if not u.has_probe_phase
+        )
+        self._phase_units = hooked("probe_phase")
+        self._routed_units = tuple(unit for _, unit in hooked("on_message_routed"))
+        self._released_units = tuple(unit for _, unit in hooked("on_vc_released"))
+        self._reset_units = tuple(unit for _, unit in hooked("on_i_reset"))
         #: (cycle, message id) heap: when an in-flight message can next
         #: fire for a pending periodic cell (see :meth:`_schedule`).
         self._due: List[Tuple[int, int]] = []
         # Instance-level gates: the simulator caches these at build time.
         self.needs_periodic_check = bool(self._periodic_families)
-        self.has_probe_phase = bool(self._probe_units)
+        self.has_probe_phase = bool(self._phase_units)
+        self.can_sleep_blocked = all(u.can_sleep_blocked for u in self._units.values())
         #: Per-cell detection counters and event log, rank order.
         self._tally = [DetectionTally() for _ in range(k)]
         # The oracle's input changes between two detections of a cycle
@@ -361,19 +387,40 @@ class BatchObserver(NewDetectionMechanism):
             super().attach(sim)  # all-P masks, armed I flags
         else:
             self.gp = [0] * len(sim.channels)
+            self.reset_targets = [()] * len(sim.channels)
+        for unit in self._units.values():
+            unit.attach(sim)
 
+    # The channel-level hooks below inline the parent's bodies (a reset to
+    # P, a promotion to G in every ladder cell) instead of calling super():
+    # they fire on every grant, lane release and I-flag reset.
     def on_message_routed(self, message: Message, cycle: int) -> None:
-        """The parent's reset to P in every cell (the reference calls this
-        hook even for marked messages), plus the fold's bookkeeping."""
+        """Reset to P in every ladder cell and forward to the units (the
+        reference calls this hook even for marked messages)."""
         self._truth_epoch += 1
-        super().on_message_routed(message, cycle)
         input_pc = message.input_pc
-        if input_pc is not None and input_pc.kind is PortKind.INJECTION:
-            if not message.first_attempt_done:  # else scheduled when it blocked
-                self._schedule(message, cycle)
+        if input_pc is not None:
+            self.gp[input_pc.index] = 0
+            if input_pc.kind is PortKind.INJECTION and not message.first_attempt_done:
+                self._schedule(message, cycle)  # else scheduled when it blocked
+        for unit in self._routed_units:
+            unit.on_message_routed(message, cycle)
+
+    def on_vc_released(self, vc: VirtualChannel, cycle: int) -> None:
+        self.gp[vc.pc.index] = 0
+        for unit in self._released_units:
+            unit.on_vc_released(vc, cycle)
+
+    def on_i_reset(self, sim: Simulator, pc: PhysicalChannel, cycle: int) -> None:
+        gp, full = self.gp, self.gp_all
+        for i in self.reset_targets[pc.index]:
+            if gp[i] != full:
+                self._promote(sim, i, full)
+        for unit in self._reset_units:
+            unit.on_i_reset(sim, pc, cycle)
 
     # ------------------------------------------------------------------
-    # Routing-attempt families (ndm / pdm / header timeout / probe arm)
+    # Routing attempts (ndm / pdm / header timeout ladders, units)
     # ------------------------------------------------------------------
     def on_blocked_attempt(
         self, sim: Simulator, message: Message, cycle: int, first_attempt: bool
@@ -402,10 +449,14 @@ class BatchObserver(NewDetectionMechanism):
             else:
                 gate |= self.gp[input_pc.index]
         self._sweep(sim, self._attempt_families, (message,), cycle, gate)
-        if first_attempt:
-            for unit in self._probe_units.values():
-                if pending >> unit.rank & 1:
-                    unit.on_blocked_attempt(sim, message, cycle, True)
+        hit = 0
+        for bit, unit in self._attempt_units:
+            if pending & bit and unit.on_blocked_attempt(
+                sim, message, cycle, first_attempt
+            ):
+                hit |= bit
+        if hit:
+            self._record(sim, message, cycle, hit)
         return False  # never mark: the trajectory is shared
 
     def _sweep(
@@ -442,32 +493,38 @@ class BatchObserver(NewDetectionMechanism):
                     if score > floor:
                         hit |= live & (((1 << bisect_left(ladder, score)) - 1) << base)
             if hit:
-                self._pending[m.id] = pending & ~hit
                 self._record(sim, m, cycle, hit)
 
     def blocked_deadline(self, message: Message, cycle: int) -> Optional[int]:
         """Composite deadline: the earliest any pending cell can detect.
 
-        None-aware minimum over the attempt-driven families (ndm
-        eligible = pending *and* seeing G; the others just pending).
-        Each family's deadline is monotone in t, so its minimum is
-        realized by the smallest pending threshold; cells seeing P
-        become eligible only through a promotion, which wakes the parked
-        header itself.  Periodic cells (source-age, injection-stall)
-        detect in the checks phase independent of parking, and probe
-        cells detect in the probe phase — their reference cadence
-        wakeups are behaviour-free failed attempts (engine counters
-        only), so both contribute None here.  Waking at the composite,
-        failing the attempt and re-parking walks the chain until every
-        cell's exact first-detection cycle has been visited.
+        None-aware minimum over the attempt-driven ladders (ndm
+        eligible = pending *and* seeing G; the others just pending) and
+        the pending units' own deadlines.  Each ladder's deadline is
+        monotone in t, so its minimum is realized by the smallest
+        pending threshold; cells seeing P become eligible only through
+        a promotion, which wakes the parked header itself.  Periodic
+        cells (source-age, injection-stall) detect in the checks phase
+        independent of parking, and probe cells detect in the probe
+        phase — their reference cadence wakeups are behaviour-free
+        failed attempts (engine counters only), so both contribute None
+        here.  Waking at the composite, failing the attempt and
+        re-parking walks the chain until every cell's exact
+        first-detection cycle has been visited.
         """
         input_pc = message.input_pc
         if input_pc is None:
             return None
-        live = self._pending.get(message.id, self._full_mask)
+        pending = live = self._pending.get(message.id, self._full_mask)
         if self.gp_all:
             live &= ~self.gp_all | self.gp[input_pc.index]
-        return self._earliest(self._attempt_families, message, cycle, live)
+        best = self._earliest(self._attempt_families, message, cycle, live)
+        for bit, unit in self._deadline_units:
+            if pending & bit:
+                d = unit.blocked_deadline(message, cycle)
+                if d is not None and (best is None or d < best):
+                    best = d
+        return best
 
     @staticmethod
     def _earliest(
@@ -526,34 +583,36 @@ class BatchObserver(NewDetectionMechanism):
         return []
 
     # ------------------------------------------------------------------
-    # Probe family
+    # Probe units
     # ------------------------------------------------------------------
     def probe_phase(self, sim: Simulator, cycle: int) -> List[Message]:
-        """Advance every cell's probes; record victims per cell."""
+        """Advance every probe unit; record its victims for its cell."""
         in_network = MessageStatus.IN_NETWORK
-        for unit in self._probe_units.values():
+        for bit, unit in self._phase_units:
             for victim in unit.probe_phase(sim, cycle):
                 # The reference applies the same screen before handling
                 # a probe victim; the pending bit is the per-cell
                 # "not yet marked".
-                if victim.status is not in_network:
-                    continue
-                pending = self._pending.get(victim.id, self._full_mask)
-                if not (pending >> unit.rank & 1):
-                    continue
-                self._pending[victim.id] = pending & ~(1 << unit.rank)
-                self._record(sim, victim, cycle, 1 << unit.rank)
+                if (
+                    victim.status is in_network
+                    and self._pending.get(victim.id, self._full_mask) & bit
+                ):
+                    self._record(sim, victim, cycle, bit)
         return []
 
     # ------------------------------------------------------------------
     def _record(self, sim: Simulator, message: Message, cycle: int, hit: int) -> None:
-        """Tally one detection event per hit cell (ascending ranks).
+        """Mark ``message`` in the hit cells (clear their pending bits)
+        and tally one detection event per hit cell (ascending ranks).
 
         A solo run grades its mark against the network at the instant of
         marking.  Under recovery "none" a mark changes nothing the oracle
         reads, so every hit cell shares one grade, and the snapshot is
         taken once per ``(cycle, _truth_epoch)``.
         """
+        self._pending[message.id] = (
+            self._pending.get(message.id, self._full_mask) & ~hit
+        )
         truly: Optional[bool] = None
         if sim.config.ground_truth_on_detection:
             key = (cycle, self._truth_epoch)
@@ -590,7 +649,7 @@ class BatchObserver(NewDetectionMechanism):
 
         Only the detection tally differs between cells.  Probe cells
         additionally get their transport counters (zero on the shared
-        stats: the per-cell units never flush).
+        stats: probe units never flush).
         """
         tally = self._tally[rank]
         changes: Dict[str, Any] = {
@@ -598,8 +657,8 @@ class BatchObserver(NewDetectionMechanism):
         }
         changes["phase_time"] = dict(shared.phase_time)
         changes["engine_counters"] = dict(shared.engine_counters)
-        unit = self._probe_units.get(rank)
-        if unit is not None:
+        unit = self._units.get(rank)
+        if isinstance(unit, _BatchProbeCell):
             changes.update(unit.transport.counters())
         return dataclasses.replace(shared, **changes)
 
@@ -632,17 +691,13 @@ class BatchSimulator:
     ) -> None:
         if not batch_eligible(config):
             raise ValueError(
-                "config is not batch-shareable: needs a batch_shareable "
-                "detector mechanism, recovery='none', no fault schedule "
-                "and an engine other than the 'scan' reference"
+                "config is not batch-shareable: needs recovery='none', no "
+                "fault schedule and an engine other than the 'scan' reference"
             )
         self.cells: List[DetectorConfig] = list(cells)
         self.observer = BatchObserver(self.cells)
-        run_config = config.replace(engine="batch")
-        # The injected observer supersedes the registry detector; anchor
-        # the config's cosmetic cell at the canonical first rank.
-        run_config.detector.threshold = self.observer.cells[0].threshold
-        self.sim = Simulator(run_config, detector=self.observer)
+        # The injected observer supersedes the config's own detector cell.
+        self.sim = Simulator(config.replace(engine="batch"), detector=self.observer)
 
     def run(self) -> List[SimulationStats]:
         """Advance the shared trajectory; return stats aligned with the

@@ -793,7 +793,8 @@ class TestThresholdDominance:
 
     def test_probe_precise_and_foldable_cells_never_chain(self, monkeypatch):
         """Only ``threshold_monotone`` mechanisms chain, and a cell that
-        can fold folds; selective promotion, which never folds, chains."""
+        can fold folds: a recovery-none selective-promotion table folds
+        like any other."""
         selective = tiny_base()
         selective.recovery = "none"
         selective.detector.selective_promotion = True
@@ -806,6 +807,6 @@ class TestThresholdDominance:
         units = spy_on_kinds(monkeypatch)
         execute_jobs(jobs, num_workers=1)
         kinds = {key: kind for kind, keys in units for key in keys}
-        tables = {3: "cell", 4: "cell", 5: "fold", 6: "chain"}
+        tables = {3: "cell", 4: "cell", 5: "fold", 6: "fold"}
         for job in jobs:
             assert kinds[job.key] == tables[job.table_id], job.key

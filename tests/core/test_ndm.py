@@ -187,21 +187,27 @@ class TestPromotionVariants:
 
 class TestGPRuleOnlyRemovesDetections:
     """The paper's claim for the G/P rule: it only withholds detections,
-    so NDM marks only messages PDM's inactivity rule marks too.  Both
-    cells of a two-cell fold see one trajectory, so with recovery off
-    their marked sets are comparable message by message."""
+    so NDM marks only messages PDM's inactivity rule marks too, and the
+    selective promotion, which sets fewer G flags, withholds more.  All
+    cells of one fold see one trajectory, so with recovery off their
+    marked sets are comparable message by message."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-    def test_ndm_detections_are_a_subset_of_pdm_at_equal_threshold(self, seed):
+    def test_marked_sets_nest_at_equal_threshold(self, seed):
         config = _config(mechanism="ndm", threshold=16, recovery="none", seed=seed)
         cells = [
-            DetectorConfig(mechanism=name, threshold=16) for name in ("ndm", "pdm")
+            DetectorConfig(mechanism="ndm", threshold=16, selective_promotion=True),
+            DetectorConfig(mechanism="ndm", threshold=16),
+            DetectorConfig(mechanism="ndm-precise", threshold=16),
+            DetectorConfig(mechanism="pdm", threshold=16),
         ]
-        ndm, pdm = BatchSimulator(config, cells).run()
-        ndm_ids = {event.message_id for event in ndm.detection_events}
-        pdm_ids = {event.message_id for event in pdm.detection_events}
-        assert ndm_ids, "NDM detected nothing: the subset would hold vacuously"
-        assert ndm_ids <= pdm_ids
+        selective, ndm, precise, pdm = (
+            {event.message_id for event in stats.detection_events}
+            for stats in BatchSimulator(config, cells).run()
+        )
+        assert ndm, "NDM detected nothing: the subsets would hold vacuously"
+        assert selective <= ndm <= pdm
+        assert precise <= pdm
 
 
 #: A threshold no message of a 400-cycle run reaches.

@@ -7,8 +7,6 @@ from repro.core.ndm import NewDetectionMechanism
 from repro.core.null import NoDetection
 from repro.core.pdm import PreviousDetectionMechanism
 from repro.core.registry import (
-    batch_shareable,
-    batch_shareable_names,
     detector_class,
     detector_names,
     make_detector,
@@ -64,12 +62,15 @@ class TestFactory:
             assert make_detector(DetectorConfig(mechanism=name)).name == name
             SimulationConfig(detector=DetectorConfig(mechanism=name)).validate()
 
-    @pytest.mark.parametrize("name", batch_shareable_names())
-    def test_every_shareable_name_folds_a_ladder(self, name):
-        """The fold reads a mechanism off its declaration alone, so a
-        one-family ladder equals three solo runs for *every* shareable
+    @pytest.mark.parametrize(
+        "name", [name for name in detector_names() if name != "none"]
+    )
+    def test_every_name_folds_a_ladder(self, name):
+        """Every mechanism folds, on a threshold ladder or as units, so a
+        one-family ladder equals three solo runs for *every* registered
         name (a 16-node torus that blocks hard: single lane, beyond
-        saturation; every family detects at every rung here)."""
+        saturation; every family detects at every rung here; ``none``
+        detects nothing, so its ladder would pass vacuously)."""
         config = SimulationConfig(
             radix=4,
             dimensions=2,
@@ -82,7 +83,6 @@ class TestFactory:
         )
         config.traffic.injection_rate = 1.0
         cells = [DetectorConfig(mechanism=name, threshold=t) for t in (4, 16, 64)]
-        assert all(batch_shareable(cell) for cell in cells)
         folded = BatchSimulator(config, cells).run()
         for cell, stats in zip(cells, folded):
             solo = Simulator(config.replace(detector=cell)).run()

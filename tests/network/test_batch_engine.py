@@ -23,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.registry import batch_shareable_names
+from repro.core.registry import detector_names
 from repro.network.batch import (
     BatchObserver,
     BatchSimulator,
@@ -73,13 +73,13 @@ def assert_batch_matches_event(config: SimulationConfig, thresholds) -> None:
 # Digest equivalence over the corpus
 # ----------------------------------------------------------------------
 
-#: Equivalence-corpus cases that are batch-shareable as-is or become so
-#: with recovery forced to "none" (the backend's eligibility domain).
+#: The corpus' ndm cases, under either promotion, with recovery forced
+#: to "none" (the backend's eligibility domain).  A selective-promotion
+#: ladder is all units: its parked headers wake at the units' deadlines.
 ELIGIBLE_CASES = sorted(
     name
     for name, overrides in CASES.items()
     if overrides.get("mechanism") == "ndm"
-    and not overrides.get("selective_promotion")
 )
 
 
@@ -158,28 +158,23 @@ class TestEligibility:
     def test_eligible(self):
         assert batch_eligible(_eligible_config())
 
-    @pytest.mark.parametrize(
-        "mechanism",
-        ["ndm", "pdm", "timeout", "source-age", "injection-stall", "probe"],
-    )
+    @pytest.mark.parametrize("mechanism", detector_names())
     def test_every_pure_observer_mechanism_eligible(self, mechanism):
-        """Trajectory sharing now folds across mechanisms, not just
-        thresholds: every pure-observer detector is shareable."""
+        """Trajectory sharing folds across mechanisms, not just
+        thresholds: every registered detector is shareable, the ones
+        that ride a fold as units (ndm-precise, none) included."""
         config = _config(mechanism=mechanism, threshold=16, recovery="none")
         assert batch_eligible(config)
 
-    def test_registry_names_pure_observers(self):
-        assert set(batch_shareable_names()) == {
-            "ndm", "pdm", "timeout", "source-age", "injection-stall", "probe"
-        }
+    def test_selective_promotion_eligible(self):
+        """Selective promotion keeps its waiter maps per run, so it rides
+        a fold as a unit rather than being kept single."""
+        assert batch_eligible(_eligible_config(selective_promotion=True))
 
     @pytest.mark.parametrize(
         "overrides",
         [
-            dict(mechanism="ndm-precise"),
             dict(recovery="regressive"),
-            dict(mechanism="none"),
-            dict(selective_promotion=True),
             dict(recovery="progressive"),
         ],
     )
@@ -245,7 +240,7 @@ class TestPlanBatches:
             (dict(recovery="progressive"), ([], [0, 1])),
             (dict(faults=[dict(kind="link", cycle=10, node=0, port=0)]),
              ([], [0, 1])),
-            (dict(selective_promotion=True), ([], [0, 1])),
+            (dict(selective_promotion=True), ([[0, 1]], [])),
         ],
         ids=["default", "batch-spelling", "scan-reference", "recovery-on",
              "faulted", "selective-promotion"],
@@ -319,11 +314,13 @@ def _mixed_config(**overrides) -> SimulationConfig:
     return _config(**params)
 
 
-#: One group spanning every shareable family, two cells for the ladder
-#: families and distinct storm-guard caps for the probe pair.
+#: One group spanning every ladder family (two cells for the header-side
+#: ones), a selective-promotion ndm unit and two probe units with
+#: distinct storm-guard caps.
 MIXED_CELLS = [
     _cell(mechanism="ndm", threshold=8),
     _cell(mechanism="ndm", threshold=16),
+    _cell(mechanism="ndm", threshold=16, selective_promotion=True),
     _cell(mechanism="pdm", threshold=8),
     _cell(mechanism="pdm", threshold=24),
     _cell(mechanism="timeout", threshold=24),
@@ -396,31 +393,43 @@ class TestMixedGroups:
                 cell.mechanism
             }
 
-    def test_observer_rejects_unshareable_cells(self):
-        with pytest.raises(ValueError, match="not batch-shareable"):
-            BatchObserver([_cell(selective_promotion=True)])
-        with pytest.raises(ValueError, match="not batch-shareable"):
-            BatchObserver([_cell(mechanism="ndm-precise")])
+    def test_observer_takes_ladderless_cells_as_units(self):
+        """Cells no threshold ladder carries (selective promotion,
+        ndm-precise, none) ride as units of their own beside a ladder."""
+        ladder = _cell(mechanism="ndm", threshold=8)
+        units = [
+            _cell(mechanism="ndm", threshold=16, selective_promotion=True),
+            _cell(mechanism="ndm-precise", threshold=16),
+            _cell(mechanism="none"),
+        ]
+        observer = BatchObserver([ladder] + units)
+        assert observer.cells[0] == ladder
+        assert sorted(observer._units) == [1, 2, 3]
+        assert observer.gp_all == 0b1
 
     def test_observer_rejects_mixed_t1(self):
         with pytest.raises(ValueError, match="disagree on t1"):
             BatchObserver([_cell(threshold=8, t1=1), _cell(threshold=16, t1=2)])
 
-    def test_selective_promotion_never_folded(self):
-        """The selective ndm variant mutates waiter registries on the
-        shared trajectory and is excluded at the registry level: the
-        planner keeps its cells single even among shareable siblings."""
-        selective = _eligible_config(threshold=8)
-        selective.detector.selective_promotion = True
-        assert not batch_eligible(selective)
-        configs = [
-            _eligible_config(threshold=8),
-            _eligible_config(threshold=16),
-            selective,
+    def test_every_mechanism_folds_unparked(self):
+        """ndm-precise records a witness on every attempt, so a group
+        holding it parks nothing.  With it and a ``none`` cell beside
+        ``MIXED_CELLS``, one fold holds every registered mechanism, and
+        each cell still equals its solo run."""
+        config = _mixed_config()
+        cells = MIXED_CELLS + [
+            _cell(mechanism="ndm-precise", threshold=16),
+            _cell(mechanism="none"),
         ]
-        groups, singles = plan_batches(configs)
-        assert groups == [[0, 1]]
-        assert singles == [2]
+        assert {cell.mechanism for cell in cells} == set(detector_names())
+        batch = _fold(config, cells)
+        for cell, b in zip(cells, batch):
+            e = _event_reference(config, cell)
+            assert b.to_dict(include_perf=False) == e.to_dict(
+                include_perf=False
+            ), f"{cell.mechanism}:{cell.threshold}"
+        assert batch[0].engine_counters["route_parks"] == 0
+        assert batch[-2].detections > 0
 
 
 class TestMixedPlanning:
@@ -446,12 +455,13 @@ class TestMixedPlanning:
         )
 
 
-#: Hypothesis: any mixed bag of shareable cells folds bit-identically.
+#: Hypothesis: any mixed bag of cells folds bit-identically.
 _CELL_STRATEGY = st.fixed_dictionaries(
     {
-        "mechanism": st.sampled_from(batch_shareable_names()),
+        "mechanism": st.sampled_from(detector_names()),
         "threshold": st.sampled_from([4, 8, 16, 24, 50]),
         "probe_max_hops": st.sampled_from([8, 64]),
+        "selective_promotion": st.booleans(),
     }
 )
 

@@ -96,13 +96,13 @@ def test_selective_promotion_is_freed_by_refcount():
 
 
 def test_batch_group_is_freed_by_refcount():
+    """Every mechanism, plus a selective-promotion ndm unit, on one fold;
+    ndm-precise turns parking off, so the group is also run without it."""
     cells = [
         DetectorConfig(mechanism=mechanism, threshold=threshold)
-        for mechanism in ("ndm", "pdm", "timeout", "probe")
+        for mechanism in detector_names()
         for threshold in (8, 32)
-    ] + [
-        DetectorConfig(mechanism="source-age", threshold=64),
-        DetectorConfig(mechanism="injection-stall", threshold=64),
-    ]
+    ] + [DetectorConfig(mechanism="ndm", threshold=16, selective_promotion=True)]
     config = wedged()
-    assert cyclic_garbage(lambda: BatchSimulator(config, cells).run()) == Counter()
+    for group in (cells, [c for c in cells if c.mechanism != "ndm-precise"]):
+        assert cyclic_garbage(lambda: BatchSimulator(config, group).run()) == Counter()
