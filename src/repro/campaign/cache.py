@@ -89,12 +89,17 @@ class ResultCache:
 
     def put(self, key: str, payload: Dict[str, Any]) -> Path:
         """Atomically store ``payload`` under ``key``."""
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp-{os.getpid()}")
-        tmp.write_text(RECORD_ENCODER.encode(payload))
+        path = self._file(key)
+        tmp = f"{path[:-len('.json')]}.tmp-{os.getpid()}"
+        try:
+            handle = open(tmp, "w")
+        except FileNotFoundError:  # the shard's first write: make its dir
+            os.makedirs(os.path.dirname(tmp), exist_ok=True)
+            handle = open(tmp, "w")
+        with handle:
+            handle.write(RECORD_ENCODER.encode(payload))
         os.replace(tmp, path)
-        return path
+        return Path(path)
 
     def keys(self) -> Iterator[str]:
         """All stored hashes (walks the shard directories)."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Sequence, Tuple
 
@@ -88,6 +89,20 @@ def unit_payload(kind: str, jobs: Sequence[CellJob]) -> Dict[str, Any]:
     }
 
 
+#: Stand-ins for the fields a table's cells differ in, in sort order:
+#: ``detector.threshold``, ``traffic.injection_rate``, ``traffic.lengths``.
+_THRESHOLD, _RATE, _SIZE = "\x00threshold", "\x00rate", "\x00size"
+
+
+def _scalar_json(value: Any) -> str:
+    """``value`` as ``config_hash``'s encoder writes it (``repr`` for an int
+    or a finite float); raises on a value that encoder rejects."""
+    kind = type(value)
+    if kind is int or (kind is float and math.isfinite(value)):
+        return repr(value)
+    return _CANONICAL.encode(value)
+
+
 def enumerate_table_jobs(
     spec: TableSpec,
     base: SimulationConfig,
@@ -98,16 +113,35 @@ def enumerate_table_jobs(
     Every cell runs on ``base.seed``, exactly as the sequential runner
     does; vary the seed by passing a different ``base``.
 
+    The table's canonical text is encoded once, with stand-ins in the
+    three fields its cells differ in, and cut there (``ValueError`` if a
+    cut could land inside another field); a cell's key hashes the pieces
+    joined around its own values: the very text ``config_hash`` hashes.
+
     Args:
         spec: the table's grid definition.
         base: base simulation config (topology, windows, seed).
         saturation: saturation rate (flits/cycle/node) scaling the loads.
     """
     rates = tuple(round(f * saturation, 4) for f in spec.load_fractions)
+    template = build_cell_config(base, spec, _THRESHOLD, _SIZE, _RATE)
+    whole = tail = canonical_config_json(template)
+    pieces = []
+    for mark in map(_CANONICAL.encode, (_THRESHOLD, _RATE, _SIZE)):
+        piece, found, tail = tail.partition(mark)
+        if not found or whole.count(mark) != 1:
+            raise ValueError(f"cannot cut a table's key text at {mark}")
+        pieces.append(piece)
+    head, after_threshold, after_rate = pieces
     jobs: List[CellJob] = []
     for threshold, load_index, size in spec.cell_coords():
         rate = rates[load_index]
-        config = build_cell_config(base, spec, threshold, size, rate)
+        config = template.replace()
+        config.detector.threshold = threshold
+        config.traffic.injection_rate = rate
+        config.traffic.lengths = size
+        text = (f"{head}{_scalar_json(threshold)}{after_threshold}"
+                f"{_scalar_json(rate)}{after_rate}{_scalar_json(size)}{tail}")
         jobs.append(
             CellJob(
                 key=job_key(spec.table_id, threshold, load_index, size),
@@ -117,7 +151,7 @@ def enumerate_table_jobs(
                 size=size,
                 rate=rate,
                 config=config,
-                config_hash=config_hash(config),
+                config_hash=hashlib.sha256(text.encode("utf-8")).hexdigest(),
             )
         )
     return rates, jobs

@@ -1,5 +1,7 @@
 """Tests for the content-addressed on-disk result cache."""
 
+import shutil
+
 import pytest
 
 from repro.campaign.cache import ResultCache, default_cache_dir
@@ -25,6 +27,16 @@ class TestResultCache:
         path = cache.put(KEY, {"x": 1})
         assert path.parent.name == KEY[:2]
         assert path.name == f"{KEY}.json"
+
+    def test_put_remakes_a_deleted_shard_directory(self, cache):
+        """``put`` makes a shard directory only when the temp file cannot
+        be opened without it: a shard removed under a live cache (say by
+        ``campaign clear``) is made again, and the entry is served."""
+        path = cache.put(KEY, {"x": 1})
+        shutil.rmtree(path.parent)
+        assert cache.put(KEY, {"x": 2}) == path
+        assert cache.get(KEY) == {"x": 2}
+        assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
 
     def test_contains_and_size(self, cache):
         assert cache.get(KEY) is None

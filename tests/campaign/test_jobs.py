@@ -63,6 +63,129 @@ class TestConfigHash:
             assert job.config_hash == hashlib.sha256(text.encode()).hexdigest()
 
 
+def _splice_bases():
+    """Bases beyond the paper's two: another seed, other windows, a fault
+    schedule and an injection cap switched off."""
+    seeded = tiny_base()
+    seeded.seed = 11
+    windows = tiny_base()
+    windows.warmup_cycles, windows.measure_cycles, windows.drain_cycles = 7, 93, 50
+    faulty = tiny_base()
+    faulty.faults = [
+        {"kind": "link-down", "start": 20, "end": 60, "channel": ch}
+        for ch in (0, 5)
+    ]
+    uncapped = base_config(full=True)
+    uncapped.injection_limit_fraction = None
+    return [
+        pytest.param(seeded, id="seed11"),
+        pytest.param(windows, id="windows"),
+        pytest.param(faulty, id="faults"),
+        pytest.param(uncapped, id="full-uncapped"),
+    ]
+
+
+def _splice_specs():
+    hot = dataclasses.replace(
+        tiny_spec(table_id=9), pattern="hot-spot",
+        pattern_params={"fraction": 0.25}, sizes=("s", "sl"),
+    )
+    return [
+        pytest.param(tiny_spec(), id="plain"),
+        pytest.param(hot, id="pattern_params"),
+        pytest.param(quick_spec(TABLE_SPECS[3]), id="table3"),
+    ]
+
+
+class TestSplicedKeys:
+    """``enumerate_table_jobs`` splices each cell's key into one canonical
+    text per table; ``config_hash`` still defines the key."""
+
+    @pytest.mark.parametrize("saturation", [0.738, 1.2345678, 3.0])
+    @pytest.mark.parametrize("spec", _splice_specs())
+    @pytest.mark.parametrize("base", _splice_bases())
+    def test_every_job_is_its_own_config(self, base, spec, saturation):
+        before = config_hash(base)
+        _, jobs = enumerate_table_jobs(spec, base, saturation)
+        assert config_hash(base) == before  # the base is not touched
+        for job in jobs:
+            assert job.config_hash == config_hash(job.config)
+            assert job.config == build_cell_config(
+                base, spec, job.threshold, job.size, job.rate
+            )
+
+    @pytest.mark.parametrize("base", _splice_bases())
+    def test_no_two_jobs_share_a_mutable_part(self, base):
+        spec = _splice_specs()[1].values[0]  # the one with pattern_params
+        _, jobs = enumerate_table_jobs(spec, base, 0.5)
+        hashes = [job.config_hash for job in jobs]
+        snapshots = [job.config.to_dict() for job in jobs]
+        # Sharing is symmetric, so checking the jobs after each victim
+        # (all still untouched) covers every pair.
+        for n, victim in enumerate(jobs):
+            config = victim.config
+            config.traffic.pattern = "uniform"
+            config.traffic.pattern_params["fraction"] = 0.9
+            config.detector.t1 = 5
+            if config.faults is not None:
+                config.faults[0]["start"] = 1
+                config.faults.append(dict(config.faults[0]))
+            later = list(zip(jobs, snapshots, hashes))[n + 1:]
+            for other, snapshot, digest in later:
+                assert other.config.to_dict() == snapshot
+                assert config_hash(other.config) == digest
+
+    @pytest.mark.parametrize(
+        "threshold,size,rate",
+        [(True, "s", 0.5), (8, "s", -0.0), (8, "s", float("nan")),
+         (8, "s", float("inf")), (8.0, "s", 1e-07), (2**70, "s", 0.5),
+         (8, "s\u00e9\"\n", 0.5)],
+        ids=["bool", "negative-zero", "nan", "inf", "float-threshold",
+             "big-int", "escaped-size"],
+    )
+    def test_odd_scalars_key_as_config_hash_does(
+        self, base, spec, threshold, size, rate
+    ):
+        spec = dataclasses.replace(
+            spec, thresholds=(threshold,), sizes=(size,), load_fractions=(1.0,)
+        )
+        [job] = enumerate_table_jobs(spec, base, rate)[1]
+        assert job.config_hash == config_hash(job.config)
+
+    def test_a_value_the_encoder_rejects_raises(self, base, spec):
+        spec = dataclasses.replace(spec, thresholds=(object(),))
+        with pytest.raises(TypeError):
+            enumerate_table_jobs(spec, base, 1.0)
+
+    def test_a_stand_in_elsewhere_in_the_config_raises(self, base, spec):
+        spec = dataclasses.replace(spec, pattern_params={"tag": "\x00rate"})
+        with pytest.raises(ValueError, match="cannot cut"):
+            enumerate_table_jobs(spec, base, 1.0)
+
+
+#: ``config_hash`` of three quick cells, recorded before keys were
+#: spliced.  A change that re-keys every store (a new config field, an
+#: encoder change) fails here by name instead of silently missing.
+PINNED_KEYS = {
+    (1, "table1/th8/load1/s"):
+        "feb541f2743c2c87daffc7579603cc2e3130cee89bfa8784a2d54c5000c5d21f",
+    (3, "table3/th32/load0/sl"):
+        "3d27bb649940a25a9ea50d09e669ac41cb6c1c0cb9d6b15c093f956183d91cbd",
+    (8, "table8/th128/load1/l"):
+        "e23dc58640d0d0b350be758df615bec7180a9421e76f249ef1f7f08e84500c83",
+}
+
+
+@pytest.mark.parametrize("table_id,key", sorted(PINNED_KEYS))
+def test_quick_cell_cache_key_is_pinned(table_id, key):
+    base = base_config(full=False)
+    spec = quick_spec(TABLE_SPECS[table_id])
+    jobs = enumerate_table_jobs(spec, base, saturation_rate(base, spec))[1]
+    [job] = [job for job in jobs if job.key == key]
+    assert job.config_hash == PINNED_KEYS[table_id, key]
+    assert config_hash(job.config) == PINNED_KEYS[table_id, key]
+
+
 class TestEnumerateTableJobs:
     def test_canonical_order_and_count(self, spec, base):
         rates, jobs = enumerate_table_jobs(spec, base, saturation=1.0)

@@ -1,11 +1,11 @@
 """Golden-run regression: pin the exact behaviour of a fixed-seed run.
 
 A cycle-accurate simulator's value rests on its behaviour being stable
-under refactoring.  This test replays a fixed scenario (seeded, pure-
-Python RNG path) and compares a digest of the full event stream against a
-recorded value.  If an intentional model change breaks it, re-record by
-running the test with ``--update-golden`` semantics: print the new digest
-(shown in the assertion message) and update the constant.
+under refactoring.  This test replays a fixed seeded scenario and
+compares a digest of the full event stream against a recorded value.  If
+an intentional model change breaks it, re-record by running the test
+with ``--update-golden`` semantics: print the new digest (shown in the
+assertion message) and update the constant.
 """
 
 import hashlib
@@ -29,7 +29,6 @@ def fixed_run():
     config.warmup_cycles = 0
     config.measure_cycles = 600
     sim = Simulator(config)
-    sim._gen_rng = None  # force the pure-Python generation path
     sim.tracer = Tracer(capacity=0)
     sim.run()
     return sim
