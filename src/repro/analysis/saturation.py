@@ -19,7 +19,7 @@ permutation stay silent).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.network.config import SimulationConfig
 
@@ -44,7 +44,6 @@ def measure_throughput(config: SimulationConfig, rate: float) -> float:
 
     cfg = config.replace()
     cfg.traffic.injection_rate = rate
-    cfg.detector = cfg.detector  # keep configured detector/recovery
     stats = Simulator(cfg).run()
     return stats.throughput()
 
@@ -52,7 +51,6 @@ def measure_throughput(config: SimulationConfig, rate: float) -> float:
 def find_saturation(
     config: SimulationConfig,
     low: float = 0.05,
-    high: Optional[float] = None,
     tolerance: float = 0.05,
     steps: int = 7,
 ) -> SaturationResult:
@@ -68,7 +66,6 @@ def find_saturation(
             ignored).  Use short warmup/measure windows; saturation search
             only needs coarse throughput estimates.
         low: starting offered rate, assumed below saturation.
-        high: optional upper bound; defaults to growing by doubling.
         tolerance: relative shortfall that marks saturation.
         steps: bisection refinement steps.
     """
@@ -93,7 +90,7 @@ def find_saturation(
     if not tracks(lo):
         # Even the starting rate saturates; report it directly.
         return SaturationResult(lo, samples[-1][1], samples)
-    hi = high if high is not None else lo * 2
+    hi = lo * 2
     while tracks(hi):
         lo = hi
         hi *= 2

@@ -16,7 +16,8 @@ through three layers, cheapest first:
 
 Jobs with equal config hashes (the same cell in two tables) are
 simulated once; the later ones are served from the cache after the
-run, or copied from their twin when there is no cache.
+run, or copied from their twin when there is no cache, with
+``wall_time`` 0.0 as a skipped chain cell is recorded.
 
 All three hand back the same thing: one *record* per cell
 (:func:`~repro.campaign.jobs.cell_record` — key, cell, wall time,
@@ -391,5 +392,9 @@ def _resolve(
         if stored is None or not finish(
             JobOutcome.from_record(job, stored, "cache", worker="cache")
         ):
-            finish(replace(outcomes[queued[job.config_hash].key], job=job))
+            # A copy, recorded as a chain-skipped cell is: its twin's
+            # simulation time is counted once, on the twin.
+            twin = outcomes[queued[job.config_hash].key]
+            idle = dict.fromkeys(twin.phase_time, 0.0)
+            finish(replace(twin, job=job, wall_time=0.0, phase_time=idle))
     return outcomes

@@ -82,20 +82,15 @@ class ProbeDetection(DeadlockDetector):
             self._arm(message, cycle + self.threshold)
         return False
 
-    def blocked_deadline(self, message: Message, cycle: int) -> Optional[int]:
-        """Next launch-cadence point strictly after ``cycle``.
+    @staticmethod
+    def deadline(message: Message, cycle: int, threshold: int) -> Optional[int]:
+        """``None``: a probe never marks on a routing attempt.
 
-        Pure arithmetic on the episode start, so the event engine's wakeup
-        heap tracks exactly the cycles at which the probe phase may act on
-        this message; detection itself still happens out-of-band, making
-        the wakeup a no-op routing re-attempt that keeps both engines'
-        attempt streams aligned with the cadence.
+        Launches come off ``_launch_heap`` in the probe phase, whatever
+        the routing phase does, so a parked header sleeps until a lane
+        frees or a fault edge wakes it, in a solo run and a fold alike.
         """
-        since = message.blocked_since
-        if since is None:
-            return cycle + self.threshold
-        period = self.threshold
-        return since + period * ((cycle - since) // period + 1)
+        return None
 
     # ------------------------------------------------------------------
     # Probe phase

@@ -92,7 +92,6 @@ class ProgressiveReinjection(RecoveryManager):
             node = message.inject_node
         sim.free_worm(message, cycle)
         message.recoveries += 1
-        message.is_recovery_reinjection = True
         message.reset_for_reinjection(node, cycle)
         sim.enqueue_recovery(message, node)
         sim.stats.recoveries += 1

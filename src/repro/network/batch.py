@@ -48,12 +48,13 @@ checked on every run of the ``detgrid-norecovery`` workload of
 ``benchmarks/spine``).
 
 Cell state is plain integers: per-message and per-channel bitmasks over
-the canonical cell order (ladder cells, then units; registry order,
-ascending threshold, variant — giving each ladder a contiguous bit
+the rank order (ladder cells, then units; registry order, ascending
+threshold, ties in input order — giving each ladder a contiguous bit
 range) and per-cell counter lists, reduced in that **fixed order**, so
-results are independent of ``PYTHONHASHSEED`` and host.  Nothing here
-needs an array library: the trajectory is the simulator's own, and the
-per-wake reductions are O(feasible channels).
+results are independent of ``PYTHONHASHSEED`` and host.  Every given
+cell is a rank of its own: the fold keeps no notion of equal cells.
+Nothing here needs an array library: the trajectory is the simulator's
+own, and the per-wake reductions are O(feasible channels).
 """
 
 from __future__ import annotations
@@ -90,24 +91,6 @@ from repro.network.types import DetectionEvent, MessageStatus, PortKind
 #: Constant: the fold needs no numpy.  The name stays because the frozen
 #: benchmark (benchmarks/spine) reads it.
 HAVE_NUMPY = True
-
-
-def detector_cell_key(detector: DetectorConfig) -> Tuple[Any, ...]:
-    """Hashable identity of one cell within a batch group.
-
-    Cells equal under this key are behaviourally identical on a shared
-    trajectory and fold to one rank: mechanism plus threshold, extended
-    with the storm-guard caps for probe cells and the promotion variant
-    for ndm cells (the only mechanisms with extra behavioural knobs;
-    ``t1`` is group-uniform by the group key).
-    """
-    key: Tuple[Any, ...] = (detector.mechanism, int(detector.threshold))
-    if detector.mechanism == ProbeDetection.name:
-        caps = (detector.probe_max_hops, detector.probe_max_outstanding)
-        return key + tuple(int(cap) for cap in caps)
-    if detector.mechanism == NewDetectionMechanism.name:
-        return key + (bool(detector.selective_promotion),)
-    return key
 
 
 def batch_eligible(config: SimulationConfig) -> bool:
@@ -211,11 +194,12 @@ class _BatchProbeCell(ProbeDetection):
 class BatchObserver(NewDetectionMechanism):
     """K detector cells — across mechanisms — on one shared trajectory.
 
-    Cells are canonicalized (deduplicated by :func:`detector_cell_key`,
-    ladder cells first, then family, then ascending threshold) so each
-    threshold ladder owns a contiguous bit range of the per-message
-    pending masks.  The NDM G/P flag of each input channel is kept per
-    ladder cell — the inherited ``gp`` masks over the ndm ladder's bits
+    Each given cell gets its own rank — ladder cells first, then family,
+    then ascending threshold, ties in input order — so each threshold
+    ladder owns a contiguous bit range of the per-message pending masks;
+    a duplicate cell is a rank of its own and folds to equal stats.
+    The NDM G/P flag of each input channel is kept per ladder cell —
+    the inherited ``gp`` masks over the ndm ladder's bits
     (``gp_all``) — because the reference runs disagree on it: once cell r
     marks a message, that run skips the message's later detector calls,
     so its first-attempt G/P writes at subsequent hops never happen *in
@@ -258,30 +242,30 @@ class BatchObserver(NewDetectionMechanism):
             threshold_monotone,
         )
 
-        canonical: Dict[Tuple[Any, ...], DetectorConfig] = {}
-        for cell in cells:
-            canonical.setdefault(detector_cell_key(cell), cell)
-        if not canonical:
+        if not cells:
             raise ValueError("need at least one detector cell")
         ndm_name = NewDetectionMechanism.name
         # A cell rides a ladder when its class states a score, save ndm
         # under selective promotion, whose waiter maps are per run.
-        on_ladder = {
-            key: threshold_monotone(cell)
-            and not (key[0] == ndm_name and cell.selective_promotion)
-            for key, cell in canonical.items()
-        }
-        # Canonical rank order: ladders (ndm first keeps the G/P masks'
-        # bit range anchored at the low bits), then units; registry
-        # order, ascending threshold, variant.  It is the fixed reduction
-        # order that makes fold results independent of input ordering
-        # and PYTHONHASHSEED.
+        on_ladder = [
+            threshold_monotone(cell)
+            and not (cell.mechanism == ndm_name and cell.selective_promotion)
+            for cell in cells
+        ]
+        # Rank order: ladders (ndm first keeps the G/P masks' bit range
+        # anchored at the low bits), then units; registry order, ascending
+        # threshold, ties in input order.  It is the fixed reduction
+        # order that keeps fold results independent of PYTHONHASHSEED.
         family_order = {name: i for i, name in enumerate(detector_names())}
         ordered = sorted(
-            canonical,
-            key=lambda key: (not on_ladder[key], family_order[key[0]]) + key[1:],
+            range(len(cells)),
+            key=lambda i: (
+                not on_ladder[i],
+                family_order[cells[i].mechanism],
+                cells[i].threshold,
+            ),
         )
-        ndm_cells = [cell for cell in canonical.values() if cell.mechanism == ndm_name]
+        ndm_cells = [cell for cell in cells if cell.mechanism == ndm_name]
         t1s = {int(cell.t1) for cell in ndm_cells}
         if len(t1s) > 1:
             raise ValueError(
@@ -296,11 +280,12 @@ class BatchObserver(NewDetectionMechanism):
             super().__init__(min(cell.threshold for cell in ndm_cells), t1=t1s.pop())
         else:
             super().__init__(threshold=2)
-        #: Canonical cells, rank order.
-        self.cells: List[DetectorConfig] = [canonical[key] for key in ordered]
-        self._rank_by_key: Dict[Tuple[Any, ...], int] = {
-            key: rank for rank, key in enumerate(ordered)
-        }
+        #: The cells in rank order.
+        self.cells: List[DetectorConfig] = [cells[i] for i in ordered]
+        #: Input position -> rank.
+        self.ranks: List[int] = [0] * len(cells)
+        for rank, i in enumerate(ordered):
+            self.ranks[i] = rank
         k = len(ordered)
         self._full_mask = (1 << k) - 1
         #: message id -> bitmask of cells that have not yet detected it.
@@ -312,16 +297,16 @@ class BatchObserver(NewDetectionMechanism):
         self.gp_all = 0
         self._attempt_families: List[_Family] = []
         self._periodic_families: List[_Family] = []
-        ladder_keys = [key for key in ordered if on_ladder[key]]
+        ladder = [cell for cell, i in zip(self.cells, ordered) if on_ladder[i]]
         for name in family_order:
-            ranks = [r for r, key in enumerate(ladder_keys) if key[0] == name]
+            ranks = [r for r, cell in enumerate(ladder) if cell.mechanism == name]
             if not ranks:
                 continue
             cls = detector_class(name)
             family = _Family(
                 ((1 << len(ranks)) - 1) << ranks[0],
                 ranks[0],
-                [ladder_keys[r][1] for r in ranks],
+                [ladder[r].threshold for r in ranks],
                 cls.score,
                 cls.deadline,
             )
@@ -351,12 +336,7 @@ class BatchObserver(NewDetectionMechanism):
             )
 
         self._attempt_units = hooked("on_blocked_attempt")
-        # A probe unit detects in the probe phase: its cadence deadline
-        # wakes only behaviour-free attempts, so it stays out of the
-        # composite deadline.
-        self._deadline_units = tuple(
-            (b, u) for b, u in hooked("blocked_deadline") if not u.has_probe_phase
-        )
+        self._deadline_units = hooked("blocked_deadline")
         self._phase_units = hooked("probe_phase")
         self._routed_units = tuple(unit for _, unit in hooked("on_message_routed"))
         self._released_units = tuple(unit for _, unit in hooked("on_vc_released"))
@@ -377,10 +357,6 @@ class BatchObserver(NewDetectionMechanism):
         self._truth_epoch = 0
         self._snapshot_key = (-1, -1)
         self._snapshot: Set[Message] = set()
-
-    def rank_of_cell(self, detector: DetectorConfig) -> int:
-        """Canonical rank of a cell (raises if absent from the group)."""
-        return self._rank_by_key[detector_cell_key(detector)]
 
     def attach(self, sim: Simulator) -> None:
         if self.gp_all:
@@ -505,12 +481,11 @@ class BatchObserver(NewDetectionMechanism):
         pending threshold; cells seeing P become eligible only through
         a promotion, which wakes the parked header itself.  Periodic
         cells (source-age, injection-stall) detect in the checks phase
-        independent of parking, and probe cells detect in the probe
-        phase — their reference cadence wakeups are behaviour-free
-        failed attempts (engine counters only), so both contribute None
-        here.  Waking at the composite, failing the attempt and
-        re-parking walks the chain until every cell's exact
-        first-detection cycle has been visited.
+        and probe cells in the probe phase, both independent of parking,
+        so their ``blocked_deadline`` is None, as in a solo run.  Waking
+        at the composite, failing the attempt and re-parking walks the
+        chain until every cell's exact first-detection cycle has been
+        visited.
         """
         input_pc = message.input_pc
         if input_pc is None:
@@ -645,7 +620,7 @@ class BatchObserver(NewDetectionMechanism):
             )
 
     def fold_cell(self, shared: SimulationStats, rank: int) -> SimulationStats:
-        """Per-cell stats for canonical rank ``rank`` from the shared run.
+        """Per-cell stats for rank ``rank`` from the shared run.
 
         Only the detection tally differs between cells.  Probe cells
         additionally get their transport counters (zero on the shared
@@ -675,11 +650,10 @@ class BatchSimulator:
     Args:
         config: any cell's config (its own detector cell is superseded
             by ``cells``); must satisfy :func:`batch_eligible`.
-        cells: per-cell detector configs — mixed mechanisms, any order,
-            duplicates allowed.
+        cells: per-cell detector configs — mixed mechanisms, any order;
+            a duplicate is simulated as a cell of its own.
 
-    Results align with the given cell sequence (duplicates share the
-    folded per-cell stats object).
+    Results align with the given cell sequence.
     """
 
     #: Constant: there is one movement phase.  The name stays because the
@@ -701,14 +675,10 @@ class BatchSimulator:
 
     def run(self) -> List[SimulationStats]:
         """Advance the shared trajectory; return stats aligned with the
-        constructor's cell sequence (duplicates get equal copies)."""
+        constructor's cell sequence."""
         shared = self.sim.run()
         observer = self.observer
-        folded = {
-            rank: observer.fold_cell(shared, rank)
-            for rank in range(len(observer.cells))
-        }
-        return [folded[observer.rank_of_cell(cell)] for cell in self.cells]
+        return [observer.fold_cell(shared, rank) for rank in observer.ranks]
 
 
 def plan_batches(

@@ -112,7 +112,6 @@ EFFECT_GROUPS: Dict[str, FrozenSet[str]] = {
             "times_detected",
             "recoveries",
             "retries",
-            "is_recovery_reinjection",
         }
     ),
     # Fault-injection state: written only by repro.faults.injector,

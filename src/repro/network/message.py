@@ -67,7 +67,6 @@ class Message:
         "marked_deadlocked",
         "recoveries",
         "retries",
-        "is_recovery_reinjection",
         "counted",
         "in_active",
         "ever_injected",
@@ -110,7 +109,6 @@ class Message:
         self.marked_deadlocked = False
         self.recoveries = 0
         self.retries = 0
-        self.is_recovery_reinjection = False
         # Whether this message counts toward measured statistics (generated
         # after warmup); set by the simulator at generation time.
         self.counted = False

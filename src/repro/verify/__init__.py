@@ -26,7 +26,7 @@ from repro.verify.counterexample import (
     load_counterexample,
     write_counterexample,
 )
-from repro.verify.driver import Instance, replay
+from repro.verify.driver import Instance
 from repro.verify.encode import behavioural_digest, digest, encode_state
 from repro.verify.library import all_cases, refutation_selftest_case, scenarios
 from repro.verify.scenario import (
@@ -55,7 +55,6 @@ __all__ = [
     "explore",
     "load_counterexample",
     "refutation_selftest_case",
-    "replay",
     "scenarios",
     "write_counterexample",
 ]

@@ -187,11 +187,3 @@ class Instance:
             and not self.sim.recovery_queues
             and not any(self.sim.source_queues)
         )
-
-
-def replay(case: VerifyCase, trace: Sequence[Sequence[int]],
-           engine: str = "event") -> Instance:
-    """Fresh instance with ``trace`` replayed; raises on any violation."""
-    inst = Instance(case, engine=engine)
-    inst.run_trace(trace)
-    return inst

@@ -13,7 +13,7 @@ import pytest
 
 import repro.campaign.executor as executor_module
 from repro.campaign.cache import ResultCache
-from repro.campaign.checkpoint import CampaignCheckpoint
+from repro.campaign.checkpoint import CampaignCheckpoint, summarize_manifest
 from repro.campaign.engine import run_campaign
 from repro.campaign.executor import JobOutcome, execute_jobs
 from repro.campaign.jobs import cell_to_dict, config_hash, enumerate_table_jobs
@@ -291,6 +291,39 @@ class TestCacheIntegration:
         execute_jobs(jobs, num_workers=1, cache=cache, checkpoint=ck)
         sources = [r["source"] for r in ck.records() if r["kind"] == "cell"]
         assert sources == ["cache"] * len(jobs)
+
+
+class TestTwins:
+    """A config two tables share runs once; without a cache its twin is
+    a copy, recorded as a chain-skipped cell is."""
+
+    @staticmethod
+    def twin_jobs(**changes):
+        jobs = [
+            tiny_jobs(tiny_spec(table_id=table_id))[0]
+            for table_id in (2, 3)
+        ]
+        jobs = [replace(job, config=job.config.replace(**changes)) for job in jobs]
+        assert jobs[0].config_hash == jobs[1].config_hash
+        return jobs
+
+    def test_copied_twin_adds_no_wall_time(self, tmp_path):
+        run, twin = self.twin_jobs()
+        ck = CampaignCheckpoint(tmp_path / "m.jsonl")
+        outcomes = execute_jobs([run, twin], num_workers=1, checkpoint=ck)
+        assert outcomes[run.key].wall_time > 0
+        assert outcomes[twin.key].wall_time == 0.0
+        assert outcomes[twin.key].cell == outcomes[run.key].cell
+        summary = summarize_manifest(str(ck.path))
+        assert summary.total_cells == 2
+        assert summary.wall_time_total == outcomes[run.key].wall_time
+
+    def test_copied_twin_of_a_profiled_run_records_zero_phase_times(self):
+        run, twin = self.twin_jobs(profile_phases=True)
+        outcomes = execute_jobs([run, twin], num_workers=1)
+        phases = outcomes[run.key].phase_time
+        assert phases
+        assert outcomes[twin.key].phase_time == dict.fromkeys(phases, 0.0)
 
 
 class TestResume:

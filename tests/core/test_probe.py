@@ -41,18 +41,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ProbeDetection(threshold=16, max_outstanding=0)
 
-    def test_blocked_deadline_is_next_cadence_point(self):
+    def test_deadline_is_none(self):
+        """A probe never marks on a routing attempt, so a parked header
+        waits for a wake event, not a cadence point."""
         detector = ProbeDetection(threshold=10)
         m = Message(0, 0, 1, 4, gen_cycle=0)
+        assert detector.blocked_deadline(m, 100) is None
         m.blocked_since = 100
-        assert detector.blocked_deadline(m, 100) == 110
-        assert detector.blocked_deadline(m, 109) == 110
-        assert detector.blocked_deadline(m, 110) == 120
-        assert detector.blocked_deadline(m, 125) == 130
-        # Always strictly in the future (a <= cycle deadline would keep
-        # the event engine's parked header awake every cycle).
         for cycle in range(100, 150):
-            assert detector.blocked_deadline(m, cycle) > cycle
+            assert ProbeDetection.deadline(m, cycle, 10) is None
+            assert detector.blocked_deadline(m, cycle) is None
 
 
 # ----------------------------------------------------------------------

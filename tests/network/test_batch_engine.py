@@ -29,7 +29,6 @@ from repro.network.batch import (
     BatchSimulator,
     batch_eligible,
     batch_group_key,
-    detector_cell_key,
     plan_batches,
 )
 from repro.network.config import DetectorConfig, SimulationConfig
@@ -283,7 +282,6 @@ class TestPlanBatches:
             for mechanism, thresholds in ladders.items()
             for t in thresholds
         ]
-        assert len({detector_cell_key(c.detector) for c in configs}) == 70
         assert plan_batches(configs) == ([list(range(70))], [])
         folded = _fold(configs[0], [c.detector for c in configs])
         for i in (0, 11, 23, 24, 40, 47, 48, 60, 69):
@@ -443,16 +441,6 @@ class TestMixedPlanning:
         groups, singles = plan_batches(configs)
         assert groups == [[0, 1, 2, 3]]
         assert singles == []
-
-    def test_cell_key_separates_probe_caps(self):
-        a = _cell(mechanism="probe", threshold=16)
-        b = _cell(mechanism="probe", threshold=16, probe_max_hops=8)
-        c = _cell(mechanism="pdm", threshold=16)
-        assert detector_cell_key(a) != detector_cell_key(b)
-        assert detector_cell_key(a) != detector_cell_key(c)
-        assert detector_cell_key(a) == detector_cell_key(
-            dataclasses.replace(a)
-        )
 
 
 #: Hypothesis: any mixed bag of cells folds bit-identically.

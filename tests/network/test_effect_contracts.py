@@ -3,9 +3,10 @@
 ``repro.network.kernel`` declares which behavioural state each cycle
 phase (``PHASE_EFFECTS``), detector hook (``HOOK_CONTRACTS``) and
 recovery scheme (``RECOVER_CONTRACT``) may write.  These tests run a
-small corpus — the engine-equivalence cases on the event engine, an
-``ndm-precise`` and a ``probe`` run, a schedule using every fault kind
-and one mixed fold group — with the contracts checked as it runs:
+small corpus — the engine-equivalence cases on the event engine (a
+``probe`` run among them), an ``ndm-precise`` run, a schedule using
+every fault kind and one mixed fold group — with the contracts checked
+as it runs:
 
 * every store to a domain attribute of ``Message`` / ``VirtualChannel``
   / ``PhysicalChannel`` / ``Router`` or a detector goes through a
@@ -262,7 +263,6 @@ def _run_corpus() -> None:
     for case in sorted(CASES):
         Simulator(_short(**CASES[case])).run()
     Simulator(_short(mechanism="ndm-precise", threshold=16)).run()
-    Simulator(_short(mechanism="probe", threshold=16)).run()
     Simulator(_short(mechanism="ndm", threshold=16, faults=ALL_FAULT_KINDS)).run()
     BatchSimulator(_mixed_config(warmup_cycles=50, measure_cycles=150), MIXED_CELLS).run()
 

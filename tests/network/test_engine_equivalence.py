@@ -118,6 +118,9 @@ CASES = {
     "pdm": dict(mechanism="pdm", threshold=16),
     "timeout": dict(mechanism="timeout", threshold=24),
     "source-age": dict(mechanism="source-age", threshold=200),
+    # Launches come off the detector's own heap in the probe phase, so a
+    # parked header has no deadline: the pin's deadline_wakeups is 0.
+    "probe": dict(mechanism="probe", threshold=16),
     "none": dict(mechanism="none"),
     "recovery-reinject": dict(
         mechanism="ndm", threshold=16, recovery="progressive-reinject"
@@ -215,6 +218,19 @@ PINNED = {
             "move_parked_skips": 11720,
             "move_parks": 194,
             "deadline_wakeups": 525,
+        },
+    ),
+    "probe": (
+        568,
+        "32dd81777ceb117dab0e89d152af40fc44bf3d8d207815ba9b25ab5082187c09",
+        {
+            "route_attempts": 4805,
+            "route_parked_skips": 32834,
+            "route_parks": 2894,
+            "move_visits": 30969,
+            "move_parked_skips": 28828,
+            "move_parks": 851,
+            "deadline_wakeups": 0,
         },
     ),
     "wedged": (

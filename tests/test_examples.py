@@ -1,7 +1,8 @@
 """Smoke tests: the fast example scripts run and print their story.
 
 Slow examples (full detector comparisons, saturation searches, the
-512-node paper-scale run) are exercised by the benchmark suite instead.
+512-node paper-scale run) run in CI's ``examples`` job, which runs every
+script under ``examples/`` to a zero exit.
 """
 
 import pathlib
